@@ -1,0 +1,69 @@
+"""Elementary number theory: factoring, primality, Euler's phi, primitive
+roots and primes in residue classes.
+
+Every answer rests on prime_factors, the package's one trial-division loop.
+The inputs are conductors, residue sizes, character moduli and Dixon
+primes, all small enough that trial division is the simplest exact method.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from math import gcd
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, ascending; [] for n < 2."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == [n]
+
+
+def is_prime_power(n: int) -> bool:
+    return len(prime_factors(n)) == 1
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    for p in prime_factors(n):
+        n -= n // p
+    return n
+
+
+@lru_cache(maxsize=None)
+def primitive_root(p: int) -> int:
+    """Smallest primitive root mod p (p prime); 1 for p = 2."""
+    if p == 2:
+        return 1
+    factors = prime_factors(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+            return g
+    raise ValueError(f"{p} is not prime")
+
+
+def smallest_prime_in_class(k: int, m: int) -> int:
+    """Least prime congruent to k mod m (k coprime to m, or m = 1)."""
+    if m == 1:
+        return 2
+    if gcd(k % m, m) != 1:
+        raise ValueError(f"no primes in class {k} mod {m}")
+    q = k % m
+    while True:
+        if is_prime(q):
+            return q
+        q += m

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .arith import is_prime, primitive_root
 from .cyclotomic import CycNum, zeta
 from .groups import FiniteGroup, Subgroup
 
@@ -63,7 +64,7 @@ def _dixon_prime(exponent: int, order: int) -> int:
     ell = 2 * order + 1
     ell += (1 - ell) % exponent
     while True:
-        if ell > 2 and all(ell % q for q in range(2, math.isqrt(ell) + 1)):
+        if is_prime(ell):
             return ell
         ell += exponent
 
@@ -87,6 +88,9 @@ class CharTable:
         self.exponent = group.exponent()
         self.values = values
         self.degrees = degrees
+        # certify() report of a table built by Dixon's method, kept so that
+        # callers read it instead of recertifying the same table.
+        self.certification: dict | None = None
 
     # construction ----------------------------------------------------------
 
@@ -150,11 +154,7 @@ class CharTable:
         vecs = cls._simultaneous_eigenvectors(mats, ell, k)
 
         inv_class = [class_of[G.inv[reps[j]]] for j in range(k)]
-        w = 2
-        while any(pow(w, (ell - 1) // q, ell) == 1
-                  for q in _prime_factors(ell - 1)):
-            w += 1
-        z_e = pow(w, (ell - 1) // e, ell)
+        z_e = pow(primitive_root(ell), (ell - 1) // e, ell)
 
         rows = []
         for v in vecs:
@@ -209,6 +209,7 @@ class CharTable:
         report = table.certify()
         if not report["pass"]:
             raise ArithmeticError(f"character table failed certification: {report}")
+        table.certification = report
         return table
 
     @staticmethod
@@ -309,20 +310,6 @@ def _is_eigen(M, v, ell):
     idx = next(i for i in range(len(v)) if v[i])
     lam = (mv[idx] * pow(v[idx], -1, ell)) % ell
     return all((lam * x - y) % ell == 0 for x, y in zip(v, mv))
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def _row_key(row: list[CycNum]):

@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from .arith import is_prime
 from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum
 from .gaussjacobi import (MultChar, gauss_sum, j_star, verify_gauss_identities,
@@ -24,7 +25,6 @@ from .gaussjacobi import (MultChar, gauss_sum, j_star, verify_gauss_identities,
 from .groups import FiniteGroup, PRESET_NAMES, cycle_string, parse_cycles, preset
 from .ledger import build_f, crux_check, decompose, norm_restrict, recompose
 from .localmodel import verify_factorization, verify_kummer_generator
-from .padic import is_prime
 from .stickelberger import (pairing, pairing_table, star_pairing,
                             verify_adams_identities,
                             verify_induction_identities)
@@ -81,8 +81,14 @@ class SuiteConfig:
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         self.precision = merged["precision"]
-        if self.precision is not None and int(self.precision) < 1:
-            raise UsageError("precision must be a positive integer")
+        if self.precision is not None:
+            try:
+                self.precision = int(self.precision)
+            except (TypeError, ValueError):
+                raise UsageError(f"precision must be a positive integer, "
+                                 f"got {self.precision!r}") from None
+            if self.precision < 1:
+                raise UsageError("precision must be a positive integer")
 
 
 def _dump(report: dict) -> str:
@@ -145,7 +151,7 @@ def _write_or_print(text: str, out: str | None, filename: str) -> None:
 def cmd_chartab(args) -> int:
     G = _resolve_group(args.group)
     table = CharTable.of(G)
-    cert = table.certify()
+    cert = table.certification
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -306,7 +312,7 @@ def _suite_reports(config: SuiteConfig):
             "suite": "stickelberger-identities", "group": name,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
-        cert = CharTable.of(G).certify()
+        cert = CharTable.of(G).certification
         yield f"chartab-{name}", {"suite": "chartab", "group": name, **cert}
 
         fac = [verify_factorization(G, s, label=name)
@@ -473,10 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except ValueError as ex:
+    except (UsageError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -18,23 +18,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("conductor must be positive")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+from .arith import euler_phi
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:

@@ -29,8 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .arith import is_prime, primitive_root
 from .cyclotomic import CycNum, zeta
-from .padic import is_prime, primitive_root
 
 PRIME_CAP = 101
 

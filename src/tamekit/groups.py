@@ -209,23 +209,6 @@ class FiniteGroup:
                     queue.append(nxt)
         return sorted(seen)
 
-    def right_transversal(self, sub: list[int]) -> list[int]:
-        """One representative per right coset Hx, in index order."""
-        hset = set(sub)
-        if 0 not in hset or any(self.table[a][b] not in hset
-                                 for a in sub for b in sub):
-            raise ValueError("not a subgroup")
-        covered = [False] * self.n
-        reps = []
-        for g in range(self.n):
-            if not covered[g]:
-                reps.append(g)
-                for h in sub:
-                    covered[self.table[h][g]] = True
-        if len(reps) * len(sub) != self.n:
-            raise AssertionError("coset cover mismatch")
-        return reps
-
 
 class Subgroup:
     """A subgroup presented as its own FiniteGroup plus the inclusion map."""
@@ -309,37 +292,3 @@ def preset(name: str) -> FiniteGroup:
 
 
 PRESET_NAMES = ("C3", "C5", "C7", "C9", "S3", "D5", "A4", "Q8", "F21")
-
-
-def from_spec(data: dict) -> FiniteGroup:
-    """Build a group from a JSON-style dict: either {"perm_gens": [cycles]}
-    with 1-based cycle strings or point lists, or {"table": [[...]]}."""
-    if "perm_gens" in data:
-        gens = []
-        for g in data["perm_gens"]:
-            if isinstance(g, str):
-                gens.append(parse_cycles(g))
-            else:
-                gens.append(parse_cycles(
-                    "".join("(" + " ".join(map(str, c)) + ")" for c in g)))
-        return FiniteGroup.from_generators(gens)
-    if "table" in data:
-        table = [list(row) for row in data["table"]]
-        names = list(data["names"]) if data.get("names") else None
-        n = len(table)
-        ident = next((e for e in range(n)
-                      if all(table[e][j] == j and table[j][e] == j
-                             for j in range(n))), None)
-        if ident is None:
-            raise ValueError("table has no two-sided identity")
-        if ident != 0:
-            # renumber so the identity sits at index 0
-            order = [ident] + [i for i in range(n) if i != ident]
-            pos = {g: i for i, g in enumerate(order)}
-            table = [[pos[table[a][b]] for b in order] for a in order]
-            if names:
-                names = [names[g] for g in order]
-        return FiniteGroup(table, names)
-    if "preset" in data:
-        return preset(data["preset"])
-    raise ValueError("group spec needs 'perm_gens', 'table', or 'preset'")

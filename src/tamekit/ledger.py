@@ -29,10 +29,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .arith import is_prime_power
 from .characters import CharTable, VirtualChar
 from .gaussjacobi import MultChar, gauss_sum
 from .groups import FiniteGroup, preset
-from .localmodel import TameElement, frobenius_action, is_prime_power
+from .localmodel import TameElement, frobenius_action
 from .padic import lambda_valuation
 from .stickelberger import pairing, star_pairing
 

@@ -30,39 +30,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .arith import is_prime_power, smallest_prime_in_class
 from .characters import CharTable, VirtualChar, restrict
 from .cyclotomic import CycNum, zeta
 from .groups import FiniteGroup, preset
-from .padic import is_prime, lambda_valuation
+from .padic import lambda_valuation
 from .stickelberger import _cyclic_context, pairing, star_pairing
 
 Scalar = (int, Fraction, CycNum)
-
-
-def is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
-
-
-def smallest_prime_in_class(k: int, m: int) -> int:
-    """Least prime congruent to k mod m (k coprime to m, or m = 1)."""
-    if m == 1:
-        return 2
-    if gcd(k % m, m) != 1:
-        raise ValueError(f"no primes in class {k} mod {m}")
-    q = k % m
-    while True:
-        if q >= 2 and is_prime(q):
-            return q
-        q += m
 
 
 class TameElement:
@@ -212,43 +187,6 @@ def frobenius_action(x: TameElement, q: int) -> TameElement:
     return TameElement({e: c.galois_apply(q) for e, c in x.terms.items()})
 
 
-class LocalFieldSpec:
-    """Residue size q and ramification degree m of one tame extension.
-
-    Carries the tameness constraint gcd(m, q) = 1 and bounds the exponent
-    denominators that sigma/frobenius accept through it.
-    """
-
-    __slots__ = ("q", "m")
-
-    def __init__(self, q: int, m: int):
-        if not is_prime_power(q):
-            raise ValueError(f"residue size must be a prime power, got {q}")
-        if m < 1:
-            raise ValueError(f"ramification degree must be positive, got {m}")
-        if gcd(m, q) != 1:
-            raise ValueError(f"wild pair: gcd({m}, {q}) != 1")
-        self.q = q
-        self.m = m
-
-    def _check(self, x: TameElement):
-        for e in x.terms:
-            if self.m % e.denominator != 0:
-                raise ValueError(
-                    f"exponent {e} falls outside pi^(1/{self.m}) powers")
-
-    def sigma(self, x: TameElement) -> TameElement:
-        self._check(x)
-        return sigma_action(x)
-
-    def frobenius(self, x: TameElement) -> TameElement:
-        self._check(x)
-        return frobenius_action(x, self.q)
-
-    def __repr__(self) -> str:
-        return f"LocalFieldSpec(q={self.q}, m={self.m})"
-
-
 class GroupAlgebraElement:
     """Group-ring element with TameElement coefficients."""
 
@@ -331,11 +269,6 @@ class GroupAlgebraElement:
     def sigma(self) -> "GroupAlgebraElement":
         return GroupAlgebraElement(
             self.group, {g: sigma_action(x) for g, x in self.terms.items()})
-
-    def frobenius(self, q: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.group,
-            {g: frobenius_action(x, q) for g, x in self.terms.items()})
 
     def __repr__(self) -> str:
         names = self.group.names

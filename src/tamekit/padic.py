@@ -23,46 +23,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .arith import primitive_root
 from .cyclotomic import CycNum
 
 
 class PrecisionExhausted(Exception):
     """The requested quantity is not visible at the working precision."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-@lru_cache(maxsize=None)
-def primitive_root(p: int) -> int:
-    """Smallest primitive root mod p (p prime); 1 for p = 2."""
-    if p == 2:
-        return 1
-    factors = []
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise ValueError(f"{p} is not prime")
 
 
 @lru_cache(maxsize=None)

@@ -95,10 +95,6 @@ def d_char(G: FiniteGroup, s: int) -> VirtualChar:
                               for j in range(1, (m - 1) // 2 + 1)})
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def verify_induction_identities(G: FiniteGroup, s: int,
                                 label: str | None = None) -> dict:
     """Both pairings against their induced-character inner-product
@@ -117,19 +113,19 @@ def verify_induction_identities(G: FiniteGroup, s: int,
         lhs = pairing(chi, s)
         rhs = ind_xi.inner(chi)
         rows.append({"identity": "pairing equals (Ind Xi, chi)",
-                     "chi": f"chi{t}", "lhs": _frac(lhs), "rhs": _frac(rhs),
+                     "chi": f"chi{t}", "lhs": str(lhs), "rhs": str(rhs),
                      "pass": lhs == rhs})
         if odd:
             lhs_s = star_pairing(chi, s)
             rhs_s = ind_xi_star.inner(chi)
             rows.append({"identity": "star pairing equals (Ind Xi*, chi)",
-                         "chi": f"chi{t}", "lhs": _frac(lhs_s),
-                         "rhs": _frac(rhs_s), "pass": lhs_s == rhs_s})
+                         "chi": f"chi{t}", "lhs": str(lhs_s),
+                         "rhs": str(rhs_s), "pass": lhs_s == rhs_s})
             lhs_d = lhs_s - lhs
             rhs_d = ind_d.inner(chi)
             rows.append({"identity": "pairing difference equals (Ind d, chi)",
-                         "chi": f"chi{t}", "lhs": _frac(lhs_d),
-                         "rhs": _frac(rhs_d), "pass": lhs_d == rhs_d})
+                         "chi": f"chi{t}", "lhs": str(lhs_d),
+                         "rhs": str(rhs_d), "pass": lhs_d == rhs_d})
     if odd:
         diff_ok = (xi_star_char(G, s) - xi_char(G, s)) == d_char(G, s)
         rows.append({"identity": "Xi* - Xi = d as virtual characters",
@@ -159,14 +155,14 @@ def verify_adams_identities(G: FiniteGroup, s: int,
         mid = x.inner(VirtualChar.irreducible(ctab, (2 * j) % m) - xi_j)
         rhs = x.inner(xi_j.adams(2) - xi_j)
         rows.append({"identity": "(Xi*, xi^j) = (Xi, xi^2j - xi^j)",
-                     "chi": f"xi^{j}", "lhs": _frac(lhs), "rhs": _frac(mid),
+                     "chi": f"xi^{j}", "lhs": str(lhs), "rhs": str(mid),
                      "pass": lhs == mid == rhs})
     for t in range(T.k):
         chi = VirtualChar.irreducible(T, t)
         lhs = star_pairing(chi, s)
         rhs = pairing(chi.adams(2) - chi, s)
         rows.append({"identity": "star pairing = <psi_2 chi - chi, s>",
-                     "chi": f"chi{t}", "lhs": _frac(lhs), "rhs": _frac(rhs),
+                     "chi": f"chi{t}", "lhs": str(lhs), "rhs": str(rhs),
                      "pass": lhs == rhs})
     return {"suite": "stickelberger adams identities",
             "group": label or _label(G), "element": G.names[s],
@@ -185,7 +181,7 @@ def pairing_table(G: FiniteGroup, s: int, star: bool = False,
     m = G.element_order(s)
     fn = star_pairing if star else pairing
     rows = [{"chi": f"chi{t}", "degree": T.degrees[t],
-             "value": _frac(fn(VirtualChar.irreducible(T, t), s))}
+             "value": str(fn(VirtualChar.irreducible(T, t), s))}
             for t in range(T.k)]
     return {"suite": "stickelberger pairing table",
             "group": label or _label(G), "element": G.names[s],

@@ -12,8 +12,10 @@ from tamekit.groups import PRESET_NAMES, Subgroup, preset
 
 def test_all_presets_certify():
     for name in PRESET_NAMES:
-        cert = CharTable.of(preset(name)).certify()
+        table = CharTable.of(preset(name))
+        cert = table.certify()
         assert cert["pass"], name
+        assert table.certification == cert, name
 
 
 def test_degree_multisets():
@@ -198,3 +200,13 @@ def test_to_dict_is_json_safe():
         T = CharTable.of(preset(name))
         json.dumps(T.to_dict())
         json.dumps(T.certify())
+
+
+def test_certify_rejects_altered_value():
+    T = CharTable.of(preset("S3"))
+    values = [row[:] for row in T.values]
+    values[2][1] = values[2][1] + 1
+    bad = CharTable(T.group, T.classes, values, T.degrees).certify()
+    assert not bad["pass"]
+    assert [c["pass"] for c in bad["checks"]] == [True, False, False]
+    assert T.certify()["pass"]

@@ -100,6 +100,9 @@ def test_suite_config_validation():
         SuiteConfig({"crux": [[11, 3]]})  # 3 does not divide 10
     with pytest.raises(UsageError):
         SuiteConfig({"format": "yaml"})
+    assert SuiteConfig({"precision": "8"}).precision == 8
+    with pytest.raises(UsageError):
+        SuiteConfig({"precision": "x"})
     assert SuiteConfig({}).groups == DEFAULT_CONFIG["groups"]
 
 

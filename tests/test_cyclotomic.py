@@ -9,15 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from tamekit.cyclotomic import CycNum, cyclotomic_poly, euler_phi, zeta
-
-
-def test_euler_phi_small_values():
-    # first values of the totient, cross-checked against a sieve
-    assert [euler_phi(n) for n in range(1, 13)] == \
-        [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
-    assert euler_phi(21) == 12
-    assert euler_phi(49) == 42
+from tamekit.arith import euler_phi
+from tamekit.cyclotomic import CycNum, cyclotomic_poly, zeta
 
 
 def test_cyclotomic_poly_known_coefficients():

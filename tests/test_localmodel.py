@@ -6,34 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from tamekit.arith import smallest_prime_in_class
 from tamekit.characters import CharTable, VirtualChar
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.groups import preset
-from tamekit.localmodel import (GroupAlgebraElement, LocalFieldSpec,
-                                TameCocycle, TameElement, beta, beta_star,
-                                det_resolvend, frobenius_action, infer_q,
-                                is_prime_power, phi_resolvend,
+from tamekit.localmodel import (GroupAlgebraElement, TameCocycle,
+                                TameElement, beta, beta_star, det_resolvend,
+                                frobenius_action, infer_q, phi_resolvend,
                                 phi_star_resolvend, sigma_action,
-                                smallest_prime_in_class,
                                 verify_factorization,
                                 verify_kummer_generator)
 from tamekit.stickelberger import pairing, star_pairing
-
-
-def test_prime_power_predicate():
-    yes = [2, 3, 4, 5, 8, 9, 27, 49, 121, 128]
-    no = [0, 1, 6, 10, 12, 100]
-    assert all(is_prime_power(n) for n in yes)
-    assert not any(is_prime_power(n) for n in no)
-
-
-def test_smallest_prime_in_class():
-    assert smallest_prime_in_class(1, 3) == 7
-    assert smallest_prime_in_class(2, 3) == 2
-    assert smallest_prime_in_class(1, 5) == 11
-    assert smallest_prime_in_class(1, 7) == 29
-    assert smallest_prime_in_class(1, 9) == 19
-    assert smallest_prime_in_class(0, 1) == 2
 
 
 def test_monomial_algebra():
@@ -119,19 +102,6 @@ def test_frobenius_sigma_commutation():
         assert lhs == rhs
 
 
-def test_local_field_spec_validation():
-    spec = LocalFieldSpec(7, 3)
-    x = TameElement.monomial(Fraction(1, 3))
-    assert spec.sigma(x) == sigma_action(x)
-    assert spec.frobenius(x) == frobenius_action(x, 7)
-    with pytest.raises(ValueError):
-        LocalFieldSpec(6, 5)
-    with pytest.raises(ValueError):
-        LocalFieldSpec(7, 14)
-    with pytest.raises(ValueError):
-        spec.sigma(TameElement.monomial(Fraction(1, 4)))
-
-
 def test_beta_elements():
     b = beta(3)
     third = Fraction(1, 3)
@@ -177,6 +147,10 @@ def test_cocycle_validation():
     TameCocycle(G, s, t, q)
     with pytest.raises(ValueError):
         TameCocycle(G, s, t, smallest_prime_in_class(k + 1, 7))
+    with pytest.raises(ValueError, match="prime power"):
+        TameCocycle(G, s, t, 6)
+    with pytest.raises(ValueError, match="wild"):
+        TameCocycle(G, s, t, 7)
 
 
 def test_infer_q_defaults():

@@ -9,27 +9,7 @@ from fractions import Fraction
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.gaussjacobi import MultChar, gauss_sum
 from tamekit.padic import (PadicApprox, PrecisionExhausted, embed_cyclotomic,
-                           is_prime, lambda_valuation, primitive_root,
-                           teichmueller)
-
-
-def test_is_prime():
-    primes = [n for n in range(60) if is_prime(n)]
-    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
-                      47, 53, 59]
-    assert is_prime(101) and not is_prime(1001)
-
-
-def test_primitive_root_smallest():
-    # smallest generator of (Z/p)^*, checked against tables
-    assert primitive_root(3) == 2
-    assert primitive_root(5) == 2
-    assert primitive_root(7) == 3
-    assert primitive_root(11) == 2
-    assert primitive_root(13) == 2
-    assert primitive_root(31) == 3
-    g = primitive_root(31)
-    assert sorted(pow(g, k, 31) for k in range(30)) == list(range(1, 31))
+                           lambda_valuation, teichmueller)
 
 
 def test_approx_basics():
