@@ -8,6 +8,11 @@ as chi(g) = sum_u m_u zeta_m^u where the eigenvalue multiplicities m_u are
 small non-negative integers read off mod ell.  The lifted table is then
 certified against both orthogonality relations and sum(d^2) = |G| with exact
 cyclotomic arithmetic, so nothing downstream depends on the modular step.
+The table keeps m_u as eigen[t][j][u] (g = reps[j], m = |g|), the
+coefficient of xi^u, xi(g) = zeta_m, in chi_t restricted to <g>.  Reducing
+Z[zeta_e] -> F_ell sends each lifted value to chi mod ell, so the true m_u
+are congruent to the lifted ones mod ell; both lie in [0, d] with d < ell,
+so the lifted m_u are exact once the table certifies.
 
 Values are stored as CycNum at conductor exp(G).  Irreducibles are sorted by
 (degree, lexicographic serialized values), except that tables built for a
@@ -75,7 +80,8 @@ class CharTable:
     """Certified-exact irreducible character table of a finite group."""
 
     def __init__(self, group: FiniteGroup, classes: list[list[int]],
-                 values: list[list[CycNum]], degrees: list[int]):
+                 values: list[list[CycNum]], degrees: list[int],
+                 eigen: list[list[tuple[int, ...]]]):
         self.group = group
         self.classes = classes
         self.reps = [c[0] for c in classes]
@@ -88,6 +94,7 @@ class CharTable:
         self.exponent = group.exponent()
         self.values = values
         self.degrees = degrees
+        self.eigen = eigen
         # certify() report of a table built by Dixon's method, kept so that
         # callers read it instead of recertifying the same table.
         self.certification: dict | None = None
@@ -117,13 +124,18 @@ class CharTable:
             class_of_power[i] = x
             x = group.table[x][gen]
         values = [[None] * m for _ in range(m)]
+        eigen = [[None] * m for _ in range(m)]
         for j in range(m):
             for i in range(m):
+                g = math.gcd(i, m)  # xi^j(gen^i) = zeta_(m/g)^((i/g) j)
                 values[j][class_of_power[i]] = zeta(m, (i * j) % m)
-        return cls(group, classes, values, [1] * m)
+                eigen[j][class_of_power[i]] = tuple(
+                    int(u == (i // g) * j % (m // g)) for u in range(m // g))
+        return cls(group, classes, values, [1] * m, eigen)
 
     @classmethod
     def _dixon(cls, group: FiniteGroup) -> "CharTable":
+        """Dixon's method; `certify` makes `eigen` exact (module docstring)."""
         G = group
         n = G.n
         classes = G.conjugacy_classes()
@@ -176,36 +188,37 @@ class CharTable:
 
         values = []
         degrees = []
+        eigen = []
         for d, chi_mod in sorted(rows, key=lambda r: r[0]):
             row = []
+            mults = []
             for j in range(k):
                 m = G.element_order(reps[j])
                 powers = [chi_mod[class_of[G.power(reps[j], vv)]]
                           for vv in range(m)]
                 z_m = pow(z_e, e // m, ell)
                 minv = pow(m, -1, ell)
-                val = CycNum.from_rational(0)
-                total = 0
-                for u in range(m):
-                    mu = (minv * sum(powers[vv] * pow(z_m, (-u * vv) % (ell - 1), ell)
-                                     for vv in range(m))) % ell
-                    if mu > d:
-                        raise ArithmeticError("eigenvalue multiplicity lift failed")
-                    if mu:
-                        val = val + mu * zeta(m, u)
-                    total += mu
-                if total != d:
+                mu = tuple(
+                    (minv * sum(powers[vv] * pow(z_m, (-u * vv) % (ell - 1), ell)
+                                for vv in range(m))) % ell
+                    for u in range(m))
+                if max(mu) > d:
+                    raise ArithmeticError("eigenvalue multiplicity lift failed")
+                if sum(mu) != d:
                     raise ArithmeticError("multiplicities do not sum to degree")
-                row.append(val.embed(e))
+                row.append(CycNum(m, dict(enumerate(mu))).embed(e))
+                mults.append(mu)
             values.append(row)
             degrees.append(d)
+            eigen.append(mults)
 
         order_key = sorted(range(len(values)),
                            key=lambda t: (degrees[t], _row_key(values[t])))
         values = [values[t] for t in order_key]
         degrees = [degrees[t] for t in order_key]
+        eigen = [eigen[t] for t in order_key]
 
-        table = cls(group, classes, values, degrees)
+        table = cls(group, classes, values, degrees, eigen)
         report = table.certify()
         if not report["pass"]:
             raise ArithmeticError(f"character table failed certification: {report}")
@@ -360,6 +373,13 @@ class VirtualChar:
         for t, c in self.coeffs.items():
             acc = acc + c * self.table.values[t][j]
         return acc
+
+    def multiplicities(self, g: int) -> list[Fraction]:
+        """Coefficients of xi^u (xi(g) = zeta_|g|) in self restricted to <g>."""
+        j = self.table.class_of[g]
+        eig = [(c, self.table.eigen[t][j]) for t, c in self.coeffs.items()]
+        return [sum((c * mu[u] for c, mu in eig), Fraction(0))
+                for u in range(self.table.group.element_order(g))]
 
     def values(self) -> list[CycNum]:
         return [self.value(j) for j in range(self.table.k)]

@@ -2,9 +2,11 @@
 
 Every subcommand emits machine-readable output (JSON by default, CSV for
 the tabular commands) and exits 0 when all requested checks pass, 1 when
-a check fails, and 2 on usage errors.  Reports are deterministic: keys
-are sorted, orderings are fixed, and nothing time- or path-dependent is
-written, so identical invocations produce identical bytes.
+a check fails, 2 on usage errors, and 3 when a computation cannot finish
+(lambda-adic precision runs out, or Dixon's lift or certification fails).
+Reports are deterministic: keys are sorted, orderings are fixed, and
+nothing time- or path-dependent is written, so identical invocations
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .gaussjacobi import (MultChar, gauss_sum, j_star, verify_gauss_identities,
 from .groups import FiniteGroup, PRESET_NAMES, cycle_string, parse_cycles, preset
 from .ledger import build_f, crux_check, decompose, norm_restrict, recompose
 from .localmodel import verify_factorization, verify_kummer_generator
+from .padic import PrecisionExhausted
 from .stickelberger import (pairing, pairing_table, star_pairing,
                             verify_adams_identities,
                             verify_induction_identities)
@@ -54,41 +57,59 @@ class SuiteConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged = {**DEFAULT_CONFIG, **data}
+        for field in ("groups", "primes", "e_values", "crux"):
+            if not isinstance(merged[field], list):
+                raise UsageError(
+                    f"{field} must be a list, got {merged[field]!r}")
         self.groups = list(merged["groups"])
         for name in self.groups:
+            if not isinstance(name, str):
+                raise UsageError(f"groups entries must be names, got {name!r}")
             try:
                 preset(name)
             except ValueError as ex:
                 raise UsageError(str(ex)) from None
-        self.primes = [int(p) for p in merged["primes"]]
+        self.primes = [self._as_int("primes", p) for p in merged["primes"]]
         for p in self.primes:
             if not is_prime(p):
                 raise UsageError(f"configured prime {p} is not prime")
-        self.e_values = [int(e) for e in merged["e_values"]]
+        self.e_values = [self._as_int("e_values", e)
+                         for e in merged["e_values"]]
         for e in self.e_values:
             if e < 1 or e % 2 == 0:
                 raise UsageError(f"configured e = {e} must be odd and positive")
-        self.crux = [(int(p), int(e)) for p, e in merged["crux"]]
+        self.crux = []
+        for pair in merged["crux"]:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise UsageError(f"crux entries must be [p, e] pairs, "
+                                 f"got {pair!r}")
+            self.crux.append(tuple(self._as_int("crux", x) for x in pair))
         for p, e in self.crux:
             if e % 2 == 0 or e < 1:
                 raise UsageError(f"crux pair ({p}, {e}): e must be odd")
             if not is_prime(p) or (p - 1) % e != 0:
                 raise UsageError(
                     f"crux pair ({p}, {e}): need p prime with e dividing p-1")
-            if e % p == 0:
-                raise UsageError(f"crux pair ({p}, {e}): not coprime")
         self.format = merged["format"]
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         self.precision = merged["precision"]
         if self.precision is not None:
-            try:
-                self.precision = int(self.precision)
-            except (TypeError, ValueError):
-                raise UsageError(f"precision must be a positive integer, "
-                                 f"got {self.precision!r}") from None
+            self.precision = self._as_int("precision", self.precision)
             if self.precision < 1:
                 raise UsageError("precision must be a positive integer")
+
+    @staticmethod
+    def _as_int(field: str, value) -> int:
+        """An int (not a bool) or a decimal string, as an int."""
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        raise UsageError(f"{field} must hold integers, got {value!r}")
 
 
 def _dump(report: dict) -> str:
@@ -482,6 +503,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except (PrecisionExhausted, ArithmeticError) as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,12 +17,12 @@ coefficients.  For s in G of order m the averaged ladder
     beta*  = (1/m) sum_{i=0}^{m-1} pi^((i + (1-m)/2)/m)     (odd m)
 
 gives resolvends r = sum_i sigma^i(beta) s^(-i), whose determinant against
-a character chi is computed eigenfactor by eigenfactor through the cyclic
-restriction multiplicities.  The verifiers check that these determinants
-are exactly the monomials predicted by the Stickelberger pairings, that a
-Kummer generator's twisted orbit sums recover each basis monomial, and
-that the change-of-basis determinant is a unit above the chosen residue
-characteristic.
+a character chi is computed eigenfactor by eigenfactor from the eigenvalue
+multiplicities kept in chi's table (VirtualChar.multiplicities).  The
+verifiers check that these determinants are exactly the monomials
+predicted by the Stickelberger pairings, that a Kummer generator's twisted
+orbit sums recover each basis monomial, and that the change-of-basis
+determinant is a unit above the chosen residue characteristic.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import is_prime_power, smallest_prime_in_class
-from .characters import CharTable, VirtualChar, restrict
+from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum, zeta
 from .groups import FiniteGroup, preset
 from .padic import lambda_valuation
-from .stickelberger import _cyclic_context, pairing, star_pairing
+from .stickelberger import pairing, star_pairing
 
 Scalar = (int, Fraction, CycNum)
 
@@ -366,20 +366,19 @@ def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
     if not gens:
         raise ValueError(f"support generates a non-cyclic subgroup "
                          f"of order {h}")
-    sub, ctab = _cyclic_context(G, min(gens))
-    res = restrict(chi, sub, ctab)
+    g0 = min(gens)
+    powers = G.cyclic_subgroup(g0)
     out = TameElement.one()
-    for j in sorted(res.coeffs):
-        mult = res.coeffs[j]
+    for j, mult in enumerate(chi.multiplicities(g0)):
         if mult.denominator != 1:
             raise ValueError(f"non-integral multiplicity {mult} at row {j}")
         if mult == 0:
             continue
         factor = TameElement.zero()
-        for g in sub.elements:
+        for i, g in enumerate(powers):
             c = x.terms.get(g)
             if c is not None:
-                factor = factor + c * ctab.value(j, ctab.class_of[sub.from_parent[g]])
+                factor = factor + c * zeta(h, i * j % h)
         if mult < 0 and factor.monomial_parts() is None:
             raise ValueError(f"eigenfactor for row {j} is not invertible")
         out = out * factor ** int(mult)

@@ -1,9 +1,11 @@
 """Stickelberger pairings on characters and their inner-product descriptions.
 
-For s in G of order m and chi a character of G, restrict chi to <s> and
-write the restriction as sum of powers of the distinguished linear character
-xi with xi(s^i) = zeta_m^i (the root zeta_m being zeta_{|G|}^{|G|/|s|}, so
-everything lives in one compatible system).  The pairing <chi, s> adds up
+For s in G of order m and chi a character of G, the restriction of chi to
+<s> is a sum of powers of the distinguished linear character xi with
+xi(s^i) = zeta_m^i (the root zeta_m being zeta_{|G|}^{|G|/|s|}, so
+everything lives in one compatible system); the multiplicity of xi^r is
+that of the eigenvalue zeta_m^r of s, which the character table keeps from
+Dixon's method (VirtualChar.multiplicities).  The pairing <chi, s> adds up
 r/m over the restriction components xi^r with r taken in [0, m); the starred
 pairing takes r in the symmetric window [(1-m)/2, (m-1)/2] and only exists
 for odd m.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import CharTable, VirtualChar, induce, restrict
+from .characters import CharTable, VirtualChar, induce
 from .groups import FiniteGroup, Subgroup
 
 
@@ -38,32 +40,24 @@ def _cyclic_context(G: FiniteGroup, s: int) -> tuple[Subgroup, CharTable]:
     return cache[s]
 
 
-def _restriction_coeffs(vc: VirtualChar, s: int) -> tuple[dict[int, Fraction], int]:
-    G = vc.table.group
-    sub, ctab = _cyclic_context(G, s)
-    res = restrict(vc, sub, ctab)
-    return res.coeffs, ctab.k
-
-
 def pairing(vc: VirtualChar, s: int) -> Fraction:
     """<chi, s>: sum of {r/m} over the restriction components xi^r,
     weighted by multiplicity; linear in chi."""
-    coeffs, m = _restriction_coeffs(vc, s)
-    return sum((c * Fraction(j % m, m) for j, c in coeffs.items()), Fraction(0))
+    mults = vc.multiplicities(s)
+    m = len(mults)
+    return sum((c * Fraction(r, m) for r, c in enumerate(mults)), Fraction(0))
 
 
 def star_pairing(vc: VirtualChar, s: int) -> Fraction:
     """<chi, s>*: as pairing but with exponents in the symmetric window
     [(1-m)/2, (m-1)/2]; defined only for odd-order s."""
-    coeffs, m = _restriction_coeffs(vc, s)
+    mults = vc.multiplicities(s)
+    m = len(mults)
     if m % 2 == 0:
         raise ValueError(f"starred pairing needs odd order, got |s| = {m}")
     half = (m - 1) // 2
-    total = Fraction(0)
-    for j, c in coeffs.items():
-        r = j if j <= half else j - m
-        total += c * Fraction(r, m)
-    return total
+    return sum((c * Fraction(r if r <= half else r - m, m)
+                for r, c in enumerate(mults)), Fraction(0))
 
 
 def xi_char(G: FiniteGroup, s: int) -> VirtualChar:

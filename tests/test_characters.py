@@ -194,6 +194,27 @@ def test_restriction_values_match():
             T.value(three, T.class_of[sub.to_parent[i]])
 
 
+def test_eigen_multiplicities_reproduce_values():
+    # sum_u eigen[t][j][u] zeta_m^(ui) == chi_t(g^i) for g = reps[j], m = |g|
+    tables = [CharTable.of(preset(name)) for name in PRESET_NAMES]
+    C9 = preset("C9")
+    tables += [CharTable.cyclic(C9, g) for g in range(C9.n)
+               if C9.element_order(g) == C9.n]
+    assert len(tables) == len(PRESET_NAMES) + 6
+    for T in tables:
+        G = T.group
+        for t in range(T.k):
+            for j, g in enumerate(T.reps):
+                m = G.element_order(g)
+                mu = T.eigen[t][j]
+                assert len(mu) == m
+                for i in range(m):
+                    got = sum((c * zeta(m, u * i) for u, c in enumerate(mu)),
+                              CycNum.from_rational(0))
+                    assert got == T.value(t, T.class_of[G.power(g, i)]), \
+                        (G.label, t, j, i)
+
+
 def test_to_dict_is_json_safe():
     import json
     for name in ("S3", "F21"):
@@ -206,7 +227,7 @@ def test_certify_rejects_altered_value():
     T = CharTable.of(preset("S3"))
     values = [row[:] for row in T.values]
     values[2][1] = values[2][1] + 1
-    bad = CharTable(T.group, T.classes, values, T.degrees).certify()
+    bad = CharTable(T.group, T.classes, values, T.degrees, T.eigen).certify()
     assert not bad["pass"]
     assert [c["pass"] for c in bad["checks"]] == [True, False, False]
     assert T.certify()["pass"]

@@ -101,6 +101,7 @@ def test_suite_config_validation():
     with pytest.raises(UsageError):
         SuiteConfig({"format": "yaml"})
     assert SuiteConfig({"precision": "8"}).precision == 8
+    assert SuiteConfig({"primes": ["5"], "crux": [["7", 3]]}).crux == [(7, 3)]
     with pytest.raises(UsageError):
         SuiteConfig({"precision": "x"})
     assert SuiteConfig({}).groups == DEFAULT_CONFIG["groups"]
@@ -150,3 +151,33 @@ def test_suite_bad_config_exits_two(tmp_path, capsys):
     assert main(["suite", "--config", str(bad),
                  "--out", str(tmp_path / "r")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("data", [
+    {"primes": 5},
+    {"groups": "S3"},
+    {"groups": [5]},
+    {"e_values": [3.5]},
+    {"e_values": [True]},
+    {"crux": [[7, 3, 1]]},
+    {"crux": [7]},
+    {"crux": [[7, "x"]]},
+    {"precision": 2.5},
+])
+def test_suite_malformed_config_exits_two(data, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main(["suite", "--config", str(config),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    [field] = data
+    assert field in err, err
+    assert not (tmp_path / "r").exists()
+
+
+def test_computation_fault_exits_three(capsys):
+    # lambda^2 is too coarse to see the valuation being compared
+    assert main(["crux", "--p", "31", "--e", "5", "--precision", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

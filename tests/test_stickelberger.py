@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tamekit.characters import CharTable, VirtualChar
+from tamekit.characters import CharTable, VirtualChar, restrict
 from tamekit.groups import PRESET_NAMES, preset
-from tamekit.stickelberger import (d_char, pairing, pairing_table,
+from tamekit.stickelberger import (_cyclic_context, d_char, pairing,
+                                   pairing_table,
                                    star_pairing, verify_adams_identities,
                                    verify_induction_identities, xi_char,
                                    xi_star_char)
@@ -65,9 +67,6 @@ def test_star_window_is_symmetric():
 
 def test_xi_and_d_character_pairings():
     # pairing against the xi elements, after restriction to <s>
-    from tamekit.characters import restrict
-    from tamekit.stickelberger import _cyclic_context
-
     G = preset("F21")
     T = CharTable.of(G)
     s = next(g for g in range(G.n) if G.element_order(g) == 7)
@@ -116,3 +115,25 @@ def test_pairing_table_report():
     assert rep["element_order"] == 3
     assert len(rep["rows"]) == 3
     json.dumps(rep)
+
+
+_GROUPS = [preset(name) for name in PRESET_NAMES]
+
+
+@settings(max_examples=50, database=None, derandomize=True, deadline=None)
+@given(st.data())
+def test_multiplicities_match_restriction(data):
+    G = data.draw(st.sampled_from(_GROUPS))
+    T = CharTable.of(G)
+    s = data.draw(st.integers(0, G.n - 1))
+    combo = st.lists(st.integers(-3, 3), min_size=T.k, max_size=T.k)
+    a = VirtualChar(T, dict(enumerate(data.draw(combo))))
+    b = VirtualChar(T, dict(enumerate(data.draw(combo))))
+    sub, ctab = _cyclic_context(G, s)
+    res = restrict(a, sub, ctab)
+    assert a.multiplicities(s) == \
+        [res.coeffs.get(u, Fraction(0)) for u in range(ctab.k)]
+    assert pairing(a + b, s) == pairing(a, s) + pairing(b, s)
+    if ctab.k % 2:
+        assert star_pairing(a + b, s) == \
+            star_pairing(a, s) + star_pairing(b, s)
