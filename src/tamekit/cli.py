@@ -266,13 +266,25 @@ DEFAULT_PLACES = {
 }
 
 
-def _ledger_demo_report(data: dict) -> dict:
+def _ledger_demo_report(data) -> dict:
+    if not isinstance(data, dict) or not isinstance(data.get("group"), str):
+        raise UsageError("places file needs a group name string in \"group\"")
     G = _resolve_group(data["group"])
-    table = CharTable.of(G)
+    entries = data.get("places")
+    if not isinstance(entries, list) or not entries:
+        raise UsageError(f"places must be a non-empty list, got {entries!r}")
     places = []
-    for pl in data["places"]:
-        places.append((pl["label"], int(pl["q"]),
+    for pl in entries:
+        if not isinstance(pl, dict):
+            raise UsageError(f"places entries must be objects, got {pl!r}")
+        for field in ("label", "q", "s"):
+            if field not in pl:
+                raise UsageError(f"places entry {pl!r} has no {field}")
+        if not isinstance(pl["label"], str):
+            raise UsageError(f"label must be a string, got {pl['label']!r}")
+        places.append((pl["label"], SuiteConfig._as_int("q", pl["q"]),
                        _resolve_element(G, str(pl["s"]))))
+    table = CharTable.of(G)
     f = build_f(G, places)
     parts = decompose(f)
     round_trip = recompose(parts) == f

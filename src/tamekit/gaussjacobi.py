@@ -19,8 +19,11 @@ of its conductor; j_star returns it there, which both certifies the
 descent and keeps norms cheap.
 
 Identity sweeps over all character pairs run on raw exponent dictionaries
-at conductor p(p-1) and canonicalize once per identity, because dense
-products at that conductor would dominate the runtime otherwise.
+at conductor p(p-1) and canonicalize once per identity.  A raw tau has
+p - 1 terms, while its canonical form fills up to phi(p(p-1)) terms, so
+the sweep written with CycNum products is slower even with the packed
+kernel: 0.62 s against 0.53 s at p = 31, and 3.1 s against 2.1 s at
+p = 43 (CPython 3.11, 2-core x86-64 VM).
 """
 
 from __future__ import annotations

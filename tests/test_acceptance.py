@@ -4,9 +4,12 @@ lines as they complete.  Every comparison below is exact; there are no
 numerical tolerances anywhere in the package.
 """
 
+import hashlib
+import json
 import random
 import time
 from math import gcd
+from pathlib import Path
 
 from tamekit.characters import CharTable, VirtualChar, induce, restrict
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, run_suite
@@ -21,6 +24,9 @@ from tamekit.stickelberger import (pairing, star_pairing,
                                    verify_induction_identities)
 
 ALL_GROUPS = ("C3", "C5", "C7", "C9", "S3", "D5", "A4", "Q8", "F21")
+# sha256 of every report the default suite writes, committed with the
+# benchmark (read here, never written).
+EXPECTED = Path(__file__).resolve().parents[1] / "tamebench" / "expected.json"
 
 
 def _gate(name, budget, started, failures):
@@ -181,6 +187,13 @@ def test_criterion_8_suite_determinism(tmp_path, capsys):
         assert run_suite(config, str(out)) == 0
         runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     capsys.readouterr()
-    ok = runs[0] == runs[1]
+    # The committed digests pin the bytes across commits, not just runs.
+    pinned = json.loads(EXPECTED.read_text())["suite"]
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in runs[0].items()}
+    ok = runs[0] == runs[1] and digests == pinned
     print(f"{'PASS' if ok else 'FAIL'} criterion 8: suite determinism")
-    assert ok, "consecutive suite runs wrote different bytes"
+    assert runs[0] == runs[1], "consecutive suite runs wrote different bytes"
+    assert digests == pinned, sorted(
+        name for name in set(digests) | set(pinned)
+        if digests.get(name) != pinned.get(name))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -173,6 +174,33 @@ def test_suite_malformed_config_exits_two(data, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     [field] = data
     assert field in err, err
+    assert not (tmp_path / "r").exists()
+
+
+_PLACE = {"label": "v7", "q": 7, "s": "(1 2 3)"}
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"places": []}, "group"),
+    ([_PLACE], "group"),
+    ({"group": 3, "places": [_PLACE]}, "group"),
+    ({"group": "S3", "places": []}, "places"),
+    ({"group": "S3"}, "places"),
+    ({"group": "S3", "places": ["v7"]}, "places"),
+    ({"group": "S3", "places": [{"q": 7, "s": "()"}]}, "label"),
+    ({"group": "S3", "places": [{**_PLACE, "label": 7}]}, "label"),
+    ({"group": "S3", "places": [{"label": "v7", "s": "()"}]}, "q"),
+    ({"group": "S3", "places": [{**_PLACE, "q": "x"}]}, "q"),
+    ({"group": "S3", "places": [{"label": "v7", "q": 7}]}, "s"),
+])
+def test_ledger_demo_malformed_places_exits_two(data, field, tmp_path, capsys):
+    places = tmp_path / "places.json"
+    places.write_text(json.dumps(data))
+    assert main(["ledger", "demo", "--places", str(places),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.search(rf"\b{field}\b", err), err
     assert not (tmp_path / "r").exists()
 
 

@@ -4,10 +4,12 @@ Numeric oracles were computed by hand from minimal polynomials or with
 independent modular checks; each is marked at the assertion.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamekit.arith import euler_phi
 from tamekit.cyclotomic import CycNum, cyclotomic_poly, zeta
@@ -103,6 +105,11 @@ def test_embed_and_shrink():
         zeta(3).embed(7)
 
 
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        CycNum(5, {1: 0.5})
+
+
 def test_dict_round_trip():
     x = zeta(12) * Fraction(2, 3) - CycNum.from_rational(5)
     assert CycNum.from_dict(x.to_dict()) == x
@@ -135,3 +142,109 @@ def test_norm_is_multiplicative_sampled():
         a = _random_element(rng, 9)
         b = _random_element(rng, 9)
         assert (a * b).norm() == a.norm() * b.norm()
+
+
+# -- property tests of the packed kernel -------------------------------------
+#
+# Products are checked against evaluation at a primitive n-th root of unity
+# r modulo a prime ell = 1 (mod n): x -> sum num_i r^i / den is a ring map
+# Z[zeta_n][1/den] -> F_ell that uses none of the kernel's packing or
+# reduction.  Coefficient sizes are drawn so that every slot width runs:
+# small and word-sized ones pack into array slots, ones above 2^63 into
+# wide slots; sparse operands take the convolution path.
+
+CONDUCTORS = (9, 27, 63, 105, 930)
+PAIRS = [(n, n) for n in CONDUCTORS] + [(9, 27), (27, 63), (63, 105), (9, 930)]
+SIZES = {"small": (0, 9), "word": (2 ** 20, 2 ** 28), "wide": (2 ** 63, 2 ** 80)}
+
+
+def _is_prime(n):
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def _root_mod(n):
+    """(ell, r): a prime ell = 1 mod n above 2^20, r of order exactly n."""
+    ell = (2 ** 20 // n + 1) * n + 1
+    while not _is_prime(ell):
+        ell += n
+    for g in range(2, ell):
+        r = pow(g, (ell - 1) // n, ell)
+        if all(pow(r, n // q, ell) != 1
+               for q in range(2, n + 1) if n % q == 0 and _is_prime(q)):
+            return ell, r
+
+
+def _image(x, m, ell, r):
+    """x, of conductor dividing m, evaluated at zeta_m -> r in F_ell."""
+    k = m // x.n
+    acc = sum(c * pow(r, i * k, ell) for i, c in enumerate(x.num))
+    return acc * pow(x.den, -1, ell) % ell
+
+
+@st.composite
+def elements(draw, n):
+    lo, hi = SIZES[draw(st.sampled_from(sorted(SIZES)))]
+    coeff = st.builds(lambda m, s: m * s, st.integers(lo, hi),
+                      st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        support = draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=3))
+    else:
+        support = range(euler_phi(n))
+    den = draw(st.integers(1, 6))
+    return CycNum(n, {e: Fraction(draw(coeff), den) for e in support})
+
+
+@st.composite
+def pairs(draw):
+    n1, n2 = draw(st.sampled_from(PAIRS))
+    return draw(elements(n1)), draw(elements(n2))
+
+
+def _canonical(x):
+    return (len(x.num) == euler_phi(x.n) and x.den > 0
+            and math.gcd(x.den, *x.num) == 1)
+
+
+@settings(max_examples=120, database=None, derandomize=True, deadline=None)
+@given(pairs())
+def test_product_matches_evaluation_mod_ell(ab):
+    a, b = ab
+    c = a * b
+    m = math.lcm(a.n, b.n)
+    assert c.n == m and _canonical(c)
+    ell, r = _root_mod(m)
+    assert _image(c, m, ell, r) == \
+        _image(a, m, ell, r) * _image(b, m, ell, r) % ell
+    assert _image(a + b, m, ell, r) == \
+        (_image(a, m, ell, r) + _image(b, m, ell, r)) % ell
+
+
+@settings(max_examples=60, database=None, derandomize=True, deadline=None)
+@given(pairs())
+def test_canonical_form_is_unique(ab):
+    a, b = ab
+    back = (a + b) - b
+    a_up = a.embed(back.n)
+    assert (back.num, back.den) == (a_up.num, a_up.den)
+    zero = a - a
+    assert zero.den == 1 and not any(zero.num) and _canonical(zero)
+    assert _canonical(a * b - b * a) and not (a * b - b * a)
+    assert dict(a.coeffs) == {i: Fraction(c, a.den)
+                              for i, c in enumerate(a.num) if c}
+
+
+def test_slots_cover_growth_in_reduction():
+    # At n = 1155 one coefficient of x^e mod Phi_n, summed in absolute value
+    # over the 480 rows e = phi-1 .. 2 phi-2, reaches 1223 at position 115.
+    # Aligning the signs of b with that column makes (a b)_115 about
+    # 3.7 |a|_1 |b|_1, so a slot sized from |a|_1 |b|_1 alone would overflow.
+    n, i = 1155, 115
+    phi = euler_phi(n)
+    signs = {j: (1 if zeta(n, phi - 1 + j).num[i] > 0 else -1)
+             for j in range(phi) if zeta(n, phi - 1 + j).num[i]}
+    a = CycNum(n, {phi - 1: 2 ** 22, 0: 1})
+    b = CycNum(n, signs)
+    c = a * b
+    assert abs(c.num[i]) > 2 * sum(map(abs, a.num)) * sum(map(abs, b.num))
+    ell, r = _root_mod(n)
+    assert _image(c, n, ell, r) == _image(a, n, ell, r) * _image(b, n, ell, r) % ell

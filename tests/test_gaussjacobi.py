@@ -158,3 +158,7 @@ def test_jstar_sweep_norms():
     assert rep["pass"]
     assert [c["norm"] for c in rep["checks"]] == \
         ["1/7", "1/7", "-1/7", "1/7", "1/7"]
+    rep = verify_jstar(43)
+    assert rep["pass"]
+    assert len(rep["checks"]) == 41
+    assert all(42 % c["conductor"] == 0 for c in rep["checks"])
