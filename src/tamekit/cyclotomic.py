@@ -35,9 +35,17 @@ reduction.  The path is read off the operands; there is no setting.
 
 `_table(n)` is the one cached table per conductor: Phi_n, Psi_n and their
 packings, O(n) ints, used by every reduction (products, construction,
-embedding, Galois action, the rows `shrink_to` needs).  A dense table of
-the rows x^e mod Phi_n would hold (n - phi(n)) phi(n) ints per conductor,
-165,600 at n = 930, and every table kept beside it adds to peak memory.
+embedding, Galois action, `shrink_to`).  A dense table of the rows
+x^e mod Phi_n would hold (n - phi(n)) phi(n) ints per conductor, 165,600
+at n = 930, and every table kept beside it adds to peak memory.
+
+Division and descent use the same numerators and products.  `inverse` is
+the product of the other Galois conjugates over the norm, and `norm` is
+x times that product; the conjugates are multiplied as a balanced tree.
+`shrink_to(m)` for n = m r, gcd(m, r) = 1, keeps the zeta_r^0 coordinate
+of each term zeta_n^e = zeta_r^(e alpha) zeta_m^(e beta), reduces the
+result once modulo Phi_m, and accepts it only if it embeds back to the
+element.
 """
 
 from __future__ import annotations
@@ -335,27 +343,16 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_n over Q."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates divided by the norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        f = [Fraction(c, self.den) for c in self.num]
-        g = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        # invariant: s*f + (...)*Phi = r
-        r0, r1 = g, f
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1 = _trim(r1)
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        c = r1[0]
-        if not c:
-            raise ZeroDivisionError("inverse of zero")
-        inv = {i: v / c for i, v in enumerate(s1) if v}
-        return CycNum(self.n, inv)
+        rest = self._other_conjugates()
+        total = self * rest  # rational: total.num[0] / total.den
+        q, d = total.num[0], total.den
+        if q < 0:
+            q, d = -q, -d
+        return CycNum._make(self.n, [c * d for c in rest.num], rest.den * q)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -418,13 +415,24 @@ class CycNum:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
+    def _other_conjugates(self) -> "CycNum":
+        """Product of sigma_k(self) over the units k mod n other than 1.
+
+        Multiplied as a balanced tree: coefficients grow with the number of
+        factors, and products of equal size cost far less in total than
+        one growing accumulator times one factor at a time."""
+        terms = [self.galois_apply(k) for k in range(2, self.n)
+                 if math.gcd(k, self.n) == 1]
+        if not terms:  # n is 1 or 2, phi(n) = 1
+            return CycNum._make(self.n, [1], 1)
+        while len(terms) > 1:
+            terms = [a * b for a, b in zip(terms[::2], terms[1::2])] \
+                + terms[len(terms) - len(terms) % 2:]
+        return terms[0]
+
     def norm(self) -> Fraction:
         """Absolute norm: product over all Galois conjugates."""
-        acc = CycNum.from_rational(1)
-        for k in range(1, self.n + 1):
-            if math.gcd(k, self.n) == 1:
-                acc = acc * self.galois_apply(k)
-        return acc.as_rational()
+        return (self * self._other_conjugates()).as_rational()
 
     def shrink_to(self, m: int) -> "CycNum":
         """Rewrite at conductor m where m | n and gcd(m, n/m) = 1; raises if
@@ -438,36 +446,22 @@ class CycNum:
             raise ValueError("conductor split must be coprime")
         alpha = pow(m, -1, r)
         beta = pow(r, -1, m)
-        # zeta_n^e = zeta_r^(e*alpha) * zeta_m^(e*beta)
-        buckets: dict[int, dict[int, Fraction]] = {}
-        for e, c in self.coeffs.items():
-            u = (e * alpha) % r
-            v = (e * beta) % m
-            b = buckets.setdefault(u, {})
-            b[v] = b.get(v, 0) + c
-        phir = euler_phi(r)
-        final: list[dict[int, Fraction]] = [{} for _ in range(phir)]
-
-        def _bucket_add(idx, bucket, scale):
-            tgt = final[idx]
-            for v, c in bucket.items():
-                w = tgt.get(v, 0) + c * scale
-                if w:
-                    tgt[v] = w
-                elif v in tgt:
-                    del tgt[v]
-
-        for u, bucket in buckets.items():
-            if u < phir:
-                _bucket_add(u, bucket, 1)
-            else:
-                for idx, rc in enumerate(_reduce(r, [0] * u + [1])):
-                    if rc:
-                        _bucket_add(idx, bucket, rc)
-        for idx in range(1, phir):
-            if any(final[idx].values()):
-                raise ValueError(f"element does not lie in Q(zeta_{m})")
-        return CycNum(m, final[0])
+        # zeta_n^e = zeta_r^(e alpha) zeta_m^(e beta); keep the zeta_r^0
+        # coordinate of each term.  const[u] is that coordinate of x^u mod
+        # Phi_r, by the recurrence x^phi = -sum_{i<phi} Phi_r[i] x^i.
+        phi_r, _, _, big = _table(r)[:4]
+        const = [1] + [0] * (r - 1)
+        for u in range(phi_r, r):
+            const[u] = -sum(c * const[u - phi_r + i]
+                            for i, c in enumerate(big[:-1]) if c)
+        raw = [0] * m
+        for e, c in enumerate(self.num):
+            if c:
+                raw[e * beta % m] += c * const[e * alpha % r]
+        out = CycNum._make(m, _reduce(m, raw), self.den)
+        if out.embed(self.n) != self:
+            raise ValueError(f"element does not lie in Q(zeta_{m})")
+        return out
 
     # -- presentation ------------------------------------------------------
 
@@ -527,45 +521,3 @@ def _promote(x):
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k as a CycNum of conductor n."""
     return CycNum(n, {k: 1})
-
-
-# -- dense polynomial helpers over Q (ascending coefficients) --------------
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and not p[-1]:
-        p = p[:-1]
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    b = _trim(list(b))
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / lead
-            q[i - db] = f
-            for j, bc in enumerate(b):
-                a[i - db + j] -= f * bc
-    return q, _trim(a[:db] if db else [Fraction(0)])
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out

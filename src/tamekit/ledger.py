@@ -210,12 +210,14 @@ def recompose(parts: list[PlacedHom]) -> PlacedHom:
 
 
 def _twist_index(table: CharTable, i: int, k: int) -> int:
-    """Row index of the Galois twist sigma_k . chi_i."""
+    """Row index of the Galois twist sigma_k . chi_i, read off the power
+    maps: (sigma_k chi)(g) = chi(g^k)."""
     if gcd(k, table.exponent) != 1:
         raise ValueError(f"twist {k} not coprime to exponent {table.exponent}")
-    target = [table.value(i, j).galois_apply(k) for j in range(table.k)]
+    row = table.values[i]
+    target = [row[table.power_class(j, k)] for j in range(table.k)]
     for t in range(table.k):
-        if all(table.value(t, j) == target[j] for j in range(table.k)):
+        if table.values[t] == target:
             return t
     raise ValueError(f"no row matches the {k}-twist of character {i}")
 

@@ -192,19 +192,17 @@ def teichmueller(p: int, a: int, M: int) -> PadicApprox:
 
 @lru_cache(maxsize=None)
 def _root_powers(p: int, M: int):
-    """Cached powers ((1+lambda)^j for j < p, T^j for j < p-1) where T is the
-    Teichmueller lift of the fixed primitive root mod p."""
+    """Cached powers ((1+lambda)^j for j < p, T^j mod p^K_0 for j < p-1)
+    where T is the Teichmueller lift of the fixed primitive root mod p."""
     one = PadicApprox.one(p, M)
     lam = PadicApprox(p, M, [0, 1])
     zp = one + lam
     pow1 = [one]
     for _ in range(p - 1):
         pow1.append(pow1[-1] * zp)
-    T = teichmueller(p, primitive_root(p), M)
-    powT = [one]
-    for _ in range(p - 2):
-        powT.append(powT[-1] * T)
-    return tuple(pow1), tuple(powT)
+    mod = p ** _K(p, M, 0)
+    T = teichmueller(p, primitive_root(p), M).coeffs[0]
+    return tuple(pow1), tuple(pow(T, j, mod) for j in range(p - 1))
 
 
 def embed_cyclotomic(a: CycNum, p: int, M: int | None = None) -> PadicApprox:
@@ -214,28 +212,33 @@ def embed_cyclotomic(a: CycNum, p: int, M: int | None = None) -> PadicApprox:
     The embedding is fixed by zeta_p -> 1 + lambda and zeta_{p-1} -> the
     Teichmueller lift of the smallest primitive root mod p; all smaller
     conductors are embedded compatibly through zeta_n = zeta_N^{N/n} with
-    N = p(p-1).  Rational coefficients must be p-integral.
+    N = p(p-1).  Rational coefficients must be p-integral.  The Teichmueller
+    factors are integers mod p^K_0, so the terms are summed per power of
+    1 + lambda and each sum takes one multiply.
     """
     if M is None:
         M = 4 * (p - 1)
-    N = p * (p - 1) if p > 2 else 2
+    N = p * (p - 1)
     n = a.n
     if N % n:
         raise ValueError(f"conductor {n} does not divide {N} = p(p-1)")
+    # den is coprime to the numerators, so p | den iff some coefficient
+    # has p in its denominator.
+    if a.den % p == 0:
+        raise ValueError("coefficient is not p-integral")
     pow1, powT = _root_powers(p, M)
-    K0 = _K(p, M, 0)
-    mod0 = p ** K0
+    mod0 = p ** _K(p, M, 0)
     k = N // n
+    sums = [0] * p
+    for e, c in enumerate(a.num):
+        if c:
+            E = e * k % N
+            sums[-E % p] += c * powT[E % (p - 1)]
+    scale = pow(a.den, -1, mod0)
     acc = PadicApprox.zero(p, M)
-    for e, c in a.coeffs.items():
-        E = (e * k) % N
-        u = (E * (p - 1)) % p
-        v = E % (p - 1) if p > 2 else 0
-        den = c.denominator
-        if den % p == 0:
-            raise ValueError("coefficient is not p-integral")
-        s = (c.numerator * pow(den, -1, mod0)) % mod0
-        acc = acc + (pow1[u] * powT[v]) * s
+    for u, s in enumerate(sums):
+        if s % mod0:
+            acc = acc + pow1[u] * (s * scale % mod0)
     return acc
 
 

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tamekit.arith import euler_phi
 from tamekit.cyclotomic import CycNum, cyclotomic_poly, zeta
@@ -103,6 +103,13 @@ def test_embed_and_shrink():
         zeta(15).shrink_to(3)
     with pytest.raises(ValueError):
         zeta(3).embed(7)
+
+
+def test_shrink_after_embedding_into_a_coprime_split():
+    # zeta_24^9 = zeta_8^3 lies in Q(zeta_8); its canonical form at 24
+    # spreads over several zeta_3 powers that cancel only modulo Phi_8.
+    assert zeta(8, 3).embed(24).shrink_to(8) == zeta(8, 3)
+    assert zeta(12, 3).embed(420).shrink_to(12) == zeta(12, 3)
 
 
 def test_float_coefficients_are_rejected():
@@ -248,3 +255,40 @@ def test_slots_cover_growth_in_reduction():
     assert abs(c.num[i]) > 2 * sum(map(abs, a.num)) * sum(map(abs, b.num))
     ell, r = _root_mod(n)
     assert _image(c, n, ell, r) == _image(a, n, ell, r) * _image(b, n, ell, r) % ell
+
+
+SPLITS = st.tuples(st.integers(1, 59), st.integers(2, 59)).filter(
+    lambda mr: math.gcd(*mr) == 1 and mr[0] * mr[1] <= 2000)
+
+
+@settings(max_examples=80, database=None, derandomize=True, deadline=None)
+@given(st.data(), SPLITS)
+def test_embed_shrink_round_trip(data, split):
+    m, r = split
+    y = data.draw(elements(m))
+    up = y.embed(m * r)
+    assert up.shrink_to(m) == y
+    if euler_phi(m * r) > euler_phi(m):
+        with pytest.raises(ValueError):
+            (up + zeta(m * r)).shrink_to(m)
+
+
+@st.composite
+def units(draw):
+    """Nonzero elements at composite conductors, sparse and dense."""
+    x = draw(elements(draw(st.sampled_from((9, 12, 63, 105)))))
+    assume(x)
+    return x
+
+
+@settings(max_examples=30, database=None, derandomize=True, deadline=None)
+@given(units(), st.integers(-2 ** 16, 2 ** 16))
+def test_inverse_matches_evaluation_mod_ell(x, c):
+    inv = x.inverse()
+    assert x * inv == 1 and _canonical(inv)
+    ell, r = _root_mod(x.n)
+    image = _image(x, x.n, ell, r)
+    if image:
+        assert _image(inv, x.n, ell, r) == pow(image, -1, ell)
+    y = 1 - zeta(x.n) * c
+    assert (x * y).norm() == x.norm() * y.norm()

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from tamekit import gaussjacobi
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.gaussjacobi import (MultChar, PRIME_CAP, gauss_sum, j_star,
                                  jacobi_sum, tau_inverse, verify_ell_unit,
@@ -145,6 +146,18 @@ def test_identity_sweep_reports():
         assert rep["pass"]
         assert rep["jacobi_pairs"] == pairs
         assert all(t["pass"] for t in rep["tau_checks"])
+
+
+def test_identity_sweep_fails_without_a_homomorphic_dlog(monkeypatch):
+    # Swapping the logs of 2 and 3 keeps a bijection F_7^* -> Z/6 but breaks
+    # L(xy) = L(x) + L(y), so the "characters" are not multiplicative.
+    fake = list(gaussjacobi._dlog(7))
+    fake[2], fake[3] = fake[3], fake[2]
+    monkeypatch.setattr(gaussjacobi, "_dlog", lambda p: tuple(fake))
+    rep = verify_gauss_identities(7)
+    assert not rep["pass"]
+    assert rep["jacobi_failures"]
+    assert rep["jacobi_failures"] == sorted(rep["jacobi_failures"])
 
 
 def test_jstar_sweep_norms():

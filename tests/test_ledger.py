@@ -1,14 +1,16 @@
 """Placed families of monomial-valued homs and the valuation crux."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from tamekit.characters import CharTable, VirtualChar
-from tamekit.groups import preset
+from tamekit.groups import PRESET_NAMES, preset
 from tamekit.ledger import (Place, PlacedHom, ReprHom, build_f, crux_check,
-                            decompose, norm_restrict, recompose)
+                            _twist_index, decompose, norm_restrict,
+                            recompose)
 from tamekit.localmodel import TameElement
 from tamekit.stickelberger import pairing, star_pairing
 
@@ -143,6 +145,17 @@ def test_norm_restrict_identity_and_twists():
         norm_restrict(f, [])
     with pytest.raises(ValueError):
         norm_restrict(f, [7])  # not coprime to the exponent
+
+
+def test_twist_index_matches_galois_action():
+    for name in PRESET_NAMES + ("C15", "C21"):
+        T = CharTable.of(preset(name))
+        for k in range(1, T.exponent):
+            if math.gcd(k, T.exponent) != 1:
+                continue
+            for i in range(T.k):
+                twisted = [v.galois_apply(k) for v in T.values[i]]
+                assert T.values[_twist_index(T, i, k)] == twisted
 
 
 def test_norm_restrict_randomized():

@@ -91,3 +91,16 @@ def test_embed_is_ring_map():
     ex, ey = embed_cyclotomic(x, p, M), embed_cyclotomic(y, p, M)
     assert (embed_cyclotomic(x * y, p, M) - ex * ey).is_zero()
     assert (embed_cyclotomic(x + y, p, M) - (ex + ey)).is_zero()
+
+
+def test_embed_requires_p_integral_coefficients():
+    with pytest.raises(ValueError):
+        embed_cyclotomic(zeta(7) * Fraction(1, 7), 7)
+    # 1/2 is a 7-adic unit: halving changes the embedding, not the valuation
+    lam2 = (CycNum.from_rational(1) - zeta(7)) ** 2
+    half = lam2 * Fraction(1, 2)
+    assert lambda_valuation(half, 7) == 2
+    assert embed_cyclotomic(half, 7) * 2 == embed_cyclotomic(lam2, 7)
+    mixed = zeta(42, 5) * Fraction(1, 2) + zeta(42, 8) * Fraction(1, 3)
+    assert (embed_cyclotomic(mixed, 7) * 6
+            == embed_cyclotomic(zeta(42, 5) * 3 + zeta(42, 8) * 2, 7))
