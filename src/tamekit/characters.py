@@ -5,16 +5,29 @@ matrices are simultaneously diagonalized over F_ell for a prime
 ell = 1 mod exp(G) with ell > 2|G|, degrees are recovered from the column
 orthogonality relation mod ell, and each character value is lifted exactly
 as chi(g) = sum_u m_u zeta_m^u where the eigenvalue multiplicities m_u are
-small non-negative integers read off mod ell.  The lifted table is then
+small non-negative integers read off mod ell.  The class matrices commute
+(class sums are central), so once a combination of them has k
+one-dimensional eigenspaces, every class matrix preserves each of them:
+its eigenvectors are common eigenvectors without a recheck, and the
+eigenvalue omega_j is read from one row of M_j.  The lifted table is then
 certified against both orthogonality relations and sum(d^2) = |G| with exact
 cyclotomic arithmetic, so nothing downstream depends on the modular step.
+`certify` computes its 2 k^2 sums with the packed kernel
+`cyclotomic._dot`, each table value packed once for all of them.
 The table keeps m_u as eigen[t][j][u] (g = reps[j], m = |g|), the
 coefficient of xi^u, xi(g) = zeta_m, in chi_t restricted to <g>.  Reducing
 Z[zeta_e] -> F_ell sends each lifted value to chi mod ell, so the true m_u
 are congruent to the lifted ones mod ell; both lie in [0, d] with d < ell,
 so the lifted m_u are exact once the table certifies.
 
-Values are stored as CycNum at conductor exp(G).  Irreducibles are sorted by
+A VirtualChar stores its values on the classes once, so `value` is a
+lookup: an irreducible's are its table row, `from_values` keeps the input
+it has decomposed and checked, and any other (`+`, `-`, `scale`, ...) sums
+them from its coefficients once, on first use.  The projections and the
+reproduction check of `from_values`, the sums from coefficients, and
+`inner` run on the same kernel.
+
+Table values are stored as CycNum at conductor exp(G).  Irreducibles are sorted by
 (degree, lexicographic serialized values), except that tables built for a
 cyclic group with a designated generator s keep the power order
 xi^0, xi^1, ..., xi^{m-1} with xi(s^i) = zeta_m^i.
@@ -24,9 +37,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import CycNum, zeta
+from .cyclotomic import CycNum, _dot, zeta
 from .groups import FiniteGroup, Subgroup
 
 
@@ -61,8 +76,24 @@ def _nullspace(mat: list[list[int]], ell: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def _mat_vec(mat, vec, ell):
-    return tuple(sum(a * b for a, b in zip(row, vec)) % ell for row in mat)
+def _class_matrices(G: FiniteGroup, classes: list[list[int]],
+                    ell: int) -> list[list[list[int]]]:
+    """mats[j]: multiplication by class sum j in the class-sum basis, mod
+    ell, as rows: mats[j][kk][i] is the coefficient of class sum kk in
+    (class sum j)(class sum i)."""
+    k = len(classes)
+    rep_slot = {cl[0]: j for j, cl in enumerate(classes)}
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for j in range(k):
+        for x in classes[j]:
+            row = G.table[x]
+            for i in range(k):
+                for y in classes[i]:
+                    slot = rep_slot.get(row[y])
+                    if slot is not None:
+                        a[j][i][slot] += 1
+    return [[[a[j][i][kk] % ell for i in range(k)] for kk in range(k)]
+            for j in range(k)]
 
 
 def _dixon_prime(exponent: int, order: int) -> int:
@@ -149,20 +180,7 @@ class CharTable:
         e = G.exponent()
         ell = _dixon_prime(e, n)
 
-        rep_slot = {g: j for j, g in enumerate(reps)}
-        a = [[[0] * k for _ in range(k)] for _ in range(k)]
-        for j in range(k):
-            for x in classes[j]:
-                row = G.table[x]
-                for i in range(k):
-                    for y in classes[i]:
-                        slot = rep_slot.get(row[y])
-                        if slot is not None:
-                            a[j][i][slot] += 1
-        # matrix of multiplication by class sum j, in the class-sum basis
-        mats = [[[a[j][i][kk] % ell for i in range(k)] for kk in range(k)]
-                for j in range(k)]
-
+        mats = _class_matrices(G, classes, ell)
         vecs = cls._simultaneous_eigenvectors(mats, ell, k)
 
         inv_class = [class_of[G.inv[reps[j]]] for j in range(k)]
@@ -170,11 +188,10 @@ class CharTable:
 
         rows = []
         for v in vecs:
+            # v is an eigenvector of every M_j, so omega_j = (M_j v)_idx / v_idx
             idx = next(i for i in range(k) if v[i])
-            omega = []
-            for j in range(k):
-                mv = _mat_vec(mats[j], v, ell)
-                omega.append((mv[idx] * pow(v[idx], -1, ell)) % ell)
+            v_inv = pow(v[idx], -1, ell)
+            omega = [sum(map(mul, M[idx], v)) * v_inv % ell for M in mats]
             s = sum(om * omega[inv_class[j]] * pow(sizes[j], -1, ell)
                     for j, om in enumerate(omega)) % ell
             dsq = (n * pow(s, -1, ell)) % ell
@@ -227,7 +244,15 @@ class CharTable:
 
     @staticmethod
     def _simultaneous_eigenvectors(mats, ell, k):
-        ident = [[int(i == j) for j in range(k)] for i in range(k)]
+        """k common eigenvectors of the class matrices mod ell.
+
+        Tries combinations C = sum_j t^j M_j until C has k distinct
+        eigenvalues, that is k one-dimensional eigenspaces, and returns a
+        basis vector of each.  Class sums are central, so the M_j commute
+        with each other and with C: for C v = lam v, C (M_j v) = lam M_j v,
+        so M_j v lies in the eigenspace of lam, the span of v.  Each vector
+        is therefore an eigenvector of every M_j without a recheck; `certify`
+        is the exact backstop for the whole table."""
         for t in range(1, 200):
             comb = [[0] * k for _ in range(k)]
             scale = 1
@@ -250,9 +275,7 @@ class CharTable:
                 vecs.extend(ns)
                 if len(vecs) == k:
                     break
-            if not good or len(vecs) != k:
-                continue
-            if all(_is_eigen(M, v, ell) for M in mats for v in vecs):
+            if good and len(vecs) == k:
                 return vecs
         raise ArithmeticError("no separating class-sum combination found")
 
@@ -277,34 +300,28 @@ class CharTable:
     # certification -----------------------------------------------------------
 
     def certify(self) -> dict:
-        n = self.group.n
-        checks = []
-        ok_deg = sum(d * d for d in self.degrees) == n
-        checks.append({"check": "sum of squared degrees equals group order",
-                       "pass": ok_deg})
-        ok_rows = True
-        for t in range(self.k):
-            for u in range(self.k):
-                acc = CycNum.from_rational(0)
-                for j in range(self.k):
-                    acc = acc + self.sizes[j] * self.values[t][j] * \
-                        self.values[u][self.inverse_class(j)]
-                want = Fraction(n if t == u else 0)
-                if acc != CycNum.from_rational(want):
-                    ok_rows = False
-        checks.append({"check": "first orthogonality relations", "pass": ok_rows})
-        ok_cols = True
-        for i in range(self.k):
-            for j in range(self.k):
-                acc = CycNum.from_rational(0)
-                for t in range(self.k):
-                    acc = acc + self.values[t][i] * \
-                        self.values[t][self.inverse_class(j)]
-                want = Fraction(n, self.sizes[i]) if i == j else Fraction(0)
-                if acc != CycNum.from_rational(want):
-                    ok_cols = False
-        checks.append({"check": "second orthogonality relations", "pass": ok_cols})
-        return {"order": n, "classes": self.k, "degrees": list(self.degrees),
+        """Degree sum and both orthogonality relations, exactly.  All 2 k^2
+        sums go through one `_dot`, so each table value is packed once."""
+        n, k, V = self.group.n, self.k, self.values
+        inv = [self.inverse_class(j) for j in range(k)]
+        pairs = list(product(range(k), repeat=2))
+        inv_rows = [[row[i] for i in inv] for row in V]
+        columns = list(zip(*V))
+        ones = [1] * k
+        sums = _dot([(self.sizes, V[t], inv_rows[u]) for t, u in pairs]
+                    + [(ones, columns[i], columns[inv[j]]) for i, j in pairs])
+        rows, cols = sums[:k * k], sums[k * k:]
+        checks = [
+            {"check": "sum of squared degrees equals group order",
+             "pass": sum(d * d for d in self.degrees) == n},
+            {"check": "first orthogonality relations",
+             "pass": all(s == (n if t == u else 0)
+                         for s, (t, u) in zip(rows, pairs))},
+            {"check": "second orthogonality relations",
+             "pass": all(s == (Fraction(n, self.sizes[i]) if i == j else 0)
+                         for s, (i, j) in zip(cols, pairs))},
+        ]
+        return {"order": n, "classes": k, "degrees": list(self.degrees),
                 "checks": checks, "pass": all(c["pass"] for c in checks)}
 
     def to_dict(self) -> dict:
@@ -318,13 +335,6 @@ class CharTable:
         }
 
 
-def _is_eigen(M, v, ell):
-    mv = _mat_vec(M, v, ell)
-    idx = next(i for i in range(len(v)) if v[i])
-    lam = (mv[idx] * pow(v[idx], -1, ell)) % ell
-    return all((lam * x - y) % ell == 0 for x, y in zip(v, mv))
-
-
 def _row_key(row: list[CycNum]):
     return tuple(
         tuple((e, c.numerator, c.denominator) for e, c in sorted(v.coeffs.items()))
@@ -334,45 +344,54 @@ def _row_key(row: list[CycNum]):
 # -- virtual characters -------------------------------------------------------
 
 class VirtualChar:
-    """A rational combination of the irreducibles of a fixed table."""
+    """A rational combination of the irreducibles of a fixed table.
 
-    __slots__ = ("table", "coeffs")
+    The values on the classes are stored once: an irreducible's are its
+    table row and `from_values` keeps the input it has checked.  Any other,
+    such as the result of `+`, `-` or `scale`, is summed from the
+    coefficients on first use."""
+
+    __slots__ = ("table", "coeffs", "_values")
 
     def __init__(self, table: CharTable, coeffs: dict[int, Fraction]):
         self.table = table
         self.coeffs = {t: Fraction(c) for t, c in coeffs.items() if c}
+        self._values = None
 
     @classmethod
     def irreducible(cls, table: CharTable, t: int) -> "VirtualChar":
-        return cls(table, {t: Fraction(1)})
+        vc = cls(table, {t: Fraction(1)})
+        vc._values = table.values[t]
+        return vc
 
     @classmethod
     def from_values(cls, table: CharTable, values: list[CycNum]) -> "VirtualChar":
         """Decompose a class function exactly in the irreducible basis."""
-        n = table.group.n
-        coeffs = {}
-        for t in range(table.k):
-            acc = CycNum.from_rational(0)
-            for j in range(table.k):
-                acc = acc + table.sizes[j] * values[j] * \
-                    table.values[t][table.inverse_class(j)]
-            c = (acc / n).as_rational()
-            if c:
-                coeffs[t] = c
+        values = list(values)
+        k, V = table.k, table.values
+        weights = [Fraction(s, table.group.n) for s in table.sizes]
+        inv = [table.inverse_class(j) for j in range(k)]
+        projections = _dot([(weights, values, [row[i] for i in inv])
+                            for row in V])
+        vc = cls(table, {t: p.as_rational() for t, p in enumerate(projections)})
         # confirm the decomposition reproduces the input
-        for j in range(table.k):
-            got = CycNum.from_rational(0)
-            for t, c in coeffs.items():
-                got = got + c * table.values[t][j]
-            if got != values[j]:
-                raise ValueError("class function is not in the character span")
-        return cls(table, coeffs)
+        if vc._row() != values:
+            raise ValueError("class function is not in the character span")
+        vc._values = values
+        return vc
+
+    def _row(self) -> list[CycNum]:
+        """The stored values, summed from the coefficients if there are
+        none yet."""
+        if self._values is None:
+            ts, cs = list(self.coeffs), list(self.coeffs.values())
+            ones = [CycNum.from_rational(1)] * len(ts)
+            self._values = _dot([(cs, [self.table.values[t][j] for t in ts],
+                                  ones) for j in range(self.table.k)])
+        return self._values
 
     def value(self, j: int) -> CycNum:
-        acc = CycNum.from_rational(0)
-        for t, c in self.coeffs.items():
-            acc = acc + c * self.table.values[t][j]
-        return acc
+        return self._row()[j]
 
     def multiplicities(self, g: int) -> list[Fraction]:
         """Coefficients of xi^u (xi(g) = zeta_|g|) in self restricted to <g>."""
@@ -382,7 +401,7 @@ class VirtualChar:
                 for u in range(self.table.group.element_order(g))]
 
     def values(self) -> list[CycNum]:
-        return [self.value(j) for j in range(self.table.k)]
+        return list(self._row())
 
     def degree(self) -> Fraction:
         return sum((c * self.table.degrees[t] for t, c in self.coeffs.items()),
@@ -429,14 +448,14 @@ class VirtualChar:
         return self.coeffs == other.coeffs
 
     def inner(self, other: "VirtualChar") -> Fraction:
-        """(1/|G|) sum_g self(g) * conj(other(g)), exact."""
+        """(1/|G|) sum_g self(g) * conj(other(g)), exact.  other has rational
+        coefficients, so conj(other(g)) = other(g^-1)."""
         self._same_table(other)
         tb = self.table
-        acc = CycNum.from_rational(0)
-        for j in range(tb.k):
-            acc = acc + tb.sizes[j] * self.value(j) * \
-                other.value(j).galois_apply(-1)
-        return (acc / tb.group.n).as_rational()
+        b = other._row()
+        weights = [Fraction(s, tb.group.n) for s in tb.sizes]
+        conj = [b[tb.inverse_class(j)] for j in range(tb.k)]
+        return _dot([(weights, self._row(), conj)])[0].as_rational()
 
     def adams(self, k: int) -> "VirtualChar":
         """psi_k: the class function g -> chi(g^k), decomposed exactly."""

@@ -33,6 +33,15 @@ nnz(a) nnz(b) <= phi(n) the product is a direct convolution of the nonzero
 terms, and only a result with terms at degree >= phi(n) is packed for the
 reduction.  The path is read off the operands; there is no setting.
 
+Character sums sum_j w_j a_j b_j (orthogonality, projections, inner
+products) go through one private kernel, `_dot`, which extends the same
+packing from one product to whole sums: each distinct operand is packed
+once for all the sums of a call, a sum's products are added as big ints,
+and each sum is reduced modulo Phi_n once.  Its slots are sized from
+sum_j |w_j| |a_j|_1 |b_j|_1 (1 + spread), with the weights scaled to
+integers over the sum's common denominator, which bounds every slot of
+the sum and of its reduction by the argument of `_table`.
+
 `_table(n)` is the one cached table per conductor: Phi_n, Psi_n and their
 packings, O(n) ints, used by every reduction (products, construction,
 embedding, Galois action, `shrink_to`).  A dense table of the rows
@@ -55,7 +64,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, mul
 from types import MappingProxyType
 
 from .arith import euler_phi, prime_factors
@@ -490,6 +499,65 @@ class CycNum:
             else:
                 parts.append(f"{c}*{term}")
         return f"CycNum({self.n}; " + " + ".join(parts).replace("+ -", "- ") + ")"
+
+
+def _dot(sums: list) -> list[CycNum]:
+    """[sum_j w[j] a[j] b[j] for each (w, a, b) in sums]: w holds int or
+    Fraction weights and a, b hold CycNums, all three of one length per
+    sum.  Every sum is returned at the lcm conductor n of all operands.
+
+    Each distinct operand object is embedded at n and packed once for all
+    the sums (objects are told apart by id, which the list keeps alive); a
+    sum adds its products as packed ints and is reduced modulo Phi_n once.
+    Over a common denominator D of a sum, w_j a_j b_j =
+    W_j A_j B_j / D with integer weights W_j and numerators A_j, B_j, so no
+    slot of the sum or of its reduction exceeds sum_j |W_j| |A_j|_1 |B_j|_1
+    (1 + spread) (see `_table`); the largest of these over the sums, and
+    of the operands' own |A|_1, sets one slot width for all of them."""
+    ops = {}
+    for _, a, b in sums:
+        ops.update(zip(map(id, a), a))
+        ops.update(zip(map(id, b), b))
+    n = math.lcm(*(x.n for x in ops.values()))
+    phi, spread = _table(n)[:2]
+    ops = {i: x.embed(n) for i, x in ops.items()}
+    dens = {i: x.den for i, x in ops.items()}
+    l1 = {i: sum(map(abs, x.num)) for i, x in ops.items()}
+
+    unit = all(d == 1 for d in dens.values())
+    over = {}  # id(w) -> (lcm of w's denominators, w's numerators over it)
+
+    def scaled(w, ia, ib):
+        """D and the integer weights W_j of one sum."""
+        if id(w) not in over:
+            d = math.lcm(*map(_denominator, w))
+            over[id(w)] = d, [c.numerator * (d // c.denominator) for c in w]
+        den, weights = over[id(w)]
+        if unit:
+            return den, weights
+        d = list(map(mul, map(dens.get, ia), map(dens.get, ib)))
+        lcm = math.lcm(*d)
+        return den * lcm, list(map(mul, weights, map(lcm.__floordiv__, d)))
+
+    bound = max(l1.values(), default=0)  # every operand is packed
+    for w, a, b in sums:
+        ia, ib = list(map(id, a)), list(map(id, b))
+        weights = scaled(w, ia, ib)[1]
+        bound = max(bound, sum(map(mul, map(mul, map(abs, weights),
+                                            map(l1.get, ia)),
+                                   map(l1.get, ib))))
+    kb = _slot_bytes(bound * (1 + spread))
+    packed = {i: _pack(x.num, kb) for i, x in ops.items()}
+    out = []
+    for w, a, b in sums:
+        ia, ib = list(map(id, a)), list(map(id, b))
+        den, weights = scaled(w, ia, ib)
+        f = sum(map(mul, map(mul, weights, map(packed.get, ia)),
+                    map(packed.get, ib)))
+        num = _reduce_packed(n, f, 2 * phi - 1, kb) if phi > 1 \
+            else _unpack(f, 1, kb)
+        out.append(CycNum._make(n, num, den))
+    return out
 
 
 def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:

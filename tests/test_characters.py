@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tamekit.characters import CharTable, VirtualChar, induce, restrict
+from tamekit.characters import (CharTable, VirtualChar, _class_matrices,
+                                 _dixon_prime, induce, restrict)
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.groups import PRESET_NAMES, Subgroup, preset
 
@@ -231,3 +232,78 @@ def test_certify_rejects_altered_value():
     assert not bad["pass"]
     assert [c["pass"] for c in bad["checks"]] == [True, False, False]
     assert T.certify()["pass"]
+
+
+def test_from_values_rejects_the_altered_table():
+    T = CharTable.of(preset("S3"))
+    values = [row[:] for row in T.values]
+    values[2][1] = values[2][1] + 1
+    bad = CharTable(T.group, T.classes, values, T.degrees, T.eigen)
+    with pytest.raises(ValueError, match="not in the character span"):
+        VirtualChar.from_values(bad, T.values[2])
+
+
+def test_from_values_rejects_an_irrational_projection():
+    T = CharTable.of(preset("S3"))
+    values = [zeta(3)] + [CycNum.from_rational(0)] * (T.k - 1)
+    with pytest.raises(ValueError, match="not rational"):
+        VirtualChar.from_values(T, values)
+
+
+def _resummed(vc):
+    """sum_t c_t chi_t(j) for every class, with plain CycNum arithmetic."""
+    T = vc.table
+    return [sum((c * T.values[t][j] for t, c in vc.coeffs.items()),
+                CycNum.from_rational(0)) for j in range(T.k)]
+
+
+def test_stored_values_match_resummed_values():
+    for name in PRESET_NAMES:
+        T = CharTable.of(preset(name))
+        irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
+        a, b = irr[-1], irr[len(irr) // 2]
+        made = irr + [a + b, a - b, -a, a.scale(Fraction(-3, 2)),
+                      VirtualChar(T, {0: 2, T.k - 1: Fraction(1, 3)}),
+                      (a + b).adams(2), VirtualChar.from_values(T, a.values())]
+        for vc in made:
+            assert vc.values() == _resummed(vc), (name, vc)
+
+
+def _loop_inner(x, y):
+    """The inner product as a CycNum loop over the classes."""
+    T = x.table
+    acc = CycNum.from_rational(0)
+    for j in range(T.k):
+        acc = acc + T.sizes[j] * x.value(j) * y.value(j).galois_apply(-1)
+    return (acc / T.group.n).as_rational()
+
+
+def test_inner_matches_the_cycnum_loop():
+    for name in ("F21", "A4"):
+        G = preset(name)
+        T = CharTable.of(G)
+        chars = [VirtualChar.irreducible(T, t) for t in range(T.k)]
+        for s in (1, G.n - 1):
+            sub = Subgroup.cyclic(G, s)
+            subT = CharTable.of(sub.group)
+            chars += [induce(VirtualChar.irreducible(subT, i), sub, T)
+                      for i in range(subT.k)]
+        for x in chars:
+            for y in chars:
+                assert x.inner(y) == _loop_inner(x, y), name
+
+
+def test_dixon_vectors_are_eigenvectors_of_every_class_matrix():
+    for name in PRESET_NAMES + ("C27",):
+        G = preset(name)
+        classes = G.conjugacy_classes()
+        ell = _dixon_prime(G.exponent(), G.n)
+        mats = _class_matrices(G, classes, ell)
+        vecs = CharTable._simultaneous_eigenvectors(mats, ell, len(classes))
+        assert len(vecs) == len(classes), name
+        for M in mats:
+            for v in vecs:
+                mv = [sum(a * b for a, b in zip(row, v)) % ell for row in M]
+                idx = next(i for i, x in enumerate(v) if x)
+                lam = mv[idx] * pow(v[idx], -1, ell) % ell
+                assert mv == [lam * x % ell for x in v], name

@@ -1,12 +1,17 @@
 """Command-line behavior: exit codes, report files, determinism."""
 
 import csv
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, UsageError, main
+
+# sha256 of the benchmark's reports, committed with it (read, never written).
+EXPECTED = Path(__file__).resolve().parents[1] / "tamebench" / "expected.json"
 
 
 def test_chartab_stdout_json(capsys):
@@ -14,6 +19,17 @@ def test_chartab_stdout_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["group"] == "S3"
     assert report["certification"]["pass"]
+
+
+def test_chartab_reports_match_committed_digests(tmp_path, capsys):
+    # The benchmark's chartab workload: C27 and C32 as json.
+    pinned = json.loads(EXPECTED.read_text())["chartab"]
+    for group in ("C27", "C32"):
+        assert main(["chartab", "--group", group, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.iterdir()}
+    assert digests == pinned
 
 
 def test_chartab_csv(capsys):

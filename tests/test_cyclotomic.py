@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tamekit.arith import euler_phi
-from tamekit.cyclotomic import CycNum, cyclotomic_poly, zeta
+from tamekit.cyclotomic import (CycNum, _dot, _slot_bytes, _table,
+                                cyclotomic_poly, zeta)
 
 
 def test_cyclotomic_poly_known_coefficients():
@@ -292,3 +293,69 @@ def test_inverse_matches_evaluation_mod_ell(x, c):
         assert _image(inv, x.n, ell, r) == pow(image, -1, ell)
     y = 1 - zeta(x.n) * c
     assert (x * y).norm() == x.norm() * y.norm()
+
+
+# -- the packed dot kernel ----------------------------------------------------
+#
+# _dot against plain CycNum sums.  Weights up to 2^40 on small operands
+# make the weights, not the operands, set the slot width, so a bound that
+# left them out would overflow its slots.
+
+DOT_PAIRS = [(1, 1), (9, 9), (27, 27), (63, 63), (930, 930), (9, 27),
+             (1, 63), (27, 63)]
+WEIGHTS = st.one_of(
+    st.integers(-2 ** 40, 2 ** 40),
+    st.builds(Fraction, st.integers(-2 ** 20, 2 ** 20), st.integers(1, 12)))
+
+
+def _plain_dot(w, a, b):
+    return sum((c * x * y for c, x, y in zip(w, a, b)),
+               CycNum.from_rational(0))
+
+
+@st.composite
+def dot_sums(draw):
+    """Sums that share operand and weight objects, as certify's do."""
+    n1, n2 = draw(st.sampled_from(DOT_PAIRS))
+    lefts = draw(st.lists(elements(n1), min_size=1, max_size=2))
+    rights = draw(st.lists(elements(n2), min_size=1, max_size=2))
+    length = draw(st.integers(1, 4))
+    shared = draw(st.lists(WEIGHTS, min_size=length, max_size=length))
+    sums = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = shared if draw(st.booleans()) else \
+            draw(st.lists(WEIGHTS, min_size=length, max_size=length))
+        a = [draw(st.sampled_from(lefts)) for _ in range(length)]
+        b = [draw(st.sampled_from(rights)) for _ in range(length)]
+        sums.append((w, a, b))
+    return sums
+
+
+@settings(max_examples=60, database=None, derandomize=True, deadline=None)
+@given(dot_sums())
+def test_dot_matches_plain_sums(sums):
+    got = _dot(sums)
+    m = math.lcm(*(x.n for _, a, b in sums for x in a + b))
+    assert len(got) == len(sums)
+    for (w, a, b), g in zip(sums, got):
+        assert g.n == m and _canonical(g)
+        assert g == _plain_dot(w, a, b)
+
+
+@pytest.mark.parametrize("n", [1, 9, 63])
+def test_dot_at_each_slot_width(n):
+    # L (1 + spread) sets the width: at n = 9, 1 + spread = 4, so L = 8191
+    # still fits 16-bit slots and 8192 needs 32.  For each width the largest
+    # L it holds and the next one up both run, and the sum attains L.
+    # zeta^(phi-1) squared lands in slot 2 phi - 2, so the reduction runs.
+    phi, spread = _table(n)[:2]
+    x = zeta(n, phi - 1)
+    seen = set()
+    for bits in (15, 31, 63, 90):
+        for extra in (0, 1):
+            top = (2 ** bits - 1) // (1 + spread) + extra
+            w = [top // 2, top - top // 2]
+            got, = _dot([(w, [x, x], [x, x])])
+            assert got == x * x * top
+            seen.add(_slot_bytes(top * (1 + spread)))
+    assert seen == {2, 4, 8, 9, 12}
