@@ -26,7 +26,6 @@ only integral Gauss sums ever meet the p-adic embedding.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .arith import is_prime_power
@@ -48,7 +47,7 @@ class ReprHom:
         for i in range(table.k):
             x = (values or {}).get(i, TameElement.one())
             if not isinstance(x, TameElement):
-                x = TameElement.monomial(Fraction(0), x)
+                x = TameElement.monomial(0, x)
             if not x:
                 raise ValueError(f"value at character {i} must be nonzero")
             vals[i] = x

@@ -16,53 +16,69 @@ coefficients.  For s in G of order m the averaged ladder
     beta   = (1/m) sum_{i=0}^{m-1} pi^(i/m)
     beta*  = (1/m) sum_{i=0}^{m-1} pi^((i + (1-m)/2)/m)     (odd m)
 
-gives resolvends r = sum_i sigma^i(beta) s^(-i), whose determinant against
-a character chi is computed eigenfactor by eigenfactor from the eigenvalue
-multiplicities kept in chi's table (VirtualChar.multiplicities).  The
-verifiers check that these determinants are exactly the monomials
-predicted by the Stickelberger pairings, that a Kummer generator's twisted
-orbit sums recover each basis monomial, and that the change-of-basis
-determinant is a unit above the chosen residue characteristic.
+gives resolvends r = sum_i sigma^i(beta) s^(-i).  On the cyclic group
+<g0> of order h that carries r, chi's determinant is prod_j F_j^mult_j:
+the eigenfactors F_j = sum_i r[g0^i] zeta_h^(ij) depend on r alone and are
+one length-h DFT, computed once per resolvend (one packed `_dot` call for
+all h x |exponents| sums) and kept on it, so every character of every
+verifier reads them.  mult_j comes from chi (VirtualChar.multiplicities):
+Dixon's eigenvalue data for an irreducible, and for psi_2 chi the
+decomposition `adams` computed, so the Adams identity stays a check
+between two routes.  The verifiers check that these determinants are
+exactly the monomials predicted by the Stickelberger pairings, that a
+Kummer generator's twisted orbit sums recover each basis monomial, and
+that the change-of-basis determinant is a unit above the chosen residue
+characteristic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 from .arith import is_prime_power, smallest_prime_in_class
 from .characters import CharTable, VirtualChar
-from .cyclotomic import CycNum, zeta
+from .cyclotomic import CycNum, _dot, zeta
 from .groups import FiniteGroup, preset
 from .padic import lambda_valuation
 from .stickelberger import pairing, star_pairing
 
 Scalar = (int, Fraction, CycNum)
 
+# zeta_n^k for the sigma twists and the DFT roots: CycNums are immutable,
+# and each exponent of a resolvend needs the same few roots again.  It
+# holds at most n roots per conductor n that a resolvend used.
+_root = lru_cache(maxsize=None)(zeta)
+
 
 class TameElement:
     """Finite sum of c * pi^e with e rational and c cyclotomic.
 
-    Multiplication adds exponents; nothing collapses pi^k to a scalar, so
-    equality of TameElements is equality of every coefficient.
+    Exponents are int numerators over one denominator per element, as in
+    CycNum: `terms` maps a to the coefficient of pi^(a/den), with den > 0
+    and gcd(den, *terms) = 1, so each exponent has exactly one key, and
+    elements over different denominators meet at their lcm.  Multiplication
+    adds exponents; nothing collapses pi^k to a scalar, so equality of
+    TameElements is equality of every coefficient.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict | None = None):
-        clean: dict[Fraction, CycNum] = {}
-        for e, c in (terms or {}).items():
-            e = Fraction(e)
+    def __init__(self, terms: dict | None = None, den: int = 1):
+        """sum of c * pi^(a/den) over the items a: c of terms."""
+        clean: dict[int, CycNum] = {}
+        for a, c in (terms or {}).items():
             if isinstance(c, (int, Fraction)):
                 c = CycNum.from_rational(c)
             if c:
-                cur = clean.get(e)
-                c = c if cur is None else cur + c
-                if c:
-                    clean[e] = c
-                elif e in clean:
-                    del clean[e]
+                clean[a] = c
+        g = gcd(den, *clean)
+        if g != 1:
+            clean = {a // g: c for a, c in clean.items()}
+            den //= g
         self.terms = clean
+        self.den = den
 
     @classmethod
     def zero(cls) -> "TameElement":
@@ -70,40 +86,49 @@ class TameElement:
 
     @classmethod
     def one(cls) -> "TameElement":
-        return cls({Fraction(0): 1})
+        return cls({0: 1})
 
     @classmethod
     def monomial(cls, exponent, coeff=1) -> "TameElement":
-        return cls({Fraction(exponent): coeff})
+        e = Fraction(exponent)
+        return cls({e.numerator: coeff}, e.denominator)
+
+    def _over(self, den: int) -> dict[int, CycNum]:
+        """terms rekeyed over den, a multiple of self.den."""
+        k = den // self.den
+        if k == 1:
+            return self.terms
+        return {a * k: c for a, c in self.terms.items()}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            other = TameElement({Fraction(0): other})
+            other = TameElement({0: other})
         if not isinstance(other, TameElement):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
+        if self.den != other.den or self.terms.keys() != other.terms.keys():
             return False
-        return all(c == other.terms[e] for e, c in self.terms.items())
+        return all(c == other.terms[a] for a, c in self.terms.items())
 
     __hash__ = None
 
     def __add__(self, other) -> "TameElement":
         if isinstance(other, Scalar):
-            other = TameElement({Fraction(0): other})
+            other = TameElement({0: other})
         if not isinstance(other, TameElement):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return TameElement(out)
+        den = lcm(self.den, other.den)
+        out = dict(self._over(den))
+        for a, c in other._over(den).items():
+            out[a] = out[a] + c if a in out else c
+        return TameElement(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TameElement":
-        return TameElement({e: -c for e, c in self.terms.items()})
+        return TameElement({a: -c for a, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -113,16 +138,19 @@ class TameElement:
 
     def __mul__(self, other) -> "TameElement":
         if isinstance(other, Scalar):
-            return TameElement({e: c * other for e, c in self.terms.items()})
+            return TameElement({a: c * other for a, c in self.terms.items()},
+                               self.den)
         if not isinstance(other, TameElement):
             return NotImplemented
-        out: dict[Fraction, CycNum] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
+        den = lcm(self.den, other.den)
+        right = other._over(den).items()
+        out: dict[int, CycNum] = {}
+        for a1, c1 in self._over(den).items():
+            for a2, c2 in right:
+                a = a1 + a2
                 c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return TameElement(out)
+                out[a] = out[a] + c if a in out else c
+        return TameElement(out, den)
 
     __rmul__ = __mul__
 
@@ -130,79 +158,89 @@ class TameElement:
         """(exponent, coefficient) when this is a single term, else None."""
         if len(self.terms) != 1:
             return None
-        [(e, c)] = self.terms.items()
-        return e, c
+        [(a, c)] = self.terms.items()
+        return Fraction(a, self.den), c
 
     def inverse(self) -> "TameElement":
         if not self.terms:
             raise ZeroDivisionError("zero is not invertible")
-        parts = self.monomial_parts()
-        if parts is None:
+        if len(self.terms) != 1:
             raise ValueError("only monomials are invertible in the model")
-        e, c = parts
-        return TameElement({-e: c.inverse()})
+        [(a, c)] = self.terms.items()
+        return TameElement({-a: c.inverse()}, self.den)
 
     def __pow__(self, k: int) -> "TameElement":
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
+        if len(self.terms) == 1 and k:  # (c pi^e)^k = c^k pi^(ke)
+            [(a, c)] = self.terms.items()
+            return TameElement({a * k: c ** k}, self.den)
+        if k < 0:
+            return self.inverse() ** -k  # raises: only monomials invert
         out = TameElement.one()
-        for _ in range(abs(k)):
-            out = out * base
+        for _ in range(k):
+            out = out * self
         return out
 
     def valuation(self) -> Fraction:
         if not self.terms:
             raise ValueError("zero has no valuation")
-        return min(self.terms)
+        return Fraction(min(self.terms), self.den)
 
     def to_dict(self) -> dict:
-        return {"terms": [[str(e), c.to_dict()]
-                          for e, c in sorted(self.terms.items())]}
+        return {"terms": [[str(Fraction(a, self.den)), c.to_dict()]
+                          for a, c in sorted(self.terms.items())]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TameElement":
-        return cls({Fraction(e): CycNum.from_dict(c) for e, c in d["terms"]})
+        return sum((cls.monomial(Fraction(e), CycNum.from_dict(c))
+                    for e, c in d["terms"]), cls())
 
     def __repr__(self) -> str:
         if not self.terms:
             return "TameElement(0)"
-        bits = [f"({c!r})*pi^({e})" for e, c in sorted(self.terms.items())]
+        bits = [f"({c!r})*pi^({Fraction(a, self.den)})"
+                for a, c in sorted(self.terms.items())]
         return "TameElement(" + " + ".join(bits) + ")"
 
 
 def sigma_action(x: TameElement) -> TameElement:
-    """pi^(a/b) -> zeta_b^a * pi^(a/b), with a/b in lowest terms.
+    """pi^(a/D) -> zeta_D^a * pi^(a/D), D the element's denominator.
 
-    Well defined on exponents because Fraction always reduces, and the
-    root of unity attached to a/b only depends on the value a/b mod 1.
+    Well defined on exponents: zeta_D^a depends only on the value a/D
+    mod 1, not on the denominator it is written over.
     """
-    return TameElement({
-        e: c * zeta(e.denominator, e.numerator % e.denominator)
-        for e, c in x.terms.items()})
+    D = x.den
+    return TameElement({a: c * _root(D, a % D) for a, c in x.terms.items()}, D)
 
 
 def frobenius_action(x: TameElement, q: int) -> TameElement:
     """Raise every coefficient root of unity to the q-th power."""
-    return TameElement({e: c.galois_apply(q) for e, c in x.terms.items()})
+    return TameElement({a: c.galois_apply(q) for a, c in x.terms.items()},
+                       x.den)
 
 
 class GroupAlgebraElement:
-    """Group-ring element with TameElement coefficients."""
+    """Group-ring element with TameElement coefficients.
 
-    __slots__ = ("group", "terms")
+    `eigen` caches det_resolvend's eigenfactors; every operation returns a
+    new element, so the cache never outlives the terms it was read from.
+    """
+
+    __slots__ = ("group", "terms", "eigen")
 
     def __init__(self, group: FiniteGroup, terms: dict | None = None):
         self.group = group
         clean: dict[int, TameElement] = {}
         for g, x in (terms or {}).items():
             if isinstance(x, Scalar):
-                x = TameElement({Fraction(0): x})
+                x = TameElement({0: x})
             if x:
                 clean[g] = clean[g] + x if g in clean else x
                 if not clean[g]:
                     del clean[g]
         self.terms = clean
+        self.eigen = None
 
     @classmethod
     def identity(cls, group: FiniteGroup) -> "GroupAlgebraElement":
@@ -236,6 +274,8 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.group, out)
 
     def __sub__(self, other):
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
         return self + GroupAlgebraElement(
             other.group, {g: -x for g, x in other.terms.items()})
 
@@ -278,17 +318,16 @@ class GroupAlgebraElement:
 
 def beta(m: int) -> TameElement:
     """(1/m) sum_i pi^(i/m).  Depends only on the order m."""
-    w = Fraction(1, m)
-    return TameElement({Fraction(i, m): w for i in range(m)})
+    return TameElement(dict.fromkeys(range(m),
+                                     CycNum.from_rational(Fraction(1, m))), m)
 
 
 def beta_star(m: int) -> TameElement:
     """Centered variant, exponents shifted by (1-m)/2; odd m only."""
     if m % 2 == 0:
         raise ValueError(f"centered ladder needs odd order, got {m}")
-    w = Fraction(1, m)
-    shift = (1 - m) // 2
-    return TameElement({Fraction(i + shift, m): w for i in range(m)})
+    w = CycNum.from_rational(Fraction(1, m))
+    return TameElement(dict.fromkeys(range((1 - m) // 2, (m + 1) // 2), w), m)
 
 
 def _resolvend(G: FiniteGroup, s: int, b: TameElement) -> GroupAlgebraElement:
@@ -346,42 +385,68 @@ def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
     return smallest_prime_in_class(k, m)
 
 
+def _eigenfactors(x: GroupAlgebraElement) -> tuple[int, list[TameElement]]:
+    """(g0, [F_0, ..., F_(h-1)]), F_j = sum_i x[g0^i] zeta_h^(ij), for g0
+    the least generator of the cyclic group H that x's support generates:
+    a length-h DFT, h sums per exponent of pi in one `_dot` call, computed
+    once and kept on x."""
+    if x.eigen is None:
+        G = x.group
+        if not x.terms:
+            raise ValueError("zero element has no determinant")
+        hull = G.subgroup_closure(x.support())
+        h = len(hull)
+        gens = [g for g in hull if G.element_order(g) == h]
+        if not gens:
+            raise ValueError(f"support generates a non-cyclic subgroup "
+                             f"of order {h}")
+        g0 = min(gens)
+        den = lcm(*(c.den for c in x.terms.values()))
+        # rows[a]: each i with a term v pi^(a/den) in x[g0^i], as i, the
+        # weight 1/v.den and the integral v.den v: with integral operands
+        # _dot scales each row's weights once, not once per sum
+        rows: dict[int, tuple[list, list, list]] = {}
+        for i, g in enumerate(G.cyclic_subgroup(g0)):
+            if g in x.terms:
+                for a, v in x.terms[g]._over(den).items():
+                    idx, w, vals = rows.setdefault(a, ([], [], []))
+                    idx.append(i)
+                    w.append(Fraction(1, v.den))
+                    vals.append(v * v.den)
+        roots = [_root(h, k) for k in range(h)]
+        sums = [(w, vals, [roots[i * j % h] for i in idx])
+                for j in range(h) for idx, w, vals in rows.values()]
+        flat = _dot(sums)
+        k = len(rows)
+        x.eigen = g0, [TameElement(dict(zip(rows, flat[j * k:(j + 1) * k])),
+                                   den) for j in range(h)]
+    return x.eigen
+
+
 def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
     """Determinant of chi's representation evaluated on x.
 
-    Requires the support of x to generate a cyclic subgroup H: there the
-    representation diagonalizes, each linear character xi of H contributes
-    the eigenfactor sum_h x[h] xi(h) with multiplicity (chi|_H, xi), and
-    the determinant is the product of the eigenfactors so powered.
+    Requires the support of x to generate a cyclic subgroup H = <g0>: there
+    the representation diagonalizes, the linear character xi_j of H with
+    xi_j(g0) = zeta_h^j contributes the eigenfactor F_j = sum_h x[h] xi_j(h)
+    with multiplicity (chi|_H, xi_j), and the determinant is
+    prod_j F_j^mult_j.  The F_j depend on x alone and are computed once per
+    resolvend; the multiplicities are chi's own, so psi_2 chi brings those
+    `adams` found and the Adams identity stays a check between two routes.
     Negative multiplicities (virtual chi) need monomial eigenfactors.
     """
-    G = x.group
-    if chi.table.group is not G:
+    if chi.table.group is not x.group:
         raise ValueError("character and element live over different groups")
-    if not x.terms:
-        raise ValueError("zero element has no determinant")
-    hull = G.subgroup_closure(x.support())
-    h = len(hull)
-    gens = [g for g in hull if G.element_order(g) == h]
-    if not gens:
-        raise ValueError(f"support generates a non-cyclic subgroup "
-                         f"of order {h}")
-    g0 = min(gens)
-    powers = G.cyclic_subgroup(g0)
+    g0, factors = _eigenfactors(x)
     out = TameElement.one()
     for j, mult in enumerate(chi.multiplicities(g0)):
         if mult.denominator != 1:
             raise ValueError(f"non-integral multiplicity {mult} at row {j}")
         if mult == 0:
             continue
-        factor = TameElement.zero()
-        for i, g in enumerate(powers):
-            c = x.terms.get(g)
-            if c is not None:
-                factor = factor + c * zeta(h, i * j % h)
-        if mult < 0 and factor.monomial_parts() is None:
+        if mult < 0 and factors[j].monomial_parts() is None:
             raise ValueError(f"eigenfactor for row {j} is not invertible")
-        out = out * factor ** int(mult)
+        out = out * factors[j] ** int(mult)
     return out
 
 
@@ -428,8 +493,8 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None,
 
     G = preset(f"C{e}")
     s = 1 % e
-    w = Fraction(1, e)
-    alpha = TameElement({Fraction(n + i, e): w for i in range(e)})
+    alpha = TameElement(dict.fromkeys(range(n, n + e),
+                                      CycNum.from_rational(Fraction(1, e))), e)
     orbit = []
     cur = alpha
     for _ in range(e):
@@ -456,9 +521,9 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None,
             "pass": ok,
         })
 
-    # coefficient of pi^((n+i)/e) inside sigma^j(alpha)
-    mat = [[orbit[j].terms.get(Fraction(n + i, e), CycNum.from_rational(0))
-            for i in range(e)] for j in range(e)]
+    # coefficient of pi^((n+i)/e) inside sigma^j(alpha): sigma keeps alpha's
+    # denominator e and its e nonzero terms, so that is the key n + i
+    mat = [[orbit[j].terms[n + i] for i in range(e)] for j in range(e)]
     det = _det_via_elimination(mat)
     val = lambda_valuation(det, q, precision) if det else None
     unit = {

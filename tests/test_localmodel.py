@@ -1,15 +1,17 @@
 """Formal tame local model: monomial algebra, semigroup actions,
 resolvends, and the equivariant determinant."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamekit.arith import smallest_prime_in_class
 from tamekit.characters import CharTable, VirtualChar
 from tamekit.cyclotomic import CycNum, zeta
-from tamekit.groups import preset
+from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
 from tamekit.localmodel import (GroupAlgebraElement, TameCocycle,
                                 TameElement, beta, beta_star, det_resolvend,
                                 frobenius_action, infer_q, phi_resolvend,
@@ -214,3 +216,189 @@ def test_factorization_reports():
             assert rep["pass"], (name, s)
     with pytest.raises(ValueError):
         verify_factorization(preset("S3"), preset("S3").names.index("(1 2)"))
+
+
+def test_subtracting_a_non_element_is_a_type_error():
+    G = preset("C3")
+    r = phi_resolvend(G, 1)
+    for other in (1, TameElement.one()):
+        with pytest.raises(TypeError):
+            r - other
+        with pytest.raises(TypeError):
+            r + other
+    assert not r - r
+
+
+def _det_by_character(x, chi):
+    """Reference: every eigenfactor recomputed for each character."""
+    G = x.group
+    hull = G.subgroup_closure(x.support())
+    h = len(hull)
+    g0 = min(g for g in hull if G.element_order(g) == h)
+    out = TameElement.one()
+    for j, mult in enumerate(chi.multiplicities(g0)):
+        if mult == 0:
+            continue
+        factor = TameElement.zero()
+        for i, g in enumerate(G.cyclic_subgroup(g0)):
+            if g in x.terms:
+                factor = factor + x.terms[g] * zeta(h, i * j % h)
+        out = out * factor ** int(mult)
+    return out
+
+
+def test_stored_eigenfactors_match_the_per_character_loop():
+    for name in PRESET_NAMES:
+        G = preset(name)
+        T = CharTable.of(G)
+        for s in range(G.n):
+            if G.element_order(s) % 2 == 0:
+                continue
+            r = phi_resolvend(G, s)
+            rs = phi_star_resolvend(G, s)
+            chars = []
+            for t in range(T.k):
+                chi = VirtualChar.irreducible(T, t)
+                psi2 = chi.adams(2)
+                chars += [chi, psi2, psi2 - chi - chi]
+            for x in (r, rs):
+                for vc in chars:
+                    assert det_resolvend(x, vc) == _det_by_character(x, vc)
+            # a fresh product: the factors kept on r and rs are not its own
+            # (chi and the virtual character suffice for it)
+            prod = r * rs
+            assert prod.eigen is None
+            for vc in chars[0::3] + chars[2::3]:
+                assert det_resolvend(prod, vc) == _det_by_character(prod, vc)
+
+
+def test_adams_check_fails_on_a_wrong_psi2(monkeypatch):
+    G = preset("F21")
+    s = next(g for g in range(G.n) if G.element_order(g) == 7)
+    assert verify_factorization(G, s)["pass"]
+    # psi_3 in place of psi_2: 2 lies in the subgroup <2> = {1, 2, 4} of
+    # (Z/7)^*, so psi_2 fixes every restriction to <s>, but 3 does not
+    adams = VirtualChar.adams
+    monkeypatch.setattr(VirtualChar, "adams",
+                        lambda self, k: adams(self, k + 1))
+    rep = verify_factorization(G, s)
+    assert not rep["pass"]
+    bad = [c for c in rep["checks"] if not c["adams_ratio"]]
+    assert bad and not any(c["pass"] for c in bad)
+
+
+# -- integer-keyed TameElement against a Fraction-keyed reference ----------
+
+def _ref(terms):
+    """{Fraction: CycNum} with zero coefficients dropped."""
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out[e] + c if e in out else c
+    return _ref(out)
+
+
+def _ref_mul(x, y):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out = _ref_add(out, {e1 + e2: c1 * c2})
+    return out
+
+
+def _ref_dict(x):
+    return {"terms": [[str(e), c.to_dict()] for e, c in sorted(x.items())]}
+
+
+def _view(x):
+    """The element's terms as {Fraction: CycNum}, after checking that its
+    exponents are in lowest terms over one positive denominator."""
+    assert x.den > 0 and math.gcd(x.den, *x.terms) == 1
+    assert all(x.terms.values())
+    return {Fraction(a, x.den): c for a, c in x.terms.items()}
+
+
+_coeffs = st.builds(lambda n, k, c: zeta(n, k) * c,
+                    st.sampled_from([1, 3, 4, 5]), st.integers(0, 4),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4))
+
+
+@st.composite
+def _elements(draw, max_terms=4):
+    """(TameElement, reference): exponents a/den drawn over den and then
+    written over den * k, so equal exponents arrive in different forms."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    k = draw(st.integers(1, 3))
+    nums = draw(st.lists(st.integers(-12, 12), max_size=max_terms,
+                         unique=True))
+    cs = [draw(_coeffs) for _ in nums]
+    x = TameElement({a * k: c for a, c in zip(nums, cs)}, den * k)
+    return x, _ref({Fraction(a, den): c for a, c in zip(nums, cs)})
+
+
+def _same(x, ref):
+    assert _view(x) == ref
+    assert x.to_dict() == _ref_dict(ref)
+    assert TameElement.from_dict(x.to_dict()) == x
+
+
+@settings(max_examples=80, database=None, derandomize=True, deadline=None)
+@given(_elements(), _elements(), st.integers(0, 3),
+       st.sampled_from([1, 7, 11, 13]))
+def test_integer_keys_match_fraction_keys(xr, yr, k, q):
+    (x, xf), (y, yf) = xr, yr
+    _same(x, xf)
+    _same(x + y, _ref_add(xf, yf))
+    _same(x - y, _ref_add(xf, {e: -c for e, c in yf.items()}))
+    _same(x * y, _ref_mul(xf, yf))
+    power = {Fraction(0): CycNum.from_rational(1)}
+    for _ in range(k):
+        power = _ref_mul(power, xf)
+    _same(x ** k, power)
+    _same(frobenius_action(x, q),
+          _ref({e: c.galois_apply(q) for e, c in xf.items()}))
+    # equal values; the twist's conductor is x's denominator, not the
+    # exponent's reduced one, so coefficients are compared as numbers
+    assert _view(sigma_action(x)) == {
+        e: c * zeta(e.denominator, e.numerator % e.denominator)
+        for e, c in xf.items()}
+    if xf:
+        assert x.valuation() == min(xf)
+    assert (x == y) == (xf == yf)
+
+
+@settings(max_examples=60, database=None, derandomize=True, deadline=None)
+@given(_elements(max_terms=1), _elements(max_terms=1), st.integers(-3, 3))
+def test_monomial_inverse_and_powers_match_fraction_keys(xr, yr, k):
+    (x, xf), (y, yf) = xr, yr
+    if not xf:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    [(e, c)] = xf.items()
+    _same(x.inverse(), {-e: c.inverse()})
+    expected = {Fraction(0): CycNum.from_rational(1)}
+    base = xf if k >= 0 else {-e: c.inverse()}
+    for _ in range(abs(k)):
+        expected = _ref_mul(expected, base)
+    _same(x ** k, expected)
+    _same(x * y, _ref_mul(xf, yf))
+    assert x.monomial_parts() == (e, c)
+
+
+def test_f57_factorization():
+    # F57 = C19 : C3, x -> x + 1 and x -> 7x on Z/19; 7 has order 3 mod 19
+    G = FiniteGroup.from_generators([
+        tuple((x + 1) % 19 for x in range(19)),
+        tuple(7 * x % 19 for x in range(19))])
+    assert G.n == 57
+    T = CharTable.of(G)
+    # F_pq: q linear characters and (p - 1)/q of degree q
+    assert T.k == 9
+    assert sorted(T.degrees) == [1] * 3 + [3] * 6
+    for s in range(G.n):
+        assert verify_factorization(G, s, label="F57")["pass"], s
