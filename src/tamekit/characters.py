@@ -5,11 +5,18 @@ matrices are simultaneously diagonalized over F_ell for a prime
 ell = 1 mod exp(G) with ell > 2|G|, degrees are recovered from the column
 orthogonality relation mod ell, and each character value is lifted exactly
 as chi(g) = sum_u m_u zeta_m^u where the eigenvalue multiplicities m_u are
-small non-negative integers read off mod ell.  The class matrices commute
-(class sums are central), so once a combination of them has k
-one-dimensional eigenspaces, every class matrix preserves each of them:
-its eigenvectors are common eigenvectors without a recheck, and the
-eigenvalue omega_j is read from one row of M_j.  The lifted table is then
+small non-negative integers read off mod ell.  The eigenvalues of a
+combination of the class matrices are the roots of its characteristic
+polynomial mod ell (Hessenberg form, then the usual recurrence), found by
+evaluating it at the ell points of F_ell; when there are k distinct roots
+each eigenspace is one-dimensional, so a nullspace is taken only at those
+k roots (Dixon, Numer. Math. 10, 1967; Schneider, J. Symbolic Comput. 9,
+1990).  The class matrices commute (class sums are central), so every
+class matrix preserves each of these eigenspaces: their vectors are
+common eigenvectors without a recheck, and the eigenvalue omega_j is read
+from one row of M_j.  The lift reads each class's powers and one table of
+z_m^(-uv) per element order m, built once per table rather than once per
+character.  The lifted table is then
 certified against both orthogonality relations and sum(d^2) = |G| with exact
 cyclotomic arithmetic, so nothing downstream depends on the modular step.
 `certify` computes its 2 k^2 sums with the packed kernel
@@ -59,10 +66,14 @@ def _nullspace(mat: list[list[int]], ell: int) -> list[tuple[int, ...]]:
         m[r], m[pr] = m[pr], m[r]
         inv = pow(m[r][c], -1, ell)
         m[r] = [(x * inv) % ell for x in m[r]]
+        # The reduced pivot row vanishes left of c, so the other rows change
+        # in columns c.. only; they add f (ell - y) = -f y mod ell and are
+        # reduced when read, staying below (k + 1) ell^2.
+        top = [ell - y for y in m[r][c:]]
         for i in range(k):
-            if i != r and m[i][c] % ell:
-                f = m[i][c]
-                m[i] = [(x - f * y) % ell for x, y in zip(m[i], m[r])]
+            f = m[i][c] % ell
+            if f and i != r:
+                m[i][c:] = [x + f * y for x, y in zip(m[i][c:], top)]
         pivots.append(c)
         r += 1
     free = [c for c in range(k) if c not in pivots]
@@ -74,6 +85,50 @@ def _nullspace(mat: list[list[int]], ell: int) -> list[tuple[int, ...]]:
             v[pc] = (-m[i][fc]) % ell
         basis.append(tuple(v))
     return basis
+
+
+def _charpoly(mat: list[list[int]], ell: int) -> list[int]:
+    """det(x I - mat) mod ell, coefficients from the constant term up.
+
+    The matrix is brought to upper Hessenberg form h by similarities
+    (row_i -= f row_(c+1), then col_(c+1) += f col_i); the polynomial p_m of
+    its leading m x m block then satisfies
+    p_(m+1) = (x - h[m][m]) p_m
+              - sum_i h[m-i][m] h[m][m-1] ... h[m-i+1][m-i] p_(m-i)
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9)."""
+    k = len(mat)
+    h = [[x % ell for x in row] for row in mat]
+    for c in range(k - 2):
+        piv = next((i for i in range(c + 1, k) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != c + 1:
+            h[piv], h[c + 1] = h[c + 1], h[piv]
+            for row in h:
+                row[piv], row[c + 1] = row[c + 1], row[piv]
+        top = h[c + 1]
+        inv = pow(top[c], -1, ell)
+        fs = [h[i][c] * inv % ell for i in range(c + 2, k)]
+        for i, f in enumerate(fs, c + 2):
+            if f:
+                h[i] = [(x - f * y) % ell for x, y in zip(h[i], top)]
+        for row in h:
+            row[c + 1] = (row[c + 1] + sum(map(mul, fs, row[c + 2:]))) % ell
+    polys = [[1]]
+    for m in range(k):
+        p = [0] + polys[m]
+        for d, a in enumerate(polys[m]):
+            p[d] -= h[m][m] * a
+        t = 1
+        for i in range(1, m + 1):
+            t = t * h[m - i + 1][m - i] % ell
+            if not t:
+                break
+            f = h[m - i][m] * t
+            for d, a in enumerate(polys[m - i]):
+                p[d] -= f * a
+        polys.append([a % ell for a in p])
+    return polys[k]
 
 
 def _class_matrices(G: FiniteGroup, classes: list[list[int]],
@@ -184,6 +239,7 @@ class CharTable:
         vecs = cls._simultaneous_eigenvectors(mats, ell, k)
 
         inv_class = [class_of[G.inv[reps[j]]] for j in range(k)]
+        inv_sizes = [pow(s, -1, ell) for s in sizes]
         z_e = pow(primitive_root(ell), (ell - 1) // e, ell)
 
         rows = []
@@ -192,16 +248,28 @@ class CharTable:
             idx = next(i for i in range(k) if v[i])
             v_inv = pow(v[idx], -1, ell)
             omega = [sum(map(mul, M[idx], v)) * v_inv % ell for M in mats]
-            s = sum(om * omega[inv_class[j]] * pow(sizes[j], -1, ell)
+            s = sum(om * omega[inv_class[j]] * inv_sizes[j]
                     for j, om in enumerate(omega)) % ell
             dsq = (n * pow(s, -1, ell)) % ell
             d = next((t for t in range(1, math.isqrt(n) + 1)
                       if (t * t) % ell == dsq), None)
             if d is None:
                 raise ArithmeticError("degree not recovered mod ell")
-            chi_mod = [(d * om * pow(sizes[j], -1, ell)) % ell
+            chi_mod = [(d * om * inv_sizes[j]) % ell
                        for j, om in enumerate(omega)]
             rows.append((d, chi_mod))
+
+        # What the lift needs of class j alone: m = |reps[j]|, the class of
+        # reps[j]^v for v < m, and the rows (z_m^(-u v))_v, one set per m.
+        orders = [G.element_order(g) for g in reps]
+        power_classes = [[class_of[G.power(g, v)] for v in range(m)]
+                         for g, m in zip(reps, orders)]
+        dft = {}
+        for m in set(orders):
+            z_inv = pow(z_e, -(e // m), ell)
+            table = [pow(z_inv, w, ell) for w in range(m)]
+            dft[m] = (pow(m, -1, ell),
+                      [[table[u * v % m] for v in range(m)] for u in range(m)])
 
         values = []
         degrees = []
@@ -209,16 +277,11 @@ class CharTable:
         for d, chi_mod in sorted(rows, key=lambda r: r[0]):
             row = []
             mults = []
-            for j in range(k):
-                m = G.element_order(reps[j])
-                powers = [chi_mod[class_of[G.power(reps[j], vv)]]
-                          for vv in range(m)]
-                z_m = pow(z_e, e // m, ell)
-                minv = pow(m, -1, ell)
-                mu = tuple(
-                    (minv * sum(powers[vv] * pow(z_m, (-u * vv) % (ell - 1), ell)
-                                for vv in range(m))) % ell
-                    for u in range(m))
+            for j, m in enumerate(orders):
+                powers = [chi_mod[c] for c in power_classes[j]]
+                minv, rows_m = dft[m]
+                mu = tuple(minv * sum(map(mul, powers, row_u)) % ell
+                           for row_u in rows_m)
                 if max(mu) > d:
                     raise ArithmeticError("eigenvalue multiplicity lift failed")
                 if sum(mu) != d:
@@ -247,36 +310,45 @@ class CharTable:
         """k common eigenvectors of the class matrices mod ell.
 
         Tries combinations C = sum_j t^j M_j until C has k distinct
-        eigenvalues, that is k one-dimensional eigenspaces, and returns a
-        basis vector of each.  Class sums are central, so the M_j commute
+        eigenvalues and returns a basis vector of each eigenspace, in
+        increasing order of the eigenvalue.  The eigenvalues are the roots
+        of C's characteristic polynomial (`_charpoly`), found by evaluating
+        it at the ell points of F_ell.  k distinct roots of a polynomial of
+        degree k are simple, so each eigenspace is one-dimensional: one
+        nullspace per root, and C is rejected without any nullspace when
+        there are fewer roots.  Class sums are central, so the M_j commute
         with each other and with C: for C v = lam v, C (M_j v) = lam M_j v,
         so M_j v lies in the eigenspace of lam, the span of v.  Each vector
         is therefore an eigenvector of every M_j without a recheck; `certify`
-        is the exact backstop for the whole table."""
-        for t in range(1, 200):
+        is the exact backstop for the whole table.  t and t + ell give the
+        same C, so at most min(200, ell) - 1 combinations are tried."""
+        for t in range(1, min(200, ell)):
             comb = [[0] * k for _ in range(k)]
             scale = 1
             for M in mats:
-                for r in range(k):
-                    row = comb[r]
-                    mr = M[r]
-                    for c in range(k):
-                        row[c] = (row[c] + scale * mr[c]) % ell
+                comb = [[(a + scale * b) % ell for a, b in zip(cr, mr)]
+                        for cr, mr in zip(comb, M)]
                 scale = (scale * t) % ell
-            vecs = []
-            good = True
+            coeffs = _charpoly(comb, ell)[::-1]
+            roots = []
             for lam in range(ell):
-                shifted = [[(comb[r][c] - (lam if r == c else 0)) % ell
-                            for c in range(k)] for r in range(k)]
-                ns = _nullspace(shifted, ell)
-                if len(ns) > 1:
-                    good = False
-                    break
+                acc = 0
+                for a in coeffs:
+                    acc = (acc * lam + a) % ell
+                if not acc:
+                    roots.append(lam)
+            if len(roots) < k:
+                continue
+            vecs = []
+            for lam in roots:
+                ns = _nullspace([[(x - lam) % ell if r == c else x
+                                  for c, x in enumerate(row)]
+                                 for r, row in enumerate(comb)], ell)
+                if len(ns) != 1:
+                    raise ArithmeticError(
+                        "simple eigenvalue without a one-dimensional eigenspace")
                 vecs.extend(ns)
-                if len(vecs) == k:
-                    break
-            if good and len(vecs) == k:
-                return vecs
+            return vecs
         raise ArithmeticError("no separating class-sum combination found")
 
     # queries -----------------------------------------------------------------

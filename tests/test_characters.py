@@ -1,14 +1,18 @@
 """Character tables, virtual characters, Adams operations, induction."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tamekit.characters import (CharTable, VirtualChar, _class_matrices,
-                                 _dixon_prime, induce, restrict)
+import tamekit.characters as characters
+from tamekit.characters import (CharTable, VirtualChar, _charpoly,
+                                 _class_matrices, _dixon_prime, _nullspace,
+                                 induce, restrict)
 from tamekit.cyclotomic import CycNum, zeta
-from tamekit.groups import PRESET_NAMES, Subgroup, preset
+from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
 
 
 def test_all_presets_certify():
@@ -294,7 +298,7 @@ def test_inner_matches_the_cycnum_loop():
 
 
 def test_dixon_vectors_are_eigenvectors_of_every_class_matrix():
-    for name in PRESET_NAMES + ("C27",):
+    for name in PRESET_NAMES + ("C27", "C32", "C45"):
         G = preset(name)
         classes = G.conjugacy_classes()
         ell = _dixon_prime(G.exponent(), G.n)
@@ -307,3 +311,160 @@ def test_dixon_vectors_are_eigenvectors_of_every_class_matrix():
                 idx = next(i for i, x in enumerate(v) if x)
                 lam = mv[idx] * pow(v[idx], -1, ell) % ell
                 assert mv == [lam * x % ell for x in v], name
+
+
+def _combination(mats, t, ell):
+    """sum_j t^j M_j mod ell, the matrix the eigenvalue search tries at t."""
+    k = len(mats)
+    return [[sum(pow(t, j, ell) * M[r][c] for j, M in enumerate(mats)) % ell
+             for c in range(k)] for r in range(k)]
+
+
+def _evaluate(coeffs, x, ell):
+    return sum(a * pow(x, d, ell) for d, a in enumerate(coeffs)) % ell
+
+
+def test_charpoly_roots_are_the_eigenvalues_of_the_separating_combination():
+    for name in PRESET_NAMES + ("C27",):
+        G = preset(name)
+        classes = G.conjugacy_classes()
+        k = len(classes)
+        ell = _dixon_prime(G.exponent(), G.n)
+        mats = _class_matrices(G, classes, ell)
+        for t in range(1, ell):
+            comb = _combination(mats, t, ell)
+            poly = _charpoly(comb, ell)
+            assert len(poly) == k + 1 and poly[k] == 1, name
+            roots = [lam for lam in range(ell) if not _evaluate(poly, lam, ell)]
+            if len(roots) == k:
+                break
+        else:
+            pytest.fail(f"{name}: no combination with {k} distinct roots")
+        eigen = [lam for lam in range(ell)
+                 if _nullspace([[(x - lam) % ell if r == c else x
+                                 for c, x in enumerate(row)]
+                                for r, row in enumerate(comb)], ell)]
+        assert roots == eigen, name
+        vecs = CharTable._simultaneous_eigenvectors(mats, ell, k)
+        assert len(vecs) == k, name
+        for lam, v in zip(roots, vecs):
+            cv = [sum(a * b for a, b in zip(row, v)) % ell for row in comb]
+            assert cv == [lam * x % ell for x in v], name
+
+
+def _eliminate(mat, ell):
+    """(rank, determinant) mod ell by Gaussian elimination."""
+    m = [row[:] for row in mat]
+    k = len(m)
+    rank, det = 0, 1
+    for c in range(k):
+        pr = next((i for i in range(rank, k) if m[i][c] % ell), None)
+        if pr is None:
+            det = 0
+            continue
+        if pr != rank:
+            m[rank], m[pr] = m[pr], m[rank]
+            det = -det
+        det = det * m[rank][c] % ell
+        inv = pow(m[rank][c], -1, ell)
+        for i in range(rank + 1, k):
+            f = m[i][c] * inv % ell
+            m[i] = [(x - f * y) % ell for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank, det % ell
+
+
+@st.composite
+def square_matrices(draw):
+    """A k x k matrix mod a small prime: full, sparse, triangular or block
+    diagonal, so that the Hessenberg form meets zero subdiagonal entries."""
+    ell = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    k = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["full", "sparse", "upper", "lower", "blocks"]))
+    entry = st.integers(0, ell - 1)
+    if shape == "sparse":
+        entry = st.sampled_from([0, 0, 0, 1, ell - 1])
+    mat = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if shape == "upper":
+        mat = [[x if c >= r else 0 for c, x in enumerate(row)]
+               for r, row in enumerate(mat)]
+    elif shape == "lower":
+        mat = [[x if c <= r else 0 for c, x in enumerate(row)]
+               for r, row in enumerate(mat)]
+    elif shape == "blocks":
+        cuts = sorted(draw(st.sets(st.integers(1, k - 1), max_size=3))
+                      if k > 1 else set())
+        block = [sum(r >= cut for cut in cuts) for r in range(k)]
+        mat = [[x if block[r] == block[c] else 0 for c, x in enumerate(row)]
+               for r, row in enumerate(mat)]
+    return mat, ell
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(square_matrices())
+def test_charpoly_is_the_determinant_at_every_point(case):
+    mat, ell = case
+    k = len(mat)
+    poly = _charpoly(mat, ell)
+    assert len(poly) == k + 1 and poly[k] == 1
+    for lam in range(ell):
+        shifted = [[((lam if r == c else 0) - x) % ell
+                    for c, x in enumerate(row)] for r, row in enumerate(mat)]
+        assert _evaluate(poly, lam, ell) == _eliminate(shifted, ell)[1], lam
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(square_matrices())
+def test_nullspace_is_a_kernel_basis(case):
+    mat, ell = case
+    k = len(mat)
+    basis = _nullspace(mat, ell)
+    assert len(basis) == k - _eliminate(mat, ell)[0]
+    for v in basis:
+        assert all(sum(a * b for a, b in zip(row, v)) % ell == 0 for row in mat)
+    # distinct last nonzero positions make the vectors independent
+    last = [max(i for i, x in enumerate(v) if x) for v in basis]
+    assert len(set(last)) == len(last)
+    assert all(v[i] == 1 for v, i in zip(basis, last))
+
+
+def test_dixon_matches_the_cyclic_tables():
+    # zeta_n^(ij) and its multiplicities, known without Dixon's method
+    for name in ("C27", "C32", "C45"):
+        G = preset(name)
+        dixon = CharTable._dixon(G)
+        known = CharTable.cyclic(G, 1)
+        assert dixon.classes == known.classes, name
+        key = characters._row_key
+        where = {key(row): t for t, row in enumerate(known.values)}
+        assert sorted(map(key, dixon.values)) == sorted(where), name
+        for row, mults in zip(dixon.values, dixon.eigen):
+            assert mults == known.eigen[where[key(row)]], name
+
+
+def test_c63_table_within_budget():
+    # a group object of its own, so that no cached table is read
+    G = FiniteGroup.from_generators([tuple(range(1, 63)) + (0,)])
+    started = time.monotonic()
+    T = CharTable.of(G)
+    elapsed = time.monotonic() - started
+    assert T.k == 63 and T.degrees == [1] * 63
+    assert T.certification["pass"]
+    assert elapsed < 5, f"CharTable.of(C63) took {elapsed:.2f}s"
+
+
+def test_inseparable_class_matrices_fail_after_bounded_tries(monkeypatch):
+    calls = []
+
+    def counted(mat, ell):
+        calls.append(ell)
+        return _charpoly(mat, ell)
+
+    monkeypatch.setattr(characters, "_charpoly", counted)
+    identity = [[1, 0], [0, 1]]
+    for ell, tries in ((7, 6), (211, 199)):
+        calls.clear()
+        with pytest.raises(ArithmeticError,
+                           match="no separating class-sum combination"):
+            CharTable._simultaneous_eigenvectors([identity, identity], ell, 2)
+        assert calls == [ell] * tries
