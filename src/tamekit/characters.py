@@ -32,7 +32,13 @@ lookup: an irreducible's are its table row, `from_values` keeps the input
 it has decomposed and checked, and any other (`+`, `-`, `scale`, ...) sums
 them from its coefficients once, on first use.  The projections and the
 reproduction check of `from_values`, the sums from coefficients, and
-`inner` run on the same kernel.
+`inner` run on the same kernel.  The work that does not depend on a group
+element is done once per table: `adams` keeps each decomposition of
+psi_k chi on the table, keyed by chi's coefficients and k; `induce`
+counts the elements of H by their class in G and in H, one weighted sum
+per class of G, instead of conjugating by every element of G; and the
+m^2 cells of a cyclic table hold the m root objects, so a sum over the
+table packs m values.
 
 Table values are stored as CycNum at conductor exp(G).  Irreducibles are sorted by
 (degree, lexicographic serialized values), except that tables built for a
@@ -43,12 +49,13 @@ xi^0, xi^1, ..., xi^{m-1} with xi(s^i) = zeta_m^i.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import CycNum, _dot, zeta
+from .cyclotomic import CycNum, _as_fraction, _dot, zeta
 from .groups import FiniteGroup, Subgroup
 
 
@@ -184,6 +191,8 @@ class CharTable:
         # certify() report of a table built by Dixon's method, kept so that
         # callers read it instead of recertifying the same table.
         self.certification: dict | None = None
+        # VirtualChar.adams results, keyed by (coefficients, k)
+        self.adams_cache: dict = {}
 
     # construction ----------------------------------------------------------
 
@@ -209,12 +218,15 @@ class CharTable:
         for i in range(m):
             class_of_power[i] = x
             x = group.table[x][gen]
+        # every cell holds one of the m root objects, so `_dot` packs m
+        # values, not m^2, when a sum reads the whole table
+        roots = [zeta(m, u) for u in range(m)]
         values = [[None] * m for _ in range(m)]
         eigen = [[None] * m for _ in range(m)]
         for j in range(m):
             for i in range(m):
                 g = math.gcd(i, m)  # xi^j(gen^i) = zeta_(m/g)^((i/g) j)
-                values[j][class_of_power[i]] = zeta(m, (i * j) % m)
+                values[j][class_of_power[i]] = roots[(i * j) % m]
                 eigen[j][class_of_power[i]] = tuple(
                     int(u == (i // g) * j % (m // g)) for u in range(m // g))
         return cls(group, classes, values, [1] * m, eigen)
@@ -427,7 +439,8 @@ class VirtualChar:
 
     def __init__(self, table: CharTable, coeffs: dict[int, Fraction]):
         self.table = table
-        self.coeffs = {t: Fraction(c) for t, c in coeffs.items() if c}
+        coeffs = {t: _as_fraction(c) for t, c in coeffs.items()}
+        self.coeffs = {t: c for t, c in coeffs.items() if c}
         self._values = None
 
     @classmethod
@@ -466,11 +479,17 @@ class VirtualChar:
         return self._row()[j]
 
     def multiplicities(self, g: int) -> list[Fraction]:
-        """Coefficients of xi^u (xi(g) = zeta_|g|) in self restricted to <g>."""
+        """Coefficients of xi^u (xi(g) = zeta_|g|) in self restricted to <g>.
+        The eigen rows are summed as ints over the coefficients' common
+        denominator."""
         j = self.table.class_of[g]
-        eig = [(c, self.table.eigen[t][j]) for t, c in self.coeffs.items()]
-        return [sum((c * mu[u] for c, mu in eig), Fraction(0))
-                for u in range(self.table.group.element_order(g))]
+        eigen = self.table.eigen
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        acc = [0] * len(eigen[0][j])
+        for t, c in self.coeffs.items():
+            w = c.numerator * (den // c.denominator)
+            acc = [a + w * mu for a, mu in zip(acc, eigen[t][j])]
+        return [Fraction(a, den) for a in acc]
 
     def values(self) -> list[CycNum]:
         return list(self._row())
@@ -504,7 +523,7 @@ class VirtualChar:
         return VirtualChar(self.table, {t: -c for t, c in self.coeffs.items()})
 
     def scale(self, r) -> "VirtualChar":
-        r = Fraction(r)
+        r = _as_fraction(r)
         return VirtualChar(self.table, {t: c * r for t, c in self.coeffs.items()})
 
     def __mul__(self, other):
@@ -530,10 +549,16 @@ class VirtualChar:
         return _dot([(weights, self._row(), conj)])[0].as_rational()
 
     def adams(self, k: int) -> "VirtualChar":
-        """psi_k: the class function g -> chi(g^k), decomposed exactly."""
+        """psi_k: the class function g -> chi(g^k), decomposed exactly.  It
+        depends on the coefficients and k alone, so the decomposition is
+        kept on the table and later calls read it."""
         tb = self.table
-        vals = [self.value(tb.power_class(j, k)) for j in range(tb.k)]
-        return VirtualChar.from_values(tb, vals)
+        key = (frozenset(self.coeffs.items()), k)
+        psi = tb.adams_cache.get(key)
+        if psi is None:
+            vals = [self.value(tb.power_class(j, k)) for j in range(tb.k)]
+            psi = tb.adams_cache[key] = VirtualChar.from_values(tb, vals)
+        return psi
 
     def __repr__(self):
         if not self.coeffs:
@@ -556,21 +581,20 @@ def restrict(vc: VirtualChar, sub: Subgroup, subtable: CharTable) -> VirtualChar
 
 
 def induce(vc: VirtualChar, sub: Subgroup, parent_table: CharTable) -> VirtualChar:
-    """Induction of a class function from H to G:
-    Ind(f)(g) = (1/|H|) sum over x in G with x g x^-1 in H of f(x g x^-1)."""
+    """Induction of a class function from H to G: for g in the class C_j,
+    Ind(f)(g) = (1/|H|) sum over x in G with x g x^-1 in H of f(x g x^-1)
+              = |G| / (|H| |C_j|) sum over h in H and C_j of f(h),
+    since each h in C_j is x g x^-1 for |G| / |C_j| elements x.  The
+    elements of H are counted by G-class and H-class, so each value is one
+    weighted sum of f's values on the classes of H."""
     if vc.table.group is not sub.group:
         raise ValueError("character does not live on the subgroup")
-    G = sub.parent
-    hvals = vc.values()
-    in_h = sub.from_parent
-    vals = []
-    for j in range(parent_table.k):
-        g = parent_table.reps[j]
-        acc = CycNum.from_rational(0)
-        for x in range(G.n):
-            y = G.conjugate(x, g)
-            hi = in_h.get(y)
-            if hi is not None:
-                acc = acc + hvals[vc.table.class_of[hi]]
-        vals.append(acc / sub.group.n)
-    return VirtualChar.from_values(parent_table, vals)
+    T, S = parent_table, vc.table
+    counts = [Counter() for _ in range(T.k)]  # [G-class][H-class]: elements
+    for h, g in enumerate(sub.to_parent):
+        counts[T.class_of[g]][S.class_of[h]] += 1
+    hvals, one = vc._row(), CycNum.from_rational(1)
+    vals = _dot([([Fraction(T.group.n * x, S.group.n * T.sizes[j])
+                   for x in c.values()], [hvals[i] for i in c], [one] * len(c))
+                 for j, c in enumerate(counts)])
+    return VirtualChar.from_values(T, vals)

@@ -186,6 +186,102 @@ def test_frobenius_reciprocity_all_cyclic_subgroups():
                     assert ind.inner(chi) == psi.inner(restrict(chi, sub, subT))
 
 
+def _induce_by_conjugation(vc, sub, T):
+    """Reference induction, one conjugation per x in G:
+    Ind f(g) = (1/|H|) sum over x with x g x^-1 in H of f(x g x^-1)."""
+    G = sub.parent
+    hvals = vc.values()
+    vals = []
+    for g in T.reps:
+        acc = CycNum.from_rational(0)
+        for x in range(G.n):
+            hi = sub.from_parent.get(G.conjugate(x, g))
+            if hi is not None:
+                acc = acc + hvals[vc.table.class_of[hi]]
+        vals.append(acc / sub.group.n)
+    return VirtualChar.from_values(T, vals)
+
+
+def _f57():
+    """F57 = C19 : C3 from x -> x + 1 and x -> 7x on Z/19."""
+    return FiniteGroup.from_generators([
+        tuple((x + 1) % 19 for x in range(19)),
+        tuple(7 * x % 19 for x in range(19))])
+
+
+def _induction_cases():
+    """(subgroup, its table): every cyclic subgroup of every preset (among
+    them the C2 <(1 2)> of S3, which is not normal), on the power-ordered
+    table the pairings use; the Klein four-group in A4, which is not
+    cyclic; the C19 and C3 of F57."""
+    for name in PRESET_NAMES:
+        G = preset(name)
+        seen = set()
+        for s in range(G.n):
+            key = frozenset(G.cyclic_subgroup(s))
+            if key not in seen:
+                seen.add(key)
+                sub = Subgroup.cyclic(G, s)
+                yield sub, CharTable.cyclic(sub.group, sub.from_parent[s])
+    A4 = preset("A4")
+    klein = Subgroup(A4, [g for g in range(A4.n) if A4.element_order(g) <= 2])
+    assert klein.group.n == 4
+    yield klein, CharTable.of(klein.group)
+    F57 = _f57()
+    # the generators are the first elements after the identity
+    assert (F57.element_order(1), F57.element_order(2)) == (19, 3)
+    for s in (1, 2):
+        sub = Subgroup.cyclic(F57, s)
+        yield sub, CharTable.cyclic(sub.group, sub.from_parent[s])
+
+
+def test_induce_matches_the_conjugation_loop():
+    for sub, subT in _induction_cases():
+        T = CharTable.of(sub.parent)
+        irr = [VirtualChar.irreducible(subT, i) for i in range(subT.k)]
+        mixed = VirtualChar(subT, {i: Fraction(i + 1, subT.k)
+                                   for i in range(subT.k)})
+        for psi in irr + [mixed, irr[-1].scale(-2) - irr[0]]:
+            ind, ref = induce(psi, sub, T), _induce_by_conjugation(psi, sub, T)
+            assert ind.coeffs == ref.coeffs, (sub.elements, psi)
+            assert ind.values() == ref.values(), (sub.elements, psi)
+
+
+def test_adams_matches_a_direct_decomposition():
+    for name in PRESET_NAMES:
+        T = CharTable.of(preset(name))
+        irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
+        chars = irr + [irr[-1].scale(Fraction(-3, 2)) + irr[0],
+                       VirtualChar(T, {t: Fraction(t + 1, 3)
+                                       for t in range(T.k)})]
+        for chi in chars:
+            # every k after the first finds the table's cache holding
+            # chi's decomposition for another k
+            for k in (-1, 0, 2, 3, 5):
+                direct = VirtualChar.from_values(
+                    T, [chi.value(T.power_class(j, k)) for j in range(T.k)])
+                for psi in (chi.adams(k), chi.adams(k)):
+                    assert psi.coeffs == direct.coeffs, (name, chi, k)
+                    assert psi.values() == direct.values(), (name, chi, k)
+    # psi_2 and psi_3 differ on F21's degree-3 characters, so a
+    # decomposition served for the wrong k shows
+    T = CharTable.of(preset("F21"))
+    chi = VirtualChar.irreducible(T, T.degrees.index(3))
+    assert chi.adams(2) != chi.adams(3)
+
+
+def test_virtual_chars_reject_floats():
+    T = CharTable.of(preset("S3"))
+    chi = VirtualChar.irreducible(T, 0)
+    for bad in (0.1, 0.0):
+        with pytest.raises(TypeError):
+            chi.scale(bad)
+        with pytest.raises(TypeError):
+            VirtualChar(T, {0: bad})
+    assert chi.scale(Fraction(1, 10)).coeffs == {0: Fraction(1, 10)}
+    assert VirtualChar(T, {0: 2, 1: 0}).coeffs == {0: Fraction(2)}
+
+
 def test_restriction_values_match():
     G = preset("A4")
     T = CharTable.of(G)

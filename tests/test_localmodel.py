@@ -3,6 +3,7 @@ resolvends, and the equivariant determinant."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from tamekit.localmodel import (GroupAlgebraElement, TameCocycle,
                                 phi_star_resolvend, sigma_action,
                                 verify_factorization,
                                 verify_kummer_generator)
-from tamekit.stickelberger import pairing, star_pairing
+from tamekit.stickelberger import (pairing, star_pairing,
+                                   verify_adams_identities,
+                                   verify_induction_identities)
 
 
 def test_monomial_algebra():
@@ -390,11 +393,15 @@ def test_monomial_inverse_and_powers_match_fraction_keys(xr, yr, k):
     assert x.monomial_parts() == (e, c)
 
 
-def test_f57_factorization():
+def _f57():
     # F57 = C19 : C3, x -> x + 1 and x -> 7x on Z/19; 7 has order 3 mod 19
-    G = FiniteGroup.from_generators([
+    return FiniteGroup.from_generators([
         tuple((x + 1) % 19 for x in range(19)),
         tuple(7 * x % 19 for x in range(19))])
+
+
+def test_f57_factorization():
+    G = _f57()
     assert G.n == 57
     T = CharTable.of(G)
     # F_pq: q linear characters and (p - 1)/q of degree q
@@ -402,3 +409,17 @@ def test_f57_factorization():
     assert sorted(T.degrees) == [1] * 3 + [3] * 6
     for s in range(G.n):
         assert verify_factorization(G, s, label="F57")["pass"], s
+
+
+def test_f57_identities_and_factorization_within_budget():
+    # what the suite runs on a group: both identity verifiers and the
+    # factorization on every element (all of odd order), on a fresh group
+    # whose table is built outside the budget
+    G = _f57()
+    CharTable.of(G)
+    start = time.perf_counter()
+    for s in range(G.n):
+        assert verify_induction_identities(G, s, label="F57")["pass"], s
+        assert verify_adams_identities(G, s, label="F57")["pass"], s
+        assert verify_factorization(G, s, label="F57")["pass"], s
+    assert time.perf_counter() - start < 5.0

@@ -126,7 +126,9 @@ def test_multiplicities_match_restriction(data):
     G = data.draw(st.sampled_from(_GROUPS))
     T = CharTable.of(G)
     s = data.draw(st.integers(0, G.n - 1))
-    combo = st.lists(st.integers(-3, 3), min_size=T.k, max_size=T.k)
+    # rational coefficients with mixed denominators
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    combo = st.lists(coeff, min_size=T.k, max_size=T.k)
     a = VirtualChar(T, dict(enumerate(data.draw(combo))))
     b = VirtualChar(T, dict(enumerate(data.draw(combo))))
     sub, ctab = _cyclic_context(G, s)
