@@ -33,12 +33,13 @@ it has decomposed and checked, and any other (`+`, `-`, `scale`, ...) sums
 them from its coefficients once, on first use.  The projections and the
 reproduction check of `from_values`, the sums from coefficients, and
 `inner` run on the same kernel.  The work that does not depend on a group
-element is done once per table: `adams` keeps each decomposition of
-psi_k chi on the table, keyed by chi's coefficients and k; `induce`
-counts the elements of H by their class in G and in H, one weighted sum
-per class of G, instead of conjugating by every element of G; and the
-m^2 cells of a cyclic table hold the m root objects, so a sum over the
-table packs m values.
+element is done once per table: the table keeps its class layout
+(representatives, sizes, the class of each element, inverse classes and
+the weights |C_j|/|G| that every character sum reads); `adams` keeps
+each decomposition of psi_k chi on the table, keyed by chi's
+coefficients and k; and `induce` counts the elements of H by their class
+in G and in H, one weighted sum per class of G, instead of conjugating
+by every element of G.
 
 Table values are stored as CycNum at conductor exp(G).  Irreducibles are sorted by
 (degree, lexicographic serialized values), except that tables built for a
@@ -177,13 +178,9 @@ class CharTable:
                  eigen: list[list[tuple[int, ...]]]):
         self.group = group
         self.classes = classes
-        self.reps = [c[0] for c in classes]
-        self.sizes = [len(c) for c in classes]
         self.k = len(classes)
-        self.class_of = [0] * group.n
-        for j, cls in enumerate(classes):
-            for g in cls:
-                self.class_of[g] = j
+        (self.reps, self.sizes, self.class_of, self.inverse,
+         self.weights) = _layout(group, classes)
         self.exponent = group.exponent()
         self.values = values
         self.degrees = degrees
@@ -218,15 +215,12 @@ class CharTable:
         for i in range(m):
             class_of_power[i] = x
             x = group.table[x][gen]
-        # every cell holds one of the m root objects, so `_dot` packs m
-        # values, not m^2, when a sum reads the whole table
-        roots = [zeta(m, u) for u in range(m)]
         values = [[None] * m for _ in range(m)]
         eigen = [[None] * m for _ in range(m)]
         for j in range(m):
             for i in range(m):
                 g = math.gcd(i, m)  # xi^j(gen^i) = zeta_(m/g)^((i/g) j)
-                values[j][class_of_power[i]] = roots[(i * j) % m]
+                values[j][class_of_power[i]] = zeta(m, i * j % m)
                 eigen[j][class_of_power[i]] = tuple(
                     int(u == (i // g) * j % (m // g)) for u in range(m // g))
         return cls(group, classes, values, [1] * m, eigen)
@@ -238,19 +232,13 @@ class CharTable:
         n = G.n
         classes = G.conjugacy_classes()
         k = len(classes)
-        reps = [c[0] for c in classes]
-        sizes = [len(c) for c in classes]
-        class_of = [0] * n
-        for j, cl in enumerate(classes):
-            for g in cl:
-                class_of[g] = j
+        reps, sizes, class_of, inv_class, _ = _layout(G, classes)
         e = G.exponent()
         ell = _dixon_prime(e, n)
 
         mats = _class_matrices(G, classes, ell)
         vecs = cls._simultaneous_eigenvectors(mats, ell, k)
 
-        inv_class = [class_of[G.inv[reps[j]]] for j in range(k)]
         inv_sizes = [pow(s, -1, ell) for s in sizes]
         z_e = pow(primitive_root(ell), (ell - 1) // e, ell)
 
@@ -371,9 +359,6 @@ class CharTable:
     def power_class(self, j: int, k: int) -> int:
         return self.class_of[self.group.power(self.reps[j], k)]
 
-    def inverse_class(self, j: int) -> int:
-        return self.class_of[self.group.inv[self.reps[j]]]
-
     def trivial_index(self) -> int:
         one = CycNum.from_rational(1)
         for t in range(len(self.values)):
@@ -386,20 +371,19 @@ class CharTable:
     def certify(self) -> dict:
         """Degree sum and both orthogonality relations, exactly.  All 2 k^2
         sums go through one `_dot`, so each table value is packed once."""
-        n, k, V = self.group.n, self.k, self.values
-        inv = [self.inverse_class(j) for j in range(k)]
+        n, k, V, inv = self.group.n, self.k, self.values, self.inverse
         pairs = list(product(range(k), repeat=2))
         inv_rows = [[row[i] for i in inv] for row in V]
         columns = list(zip(*V))
         ones = [1] * k
-        sums = _dot([(self.sizes, V[t], inv_rows[u]) for t, u in pairs]
+        sums = _dot([(self.weights, V[t], inv_rows[u]) for t, u in pairs]
                     + [(ones, columns[i], columns[inv[j]]) for i, j in pairs])
         rows, cols = sums[:k * k], sums[k * k:]
         checks = [
             {"check": "sum of squared degrees equals group order",
              "pass": sum(d * d for d in self.degrees) == n},
             {"check": "first orthogonality relations",
-             "pass": all(s == (n if t == u else 0)
+             "pass": all(s == (1 if t == u else 0)
                          for s, (t, u) in zip(rows, pairs))},
             {"check": "second orthogonality relations",
              "pass": all(s == (Fraction(n, self.sizes[i]) if i == j else 0)
@@ -417,6 +401,20 @@ class CharTable:
             "degrees": list(self.degrees),
             "rows": [[v.to_dict() for v in row] for row in self.values],
         }
+
+
+def _layout(group: FiniteGroup, classes: list[list[int]]) -> tuple:
+    """(reps, sizes, class_of, inverse, weights) of a class list: class_of[g]
+    is the class of the element g, inverse[j] the class of reps[j]^-1 and
+    weights[j] = |C_j| / |G|."""
+    class_of = [0] * group.n
+    for j, cls in enumerate(classes):
+        for g in cls:
+            class_of[g] = j
+    reps = [c[0] for c in classes]
+    sizes = [len(c) for c in classes]
+    return (reps, sizes, class_of, [class_of[group.inv[g]] for g in reps],
+            [Fraction(s, group.n) for s in sizes])
 
 
 def _row_key(row: list[CycNum]):
@@ -453,11 +451,9 @@ class VirtualChar:
     def from_values(cls, table: CharTable, values: list[CycNum]) -> "VirtualChar":
         """Decompose a class function exactly in the irreducible basis."""
         values = list(values)
-        k, V = table.k, table.values
-        weights = [Fraction(s, table.group.n) for s in table.sizes]
-        inv = [table.inverse_class(j) for j in range(k)]
-        projections = _dot([(weights, values, [row[i] for i in inv])
-                            for row in V])
+        inv = table.inverse
+        projections = _dot([(table.weights, values, [row[i] for i in inv])
+                            for row in table.values])
         vc = cls(table, {t: p.as_rational() for t, p in enumerate(projections)})
         # confirm the decomposition reproduces the input
         if vc._row() != values:
@@ -542,11 +538,9 @@ class VirtualChar:
         """(1/|G|) sum_g self(g) * conj(other(g)), exact.  other has rational
         coefficients, so conj(other(g)) = other(g^-1)."""
         self._same_table(other)
-        tb = self.table
         b = other._row()
-        weights = [Fraction(s, tb.group.n) for s in tb.sizes]
-        conj = [b[tb.inverse_class(j)] for j in range(tb.k)]
-        return _dot([(weights, self._row(), conj)])[0].as_rational()
+        conj = [b[i] for i in self.table.inverse]
+        return _dot([(self.table.weights, self._row(), conj)])[0].as_rational()
 
     def adams(self, k: int) -> "VirtualChar":
         """psi_k: the class function g -> chi(g^k), decomposed exactly.  It

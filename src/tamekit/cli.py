@@ -419,9 +419,13 @@ def _load_config(path_text: str | None) -> dict:
                 "TOML config needs Python 3.11+; use JSON") from None
         return tomllib.loads(raw.decode())
     try:
-        return json.loads(raw)
+        data = json.loads(raw)
     except json.JSONDecodeError as ex:
         raise UsageError(f"bad JSON config: {ex}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"config {path_text} must hold a JSON object, "
+                         f"got {json.dumps(data)}")
+    return data
 
 
 def cmd_suite(args) -> int:

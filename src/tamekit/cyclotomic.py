@@ -34,13 +34,16 @@ terms, and only a result with terms at degree >= phi(n) is packed for the
 reduction.  The path is read off the operands; there is no setting.
 
 Character sums sum_j w_j a_j b_j (orthogonality, projections, inner
-products) go through one private kernel, `_dot`, which extends the same
-packing from one product to whole sums: each distinct operand is packed
-once for all the sums of a call, a sum's products are added as big ints,
-and each sum is reduced modulo Phi_n once.  Its slots are sized from
-sum_j |w_j| |a_j|_1 |b_j|_1 (1 + spread), with the weights scaled to
-integers over the sum's common denominator, which bounds every slot of
-the sum and of its reduction by the argument of `_table`.
+products, eigenfactor DFTs) go through one private kernel, `_dot`, which
+extends the same packing from one product to whole sums: each distinct
+operand is packed once for all the sums of a call, a sum's products are
+added as big ints, and each sum is reduced modulo Phi_n once.  Callers
+pass operands with any denominators: one pass over the sums folds them
+and the weights into integer weights over each sum's common denominator
+and sizes the slots from sum_j |w_j| |a_j|_1 |b_j|_1 (1 + spread), which
+bounds every slot of the sum and of its reduction by the argument of
+`_table`.  Roots of unity come from `zeta`, which is cached, so equal
+roots are one object and `_dot` packs each of them once.
 
 `_table(n)` is the one cached table per conductor: Phi_n, Psi_n and their
 packings, O(n) ints, used by every reduction (products, construction,
@@ -72,6 +75,7 @@ from .arith import euler_phi, prime_factors
 # Arrays convert in native byte order; packed ints are little-endian.
 _SWAP = sys.byteorder != "little"
 _denominator = attrgetter("denominator")
+_den = attrgetter("den")
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -503,57 +507,52 @@ class CycNum:
 
 def _dot(sums: list) -> list[CycNum]:
     """[sum_j w[j] a[j] b[j] for each (w, a, b) in sums]: w holds int or
-    Fraction weights and a, b hold CycNums, all three of one length per
-    sum.  Every sum is returned at the lcm conductor n of all operands.
+    Fraction weights and a, b hold CycNums of any denominators, all three
+    of one length per sum.  Every sum is returned at the lcm conductor n of
+    all operands.
 
     Each distinct operand object is embedded at n and packed once for all
     the sums (objects are told apart by id, which the list keeps alive); a
     sum adds its products as packed ints and is reduced modulo Phi_n once.
-    Over a common denominator D of a sum, w_j a_j b_j =
-    W_j A_j B_j / D with integer weights W_j and numerators A_j, B_j, so no
-    slot of the sum or of its reduction exceeds sum_j |W_j| |A_j|_1 |B_j|_1
-    (1 + spread) (see `_table`); the largest of these over the sums, and
-    of the operands' own |A|_1, sets one slot width for all of them."""
+    One pass prepares each sum and takes the slot bound: over a common
+    denominator D, w_j a_j b_j = W_j A_j B_j / D with integer weights W_j
+    (the operands' denominators folded in, unless every operand of the
+    call is integral) and numerators A_j, B_j, so no slot of the sum or of
+    its reduction exceeds sum_j |W_j| |A_j|_1 |B_j|_1 (1 + spread) (see
+    `_table`); the largest of these over the sums, and of the operands' own
+    |A|_1, sets one slot width for all of them."""
     ops = {}
     for _, a, b in sums:
         ops.update(zip(map(id, a), a))
         ops.update(zip(map(id, b), b))
     n = math.lcm(*(x.n for x in ops.values()))
     phi, spread = _table(n)[:2]
+    unit = all(x.den == 1 for x in ops.values())
     ops = {i: x.embed(n) for i, x in ops.items()}
-    dens = {i: x.den for i, x in ops.items()}
     l1 = {i: sum(map(abs, x.num)) for i, x in ops.items()}
-
-    unit = all(d == 1 for d in dens.values())
     over = {}  # id(w) -> (lcm of w's denominators, w's numerators over it)
-
-    def scaled(w, ia, ib):
-        """D and the integer weights W_j of one sum."""
+    prepared = []  # (W, D) per sum
+    bound = max(l1.values(), default=0)  # every operand is packed
+    for w, a, b in sums:
         if id(w) not in over:
             d = math.lcm(*map(_denominator, w))
             over[id(w)] = d, [c.numerator * (d // c.denominator) for c in w]
         den, weights = over[id(w)]
-        if unit:
-            return den, weights
-        d = list(map(mul, map(dens.get, ia), map(dens.get, ib)))
-        lcm = math.lcm(*d)
-        return den * lcm, list(map(mul, weights, map(lcm.__floordiv__, d)))
-
-    bound = max(l1.values(), default=0)  # every operand is packed
-    for w, a, b in sums:
-        ia, ib = list(map(id, a)), list(map(id, b))
-        weights = scaled(w, ia, ib)[1]
+        if not unit:
+            d = list(map(mul, map(_den, a), map(_den, b)))
+            lcm = math.lcm(*d)
+            den *= lcm
+            weights = list(map(mul, weights, map(lcm.__floordiv__, d)))
         bound = max(bound, sum(map(mul, map(mul, map(abs, weights),
-                                            map(l1.get, ia)),
-                                   map(l1.get, ib))))
+                                            map(l1.get, map(id, a))),
+                                   map(l1.get, map(id, b)))))
+        prepared.append((weights, den))
     kb = _slot_bytes(bound * (1 + spread))
     packed = {i: _pack(x.num, kb) for i, x in ops.items()}
     out = []
-    for w, a, b in sums:
-        ia, ib = list(map(id, a)), list(map(id, b))
-        den, weights = scaled(w, ia, ib)
-        f = sum(map(mul, map(mul, weights, map(packed.get, ia)),
-                    map(packed.get, ib)))
+    for (_, a, b), (weights, den) in zip(sums, prepared):
+        f = sum(map(mul, map(mul, weights, map(packed.get, map(id, a))),
+                    map(packed.get, map(id, b))))
         num = _reduce_packed(n, f, 2 * phi - 1, kb) if phi > 1 \
             else _unpack(f, 1, kb)
         out.append(CycNum._make(n, num, den))
@@ -586,6 +585,9 @@ def _promote(x):
     return NotImplemented
 
 
+@lru_cache(maxsize=None)
 def zeta(n: int, k: int = 1) -> CycNum:
-    """The root of unity zeta_n^k as a CycNum of conductor n."""
+    """The root of unity zeta_n^k as a CycNum of conductor n.  Cached:
+    CycNums are immutable, so each root is built once and equal calls
+    share one object, which `_dot` then packs once."""
     return CycNum(n, {k: 1})

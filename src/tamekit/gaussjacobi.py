@@ -14,7 +14,7 @@ With the inverse placed on chi the classical relations read
     tau(chi) galois_apply(tau(chi),-1) = p
 
 and the last one supplies tau^-1 without any division: the inverse is the
-(-1)-conjugate scaled by 1/p.  J* always descends to the prime-to-p part
+(-1)-conjugate times 1/p.  J* always descends to the prime-to-p part
 of its conductor; j_star returns it there, which both certifies the
 descent and keeps norms cheap.
 

@@ -20,21 +20,20 @@ gives resolvends r = sum_i sigma^i(beta) s^(-i).  On the cyclic group
 <g0> of order h that carries r, chi's determinant is prod_j F_j^mult_j:
 the eigenfactors F_j = sum_i r[g0^i] zeta_h^(ij) depend on r alone and are
 one length-h DFT, computed once per resolvend (one packed `_dot` call for
-all h x |exponents| sums) and kept on it, so every character of every
-verifier reads them.  mult_j comes from chi (VirtualChar.multiplicities):
-Dixon's eigenvalue data for an irreducible, and for psi_2 chi the
-decomposition `adams` computed, so the Adams identity stays a check
-between two routes.  The verifiers check that these determinants are
-exactly the monomials predicted by the Stickelberger pairings, that a
-Kummer generator's twisted orbit sums recover each basis monomial, and
-that the change-of-basis determinant is a unit above the chosen residue
-characteristic.
+all h x |exponents| sums, the coefficients passed as they are) and kept
+on it, so every character of every verifier reads them.  mult_j comes
+from chi (VirtualChar.multiplicities): Dixon's eigenvalue data for an
+irreducible, and for psi_2 chi the decomposition `adams` computed, so
+the Adams identity stays a check between two routes.  The verifiers
+check that these determinants are exactly the monomials predicted by the
+Stickelberger pairings, that a Kummer generator's twisted orbit sums
+recover each basis monomial, and that the change-of-basis determinant is
+a unit above the chosen residue characteristic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import is_prime_power, smallest_prime_in_class
@@ -45,11 +44,6 @@ from .padic import lambda_valuation
 from .stickelberger import pairing, star_pairing
 
 Scalar = (int, Fraction, CycNum)
-
-# zeta_n^k for the sigma twists and the DFT roots: CycNums are immutable,
-# and each exponent of a resolvend needs the same few roots again.  It
-# holds at most n roots per conductor n that a resolvend used.
-_root = lru_cache(maxsize=None)(zeta)
 
 
 class TameElement:
@@ -211,7 +205,7 @@ def sigma_action(x: TameElement) -> TameElement:
     mod 1, not on the denominator it is written over.
     """
     D = x.den
-    return TameElement({a: c * _root(D, a % D) for a, c in x.terms.items()}, D)
+    return TameElement({a: c * zeta(D, a % D) for a, c in x.terms.items()}, D)
 
 
 def frobenius_action(x: TameElement, q: int) -> TameElement:
@@ -316,18 +310,22 @@ class GroupAlgebraElement:
         return "GroupAlgebraElement{" + ", ".join(bits) + "}"
 
 
+def _ladder(m: int, start: int) -> TameElement:
+    """(1/m) sum_{i<m} pi^((start + i)/m)."""
+    return TameElement(dict.fromkeys(range(start, start + m),
+                                     CycNum.from_rational(Fraction(1, m))), m)
+
+
 def beta(m: int) -> TameElement:
     """(1/m) sum_i pi^(i/m).  Depends only on the order m."""
-    return TameElement(dict.fromkeys(range(m),
-                                     CycNum.from_rational(Fraction(1, m))), m)
+    return _ladder(m, 0)
 
 
 def beta_star(m: int) -> TameElement:
     """Centered variant, exponents shifted by (1-m)/2; odd m only."""
     if m % 2 == 0:
         raise ValueError(f"centered ladder needs odd order, got {m}")
-    w = CycNum.from_rational(Fraction(1, m))
-    return TameElement(dict.fromkeys(range((1 - m) // 2, (m + 1) // 2), w), m)
+    return _ladder(m, (1 - m) // 2)
 
 
 def _resolvend(G: FiniteGroup, s: int, b: TameElement) -> GroupAlgebraElement:
@@ -403,17 +401,16 @@ def _eigenfactors(x: GroupAlgebraElement) -> tuple[int, list[TameElement]]:
         g0 = min(gens)
         den = lcm(*(c.den for c in x.terms.values()))
         # rows[a]: each i with a term v pi^(a/den) in x[g0^i], as i, the
-        # weight 1/v.den and the integral v.den v: with integral operands
-        # _dot scales each row's weights once, not once per sum
+        # weight 1 and v
         rows: dict[int, tuple[list, list, list]] = {}
         for i, g in enumerate(G.cyclic_subgroup(g0)):
             if g in x.terms:
                 for a, v in x.terms[g]._over(den).items():
                     idx, w, vals = rows.setdefault(a, ([], [], []))
                     idx.append(i)
-                    w.append(Fraction(1, v.den))
-                    vals.append(v * v.den)
-        roots = [_root(h, k) for k in range(h)]
+                    w.append(1)
+                    vals.append(v)
+        roots = [zeta(h, k) for k in range(h)]
         sums = [(w, vals, [roots[i * j % h] for i in idx])
                 for j in range(h) for idx, w, vals in rows.values()]
         flat = _dot(sums)
@@ -493,16 +490,9 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None,
 
     G = preset(f"C{e}")
     s = 1 % e
-    alpha = TameElement(dict.fromkeys(range(n, n + e),
-                                      CycNum.from_rational(Fraction(1, e))), e)
-    orbit = []
-    cur = alpha
-    for _ in range(e):
-        orbit.append(cur)
-        cur = sigma_action(cur)
-
+    r = _resolvend(G, s, _ladder(e, n))  # alpha's resolvend
+    orbit = [r.terms[G.power(s, -j)] for j in range(e)]  # sigma^j(alpha)
     ctab = CharTable.cyclic(G, s)
-    r = GroupAlgebraElement(G, {G.power(s, -j): orbit[j] for j in range(e)})
 
     checks = []
     for l in range(e):

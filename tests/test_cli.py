@@ -193,6 +193,20 @@ def test_suite_malformed_config_exits_two(data, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
+@pytest.mark.parametrize("data", [None, [{}], [1], "abc", 3])
+def test_suite_config_that_is_not_an_object_exits_two(data, fmt, tmp_path,
+                                                      capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main(["suite", "--config", str(config),
+                 "--out", str(tmp_path / "r"), *fmt]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(config) in err and "JSON object" in err, err
+    assert not out and not (tmp_path / "r").exists()
+
+
 _PLACE = {"label": "v7", "q": 7, "s": "(1 2 3)"}
 
 

@@ -273,6 +273,15 @@ def test_stored_eigenfactors_match_the_per_character_loop():
             assert prod.eigen is None
             for vc in chars[0::3] + chars[2::3]:
                 assert det_resolvend(prod, vc) == _det_by_character(prod, vc)
+            # an element on <s> whose coefficients of pi^(1/m) have unequal
+            # denominators, so the eigenfactor sums carry them into _dot
+            m = G.element_order(s)
+            mixed = GroupAlgebraElement(G, {
+                G.power(s, i): TameElement({0: i + 1, 1: Fraction(1, i + 2)},
+                                           m)
+                for i in range(m)})
+            for vc in chars[0::3]:
+                assert det_resolvend(mixed, vc) == _det_by_character(mixed, vc)
 
 
 def test_adams_check_fails_on_a_wrong_psi2(monkeypatch):
