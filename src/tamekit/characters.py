@@ -359,13 +359,6 @@ class CharTable:
     def power_class(self, j: int, k: int) -> int:
         return self.class_of[self.group.power(self.reps[j], k)]
 
-    def trivial_index(self) -> int:
-        one = CycNum.from_rational(1)
-        for t in range(len(self.values)):
-            if self.degrees[t] == 1 and all(v == one for v in self.values[t]):
-                return t
-        raise AssertionError("no trivial character")
-
     # certification -----------------------------------------------------------
 
     def certify(self) -> dict:
@@ -493,9 +486,6 @@ class VirtualChar:
     def degree(self) -> Fraction:
         return sum((c * self.table.degrees[t] for t, c in self.coeffs.items()),
                    Fraction(0))
-
-    def is_genuine(self) -> bool:
-        return all(c.denominator == 1 and c > 0 for c in self.coeffs.values())
 
     def _same_table(self, other: "VirtualChar"):
         if self.table is not other.table:

@@ -17,17 +17,17 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
-from .arith import is_prime
+from .arith import is_prime, is_prime_power
 from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum
-from .gaussjacobi import (MultChar, gauss_sum, j_star, verify_gauss_identities,
-                          verify_jstar)
+from .gaussjacobi import (PRIME_CAP, MultChar, gauss_sum, j_star,
+                          verify_gauss_identities, verify_jstar)
 from .groups import FiniteGroup, PRESET_NAMES, cycle_string, parse_cycles, preset
 from .ledger import build_f, crux_check, decompose, norm_restrict, recompose
 from .localmodel import verify_factorization, verify_kummer_generator
-from .padic import PrecisionExhausted
 from .stickelberger import (pairing, pairing_table, star_pairing,
                             verify_adams_identities,
                             verify_induction_identities)
@@ -71,8 +71,9 @@ class SuiteConfig:
                 raise UsageError(str(ex)) from None
         self.primes = [self._as_int("primes", p) for p in merged["primes"]]
         for p in self.primes:
-            if not is_prime(p):
-                raise UsageError(f"configured prime {p} is not prime")
+            if not is_prime(p) or p > PRIME_CAP:
+                raise UsageError(f"configured prime {p} must be a prime "
+                                 f"up to {PRIME_CAP}")
         self.e_values = [self._as_int("e_values", e)
                          for e in merged["e_values"]]
         for e in self.e_values:
@@ -87,9 +88,9 @@ class SuiteConfig:
         for p, e in self.crux:
             if e % 2 == 0 or e < 1:
                 raise UsageError(f"crux pair ({p}, {e}): e must be odd")
-            if not is_prime(p) or (p - 1) % e != 0:
-                raise UsageError(
-                    f"crux pair ({p}, {e}): need p prime with e dividing p-1")
+            if not is_prime(p) or p > PRIME_CAP or (p - 1) % e != 0:
+                raise UsageError(f"crux pair ({p}, {e}): need p prime, up to "
+                                 f"{PRIME_CAP}, with e dividing p-1")
         self.format = merged["format"]
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
@@ -157,6 +158,22 @@ def _resolve_element(G: FiniteGroup, text: str) -> int:
     raise UsageError(f"element {text!r} not in group; names: {G.names}")
 
 
+def _check_tame(G: FiniteGroup, s: int, q: int | None, where: str) -> None:
+    """Odd |s| and a residue size q, if given, that is a prime power prime
+    to |s|."""
+    m = G.element_order(s)
+    if m % 2 == 0:
+        raise UsageError(f"{where}: |s| = |{G.names[s]}| = {m} must be odd")
+    if q is not None and (not is_prime_power(q) or gcd(m, q) != 1):
+        raise UsageError(f"{where}: q = {q} must be a prime power prime "
+                         f"to |s| = {m}")
+
+
+def _check_precision(precision: int | None) -> None:
+    if precision is not None and precision < 1:
+        raise UsageError(f"precision must be positive, got {precision}")
+
+
 def _write_or_print(text: str, out: str | None, filename: str) -> None:
     if out:
         path = Path(out)
@@ -212,12 +229,22 @@ def cmd_localmodel_verify(args) -> int:
     G = _resolve_group(args.group)
     s = _resolve_element(G, args.s)
     t = _resolve_element(G, args.t) if args.t is not None else None
+    _check_tame(G, s, args.q, "localmodel verify")
+    m = G.element_order(s)
+    image = G.conjugate(t or 0, s)
+    if image not in {G.power(s, k) for k in range(m)}:
+        raise UsageError(f"t = {G.names[t]} does not normalize <{G.names[s]}>")
+    if args.q is not None and G.power(s, args.q) != image:
+        raise UsageError(f"t s t^-1 = s^q fails for q = {args.q}")
+    if args.n is not None and abs(args.n) >= m:
+        raise UsageError(f"window offset {args.n} out of range for |s| = {m}")
+    _check_precision(args.precision)
     report = {"suite": "localmodel verify",
               "factorization": verify_factorization(G, s, t=t, q=args.q,
                                                     label=args.group)}
     if args.n is not None:
         report["kummer"] = verify_kummer_generator(
-            G.element_order(s), args.n, q=args.q, precision=args.precision)
+            m, args.n, q=args.q, precision=args.precision)
     report["pass"] = all(
         report[k]["pass"] for k in ("factorization", "kummer") if k in report)
     _write_or_print(_dump(report), args.out,
@@ -230,6 +257,8 @@ def cmd_gauss(args) -> int:
     d = args.order if args.order is not None else p - 1
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
+    if p > PRIME_CAP:
+        raise UsageError(f"prime {p} beyond supported cap {PRIME_CAP}")
     if d < 1 or (p - 1) % d != 0:
         raise UsageError(f"order {d} does not divide {p} - 1")
     values = []
@@ -249,8 +278,10 @@ def cmd_gauss(args) -> int:
 def cmd_crux(args) -> int:
     if args.e % 2 == 0 or args.e < 1:
         raise UsageError(f"e must be odd and positive, got {args.e}")
-    if not is_prime(args.p) or (args.p - 1) % args.e != 0:
-        raise UsageError(f"need p prime with e | p-1; got p={args.p}, e={args.e}")
+    if not is_prime(args.p) or args.p > PRIME_CAP or (args.p - 1) % args.e:
+        raise UsageError(f"need p prime, up to {PRIME_CAP}, with e | p-1; "
+                         f"got p={args.p}, e={args.e}")
+    _check_precision(args.precision)
     report = crux_check(args.p, args.e, precision=args.precision)
     _write_or_print(_dump(report), args.out, f"crux-p{args.p}-e{args.e}.json")
     return 0 if report["pass"] else 1
@@ -280,10 +311,15 @@ def _ledger_demo_report(data) -> dict:
         for field in ("label", "q", "s"):
             if field not in pl:
                 raise UsageError(f"places entry {pl!r} has no {field}")
-        if not isinstance(pl["label"], str):
-            raise UsageError(f"label must be a string, got {pl['label']!r}")
-        places.append((pl["label"], SuiteConfig._as_int("q", pl["q"]),
-                       _resolve_element(G, str(pl["s"]))))
+        label = pl["label"]
+        if not isinstance(label, str):
+            raise UsageError(f"label must be a string, got {label!r}")
+        if any(label == seen for seen, _, _ in places):
+            raise UsageError(f"duplicate place label {label!r}")
+        q = SuiteConfig._as_int("q", pl["q"])
+        s = _resolve_element(G, str(pl["s"]))
+        _check_tame(G, s, q, f"place {label!r}")
+        places.append((label, q, s))
     table = CharTable.of(G)
     f = build_f(G, places)
     parts = decompose(f)
@@ -516,11 +552,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as ex:
+    except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except (PrecisionExhausted, ArithmeticError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+    except Exception as ex:  # a computation that cannot finish, or a fault
+        print("error: " + " ".join(f"{type(ex).__name__}: {ex}".split()),
+              file=sys.stderr)
         return 3
 
 

@@ -45,6 +45,16 @@ bounds every slot of the sum and of its reduction by the argument of
 `_table`.  Roots of unity come from `zeta`, which is cached, so equal
 roots are one object and `_dot` packs each of them once.
 
+An identity needs a yes or no, not a canonical form, and `_ZeroTest`
+answers it with no reduction modulo Phi_n: Phi_n divides D exactly when
+D Psi_n vanishes modulo x^n - 1, and on ints packed at 8 kb bits a slot,
+x^n - 1 becomes a fold modulo 2^(8 kb n) - 1 by shifts and masks.  The
+test is exact while |D|_1 |Psi_n|_1 < 2^(8 kb - 1), which bounds every
+coefficient of D Psi_n folded modulo x^n - 1 (the class docstring has
+the argument).  Psi_n and operands at a conductor dividing n act as sums
+of shifts, so the Gauss/Jacobi sweep pays one packed product per pair of
+Gauss sums and no reduction.
+
 `_table(n)` is the one cached table per conductor: Phi_n, Psi_n and their
 packings, O(n) ints, used by every reduction (products, construction,
 embedding, Galois action, `shrink_to`).  A dense table of the rows
@@ -202,6 +212,93 @@ def _reduce_packed(n: int, f: int, length: int, kb: int) -> list[int]:
     cut = max(0, n - length + 1)
     q = _high(_high(f, phi, kb) * _high(small, cut, kb), n - phi - cut, kb)
     return _unpack(f - q * big, phi, kb)
+
+
+class _ZeroTest:
+    """Exact tests of D = 0 in Q(zeta_n) that never reduce modulo Phi_n.
+
+    x^n - 1 = Phi_n Psi_n divides D Psi_n exactly when Phi_n divides D
+    (Phi_n and Psi_n are coprime, x^n - 1 being squarefree; or cancel
+    Psi_n in Z[x]).  With B = 2^(8 kb) and M = B^n - 1, B^n = 1 mod M, so
+    x -> B maps Z[x]/(x^n - 1) into Z/M: packed products taken mod M, and
+    shifts by whole slots, give (D Psi_n)(B) mod M.  Reducing mod M folds
+    blocks of 8 kb n bits with shifts and masks, no division.  Let g be
+    D Psi_n folded mod x^n - 1: deg g < n, and no coefficient exceeds
+    |D|_1 |Psi_n|_1 in magnitude.  Below 2^(8 kb - 1) that makes
+    |g(B)| < M/2, so g(B) = 0 mod M forces g(B) = 0, and then g = 0,
+    since balanced base-B digits are unique.  So a zero residue means
+    Phi_n | D, and a nonzero one means it does not.
+
+    A packed value is multiplied by Psi_n as sums of shifts, one per
+    sparse factor: for n = q m with q the largest prime of n,
+    Psi_n(x) = Phi_m(x) Psi_m(x^q) if q does not divide m, and
+    Psi_m(x^q) if it does.  At the Gauss sweep's conductors p(p - 1) that
+    is 7 + 12 shifts at p = 61 (Psi_n itself has 84 terms) and 5 + 4 at
+    p = 101.
+
+    `bound` must bound |D|_1 for every D tested, D's operands being
+    integral CycNums at conductors dividing n.  Slots are the fewest bytes
+    that hold bound |Psi_n|_1 and a sign, not an array width: operands are
+    packed once, and every product and shift after that is on ints of
+    that many bytes per slot (5 in place of 8 at p = 71)."""
+
+    __slots__ = ("n", "kb", "width", "mask", "psi")
+
+    def __init__(self, n: int, bound: int):
+        self.n = n
+        psi_l1 = sum(map(abs, _table(n)[4]))
+        self.kb = kb = (bound * psi_l1).bit_length() // 8 + 1
+        self.width = 8 * kb * n
+        self.mask = (1 << self.width) - 1  # M
+        q = prime_factors(n)[-1] if n > 1 else 1
+        m = n // q
+        # Phi_m(x) first: it has the lower degree, so the ints stay short.
+        factors = [(cyclotomic_poly(m), 1)] if m % q else []
+        factors.append((_table(m)[4], q))  # Psi_m(x^q)
+        # per factor: its coefficients, each with its terms' shifts in bits
+        self.psi = []
+        for poly, step in factors:
+            shifts = {}
+            for e, c in enumerate(poly):
+                if c:
+                    shifts.setdefault(c, []).append(8 * kb * step * e)
+            self.psi.append(sorted(shifts.items()))
+
+    def pack(self, x: "CycNum") -> int:
+        """x's numerators packed at this slot width; x integral at n."""
+        if x.den != 1 or x.n != self.n:
+            raise ValueError("zero test needs integral operands at "
+                             f"conductor {self.n}")
+        return _pack(x.num, self.kb)
+
+    def fold(self, v: int) -> int:
+        """v mod M, in 0..M (M itself is a zero residue)."""
+        width, mask = self.width, self.mask
+        while v >> width:
+            v = (v & mask) + (v >> width)
+        return v
+
+    def times_psi(self, v: int) -> int:
+        """v Psi_n mod M, for a packed or folded v."""
+        for factor in self.psi:
+            v = self.fold(sum(c * sum(v << s for s in shifts)
+                              for c, shifts in factor))
+        return v
+
+    def rotations(self, x: "CycNum", t: int) -> int:
+        """x t, unfolded, for integral x at a conductor L dividing n: each
+        term c zeta_L^e is c times t shifted by e n/L slots, so there is no
+        full-width product."""
+        if x.den != 1 or self.n % x.n:
+            raise ValueError("zero test needs integral operands at "
+                             f"conductors dividing {self.n}")
+        unit = 8 * self.kb * (self.n // x.n)
+        return sum(c * (t << e * unit) for e, c in enumerate(x.num) if c)
+
+    def is_zero(self, v: int) -> bool:
+        """Whether v is 0 mod M: Phi_n | D for v = (D Psi_n)(B) mod M."""
+        v = self.fold(v)
+        return not v or v == self.mask
 
 
 def _reduce(n: int, raw: list[int]) -> list[int]:

@@ -18,11 +18,19 @@ and the last one supplies tau^-1 without any division: the inverse is the
 of its conductor; j_star returns it there, which both certifies the
 descent and keeps norms cheap.
 
-The identity sweep embeds every tau at conductor p(p-1) and checks each
-relation with CycNum products.  tau(chi_a) tau(chi_b) is formed once per
-unordered pair, while J(chi_a, chi_b) is summed from its own definition
-for each ordered pair, so both orders are checked against independent
-left-hand sides.
+The identity sweep embeds every tau at conductor N = p(p-1) and checks
+each relation as one exact zero test of D = J tau_c - tau_a tau_b
+modulo Phi_N (`cyclotomic._ZeroTest`): D Psi_N vanishes modulo x^N - 1,
+for Psi_N = (x^N - 1)/Phi_N, tested on packed ints modulo
+2^(8 kb N) - 1 with no reduction modulo Phi_N.  tau_c Psi_N is formed
+once per character.  tau(chi_a) tau(chi_b) is one packed product per
+unordered pair, times Psi_N, shared by both orders, while J(chi_a, chi_b)
+is summed from its own definition for each ordered pair, at its own
+conductor L; its terms are shifts of tau_c Psi_N by e N/L slots, so
+J tau_c needs no full-width product.  Both orders are thus checked
+against independent left-hand sides, and nothing uses the substitution
+that proves the identity.  The tau checks tau_a tau_(-a) = (-1)^a p go
+through the same test.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import CycNum, zeta
+from .cyclotomic import CycNum, _ZeroTest, zeta
 
 PRIME_CAP = 101
 
@@ -199,6 +207,10 @@ def verify_gauss_identities(p: int) -> dict:
         tau(chi_a) tau(chi_a^-1) = (-1)^a p          for every a
         J(chi_a, chi_b) tau(chi_a chi_b) = tau(chi_a) tau(chi_b)
                                     for every pair with a + b != 0 mod p-1
+
+    Each is a zero test of lhs - rhs modulo Phi_N, as the module
+    docstring describes; the slot bound comes from the largest |tau|_1
+    and |J|_1 of the sweep, so every J is summed before the first test.
     """
     if not is_prime(p) or p > PRIME_CAP:
         raise ValueError(f"unsupported prime {p}")
@@ -206,27 +218,34 @@ def verify_gauss_identities(p: int) -> dict:
     N = p * d
     chars = [MultChar(p, d, a) for a in range(d)]
     taus = [gauss_sum(chi).embed(N) for chi in chars]
+    jacobi = {(x, y): jacobi_sum(chars[x], chars[y])
+              for x in range(1, d) for y in range(1, d) if (x + y) % d}
+    # |D|_1 <= |tau_a|_1 |tau_b|_1 + |J|_1 |tau_c|_1 (+ p for tau checks)
+    top = max((sum(map(abs, t.num)) for t in taus[1:]), default=0)
+    widest = max((sum(map(abs, J.num)) for J in jacobi.values()), default=0)
+    test = _ZeroTest(N, top * top + max(p, widest * top))
+    packed = [test.pack(t) for t in taus]
+    psi = list(map(test.times_psi, packed))  # tau_c Psi_N; psi[0] = Psi_N
 
-    tau_checks = []
-    for a in range(1, d):
-        sign = -1 if a % 2 else 1
-        tau_checks.append({
-            "a": a,
-            "chi_minus_one": sign,
-            "pass": taus[a] * taus[d - a] == sign * p,
-        })
-
+    tau_pass = {}
     pair_count = 0
     failures = []
     for a in range(1, d):
         for b in range(a, d):
-            if (a + b) % d == 0:
+            product = test.times_psi(packed[a] * packed[b])
+            c = (a + b) % d
+            if not c:
+                sign = -1 if a % 2 else 1
+                tau_pass[a] = tau_pass[b] = test.is_zero(
+                    product - sign * p * psi[0])
                 continue
-            product = taus[a] * taus[b]
             for x, y in {(a, b), (b, a)}:
                 pair_count += 1
-                if jacobi_sum(chars[x], chars[y]) * taus[(a + b) % d] != product:
+                if not test.is_zero(
+                        test.rotations(jacobi[x, y], psi[c]) - product):
                     failures.append([x, y])
+    tau_checks = [{"a": a, "chi_minus_one": -1 if a % 2 else 1,
+                   "pass": tau_pass[a]} for a in range(1, d)]
     failures.sort()
     return {
         "suite": "gauss-identities",

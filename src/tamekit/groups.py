@@ -170,10 +170,6 @@ class FiniteGroup:
             e = math.lcm(e, self.element_order(i))
         return e
 
-    def is_abelian(self) -> bool:
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.n) for j in range(i))
-
     def conjugacy_classes(self) -> list[list[int]]:
         """Classes as sorted index lists, ordered by smallest member; the
         identity class comes first."""

@@ -61,17 +61,6 @@ class ReprHom:
     def value(self, i: int) -> TameElement:
         return self.values[i]
 
-    def on_virtual(self, vc: VirtualChar) -> TameElement:
-        """Multiplicative extension: sums of characters map to products."""
-        if vc.table is not self.table:
-            raise ValueError("character lives on a different table")
-        out = TameElement.one()
-        for i, c in sorted(vc.coeffs.items()):
-            if c.denominator != 1:
-                raise ValueError(f"non-integral multiplicity {c}")
-            out = out * self.values[i] ** int(c)
-        return out
-
     def is_trivial(self) -> bool:
         one = TameElement.one()
         return all(x == one for x in self.values.values())

@@ -20,7 +20,6 @@ coefficients are the binomials C(p, k+1).  (1 + x)^p - 1 = x E(x), so
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import primitive_root
@@ -166,9 +165,6 @@ class PadicApprox:
             raise PrecisionExhausted(
                 f"element vanishes mod lambda^{self.M}; valuation not visible")
         return best
-
-    def p_valuation(self) -> Fraction:
-        return Fraction(self.valuation(), self.p - 1)
 
     def __repr__(self):
         terms = [f"{a}*L^{i}" for i, a in enumerate(self.coeffs) if a]

@@ -15,6 +15,11 @@ from tamekit.cyclotomic import CycNum, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
 
 
+def _trivial_index(T):
+    return next(t for t in range(T.k)
+                if all(v == CycNum.from_rational(1) for v in T.values[t]))
+
+
 def test_all_presets_certify():
     for name in PRESET_NAMES:
         table = CharTable.of(preset(name))
@@ -39,7 +44,7 @@ def test_s3_table_values():
     two = next(t for t in range(T.k) if T.degrees[t] == 2)
     assert T.value(two, j2) == CycNum.from_rational(0)
     assert T.value(two, j3) == CycNum.from_rational(-1)
-    tr = T.trivial_index()
+    tr = _trivial_index(T)
     assert all(T.value(tr, j) == CycNum.from_rational(1) for j in range(T.k))
 
 
@@ -126,7 +131,7 @@ def test_adams_composition_sampled():
 
 def test_adams_fixes_trivial():
     T = CharTable.of(preset("A4"))
-    tr = VirtualChar.irreducible(T, T.trivial_index())
+    tr = VirtualChar.irreducible(T, _trivial_index(T))
     assert tr.adams(3).values() == tr.values()
 
 
@@ -137,7 +142,7 @@ def test_virtual_arithmetic():
     s = a + b
     assert s.degree() == a.degree() + b.degree()
     assert (s - b).values() == a.values()
-    assert not (a - a).is_genuine() or (a - a).degree() == 0
+    assert (a - a).degree() == 0
     assert a.scale(3).degree() == 3 * a.degree()
 
 
@@ -147,10 +152,10 @@ def test_induction_of_trivial_is_permutation_character():
     s = G.names.index("(1 2 3)")
     sub = Subgroup.cyclic(G, s)
     subT = CharTable.of(sub.group)
-    ind = induce(VirtualChar.irreducible(subT, subT.trivial_index()), sub, T)
+    ind = induce(VirtualChar.irreducible(subT, _trivial_index(subT)), sub, T)
     # permutation character on two points: trivial + sign
     assert ind.value(T.class_of[0]).as_rational() == 2
-    assert ind.inner(VirtualChar.irreducible(T, T.trivial_index())) == 1
+    assert ind.inner(VirtualChar.irreducible(T, _trivial_index(T))) == 1
     two = next(t for t in range(T.k) if T.degrees[t] == 2)
     assert ind.inner(VirtualChar.irreducible(T, two)) == 0
 
@@ -160,7 +165,7 @@ def test_induction_of_nontrivial_linear_gives_degree_two():
     T = CharTable.of(G)
     sub = Subgroup.cyclic(G, G.names.index("(1 2 3)"))
     subT = CharTable.of(sub.group)
-    xi = next(t for t in range(subT.k) if t != subT.trivial_index())
+    xi = next(t for t in range(subT.k) if t != _trivial_index(subT))
     ind = induce(VirtualChar.irreducible(subT, xi), sub, T)
     two = next(t for t in range(T.k) if T.degrees[t] == 2)
     assert ind.values() == VirtualChar.irreducible(T, two).values()

@@ -60,12 +60,25 @@ def test_usage_errors_exit_two(capsys):
         ["pairing", "--group", "S3", "--s", "(1 2)", "--star"],
         ["crux", "--p", "11", "--e", "4"],
         ["crux", "--p", "12", "--e", "3"],
+        ["crux", "--p", "103", "--e", "3"],
+        ["crux", "--p", "7", "--e", "3", "--precision", "0"],
         ["gauss", "--p", "9"],
         ["gauss", "--p", "7", "--order", "4"],
+        ["gauss", "--p", "103"],
+        ["localmodel", "verify", "--group", "S3", "--s", "(1 2)"],
+        ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "3"],
+        ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "6"],
+        ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "5"],
+        ["localmodel", "verify", "--group", "F21", "--s", "2", "--t", "1"],
+        ["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
+         "--n", "3"],
+        ["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
+         "--n", "1", "--precision", "0"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_unknown_command_exits_two():
@@ -109,6 +122,10 @@ def test_suite_config_validation():
         SuiteConfig({"bogus": 1})
     with pytest.raises(UsageError):
         SuiteConfig({"primes": [9]})
+    with pytest.raises(UsageError):
+        SuiteConfig({"primes": [103]})  # beyond PRIME_CAP
+    with pytest.raises(UsageError):
+        SuiteConfig({"crux": [[103, 3]]})
     with pytest.raises(UsageError):
         SuiteConfig({"e_values": [4]})
     with pytest.raises(UsageError):
@@ -222,6 +239,10 @@ _PLACE = {"label": "v7", "q": 7, "s": "(1 2 3)"}
     ({"group": "S3", "places": [{"label": "v7", "s": "()"}]}, "q"),
     ({"group": "S3", "places": [{**_PLACE, "q": "x"}]}, "q"),
     ({"group": "S3", "places": [{"label": "v7", "q": 7}]}, "s"),
+    ({"group": "S3", "places": [{**_PLACE, "s": "(1 2)"}]}, "s"),
+    ({"group": "S3", "places": [{**_PLACE, "q": 6}]}, "q"),
+    ({"group": "S3", "places": [{**_PLACE, "q": 3}]}, "q"),
+    ({"group": "S3", "places": [_PLACE, {**_PLACE, "q": 13}]}, "label"),
 ])
 def test_ledger_demo_malformed_places_exits_two(data, field, tmp_path, capsys):
     places = tmp_path / "places.json"
@@ -239,3 +260,15 @@ def test_computation_fault_exits_three(capsys):
     assert main(["crux", "--p", "31", "--e", "5", "--precision", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_internal_fault_exits_three(monkeypatch, capsys):
+    # A ValueError from inside a computation is a fault, not a usage error.
+    def broken(p):
+        raise ValueError("internal\nfault")
+
+    monkeypatch.setattr("tamekit.cli.verify_gauss_identities", broken)
+    assert main(["gauss", "--p", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert err == "error: ValueError: internal fault\n", err
+    assert not out

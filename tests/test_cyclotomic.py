@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tamekit.arith import euler_phi
-from tamekit.cyclotomic import (CycNum, _dot, _slot_bytes, _table,
-                                cyclotomic_poly, zeta)
+from tamekit.cyclotomic import (CycNum, _ZeroTest, _dot, _pack, _slot_bytes,
+                                _table, cyclotomic_poly, zeta)
 
 
 def test_cyclotomic_poly_known_coefficients():
@@ -359,3 +359,64 @@ def test_dot_at_each_slot_width(n):
             assert got == x * x * top
             seen.add(_slot_bytes(top * (1 + spread)))
     assert seen == {2, 4, 8, 9, 12}
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("n", [30, 50, 930])
+def test_zero_test_against_canonical_forms(n):
+    # D vanishes in Q(zeta_n) exactly when Phi_n | D; the zero test must
+    # agree with the canonical form on multiples of Phi_n, on 1 and Psi_n,
+    # and on random D, some of them Phi_n multiples plus a small error.
+    rng = random.Random(n)
+    phi, _, _, big, small = _table(n)[:5]
+
+    def vanishes(raw):
+        test = _ZeroTest(n, sum(map(abs, raw)))
+        return test.is_zero(test.times_psi(_pack(raw, test.kb)))
+
+    r = [rng.randint(-9, 9) for _ in range(n - phi)]
+    r[-1] = 5
+    assert vanishes(_poly_mul(big, r))
+    assert not vanishes([1])
+    assert not vanishes(list(small))
+    # 2^k - x vanishes at x = 2^k: slots of exactly k bits would pass it.
+    for bits in (16, 32, 64):
+        assert not vanishes([2 ** bits, -1])
+    for trial in range(40):
+        raw = [0] * n
+        if trial % 2:
+            scale = rng.choice([1, 1000, 10 ** 6])
+            raw = _poly_mul(big, [rng.randint(-scale, scale)
+                                  for _ in range(n - phi)])
+        for _ in range(rng.choice([0, 1, 3])):
+            raw[rng.randrange(n)] += rng.choice([-2, -1, 1, 2])
+        x = CycNum(n, dict(enumerate(raw)))
+        assert vanishes(raw) == x.is_zero(), trial
+
+
+@pytest.mark.parametrize("n", [30, 930])
+def test_zero_test_rotations_match_products(n):
+    # x y - z with x at a conductor dividing n: x's terms rotate y Psi_n.
+    rng = random.Random(n + 1)
+    divisors = [m for m in range(1, n + 1) if n % m == 0 and m <= 30]
+
+    def element(m, terms, spread):
+        return CycNum(m, {rng.randrange(m): rng.randint(-spread, spread)
+                          for _ in range(terms)})
+
+    for trial in range(30):
+        x = element(rng.choice(divisors), 4, 50)
+        y = element(n, 12, 5)
+        z = x * y + (element(n, 1, 1) if trial % 3 == 0 else 0)
+        l1 = [sum(map(abs, v.num)) for v in (x, y, z)]
+        test = _ZeroTest(n, l1[0] * l1[1] + l1[2])
+        got = test.is_zero(test.rotations(x, test.times_psi(test.pack(y)))
+                           - test.times_psi(test.pack(z)))
+        assert got == (x * y == z), trial

@@ -5,11 +5,12 @@ Small-prime oracles below were computed by hand from the definitions
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from tamekit import gaussjacobi
+from tamekit import cyclotomic, gaussjacobi
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.gaussjacobi import (MultChar, PRIME_CAP, gauss_sum, j_star,
                                  jacobi_sum, tau_inverse, verify_ell_unit,
@@ -141,10 +142,12 @@ def test_ell_unit_reports():
 
 
 def test_identity_sweep_reports():
-    for p, pairs in [(3, 0), (5, 6), (7, 20)]:
+    # p = 2 and p = 3 have no Jacobi pair (and p = 2 no tau check).
+    for p, pairs in [(2, 0), (3, 0), (5, 6), (7, 20)]:
         rep = verify_gauss_identities(p)
         assert rep["pass"]
-        assert rep["jacobi_pairs"] == pairs
+        assert rep["jacobi_pairs"] == pairs and not rep["jacobi_failures"]
+        assert len(rep["tau_checks"]) == p - 2
         assert all(t["pass"] for t in rep["tau_checks"])
 
 
@@ -175,3 +178,58 @@ def test_jstar_sweep_norms():
     assert rep["pass"]
     assert len(rep["checks"]) == 41
     assert all(42 % c["conductor"] == 0 for c in rep["checks"])
+
+
+def test_identity_sweep_reduces_once_per_character(monkeypatch):
+    # The identities are zero tests, not canonical forms: the only
+    # reductions modulo Phi_930 left are the 29 nontrivial Gauss sums.
+    calls = []
+    real = cyclotomic._reduce_packed
+
+    def counting(n, *args):
+        calls.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(cyclotomic, "_reduce_packed", counting)
+    assert verify_gauss_identities(31)["pass"]
+    assert calls.count(930) <= 30
+
+
+def test_identity_sweep_names_a_corrupted_jacobi_sum(monkeypatch):
+    real = gaussjacobi.jacobi_sum
+
+    def corrupted(chi1, chi2):
+        J = real(chi1, chi2)
+        return J + 1 if (chi1.a, chi2.a) == (3, 5) else J
+
+    monkeypatch.setattr(gaussjacobi, "jacobi_sum", corrupted)
+    rep = verify_gauss_identities(31)
+    assert rep["jacobi_failures"] == [[3, 5]]
+    assert all(t["pass"] for t in rep["tau_checks"])
+    assert not rep["pass"]
+
+
+def test_identity_sweep_names_a_corrupted_gauss_sum(monkeypatch):
+    # tau_c enters the pairs with a + b = c on the Jacobi side and those
+    # with a or b = c on the product side; tau checks a = c and a = -c.
+    p, c = 31, 5
+    d = p - 1
+    real = gaussjacobi.gauss_sum
+    monkeypatch.setattr(
+        gaussjacobi, "gauss_sum",
+        lambda chi: real(chi) + 1 if (chi.d, chi.a) == (d, c) else real(chi))
+    rep = verify_gauss_identities(p)
+    want = [[a, b] for a in range(1, d) for b in range(1, d)
+            if (a + b) % d and c in (a, b, (a + b) % d)]
+    assert rep["jacobi_failures"] == want
+    assert [t["a"] for t in rep["tau_checks"] if not t["pass"]] == [c, d - c]
+
+
+def test_p61_sweep_within_budget():
+    # 3,422 Jacobi pairs and 59 tau checks at conductor 3,660; 2.6 s on a
+    # 2-core x86-64 VM with CPython 3.11, 8.9 s before the zero test.
+    start = time.perf_counter()
+    rep = verify_gauss_identities(61)
+    elapsed = time.perf_counter() - start
+    assert rep["pass"] and rep["jacobi_pairs"] == 3422
+    assert elapsed < 6.5, elapsed
