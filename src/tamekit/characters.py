@@ -31,8 +31,9 @@ A VirtualChar stores its values on the classes once, so `value` is a
 lookup: an irreducible's are its table row, `from_values` keeps the input
 it has decomposed and checked, and any other (`+`, `-`, `scale`, ...) sums
 them from its coefficients once, on first use.  The projections and the
-reproduction check of `from_values`, the sums from coefficients, and
-`inner` run on the same kernel.  The work that does not depend on a group
+reproduction check of `from_values` and the sums from coefficients run
+on the same kernel; `inner` reads the coefficients alone, since the
+irreducibles are orthonormal.  The work that does not depend on a group
 element is done once per table: the table keeps its class layout
 (representatives, sizes, the class of each element, inverse classes and
 the weights |C_j|/|G| that every character sum reads); `adams` keeps
@@ -499,11 +500,7 @@ class VirtualChar:
         return VirtualChar(self.table, out)
 
     def __sub__(self, other):
-        self._same_table(other)
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            out[t] = out.get(t, Fraction(0)) - c
-        return VirtualChar(self.table, out)
+        return self + (-other)
 
     def __neg__(self):
         return VirtualChar(self.table, {t: -c for t, c in self.coeffs.items()})
@@ -525,12 +522,12 @@ class VirtualChar:
         return self.coeffs == other.coeffs
 
     def inner(self, other: "VirtualChar") -> Fraction:
-        """(1/|G|) sum_g self(g) * conj(other(g)), exact.  other has rational
-        coefficients, so conj(other(g)) = other(g^-1)."""
+        """(1/|G|) sum_g self(g) conj(other(g)) = sum_t a_t b_t, as the
+        irreducibles are orthonormal: `CharTable.of` certifies it or raises,
+        and `CharTable.cyclic`'s rows zeta_m^(ij) are so by construction."""
         self._same_table(other)
-        b = other._row()
-        conj = [b[i] for i in self.table.inverse]
-        return _dot([(self.table.weights, self._row(), conj)])[0].as_rational()
+        return sum((c * other.coeffs.get(t, 0) for t, c in self.coeffs.items()),
+                   Fraction(0))
 
     def adams(self, k: int) -> "VirtualChar":
         """psi_k: the class function g -> chi(g^k), decomposed exactly.  It

@@ -71,9 +71,7 @@ class SuiteConfig:
                 raise UsageError(str(ex)) from None
         self.primes = [self._as_int("primes", p) for p in merged["primes"]]
         for p in self.primes:
-            if not is_prime(p) or p > PRIME_CAP:
-                raise UsageError(f"configured prime {p} must be a prime "
-                                 f"up to {PRIME_CAP}")
+            _check_prime(p, "primes")
         self.e_values = [self._as_int("e_values", e)
                          for e in merged["e_values"]]
         for e in self.e_values:
@@ -86,19 +84,13 @@ class SuiteConfig:
                                  f"got {pair!r}")
             self.crux.append(tuple(self._as_int("crux", x) for x in pair))
         for p, e in self.crux:
-            if e % 2 == 0 or e < 1:
-                raise UsageError(f"crux pair ({p}, {e}): e must be odd")
-            if not is_prime(p) or p > PRIME_CAP or (p - 1) % e != 0:
-                raise UsageError(f"crux pair ({p}, {e}): need p prime, up to "
-                                 f"{PRIME_CAP}, with e dividing p-1")
+            _check_crux(p, e)
         self.format = merged["format"]
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
-        self.precision = merged["precision"]
-        if self.precision is not None:
-            self.precision = self._as_int("precision", self.precision)
-            if self.precision < 1:
-                raise UsageError("precision must be a positive integer")
+        prec = merged["precision"]
+        self.precision = None if prec is None else self._as_int("precision", prec)
+        _check_precision(self.precision)
 
     @staticmethod
     def _as_int(field: str, value) -> int:
@@ -172,6 +164,21 @@ def _check_tame(G: FiniteGroup, s: int, q: int | None, where: str) -> None:
 def _check_precision(precision: int | None) -> None:
     if precision is not None and precision < 1:
         raise UsageError(f"precision must be positive, got {precision}")
+
+
+def _check_prime(p: int, where: str) -> None:
+    if not is_prime(p) or p > PRIME_CAP:
+        raise UsageError(f"{where}: {p} is not a prime up to {PRIME_CAP}")
+
+
+def _check_crux(p: int, e: int) -> None:
+    """e odd and positive, p a prime up to PRIME_CAP, and e | p - 1."""
+    where = f"crux pair ({p}, {e})"
+    if e < 1 or e % 2 == 0:
+        raise UsageError(f"{where}: e must be odd and positive")
+    _check_prime(p, where)
+    if (p - 1) % e:
+        raise UsageError(f"{where}: e does not divide p - 1")
 
 
 def _write_or_print(text: str, out: str | None, filename: str) -> None:
@@ -255,10 +262,7 @@ def cmd_localmodel_verify(args) -> int:
 def cmd_gauss(args) -> int:
     p = args.p
     d = args.order if args.order is not None else p - 1
-    if not is_prime(p):
-        raise UsageError(f"{p} is not prime")
-    if p > PRIME_CAP:
-        raise UsageError(f"prime {p} beyond supported cap {PRIME_CAP}")
+    _check_prime(p, "--p")
     if d < 1 or (p - 1) % d != 0:
         raise UsageError(f"order {d} does not divide {p} - 1")
     values = []
@@ -276,11 +280,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_crux(args) -> int:
-    if args.e % 2 == 0 or args.e < 1:
-        raise UsageError(f"e must be odd and positive, got {args.e}")
-    if not is_prime(args.p) or args.p > PRIME_CAP or (args.p - 1) % args.e:
-        raise UsageError(f"need p prime, up to {PRIME_CAP}, with e | p-1; "
-                         f"got p={args.p}, e={args.e}")
+    _check_crux(args.p, args.e)
     _check_precision(args.precision)
     report = crux_check(args.p, args.e, precision=args.precision)
     _write_or_print(_dump(report), args.out, f"crux-p{args.p}-e{args.e}.json")
@@ -358,7 +358,7 @@ def cmd_ledger_demo(args) -> int:
     if args.places:
         try:
             data = json.loads(Path(args.places).read_text())
-        except (OSError, json.JSONDecodeError) as ex:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
             raise UsageError(f"cannot read places file: {ex}") from None
     else:
         data = DEFAULT_PLACES
@@ -447,17 +447,16 @@ def _load_config(path_text: str | None) -> dict:
         raw = path.read_bytes()
     except OSError as ex:
         raise UsageError(f"cannot read config: {ex}") from None
-    if path.suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError:
-            raise UsageError(
-                "TOML config needs Python 3.11+; use JSON") from None
-        return tomllib.loads(raw.decode())
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as ex:
-        raise UsageError(f"bad JSON config: {ex}") from None
+        if path.suffix == ".toml":
+            import tomllib
+            data = tomllib.loads(raw.decode())
+        else:
+            data = json.loads(raw)
+    except ImportError:
+        raise UsageError("TOML config needs Python 3.11+; use JSON") from None
+    except ValueError as ex:  # not UTF-8, or not valid TOML or JSON
+        raise UsageError(f"bad config {path_text}: {ex}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config {path_text} must hold a JSON object, "
                          f"got {json.dumps(data)}")

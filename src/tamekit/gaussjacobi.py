@@ -160,8 +160,10 @@ def tau_inverse(chi: MultChar) -> CycNum:
     return gauss_sum(chi).galois_apply(-1) * Fraction(1, chi.p)
 
 
+@lru_cache(maxsize=None)
 def j_star(chi: MultChar) -> CycNum:
-    """tau(chi^2) tau(chi)^-2, returned at its prime-to-p conductor."""
+    """tau(chi^2) tau(chi)^-2, returned at its prime-to-p conductor.  Cached:
+    it reads chi through p and reduced() alone, as MultChar's hash does."""
     if chi.is_trivial:
         return CycNum.from_rational(1)
     inv = tau_inverse(chi)

@@ -17,8 +17,9 @@ route: induction of the explicit virtual characters
     Xi*_s  = (1/m) sum_{j=1}^{(m-1)/2} j (xi^j - xi^{-j})
     d(s)   = -sum_{j=1}^{(m-1)/2} xi^{-j}
 
-followed by exact inner products on G, and through the second Adams
-operation.  Agreement of the routes is the content being certified.
+followed by inner products on G, the projections `VirtualChar.from_values`
+takes when it decomposes each induced character, and through the second
+Adams operation.  Agreement of the routes is the content being certified.
 """
 
 from __future__ import annotations

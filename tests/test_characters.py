@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from tamekit.characters import (CharTable, VirtualChar, _charpoly,
                                  induce, restrict)
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
+from tamekit.stickelberger import _cyclic_context, d_char, xi_char, xi_star_char
 
 
 def _trivial_index(T):
@@ -26,6 +28,13 @@ def test_all_presets_certify():
         cert = table.certify()
         assert cert["pass"], name
         assert table.certification == cert, name
+    # `inner` reads coefficients, so it relies on cyclic tables too
+    for n in range(3, 16):
+        G = preset(f"C{n}")
+        gens = [g for g in range(G.n) if G.element_order(g) == n]
+        assert gens, n
+        for g in gens:
+            assert CharTable.cyclic(G, g).certify()["pass"], (n, g)
 
 
 def test_degree_multisets():
@@ -87,12 +96,13 @@ def test_cyclic_table_power_ordering():
 
 
 def test_orthonormality_of_irreducibles():
-    T = CharTable.of(preset("A4"))
-    for i in range(T.k):
-        for j in range(T.k):
-            want = Fraction(1 if i == j else 0)
-            assert VirtualChar.irreducible(T, i).inner(
-                VirtualChar.irreducible(T, j)) == want
+    # by class sums: `inner` itself reads coefficients, assuming this
+    for name in PRESET_NAMES:
+        T = CharTable.of(preset(name))
+        irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
+        for i, x in enumerate(irr):
+            for j, y in enumerate(irr):
+                assert _loop_inner(x, y) == int(i == j), (name, i, j)
 
 
 def test_regular_character_decomposition():
@@ -383,7 +393,11 @@ def _loop_inner(x, y):
     return (acc / T.group.n).as_rational()
 
 
-def test_inner_matches_the_cycnum_loop():
+def _inner_cases():
+    """(label, characters on one table): irreducibles and induced
+    characters of F21 and A4; on the power-ordered tables of C9 at
+    generators 1 and 2, the irreducibles, Xi, Xi*, d, Adams squares and
+    rational combinations."""
     for name in ("F21", "A4"):
         G = preset(name)
         T = CharTable.of(G)
@@ -393,9 +407,48 @@ def test_inner_matches_the_cycnum_loop():
             subT = CharTable.of(sub.group)
             chars += [induce(VirtualChar.irreducible(subT, i), sub, T)
                       for i in range(subT.k)]
+        yield name, chars
+    G = preset("C9")
+    for s in (1, 2):
+        assert G.element_order(s) == 9
+        _, T = _cyclic_context(G, s)
+        irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
+        xi, xis, d = xi_char(G, s), xi_star_char(G, s), d_char(G, s)
+        chars = irr + [xi, xis, d, xi.adams(2), xis.adams(2), irr[4].adams(2),
+                       (irr[2] - irr[7]).adams(2), xis - xi - d,
+                       xi.scale(Fraction(-3, 2)) + d, irr[1] + irr[5].scale(7)]
+        yield f"C9 at {s}", chars
+
+
+def test_inner_matches_the_cycnum_loop():
+    for label, chars in _inner_cases():
         for x in chars:
             for y in chars:
-                assert x.inner(y) == _loop_inner(x, y), name
+                assert x.inner(y) == _loop_inner(x, y), (label, x, y)
+
+
+def test_inner_reads_coefficients_without_class_sums(monkeypatch):
+    cases = list(_inner_cases())
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(characters, "_dot", counting("_dot", characters._dot))
+    monkeypatch.setattr(VirtualChar, "_row",
+                        counting("_row", VirtualChar._row))
+    monkeypatch.setattr(CycNum, "__init__",
+                        counting("CycNum", CycNum.__init__))
+    monkeypatch.setattr(CycNum, "_make", classmethod(
+        counting("CycNum", CycNum._make.__func__)))
+    got = [[x.inner(y) for x in chars for y in chars] for _, chars in cases]
+    assert not calls, calls
+    monkeypatch.undo()
+    assert got == [[_loop_inner(x, y) for x in chars for y in chars]
+                   for _, chars in cases]
 
 
 def test_dixon_vectors_are_eigenvectors_of_every_class_matrix():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import tamekit.gaussjacobi as gaussjacobi
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, UsageError, main
 
 # sha256 of the benchmark's reports, committed with it (read, never written).
@@ -94,6 +95,26 @@ def test_crux_and_gauss_pass(capsys):
     assert json.loads(capsys.readouterr().out)["pass"]
 
 
+def test_gauss_computes_each_jstar_once(monkeypatch, tmp_path, capsys):
+    # Only j_star calls tau_inverse, once per nontrivial character.
+    gaussjacobi.j_star.cache_clear()
+    calls = []
+    real = gaussjacobi.tau_inverse
+    monkeypatch.setattr(gaussjacobi, "tau_inverse",
+                        lambda chi: calls.append(chi) or real(chi))
+    assert main(["gauss", "--p", "31", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 29, len(calls)
+
+
+def test_gauss_report_matches_its_pinned_digest(tmp_path, capsys):
+    assert main(["gauss", "--p", "31", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = (tmp_path / "gauss-p31-d30.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "707dfd0a1fd34635ddf4244294e158a5aaacc7507316c124596f3690b60298fc")
+
+
 def test_localmodel_verify(capsys):
     assert main(["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
                  "--n", "1"]) == 0
@@ -177,14 +198,22 @@ def test_suite_csv_summary(tmp_path, capsys):
 
 
 def test_suite_bad_config_exits_two(tmp_path, capsys):
-    missing = tmp_path / "nope.json"
-    assert main(["suite", "--config", str(missing),
-                 "--out", str(tmp_path / "r")]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["suite", "--config", str(bad),
-                 "--out", str(tmp_path / "r")]) == 2
-    capsys.readouterr()
+    cases = [
+        ("nope.json", None),
+        ("bad.json", b"{not json"),
+        ("latin1.json", b'{"groups": ["\xff"]}'),
+        ("bad.toml", b"groups = [not toml"),
+        ("latin1.toml", b'groups = ["\xff"]'),
+    ]
+    for name, content in cases:
+        config = tmp_path / name
+        if content is not None:
+            config.write_bytes(content)
+        assert main(["suite", "--config", str(config),
+                     "--out", str(tmp_path / "r")]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("data", [
@@ -252,6 +281,18 @@ def test_ledger_demo_malformed_places_exits_two(data, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert re.search(rf"\b{field}\b", err), err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"group": "\xff"}'])
+def test_ledger_demo_unreadable_places_exits_two(content, tmp_path, capsys):
+    places = tmp_path / "places.json"
+    places.write_bytes(content)
+    assert main(["ledger", "demo", "--places", str(places),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "places file" in err, err
     assert not (tmp_path / "r").exists()
 
 
