@@ -3,7 +3,7 @@
 Every subcommand emits machine-readable output (JSON by default, CSV for
 the tabular commands) and exits 0 when all requested checks pass, 1 when
 a check fails, 2 on usage errors, and 3 when a computation cannot finish
-(lambda-adic precision runs out, or Dixon's lift or certification fails).
+(Dixon's lift or certification fails, or another internal fault).
 Reports are deterministic: keys are sorted, orderings are fixed, and
 nothing time- or path-dependent is written, so identical invocations
 produce identical bytes.
@@ -25,7 +25,8 @@ from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum
 from .gaussjacobi import (PRIME_CAP, MultChar, gauss_sum, j_star,
                           verify_gauss_identities, verify_jstar)
-from .groups import FiniteGroup, PRESET_NAMES, cycle_string, parse_cycles, preset
+from .groups import (MAX_ORDER, PRESET_NAMES, FiniteGroup, cycle_string,
+                     parse_cycles, preset)
 from .ledger import build_f, crux_check, decompose, norm_restrict, recompose
 from .localmodel import verify_factorization, verify_kummer_generator
 from .stickelberger import (pairing, pairing_table, star_pairing,
@@ -43,14 +44,13 @@ DEFAULT_CONFIG = {
     "e_values": [3, 5, 7, 9],
     "crux": [[7, 3], [11, 5], [31, 3], [31, 5]],
     "format": "json",
-    "precision": None,
 }
 
 
 class SuiteConfig:
     """Validated suite parameters; see DEFAULT_CONFIG for the shape."""
 
-    __slots__ = ("groups", "primes", "e_values", "crux", "format", "precision")
+    __slots__ = ("groups", "primes", "e_values", "crux", "format")
 
     def __init__(self, data: dict):
         unknown = set(data) - set(DEFAULT_CONFIG)
@@ -88,9 +88,6 @@ class SuiteConfig:
         self.format = merged["format"]
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
-        prec = merged["precision"]
-        self.precision = None if prec is None else self._as_int("precision", prec)
-        _check_precision(self.precision)
 
     @staticmethod
     def _as_int(field: str, value) -> int:
@@ -142,7 +139,7 @@ def _resolve_element(G: FiniteGroup, text: str) -> int:
             raise UsageError(f"element index {i} out of range 0..{G.n - 1}")
         return i
     try:
-        name = cycle_string(parse_cycles(text))
+        name = cycle_string(parse_cycles(text, MAX_ORDER))
     except ValueError as ex:
         raise UsageError(f"cannot parse element {text!r}: {ex}") from None
     if name in G.names:
@@ -159,11 +156,6 @@ def _check_tame(G: FiniteGroup, s: int, q: int | None, where: str) -> None:
     if q is not None and (not is_prime_power(q) or gcd(m, q) != 1):
         raise UsageError(f"{where}: q = {q} must be a prime power prime "
                          f"to |s| = {m}")
-
-
-def _check_precision(precision: int | None) -> None:
-    if precision is not None and precision < 1:
-        raise UsageError(f"precision must be positive, got {precision}")
 
 
 def _check_prime(p: int, where: str) -> None:
@@ -218,7 +210,7 @@ def cmd_pairing(args) -> int:
     if args.star and G.element_order(s) % 2 == 0:
         raise UsageError(
             f"starred pairing needs odd |s|; |{G.names[s]}| is even")
-    report = pairing_table(G, s, star=args.star, label=args.group)
+    report = pairing_table(G, s, star=args.star)
     stem = f"pairing-{args.group}-{s}" + ("-star" if args.star else "")
     if args.format == "csv":
         buf = io.StringIO()
@@ -243,15 +235,17 @@ def cmd_localmodel_verify(args) -> int:
         raise UsageError(f"t = {G.names[t]} does not normalize <{G.names[s]}>")
     if args.q is not None and G.power(s, args.q) != image:
         raise UsageError(f"t s t^-1 = s^q fails for q = {args.q}")
-    if args.n is not None and abs(args.n) >= m:
-        raise UsageError(f"window offset {args.n} out of range for |s| = {m}")
-    _check_precision(args.precision)
-    report = {"suite": "localmodel verify",
-              "factorization": verify_factorization(G, s, t=t, q=args.q,
-                                                    label=args.group)}
     if args.n is not None:
-        report["kummer"] = verify_kummer_generator(
-            m, args.n, q=args.q, precision=args.precision)
+        if abs(args.n) >= m:
+            raise UsageError(
+                f"window offset {args.n} out of range for |s| = {m}")
+        if args.q is not None and (not is_prime(args.q) or (args.q - 1) % m):
+            raise UsageError(f"--n needs q = {args.q} to be a prime "
+                             f"= 1 mod |s| = {m}")
+    report = {"suite": "localmodel verify",
+              "factorization": verify_factorization(G, s, t=t, q=args.q)}
+    if args.n is not None:
+        report["kummer"] = verify_kummer_generator(m, args.n, q=args.q)
     report["pass"] = all(
         report[k]["pass"] for k in ("factorization", "kummer") if k in report)
     _write_or_print(_dump(report), args.out,
@@ -281,8 +275,7 @@ def cmd_gauss(args) -> int:
 
 def cmd_crux(args) -> int:
     _check_crux(args.p, args.e)
-    _check_precision(args.precision)
-    report = crux_check(args.p, args.e, precision=args.precision)
+    report = crux_check(args.p, args.e)
     _write_or_print(_dump(report), args.out, f"crux-p{args.p}-e{args.e}.json")
     return 0 if report["pass"] else 1
 
@@ -373,9 +366,8 @@ def _suite_reports(config: SuiteConfig):
     """Yield (name, report) pairs in a fixed order."""
     for name in config.groups:
         G = preset(name)
-        checks = [verify_induction_identities(G, s, label=name)
-                  for s in range(G.n)]
-        checks += [verify_adams_identities(G, s, label=name)
+        checks = [verify_induction_identities(G, s) for s in range(G.n)]
+        checks += [verify_adams_identities(G, s)
                    for s in range(G.n) if G.element_order(s) % 2 == 1]
         yield f"identities-{name}", {
             "suite": "stickelberger-identities", "group": name,
@@ -384,7 +376,7 @@ def _suite_reports(config: SuiteConfig):
         cert = CharTable.of(G).certification
         yield f"chartab-{name}", {"suite": "chartab", "group": name, **cert}
 
-        fac = [verify_factorization(G, s, label=name)
+        fac = [verify_factorization(G, s)
                for s in range(G.n) if G.element_order(s) % 2 == 1]
         yield f"factorization-{name}", {
             "suite": "factorization", "group": name,
@@ -392,8 +384,7 @@ def _suite_reports(config: SuiteConfig):
 
     for e in config.e_values:
         offsets = [0] if e == 1 else [0, (1 - e) // 2, 1, e - 1]
-        checks = [verify_kummer_generator(e, n, precision=config.precision)
-                  for n in offsets]
+        checks = [verify_kummer_generator(e, n) for n in offsets]
         yield f"kummer-e{e}", {"suite": "kummer", "e": e, "checks": checks,
                                "pass": all(c["pass"] for c in checks)}
 
@@ -407,7 +398,7 @@ def _suite_reports(config: SuiteConfig):
     yield "ledger-demo", _ledger_demo_report(DEFAULT_PLACES)
 
     for p, e in config.crux:
-        yield f"crux-p{p}-e{e}", crux_check(p, e, precision=config.precision)
+        yield f"crux-p{p}-e{e}", crux_check(p, e)
 
 
 def run_suite(config: SuiteConfig, out_dir: str) -> int:
@@ -467,8 +458,6 @@ def cmd_suite(args) -> int:
     data = _load_config(args.config)
     if args.format:
         data["format"] = args.format
-    if args.precision is not None:
-        data["precision"] = args.precision
     config = SuiteConfig(data)
     return run_suite(config, args.out)
 
@@ -511,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--q", type=int, help="residue size (default: inferred)")
     pv.add_argument("--n", type=int,
                     help="also run the generator check at this window offset")
-    pv.add_argument("--precision", type=int)
     add_common(pv)
     pv.set_defaults(func=cmd_localmodel_verify)
 
@@ -524,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crux", help="p-adic valuation crux check")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--precision", type=int)
     add_common(p)
     p.set_defaults(func=cmd_crux)
 
@@ -540,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="reports",
                    help="report directory (default: reports)")
     p.add_argument("--format", choices=["json", "csv"])
-    p.add_argument("--precision", type=int)
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -21,7 +21,9 @@ MAX_ORDER = 360
 
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     """Parse 1-based cycle notation like "(1 2 3)(4 5)" into a 0-based
-    permutation tuple.  Commas and spaces both separate points."""
+    permutation tuple.  Commas and spaces both separate points, and no
+    point may appear twice.  With a degree the result has exactly that
+    many points, and a larger point is an error."""
     text = text.strip()
     if not text or text == "()":
         d = degree or 1
@@ -29,14 +31,19 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"bad cycle notation: {text!r}")
     cycles = []
+    seen = set()
     for chunk in text[1:-1].split(")("):
         pts = [int(t) for t in chunk.replace(",", " ").split()]
         if len(pts) != len(set(pts)) or any(x < 1 for x in pts):
             raise ValueError(f"bad cycle: ({chunk})")
+        if degree is not None and max(pts, default=0) > degree:
+            raise ValueError(f"point {max(pts)} exceeds degree {degree}")
+        again = seen.intersection(pts)
+        if again:
+            raise ValueError(f"point {min(again)} appears in two cycles")
+        seen.update(pts)
         cycles.append(pts)
-    d = max((max(c) for c in cycles), default=0)
-    if degree is not None:
-        d = max(d, degree)
+    d = degree if degree is not None else max(seen, default=0)
     perm = list(range(d))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -75,6 +82,7 @@ class FiniteGroup:
         if n == 0 or n > MAX_ORDER:
             raise ValueError(f"group order must be in 1..{MAX_ORDER}")
         self.n = n
+        self.label = f"group of order {n}"
         self.table = [list(row) for row in table]
         self.names = list(names) if names else [f"g{i}" for i in range(n)]
         if not _trusted:

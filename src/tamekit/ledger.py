@@ -228,7 +228,7 @@ def norm_restrict(f: ReprHom, twists: list[int]) -> ReprHom:
     return ReprHom(table, values)
 
 
-def crux_check(p: int, e: int, precision: int | None = None) -> dict:
+def crux_check(p: int, e: int) -> dict:
     """Match lambda-adic J* valuations against pairing differences.
 
     Quantifies existentially over the group isomorphisms from the
@@ -255,7 +255,7 @@ def crux_check(p: int, e: int, precision: int | None = None) -> dict:
     def tau_valuation(chi: MultChar) -> int:
         key = chi.reduced()
         if key not in val_cache:
-            val_cache[key] = lambda_valuation(gauss_sum(chi), p, precision)
+            val_cache[key] = lambda_valuation(gauss_sum(chi), p)
         return val_cache[key]
 
     candidates = [u for u in range(1, e) if gcd(u, e) == 1] or [1]

@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import is_prime_power, smallest_prime_in_class
+from .arith import is_prime, is_prime_power, smallest_prime_in_class
 from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum, _dot, zeta
 from .groups import FiniteGroup, preset
@@ -348,31 +348,6 @@ def phi_star_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
     return _resolvend(G, s, beta_star(G.element_order(s)))
 
 
-class TameCocycle:
-    """Images (s, t) of the two tame generators, with t s t^-1 = s^q.
-
-    q is the residue size; tameness demands gcd(|s|, q) = 1.
-    """
-
-    __slots__ = ("group", "s", "t", "q", "m")
-
-    def __init__(self, group: FiniteGroup, s: int, t: int, q: int):
-        m = group.element_order(s)
-        if not is_prime_power(q):
-            raise ValueError(f"residue size must be a prime power, got {q}")
-        if gcd(m, q) != 1:
-            raise ValueError(f"wild cocycle: gcd(|s|, q) = gcd({m}, {q}) != 1")
-        if group.conjugate(t, s) != group.power(s, q):
-            raise ValueError(
-                f"relation t s t^-1 = s^q fails for s={group.names[s]}, "
-                f"t={group.names[t]}, q={q}")
-        self.group = group
-        self.s = s
-        self.t = t
-        self.q = q
-        self.m = m
-
-
 def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
     """Smallest prime q compatible with t s t^-1 = s^q."""
     m = G.element_order(s)
@@ -468,8 +443,7 @@ def _det_via_elimination(rows: list[list[CycNum]]) -> CycNum:
     return det
 
 
-def verify_kummer_generator(e: int, n: int, q: int | None = None,
-                            precision: int | None = None) -> dict:
+def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
     """Certify that alpha = (1/e) sum_i pi^((n+i)/e) generates freely.
 
     Two routes per linear character: the twisted orbit sum
@@ -477,7 +451,8 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None,
     pi^((n+l)/e), and the determinant route through det_resolvend must
     land on the same monomial.  The e x e matrix taking the sigma-orbit
     of alpha to the monomial basis must in addition have determinant a
-    unit above q, checked by exact lambda-adic valuation.
+    unit above q, checked by exact lambda-adic valuation; q must be a
+    prime = 1 mod e, so that Q(zeta_e) embeds in Z_q[lambda].
     """
     if e < 1:
         raise ValueError(f"order must be positive, got {e}")
@@ -485,8 +460,8 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None,
         raise ValueError(f"window offset {n} out of range for order {e}")
     if q is None:
         q = smallest_prime_in_class(1, e)
-    if gcd(e, q) != 1:
-        raise ValueError(f"wild pair: gcd({e}, {q}) != 1")
+    if not is_prime(q) or (q - 1) % e:
+        raise ValueError(f"residue size {q} must be a prime = 1 mod {e}")
 
     G = preset(f"C{e}")
     s = 1 % e
@@ -515,7 +490,7 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None,
     # denominator e and its e nonzero terms, so that is the key n + i
     mat = [[orbit[j].terms[n + i] for i in range(e)] for j in range(e)]
     det = _det_via_elimination(mat)
-    val = lambda_valuation(det, q, precision) if det else None
+    val = lambda_valuation(det, q) if det else None
     unit = {
         "q": q,
         "nonzero": bool(det),
@@ -534,7 +509,7 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None,
 
 
 def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
-                         q: int | None = None, label: str | None = None) -> dict:
+                         q: int | None = None) -> dict:
     """Check the determinant factorization package for one odd-order s.
 
     Per irreducible chi: det of the plain resolvend is pi^<chi,s>, det of
@@ -544,6 +519,8 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
         D*(chi) D(chi)^-1 = D(psi2 chi) D(chi)^-2 = pi^<psi2 chi - 2chi, s>.
 
     Also checks sigma-equivariance r^sigma = r.s for both resolvends.
+    Raises ValueError unless t s t^-1 = s^q with q a prime power prime to
+    |s|, before anything is computed.
     """
     m = G.element_order(s)
     if m % 2 == 0:
@@ -552,7 +529,14 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
         t = 0
     if q is None:
         q = infer_q(G, s, t)
-    cocycle = TameCocycle(G, s, t, q)
+    if not is_prime_power(q):
+        raise ValueError(f"residue size must be a prime power, got {q}")
+    if gcd(m, q) != 1:
+        raise ValueError(f"wild cocycle: gcd(|s|, q) = gcd({m}, {q}) != 1")
+    if G.conjugate(t, s) != G.power(s, q):
+        raise ValueError(
+            f"relation t s t^-1 = s^q fails for s={G.names[s]}, "
+            f"t={G.names[t]}, q={q}")
     table = CharTable.of(G)
 
     r = phi_resolvend(G, s)
@@ -591,11 +575,11 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
         })
     return {
         "suite": "factorization",
-        "group": label or getattr(G, "label", f"group of order {G.n}"),
+        "group": G.label,
         "element": G.names[s],
         "element_order": m,
-        "t": G.names[cocycle.t],
-        "q": cocycle.q,
+        "t": G.names[t],
+        "q": q,
         "equivariance": equivariance,
         "checks": checks,
         "pass": all(equivariance.values()) and all(c["pass"] for c in checks),

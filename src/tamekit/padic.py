@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import primitive_root
+from .arith import is_prime, primitive_root
 from .cyclotomic import CycNum
 
 
@@ -212,6 +212,8 @@ def embed_cyclotomic(a: CycNum, p: int, M: int | None = None) -> PadicApprox:
     factors are integers mod p^K_0, so the terms are summed per power of
     1 + lambda and each sum takes one multiply.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
     if M is None:
         M = 4 * (p - 1)
     N = p * (p - 1)
@@ -238,23 +240,19 @@ def embed_cyclotomic(a: CycNum, p: int, M: int | None = None) -> PadicApprox:
     return acc
 
 
-def lambda_valuation(a: CycNum, p: int, precision: int | None = None) -> int:
+def lambda_valuation(a: CycNum, p: int) -> int:
     """Exact lambda-adic valuation of a nonzero cyclotomic integer whose
     conductor divides p(p-1).
 
-    With no explicit precision, starts at 4(p-1) and doubles on exhaustion
-    up to 64(p-1) before giving up.
+    Starts at precision 4(p-1) and doubles on exhaustion.  The loop ends:
+    the embedding is injective, so a nonzero a has a finite valuation v,
+    and v is visible at the first precision above it.
     """
     if a.is_zero():
         raise ValueError("zero has no valuation")
-    if precision is not None:
-        return embed_cyclotomic(a, p, precision).valuation()
     M = 4 * (p - 1)
-    cap = 64 * (p - 1)
     while True:
         try:
             return embed_cyclotomic(a, p, M).valuation()
         except PrecisionExhausted:
-            if M >= cap:
-                raise
-            M = min(2 * M, cap)
+            M *= 2

@@ -90,8 +90,7 @@ def d_char(G: FiniteGroup, s: int) -> VirtualChar:
                               for j in range(1, (m - 1) // 2 + 1)})
 
 
-def verify_induction_identities(G: FiniteGroup, s: int,
-                                label: str | None = None) -> dict:
+def verify_induction_identities(G: FiniteGroup, s: int) -> dict:
     """Both pairings against their induced-character inner-product
     descriptions, plus the difference identity through d(s)."""
     T = CharTable.of(G)
@@ -126,13 +125,12 @@ def verify_induction_identities(G: FiniteGroup, s: int,
         rows.append({"identity": "Xi* - Xi = d as virtual characters",
                      "chi": "-", "lhs": "-", "rhs": "-", "pass": diff_ok})
     return {"suite": "stickelberger induction identities",
-            "group": label or _label(G), "element": G.names[s],
+            "group": G.label, "element": G.names[s],
             "element_order": m, "identities": rows,
             "pass": all(r["pass"] for r in rows)}
 
 
-def verify_adams_identities(G: FiniteGroup, s: int,
-                            label: str | None = None) -> dict:
+def verify_adams_identities(G: FiniteGroup, s: int) -> dict:
     """The second-Adams descriptions: on <s>, (Xi*, xi^j) matches
     (Xi, xi^{2j} - xi^j) computed two ways; on G, the starred pairing is
     <psi_2(chi) - chi, s>."""
@@ -160,17 +158,12 @@ def verify_adams_identities(G: FiniteGroup, s: int,
                      "chi": f"chi{t}", "lhs": str(lhs), "rhs": str(rhs),
                      "pass": lhs == rhs})
     return {"suite": "stickelberger adams identities",
-            "group": label or _label(G), "element": G.names[s],
+            "group": G.label, "element": G.names[s],
             "element_order": m, "identities": rows,
             "pass": all(r["pass"] for r in rows)}
 
 
-def _label(G: FiniteGroup) -> str:
-    return getattr(G, "label", f"group of order {G.n}")
-
-
-def pairing_table(G: FiniteGroup, s: int, star: bool = False,
-                  label: str | None = None) -> dict:
+def pairing_table(G: FiniteGroup, s: int, star: bool = False) -> dict:
     """Per-irreducible pairing values, as served by the CLI."""
     T = CharTable.of(G)
     m = G.element_order(s)
@@ -179,5 +172,5 @@ def pairing_table(G: FiniteGroup, s: int, star: bool = False,
              "value": str(fn(VirtualChar.irreducible(T, t), s))}
             for t in range(T.k)]
     return {"suite": "stickelberger pairing table",
-            "group": label or _label(G), "element": G.names[s],
+            "group": G.label, "element": G.names[s],
             "element_order": m, "star": star, "rows": rows}

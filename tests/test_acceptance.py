@@ -44,10 +44,10 @@ def test_criterion_1_pairing_identity_suite():
     for name in ALL_GROUPS:
         G = preset(name)
         for s in range(G.n):
-            if not verify_induction_identities(G, s, label=name)["pass"]:
+            if not verify_induction_identities(G, s)["pass"]:
                 failures.append(("induction", name, s))
             if G.element_order(s) % 2 == 1:
-                if not verify_adams_identities(G, s, label=name)["pass"]:
+                if not verify_adams_identities(G, s)["pass"]:
                     failures.append(("adams", name, s))
     _gate("criterion 1: pairing identity suite", 10, started, failures)
 
@@ -105,7 +105,7 @@ def test_criterion_4_resolvend_factorization():
         for s in range(G.n):
             if G.element_order(s) % 2 == 0:
                 continue
-            if not verify_factorization(G, s, label=name)["pass"]:
+            if not verify_factorization(G, s)["pass"]:
                 failures.append((name, s))
     _gate("criterion 4: resolvend factorization", 20, started, failures)
 

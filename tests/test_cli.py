@@ -62,7 +62,6 @@ def test_usage_errors_exit_two(capsys):
         ["crux", "--p", "11", "--e", "4"],
         ["crux", "--p", "12", "--e", "3"],
         ["crux", "--p", "103", "--e", "3"],
-        ["crux", "--p", "7", "--e", "3", "--precision", "0"],
         ["gauss", "--p", "9"],
         ["gauss", "--p", "7", "--order", "4"],
         ["gauss", "--p", "103"],
@@ -73,13 +72,31 @@ def test_usage_errors_exit_two(capsys):
         ["localmodel", "verify", "--group", "F21", "--s", "2", "--t", "1"],
         ["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
          "--n", "3"],
-        ["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
-         "--n", "1", "--precision", "0"],
+        # --q fits the factorization but not the Kummer unit check
+        ["localmodel", "verify", "--group", "F21", "--s", "(1 2 3 4 5 6 7)",
+         "--t", "(2 3 5)(4 7 6)", "--q", "2", "--n", "3"],
+        ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "64",
+         "--n", "1"],
+        # element text that is not a permutation, or too large to be one
+        ["pairing", "--group", "S3", "--s", "(1 2)(1 3)"],
+        ["pairing", "--group", "S3", "--s", "(1 1000000000)"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["crux", "--p", "7", "--e", "3"],
+    ["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)", "--n", "1"],
+    ["suite"],
+])
+def test_precision_is_not_an_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--precision", "8"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_two():
@@ -113,6 +130,27 @@ def test_gauss_report_matches_its_pinned_digest(tmp_path, capsys):
     report = (tmp_path / "gauss-p31-d30.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == (
         "707dfd0a1fd34635ddf4244294e158a5aaacc7507316c124596f3690b60298fc")
+
+
+# sha256 of reports whose bytes are fixed.
+@pytest.mark.parametrize("argv, name, digest", [
+    (["pairing", "--group", "S3", "--s", "(1 2 3)", "--star"],
+     "pairing-S3-2-star.json",
+     "e3db1307f84463499a7ef24ea8610e92ab027e984d52c2885a225acb01d48cde"),
+    (["localmodel", "verify", "--group", "F21", "--s", "(1 2 3 4 5 6 7)",
+      "--n", "3"],
+     "localmodel-F21-1.json",
+     "b9923ffb577532df0a45e65eedac672427ce3e028bc61b16a18445ee7a0eb4fe"),
+    (["crux", "--p", "31", "--e", "5"],
+     "crux-p31-e5.json",
+     "e7966b5c1aedd2364d2c70253d01e3a797bde88dab6290d8f69d0ff183e5316a"),
+])
+def test_report_matches_its_pinned_digest(argv, name, digest, tmp_path,
+                                          capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest
 
 
 def test_localmodel_verify(capsys):
@@ -155,10 +193,9 @@ def test_suite_config_validation():
         SuiteConfig({"crux": [[11, 3]]})  # 3 does not divide 10
     with pytest.raises(UsageError):
         SuiteConfig({"format": "yaml"})
-    assert SuiteConfig({"precision": "8"}).precision == 8
+    with pytest.raises(UsageError, match="precision"):
+        SuiteConfig({"precision": 8})  # an unknown key
     assert SuiteConfig({"primes": ["5"], "crux": [["7", 3]]}).crux == [(7, 3)]
-    with pytest.raises(UsageError):
-        SuiteConfig({"precision": "x"})
     assert SuiteConfig({}).groups == DEFAULT_CONFIG["groups"]
 
 
@@ -294,13 +331,6 @@ def test_ledger_demo_unreadable_places_exits_two(content, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "places file" in err, err
     assert not (tmp_path / "r").exists()
-
-
-def test_computation_fault_exits_three(capsys):
-    # lambda^2 is too coarse to see the valuation being compared
-    assert main(["crux", "--p", "31", "--e", "5", "--precision", "2"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_internal_fault_exits_three(monkeypatch, capsys):

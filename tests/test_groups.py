@@ -14,6 +14,16 @@ def test_parse_cycles():
     assert parse_cycles("(1 2)(3 4)") == (1, 0, 3, 2)
     with pytest.raises(ValueError):
         parse_cycles("(1 2 2)")
+    # a point in two cycles is not a permutation
+    with pytest.raises(ValueError, match="point 1 appears in two cycles"):
+        parse_cycles("(1 2)(1 3)")
+    with pytest.raises(ValueError, match="point 2 appears in two cycles"):
+        parse_cycles("(1 2)(2 3)")
+    # a degree fixes the number of points and bounds them
+    assert parse_cycles("(1 2)", 4) == (1, 0, 2, 3)
+    assert parse_cycles("()", 3) == (0, 1, 2)
+    with pytest.raises(ValueError, match="point 5 exceeds degree 4"):
+        parse_cycles("(1 2)(3 5)", 4)
 
 
 def test_cycle_string_round_trip():

@@ -13,9 +13,9 @@ from tamekit.arith import smallest_prime_in_class
 from tamekit.characters import CharTable, VirtualChar
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
-from tamekit.localmodel import (GroupAlgebraElement, TameCocycle,
-                                TameElement, beta, beta_star, det_resolvend,
-                                frobenius_action, infer_q, phi_resolvend,
+from tamekit.localmodel import (GroupAlgebraElement, TameElement, beta,
+                                beta_star, det_resolvend, frobenius_action,
+                                infer_q, phi_resolvend,
                                 phi_star_resolvend, sigma_action,
                                 verify_factorization,
                                 verify_kummer_generator)
@@ -149,13 +149,13 @@ def test_cocycle_validation():
     t = next(g for g in range(G.n) if G.element_order(g) == 3)
     k = next(k for k in range(1, 7) if G.conjugate(t, s) == G.power(s, k))
     q = smallest_prime_in_class(k, 7)
-    TameCocycle(G, s, t, q)
-    with pytest.raises(ValueError):
-        TameCocycle(G, s, t, smallest_prime_in_class(k + 1, 7))
+    assert verify_factorization(G, s, t, q)["q"] == q
+    with pytest.raises(ValueError, match="relation"):
+        verify_factorization(G, s, t, smallest_prime_in_class(k + 1, 7))
     with pytest.raises(ValueError, match="prime power"):
-        TameCocycle(G, s, t, 6)
+        verify_factorization(G, s, t, 6)
     with pytest.raises(ValueError, match="wild"):
-        TameCocycle(G, s, t, 7)
+        verify_factorization(G, s, t, 7)
 
 
 def test_infer_q_defaults():
@@ -207,6 +207,10 @@ def test_kummer_generator_reports():
     assert verify_kummer_generator(4, 0)["pass"]
     with pytest.raises(ValueError):
         verify_kummer_generator(3, 3)
+    # the unit check needs a prime q = 1 mod e
+    for e, n, q in ((9, 1, 64), (7, 3, 2)):
+        with pytest.raises(ValueError, match="prime = 1 mod"):
+            verify_kummer_generator(e, n, q=q)
 
 
 def test_factorization_reports():
@@ -215,7 +219,7 @@ def test_factorization_reports():
         for s in range(G.n):
             if G.element_order(s) % 2 == 0:
                 continue
-            rep = verify_factorization(G, s, label=name)
+            rep = verify_factorization(G, s)
             assert rep["pass"], (name, s)
     with pytest.raises(ValueError):
         verify_factorization(preset("S3"), preset("S3").names.index("(1 2)"))
@@ -417,7 +421,7 @@ def test_f57_factorization():
     assert T.k == 9
     assert sorted(T.degrees) == [1] * 3 + [3] * 6
     for s in range(G.n):
-        assert verify_factorization(G, s, label="F57")["pass"], s
+        assert verify_factorization(G, s)["pass"], s
 
 
 def test_f57_identities_and_factorization_within_budget():
@@ -428,7 +432,7 @@ def test_f57_identities_and_factorization_within_budget():
     CharTable.of(G)
     start = time.perf_counter()
     for s in range(G.n):
-        assert verify_induction_identities(G, s, label="F57")["pass"], s
-        assert verify_adams_identities(G, s, label="F57")["pass"], s
-        assert verify_factorization(G, s, label="F57")["pass"], s
+        assert verify_induction_identities(G, s)["pass"], s
+        assert verify_adams_identities(G, s)["pass"], s
+        assert verify_factorization(G, s)["pass"], s
     assert time.perf_counter() - start < 5.0

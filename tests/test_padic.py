@@ -71,10 +71,13 @@ def test_gauss_sum_valuations_permute_digits():
 
 
 def test_precision_policy():
+    # the first precision, 4(p - 1) = 8, is too coarse for either; the
+    # doubling goes on until the valuation shows
     big = CycNum.from_rational(3 ** 70)
     with pytest.raises(PrecisionExhausted):
-        lambda_valuation(big, 3)
-    assert lambda_valuation(big, 3, precision=200) == 140
+        embed_cyclotomic(big, 3).valuation()
+    assert lambda_valuation(big, 3) == 140
+    assert lambda_valuation(CycNum.from_rational(3 ** 200), 3) == 400
 
 
 def test_conductor_must_divide():
@@ -82,6 +85,8 @@ def test_conductor_must_divide():
         lambda_valuation(zeta(9), 3)
     with pytest.raises(ValueError):
         lambda_valuation(CycNum.from_rational(0), 5)
+    with pytest.raises(ValueError, match="not a prime"):
+        lambda_valuation(CycNum.from_rational(2), 4)
 
 
 def test_embed_is_ring_map():

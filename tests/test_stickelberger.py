@@ -86,7 +86,7 @@ def test_induction_identities_all_presets():
     for name in PRESET_NAMES:
         G = preset(name)
         for s in range(G.n):
-            rep = verify_induction_identities(G, s, label=name)
+            rep = verify_induction_identities(G, s)
             assert rep["pass"], (name, s)
 
 
@@ -96,7 +96,7 @@ def test_adams_identities_odd_order_elements():
         for s in range(G.n):
             if G.element_order(s) % 2 == 0:
                 continue
-            rep = verify_adams_identities(G, s, label=name)
+            rep = verify_adams_identities(G, s)
             assert rep["pass"], (name, s)
 
 
@@ -110,7 +110,7 @@ def test_pairing_table_report():
     import json
     G = preset("S3")
     s = G.names.index("(1 2 3)")
-    rep = pairing_table(G, s, star=True, label="S3")
+    rep = pairing_table(G, s, star=True)
     assert rep["group"] == "S3"
     assert rep["element_order"] == 3
     assert len(rep["rows"]) == 3
