@@ -6,18 +6,24 @@ ell = 1 mod exp(G) with ell > 2|G|, degrees are recovered from the column
 orthogonality relation mod ell, and each character value is lifted exactly
 as chi(g) = sum_u m_u zeta_m^u where the eigenvalue multiplicities m_u are
 small non-negative integers read off mod ell.  The eigenvalues of a
-combination of the class matrices are the roots of its characteristic
-polynomial mod ell (Hessenberg form, then the usual recurrence), found by
-evaluating it at the ell points of F_ell; when there are k distinct roots
-each eigenspace is one-dimensional, so a nullspace is taken only at those
-k roots (Dixon, Numer. Math. 10, 1967; Schneider, J. Symbolic Comput. 9,
-1990).  The class matrices commute (class sums are central), so every
-class matrix preserves each of these eigenspaces: their vectors are
-common eigenvectors without a recheck, and the eigenvalue omega_j is read
-from one row of M_j.  The lift reads each class's powers and one table of
-z_m^(-uv) per element order m, built once per table rather than once per
-character.  The lifted table is then
-certified against both orthogonality relations and sum(d^2) = |G| with exact
+combination C of the class matrices are the roots of its characteristic
+polynomial p mod ell (Hessenberg form, then the usual recurrence), found
+by evaluating it at the ell points of F_ell; when there are k distinct
+roots each eigenspace is one-dimensional (Dixon, Numer. Math. 10, 1967;
+Schneider, J. Symbolic Comput. 9, 1990).  Its vectors come from one
+Krylov sequence C^i e_0, i < k, e_0 the identity class: for a root lam,
+(p / (x - lam))(C) e_0 is killed by C - lam (Cayley-Hamilton) and is not
+zero, since e_0 is the sum of the primitive idempotents of the class
+algebra.  That is O(k^3) in all, with no elimination per root.  The class
+matrices commute (class sums are central), so every class matrix
+preserves each of these eigenspaces: their vectors are common
+eigenvectors without a recheck, and the eigenvalue omega_j is read from
+one row of M_j.  The lift takes one m-point DFT per character for one
+class of generators of each cyclic subgroup <g>, with one table of
+z_m^(-uv) per element order m, built once per table; the classes of the
+other generators g^a, gcd(a, m) = 1, read the same multiplicities
+permuted, m_(u a)(g^a) = m_u(g).  The lifted table is then certified
+against both orthogonality relations and sum(d^2) = |G| with exact
 cyclotomic arithmetic, so nothing downstream depends on the modular step.
 `certify` computes its 2 k^2 sums with the packed kernel
 `cyclotomic._dot`, each table value packed once for all of them.
@@ -62,39 +68,6 @@ from .groups import FiniteGroup, Subgroup
 
 
 # -- linear algebra over F_ell ----------------------------------------------
-
-def _nullspace(mat: list[list[int]], ell: int) -> list[tuple[int, ...]]:
-    k = len(mat)
-    m = [row[:] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, k) if m[i][c] % ell), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, ell)
-        m[r] = [(x * inv) % ell for x in m[r]]
-        # The reduced pivot row vanishes left of c, so the other rows change
-        # in columns c.. only; they add f (ell - y) = -f y mod ell and are
-        # reduced when read, staying below (k + 1) ell^2.
-        top = [ell - y for y in m[r][c:]]
-        for i in range(k):
-            f = m[i][c] % ell
-            if f and i != r:
-                m[i][c:] = [x + f * y for x, y in zip(m[i][c:], top)]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(k) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * k
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-m[i][fc]) % ell
-        basis.append(tuple(v))
-    return basis
-
 
 def _charpoly(mat: list[list[int]], ell: int) -> list[int]:
     """det(x I - mat) mod ell, coefficients from the constant term up.
@@ -158,6 +131,20 @@ def _class_matrices(G: FiniteGroup, classes: list[list[int]],
                         a[j][i][slot] += 1
     return [[[a[j][i][kk] % ell for i in range(k)] for kk in range(k)]
             for j in range(k)]
+
+
+def _multiplicities(powers: list[int], minv: int, rows: list[list[int]],
+                    ell: int, d: int) -> tuple[int, ...]:
+    """mu_u = (1/m) sum_v chi(g^v) z_m^(-u v) mod ell, for powers[v] =
+    chi(g^v) mod ell and rows[u][v] = z_m^(-u v): the eigenvalue
+    multiplicities of a degree-d character on g, which lie in [0, d] and
+    sum to d."""
+    mu = tuple(minv * sum(map(mul, powers, row)) % ell for row in rows)
+    if max(mu) > d:
+        raise ArithmeticError("eigenvalue multiplicity lift failed")
+    if sum(mu) != d:
+        raise ArithmeticError("multiplicities do not sum to degree")
+    return mu
 
 
 def _dixon_prime(exponent: int, order: int) -> int:
@@ -260,12 +247,22 @@ class CharTable:
                        for j, om in enumerate(omega)]
             rows.append((d, chi_mod))
 
-        # What the lift needs of class j alone: m = |reps[j]|, the class of
-        # reps[j]^v for v < m, and the rows (z_m^(-u v))_v, one set per m.
+        # The lift: one m-point DFT per character for one class of
+        # generators g = reps[j] of each cyclic subgroup <g>, m = |g|.  The
+        # class of g^a, gcd(a, m) = 1, reads mu(g^a)_(u a mod m) = mu(g)_u,
+        # as xi^u(g^a) = zeta_m^(u a).  source[c] = (j, b): class c is that
+        # of g^a for b = a^-1 mod m, so its mu_w is mu(g)_(w b mod m).
         orders = [G.element_order(g) for g in reps]
-        power_classes = [[class_of[G.power(g, v)] for v in range(m)]
-                         for g, m in zip(reps, orders)]
-        dft = {}
+        source = [None] * k
+        power_classes = {}  # generator class j -> classes of g^v, v < m
+        for j, m in enumerate(orders):
+            if source[j] is None:
+                power_classes[j] = [class_of[G.power(reps[j], v)]
+                                    for v in range(m)]
+                for a, c in enumerate(power_classes[j]):
+                    if source[c] is None and math.gcd(a, m) == 1:
+                        source[c] = j, pow(a, -1, m)
+        dft = {}  # m -> (1/m, the rows (z_m^(-u v))_v)
         for m in set(orders):
             z_inv = pow(z_e, -(e // m), ell)
             table = [pow(z_inv, w, ell) for w in range(m)]
@@ -276,20 +273,17 @@ class CharTable:
         degrees = []
         eigen = []
         for d, chi_mod in sorted(rows, key=lambda r: r[0]):
-            row = []
+            lifted = {j: _multiplicities([chi_mod[c] for c in cs],
+                                         *dft[orders[j]], ell, d)
+                      for j, cs in power_classes.items()}
             mults = []
-            for j, m in enumerate(orders):
-                powers = [chi_mod[c] for c in power_classes[j]]
-                minv, rows_m = dft[m]
-                mu = tuple(minv * sum(map(mul, powers, row_u)) % ell
-                           for row_u in rows_m)
-                if max(mu) > d:
-                    raise ArithmeticError("eigenvalue multiplicity lift failed")
-                if sum(mu) != d:
-                    raise ArithmeticError("multiplicities do not sum to degree")
-                row.append(CycNum(m, dict(enumerate(mu))).embed(e))
-                mults.append(mu)
-            values.append(row)
+            for j, b in source:
+                mu, m = lifted[j], orders[j]
+                mults.append(mu if b == 1 else
+                             tuple(mu[w * b % m] for w in range(m)))
+            values.append([CycNum(e, {u * (e // len(mu)): x
+                                      for u, x in enumerate(mu) if x})
+                           for mu in mults])
             degrees.append(d)
             eigen.append(mults)
 
@@ -308,21 +302,29 @@ class CharTable:
 
     @staticmethod
     def _simultaneous_eigenvectors(mats, ell, k):
-        """k common eigenvectors of the class matrices mod ell.
+        """k common eigenvectors of the class matrices mod ell, mats[0]
+        being the identity class's.
 
         Tries combinations C = sum_j t^j M_j until C has k distinct
-        eigenvalues and returns a basis vector of each eigenspace, in
-        increasing order of the eigenvalue.  The eigenvalues are the roots
-        of C's characteristic polynomial (`_charpoly`), found by evaluating
-        it at the ell points of F_ell.  k distinct roots of a polynomial of
-        degree k are simple, so each eigenspace is one-dimensional: one
-        nullspace per root, and C is rejected without any nullspace when
-        there are fewer roots.  Class sums are central, so the M_j commute
-        with each other and with C: for C v = lam v, C (M_j v) = lam M_j v,
-        so M_j v lies in the eigenspace of lam, the span of v.  Each vector
-        is therefore an eigenvector of every M_j without a recheck; `certify`
-        is the exact backstop for the whole table.  t and t + ell give the
-        same C, so at most min(200, ell) - 1 combinations are tried."""
+        eigenvalues and returns an eigenvector for each, in increasing
+        order of the eigenvalue.  The eigenvalues are the roots of C's
+        characteristic polynomial p (`_charpoly`), found by evaluating it at
+        the ell points of F_ell; C is rejected when there are fewer than k.
+        The eigenvectors come from one Krylov sequence K_i = C^i e_0, i < k,
+        where e_0 is the identity class, the unit of the class algebra: for
+        a root lam, q = p / (x - lam) by synthetic division and
+        v = q(C) e_0 = sum_i q_i K_i, so (C - lam) v = p(C) e_0 = 0 by
+        Cayley-Hamilton.  v is not zero: e_0 is the sum of the primitive
+        idempotents of the algebra, C acts on each by one of its k distinct
+        eigenvalues, so v = q(lam) e_lam = p'(lam) e_lam for the idempotent
+        e_lam of lam, and p'(lam) != 0 at a simple root; a zero v raises.
+        That is k mat-vecs and O(k^2) per root.  Class sums are central, so
+        the M_j commute with each other and with C: for C v = lam v,
+        C (M_j v) = lam M_j v, so M_j v lies in the eigenspace of lam, which
+        is one-dimensional as lam is simple.  Each vector is therefore an
+        eigenvector of every M_j without a recheck; `certify` is the exact
+        backstop for the whole table.  t and t + ell give the same C, so at
+        most min(200, ell) - 1 combinations are tried."""
         for t in range(1, min(200, ell)):
             comb = [[0] * k for _ in range(k)]
             scale = 1
@@ -330,25 +332,31 @@ class CharTable:
                 comb = [[(a + scale * b) % ell for a, b in zip(cr, mr)]
                         for cr, mr in zip(comb, M)]
                 scale = (scale * t) % ell
-            coeffs = _charpoly(comb, ell)[::-1]
+            poly = _charpoly(comb, ell)
             roots = []
             for lam in range(ell):
                 acc = 0
-                for a in coeffs:
+                for a in reversed(poly):
                     acc = (acc * lam + a) % ell
                 if not acc:
                     roots.append(lam)
             if len(roots) < k:
                 continue
+            krylov = [[1] + [0] * (k - 1)]
+            for _ in range(k - 1):
+                last = krylov[-1]
+                krylov.append([sum(map(mul, row, last)) % ell for row in comb])
+            coords = list(zip(*krylov))  # coords[r][i] = (C^i e_0)_r
             vecs = []
             for lam in roots:
-                ns = _nullspace([[(x - lam) % ell if r == c else x
-                                  for c, x in enumerate(row)]
-                                 for r, row in enumerate(comb)], ell)
-                if len(ns) != 1:
+                q = [1] * k  # p / (x - lam), from the top coefficient down
+                for i in range(k - 1, 0, -1):
+                    q[i - 1] = (poly[i] + lam * q[i]) % ell
+                v = tuple(sum(map(mul, q, c)) % ell for c in coords)
+                if not any(v):
                     raise ArithmeticError(
-                        "simple eigenvalue without a one-dimensional eigenspace")
-                vecs.extend(ns)
+                        "zero Krylov vector at a simple eigenvalue")
+                vecs.append(v)
             return vecs
         raise ArithmeticError("no separating class-sum combination found")
 
@@ -377,10 +385,12 @@ class CharTable:
             {"check": "sum of squared degrees equals group order",
              "pass": sum(d * d for d in self.degrees) == n},
             {"check": "first orthogonality relations",
-             "pass": all(s == (1 if t == u else 0)
+             "pass": all(s.is_rational() and s.as_rational()
+                         == (1 if t == u else 0)
                          for s, (t, u) in zip(rows, pairs))},
             {"check": "second orthogonality relations",
-             "pass": all(s == (Fraction(n, self.sizes[i]) if i == j else 0)
+             "pass": all(s.is_rational() and s.as_rational()
+                         == (n // self.sizes[i] if i == j else 0)
                          for s, (i, j) in zip(cols, pairs))},
         ]
         return {"order": n, "classes": k, "degrees": list(self.degrees),

@@ -28,7 +28,7 @@ from .gaussjacobi import (PRIME_CAP, MultChar, gauss_sum, j_star,
 from .groups import (MAX_ORDER, PRESET_NAMES, FiniteGroup, cycle_string,
                      parse_cycles, preset)
 from .ledger import build_f, crux_check, decompose, norm_restrict, recompose
-from .localmodel import verify_factorization, verify_kummer_generator
+from .localmodel import infer_q, verify_factorization, verify_kummer_generator
 from .stickelberger import (pairing, pairing_table, star_pairing,
                             verify_adams_identities,
                             verify_induction_identities)
@@ -233,19 +233,22 @@ def cmd_localmodel_verify(args) -> int:
     image = G.conjugate(t or 0, s)
     if image not in {G.power(s, k) for k in range(m)}:
         raise UsageError(f"t = {G.names[t]} does not normalize <{G.names[s]}>")
-    if args.q is not None and G.power(s, args.q) != image:
-        raise UsageError(f"t s t^-1 = s^q fails for q = {args.q}")
+    # one residue size for both checks: --q, else the least prime q with
+    # t s t^-1 = s^q
+    q = args.q if args.q is not None else infer_q(G, s, t or 0)
+    if G.power(s, q) != image:
+        raise UsageError(f"t s t^-1 = s^q fails for q = {q}")
     if args.n is not None:
         if abs(args.n) >= m:
             raise UsageError(
                 f"window offset {args.n} out of range for |s| = {m}")
-        if args.q is not None and (not is_prime(args.q) or (args.q - 1) % m):
-            raise UsageError(f"--n needs q = {args.q} to be a prime "
+        if not is_prime(q) or (q - 1) % m:
+            raise UsageError(f"--n needs q = {q} to be a prime "
                              f"= 1 mod |s| = {m}")
     report = {"suite": "localmodel verify",
-              "factorization": verify_factorization(G, s, t=t, q=args.q)}
+              "factorization": verify_factorization(G, s, t=t, q=q)}
     if args.n is not None:
-        report["kummer"] = verify_kummer_generator(m, args.n, q=args.q)
+        report["kummer"] = verify_kummer_generator(m, args.n, q=q)
     report["pass"] = all(
         report[k]["pass"] for k in ("factorization", "kummer") if k in report)
     _write_or_print(_dump(report), args.out,

@@ -36,14 +36,15 @@ reduction.  The path is read off the operands; there is no setting.
 Character sums sum_j w_j a_j b_j (orthogonality, projections, inner
 products, eigenfactor DFTs) go through one private kernel, `_dot`, which
 extends the same packing from one product to whole sums: each distinct
-operand is packed once for all the sums of a call, a sum's products are
-added as big ints, and each sum is reduced modulo Phi_n once.  Callers
-pass operands with any denominators: one pass over the sums folds them
-and the weights into integer weights over each sum's common denominator
-and sizes the slots from sum_j |w_j| |a_j|_1 |b_j|_1 (1 + spread), which
-bounds every slot of the sum and of its reduction by the argument of
-`_table`.  Roots of unity come from `zeta`, which is cached, so equal
-roots are one object and `_dot` packs each of them once.
+operand list is walked once and each distinct operand packed once per
+call, a sum's products are added as big ints, and each sum is reduced
+modulo Phi_n once.  Callers pass operands with any denominators.  The
+slots hold a bound on sum_j |W_j| |A_j|_1 |B_j|_1 (1 + spread) over the
+integer weights and numerators, which bounds every slot of the sum and of
+its reduction by the argument of `_table`; for integral operands it is
+|W|_1 times the largest |A|_1 of each operand list, O(1) per sum.
+Roots of unity come from `zeta`, which is cached, so equal roots are one
+object and `_dot` packs each of them once.
 
 An identity needs a yes or no, not a canonical form, and `_ZeroTest`
 answers it with no reduction modulo Phi_n: Phi_n divides D exactly when
@@ -608,48 +609,59 @@ def _dot(sums: list) -> list[CycNum]:
     of one length per sum.  Every sum is returned at the lcm conductor n of
     all operands.
 
-    Each distinct operand object is embedded at n and packed once for all
-    the sums (objects are told apart by id, which the list keeps alive); a
-    sum adds its products as packed ints and is reduced modulo Phi_n once.
-    One pass prepares each sum and takes the slot bound: over a common
-    denominator D, w_j a_j b_j = W_j A_j B_j / D with integer weights W_j
-    (the operands' denominators folded in, unless every operand of the
-    call is integral) and numerators A_j, B_j, so no slot of the sum or of
-    its reduction exceeds sum_j |W_j| |A_j|_1 |B_j|_1 (1 + spread) (see
-    `_table`); the largest of these over the sums, and of the operands' own
-    |A|_1, sets one slot width for all of them."""
-    ops = {}
+    Lists and operands are told apart by id, which `sums` keeps alive:
+    each distinct operand list is walked once, and each distinct operand
+    embedded at n and packed once for all the sums; a sum adds its
+    products as packed ints and is reduced modulo Phi_n once.  Over a
+    common denominator D, w_j a_j b_j = W_j A_j B_j / D with integer
+    weights W_j and numerators A_j, B_j, and no slot of the sum or of its
+    reduction exceeds sum_j |W_j| |A_j|_1 |B_j|_1 (1 + spread) (see
+    `_table`).  With integral operands W is w over its own denominator,
+    and |W|_1 max|A|_1 max|B|_1, from numbers taken once per weight list
+    and operand list, bounds that sum in O(1); otherwise one pass per sum
+    folds the operands' denominators into W and takes the sum itself.  The
+    largest bound, and every operand's own |A|_1, sets one slot width."""
+    lists = {}
     for _, a, b in sums:
+        lists[id(a)] = a
+        lists[id(b)] = b
+    ops = {}
+    for a in lists.values():
         ops.update(zip(map(id, a), a))
-        ops.update(zip(map(id, b), b))
     n = math.lcm(*(x.n for x in ops.values()))
     phi, spread = _table(n)[:2]
     unit = all(x.den == 1 for x in ops.values())
     ops = {i: x.embed(n) for i, x in ops.items()}
     l1 = {i: sum(map(abs, x.num)) for i, x in ops.items()}
-    over = {}  # id(w) -> (lcm of w's denominators, w's numerators over it)
+    if unit:  # largest |A|_1 of each list
+        top = {i: max(map(l1.get, map(id, a)), default=0)
+               for i, a in lists.items()}
+    over = {}  # id(w) -> (lcm of w's denominators, w's numerators, |W|_1)
     prepared = []  # (W, D) per sum
     bound = max(l1.values(), default=0)  # every operand is packed
     for w, a, b in sums:
         if id(w) not in over:
             d = math.lcm(*map(_denominator, w))
-            over[id(w)] = d, [c.numerator * (d // c.denominator) for c in w]
-        den, weights = over[id(w)]
-        if not unit:
+            weights = [c.numerator * (d // c.denominator) for c in w]
+            over[id(w)] = d, weights, sum(map(abs, weights))
+        den, weights, w_l1 = over[id(w)]
+        if unit:
+            bound = max(bound, w_l1 * top[id(a)] * top[id(b)])
+        else:
             d = list(map(mul, map(_den, a), map(_den, b)))
             lcm = math.lcm(*d)
             den *= lcm
             weights = list(map(mul, weights, map(lcm.__floordiv__, d)))
-        bound = max(bound, sum(map(mul, map(mul, map(abs, weights),
-                                            map(l1.get, map(id, a))),
-                                   map(l1.get, map(id, b)))))
+            bound = max(bound, sum(map(mul, map(mul, map(abs, weights),
+                                                map(l1.get, map(id, a))),
+                                       map(l1.get, map(id, b)))))
         prepared.append((weights, den))
     kb = _slot_bytes(bound * (1 + spread))
-    packed = {i: _pack(x.num, kb) for i, x in ops.items()}
+    ints = {i: _pack(x.num, kb) for i, x in ops.items()}
+    packed = {i: list(map(ints.get, map(id, a))) for i, a in lists.items()}
     out = []
     for (_, a, b), (weights, den) in zip(sums, prepared):
-        f = sum(map(mul, map(mul, weights, map(packed.get, map(id, a))),
-                    map(packed.get, map(id, b))))
+        f = sum(map(mul, map(mul, weights, packed[id(a)]), packed[id(b)]))
         num = _reduce_packed(n, f, 2 * phi - 1, kb) if phi > 1 \
             else _unpack(f, 1, kb)
         out.append(CycNum._make(n, num, den))

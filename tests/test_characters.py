@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import tamekit.characters as characters
 from tamekit.characters import (CharTable, VirtualChar, _charpoly,
-                                 _class_matrices, _dixon_prime, _nullspace,
-                                 induce, restrict)
+                                 _class_matrices, _dixon_prime, induce,
+                                 restrict)
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
 from tamekit.stickelberger import _cyclic_context, d_char, xi_char, xi_star_char
@@ -451,9 +451,39 @@ def test_inner_reads_coefficients_without_class_sums(monkeypatch):
                    for _, chars in cases]
 
 
+def _heisenberg(p):
+    """He_p, order p^3, as the maps (x, y) -> (x + 1, y) and
+    (x, y) -> (x, y + x) of (Z/p)^2 generate it."""
+    points = [(x, y) for x in range(p) for y in range(p)]
+    where = {pt: i for i, pt in enumerate(points)}
+    return FiniteGroup.from_generators([
+        tuple(where[(x + 1) % p, y] for x, y in points),
+        tuple(where[x, (y + x) % p] for x, y in points)])
+
+
+def _dixon_groups():
+    """(label, group) for every preset, cyclic groups of medium order, and
+    the odd-order groups He3 and F57, where the lift meets classes that one
+    DFT serves (in F57 g is conjugate to g^7)."""
+    return ([(name, preset(name)) for name in PRESET_NAMES + ("C27", "C32")]
+            + [("He3", _heisenberg(3)), ("F57", _f57())])
+
+
+def test_heisenberg_and_frobenius_degrees():
+    # He_p: p^2 linear characters and p - 1 of degree p; F_pq: q linear
+    # characters and (p - 1)/q of degree q.  Known without tamekit.
+    cases = [(_heisenberg(3), 27, [1] * 9 + [3] * 2),
+             (_heisenberg(5), 125, [1] * 25 + [5] * 4),
+             (_f57(), 57, [1] * 3 + [3] * 6)]
+    for G, order, degrees in cases:
+        T = CharTable.of(G)
+        assert G.n == order and T.k == len(degrees)
+        assert T.degrees == degrees
+        assert T.certification["pass"]
+
+
 def test_dixon_vectors_are_eigenvectors_of_every_class_matrix():
-    for name in PRESET_NAMES + ("C27", "C32", "C45"):
-        G = preset(name)
+    for name, G in _dixon_groups() + [("C45", preset("C45"))]:
         classes = G.conjugacy_classes()
         ell = _dixon_prime(G.exponent(), G.n)
         mats = _class_matrices(G, classes, ell)
@@ -465,6 +495,82 @@ def test_dixon_vectors_are_eigenvectors_of_every_class_matrix():
                 idx = next(i for i, x in enumerate(v) if x)
                 lam = mv[idx] * pow(v[idx], -1, ell) % ell
                 assert mv == [lam * x % ell for x in v], name
+
+
+def test_eigen_rows_are_the_direct_dft_of_each_class():
+    # mu_u = (1/m) sum_v chi(g^v) zeta_m^(-u v) for g = reps[j], m = |g|,
+    # exactly, on every class: the lift runs one DFT per cyclic subgroup
+    # and permutes its result for the other classes of generators.
+    for name, G in _dixon_groups():
+        if name in ("C27", "C32"):
+            continue  # sum_g |g|^2 products per character; C9 covers it
+        T = CharTable.of(G)
+        for j, g in enumerate(T.reps):
+            m = G.element_order(g)
+            powers = [T.class_of[G.power(g, v)] for v in range(m)]
+            for t in range(T.k):
+                for u in range(m):
+                    acc = sum((T.values[t][c] * zeta(m, -u * v % m)
+                               for v, c in enumerate(powers)),
+                              CycNum.from_rational(0))
+                    assert acc.as_rational() / m == T.eigen[t][j][u], \
+                        (name, t, j, u)
+
+
+def test_lift_runs_one_dft_per_cyclic_subgroup(monkeypatch):
+    # C32 has one cyclic subgroup per divisor of 32: six DFTs per character
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lift(*args)
+
+    lift = characters._multiplicities
+    monkeypatch.setattr(characters, "_multiplicities", counted)
+    T = CharTable._dixon(preset("C32"))
+    assert T.k == 32 and len(calls) == 6 * 32
+
+
+def test_zero_krylov_vector_raises(monkeypatch):
+    # Class matrices diag(1, 2, 3): the combination has three distinct
+    # eigenvalues, but e_0 lies in one eigenspace, so the Krylov vectors
+    # of the other two vanish.
+    diag = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    monkeypatch.setattr(characters, "_class_matrices",
+                        lambda G, classes, ell: [diag] * len(classes))
+    with pytest.raises(ArithmeticError, match="zero Krylov vector"):
+        CharTable._dixon(preset("S3"))
+
+
+def _nullspace(mat, ell):
+    """A basis of the kernel of mat mod ell by Gauss-Jordan elimination, the
+    reference for the eigenvalues found as roots of the characteristic
+    polynomial."""
+    k = len(mat)
+    m = [row[:] for row in mat]
+    pivots = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, k) if m[i][c] % ell), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, ell)
+        m[r] = [(x * inv) % ell for x in m[r]]
+        for i in range(k):
+            f = m[i][c] % ell
+            if f and i != r:
+                m[i] = [(x - f * y) % ell for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for fc in (c for c in range(k) if c not in pivots):
+        v = [0] * k
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-m[i][fc]) % ell
+        basis.append(tuple(v))
+    return basis
 
 
 def _combination(mats, t, ell):
@@ -604,7 +710,7 @@ def test_c63_table_within_budget():
     elapsed = time.monotonic() - started
     assert T.k == 63 and T.degrees == [1] * 63
     assert T.certification["pass"]
-    assert elapsed < 5, f"CharTable.of(C63) took {elapsed:.2f}s"
+    assert elapsed < 3, f"CharTable.of(C63) took {elapsed:.2f}s"
 
 
 def test_inseparable_class_matrices_fail_after_bounded_tries(monkeypatch):

@@ -77,6 +77,9 @@ def test_usage_errors_exit_two(capsys):
          "--t", "(2 3 5)(4 7 6)", "--q", "2", "--n", "3"],
         ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "64",
          "--n", "1"],
+        # without --q, q = 2 is inferred from t, and --n needs q = 1 mod 7
+        ["localmodel", "verify", "--group", "F21", "--s", "(1 2 3 4 5 6 7)",
+         "--t", "(2 3 5)(4 7 6)", "--n", "3"],
         # element text that is not a permutation, or too large to be one
         ["pairing", "--group", "S3", "--s", "(1 2)(1 3)"],
         ["pairing", "--group", "S3", "--s", "(1 1000000000)"],

@@ -361,6 +361,65 @@ def test_dot_at_each_slot_width(n):
     assert seen == {2, 4, 8, 9, 12}
 
 
+def _shared_sums(rng, n, big, dens):
+    """Twelve sums over four shared operand lists of length 6 at conductor
+    n: roots of unity, one list with `big` among them, one with -big and
+    big^2 at different places, and with `dens` some operands over 3 or 4.
+    Three weight lists, each used by a sum over the big^2 list: Fractions,
+    ones, and large ints that outweigh the operands."""
+    roots = [zeta(n, e) for e in range(n)]
+
+    def operands(specials):
+        xs = [rng.choice(roots) for _ in range(6)]
+        for x in specials:
+            xs[rng.randrange(6)] = x
+        if dens:
+            i = rng.randrange(6)
+            xs[i] = xs[i] / rng.choice((3, 4))
+        return xs
+
+    lists = [operands(()), operands((big,)), operands((-big, big * big)),
+             operands(())]
+    weights = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for _ in range(6)],
+               [1] * 6,
+               [rng.randint(-2 ** 40, 2 ** 40) for _ in range(6)]]
+    firsts = [(w, lists[2], rng.choice(lists)) for w in weights]
+    return firsts + [(rng.choice(weights), rng.choice(lists),
+                      rng.choice(lists)) for _ in range(9)]
+
+
+@pytest.mark.parametrize("dens", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_dot_shared_lists_against_the_cycnum_loop(seed, dens):
+    # Integral calls take each sum's slot bound as |W|_1 times the largest
+    # |A|_1 of each operand list; calls with denominators fold them into
+    # the weights first.  Both must agree with plain CycNum sums.
+    rng = random.Random(seed)
+    n = (9, 27, 45, 63)[seed]
+    big = CycNum(n, {e: rng.randint(-40, 40) for e in range(n)})
+    sums = _shared_sums(rng, n, big, dens)
+    assert _dot(sums) == [_plain_dot(w, a, b) for w, a, b in sums]
+
+
+def test_dot_list_bound_forces_a_wider_slot():
+    # One large operand among unit roots on each side, at different
+    # places: the sum itself needs 16-bit slots, the bound from the lists'
+    # largest |A|_1 needs 32, and the result is exact either way.
+    n = 9
+    spread = _table(n)[1]
+    big = CycNum(n, {e: 20 for e in range(6)})  # |big|_1 = 120
+    l1 = sum(map(abs, big.num))
+    a = [big] + [zeta(n, e) for e in range(1, 6)]
+    b = [zeta(n, e) for e in range(5)] + [big]
+    w = [1] * 6
+    exact = sum(x * y for x, y in zip([l1] + [1] * 5, [1] * 5 + [l1]))
+    assert _slot_bytes(exact * (1 + spread)) == 2
+    assert _slot_bytes(6 * l1 * l1 * (1 + spread)) == 4
+    got, = _dot([(w, a, b)])
+    assert got == _plain_dot(w, a, b)
+
+
 def _poly_mul(f, g):
     out = [0] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
