@@ -51,7 +51,9 @@ by every element of G.
 Table values are stored as CycNum at conductor exp(G).  Irreducibles are sorted by
 (degree, lexicographic serialized values), except that tables built for a
 cyclic group with a designated generator s keep the power order
-xi^0, xi^1, ..., xi^{m-1} with xi(s^i) = zeta_m^i.
+xi^0, xi^1, ..., xi^{m-1} with xi(s^i) = zeta_m^i; `cyclic_table` keeps one
+such table per order m, on the preset C_m, for every cyclic subgroup of
+that order.
 """
 
 from __future__ import annotations
@@ -59,12 +61,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import mul
 
 from .arith import is_prime, primitive_root
 from .cyclotomic import CycNum, _as_fraction, _dot, zeta
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, preset
 
 
 # -- linear algebra over F_ell ----------------------------------------------
@@ -407,6 +410,14 @@ class CharTable:
         }
 
 
+@lru_cache(maxsize=None)
+def cyclic_table(m: int) -> CharTable:
+    """`CharTable.cyclic` of the preset C_m on its generator, built once per
+    order: the table of every cyclic subgroup of order m that
+    `Subgroup.cyclic` presents, and of every verifier on C_m."""
+    return CharTable.cyclic(preset(f"C{m}"), 1 % m)
+
+
 def _layout(group: FiniteGroup, classes: list[list[int]]) -> tuple:
     """(reps, sizes, class_of, inverse, weights) of a class list: class_of[g]
     is the class of the element g, inverse[j] the class of reps[j]^-1 and
@@ -478,10 +489,10 @@ class VirtualChar:
     def value(self, j: int) -> CycNum:
         return self._row()[j]
 
-    def multiplicities(self, g: int) -> list[Fraction]:
-        """Coefficients of xi^u (xi(g) = zeta_|g|) in self restricted to <g>.
-        The eigen rows are summed as ints over the coefficients' common
-        denominator."""
+    def multiplicity_sums(self, g: int) -> tuple[list[int], int]:
+        """(acc, den) with acc[u] / den the coefficient of xi^u (xi(g) =
+        zeta_|g|) in self restricted to <g>: the eigen rows summed as ints
+        over the coefficients' common denominator den."""
         j = self.table.class_of[g]
         eigen = self.table.eigen
         den = math.lcm(*(c.denominator for c in self.coeffs.values()))
@@ -489,6 +500,12 @@ class VirtualChar:
         for t, c in self.coeffs.items():
             w = c.numerator * (den // c.denominator)
             acc = [a + w * mu for a, mu in zip(acc, eigen[t][j])]
+        return acc, den
+
+    def multiplicities(self, g: int) -> list[Fraction]:
+        """Coefficients of xi^u (xi(g) = zeta_|g|) in self restricted to
+        <g>."""
+        acc, den = self.multiplicity_sums(g)
         return [Fraction(a, den) for a in acc]
 
     def values(self) -> list[CycNum]:

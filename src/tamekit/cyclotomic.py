@@ -617,10 +617,12 @@ def _dot(sums: list) -> list[CycNum]:
     weights W_j and numerators A_j, B_j, and no slot of the sum or of its
     reduction exceeds sum_j |W_j| |A_j|_1 |B_j|_1 (1 + spread) (see
     `_table`).  With integral operands W is w over its own denominator,
-    and |W|_1 max|A|_1 max|B|_1, from numbers taken once per weight list
-    and operand list, bounds that sum in O(1); otherwise one pass per sum
-    folds the operands' denominators into W and takes the sum itself.  The
-    largest bound, and every operand's own |A|_1, sets one slot width."""
+    and min(P(w, a) max|B|_1, P(w, b) max|A|_1), P(w, a) = sum_j |W_j|
+    |A_j|_1 taken once per pair of weight list and operand list and max|A|_1
+    once per operand list, bounds that sum in O(1); otherwise one pass per
+    sum folds the operands' denominators into W and takes the sum itself.
+    The largest bound, and every operand's own |A|_1, sets one slot
+    width."""
     lists = {}
     for _, a, b in sums:
         lists[id(a)] = a
@@ -636,17 +638,26 @@ def _dot(sums: list) -> list[CycNum]:
     if unit:  # largest |A|_1 of each list
         top = {i: max(map(l1.get, map(id, a)), default=0)
                for i, a in lists.items()}
-    over = {}  # id(w) -> (lcm of w's denominators, w's numerators, |W|_1)
+    over = {}  # id(w) -> (lcm of w's denominators, w's numerators)
+    paired = {}  # (id(w), id(a)) -> P(w, a)
+
+    def weighted(w, a):
+        key = id(w), id(a)
+        if key not in paired:
+            paired[key] = sum(map(mul, map(abs, over[id(w)][1]),
+                                  map(l1.get, map(id, a))))
+        return paired[key]
+
     prepared = []  # (W, D) per sum
     bound = max(l1.values(), default=0)  # every operand is packed
     for w, a, b in sums:
         if id(w) not in over:
             d = math.lcm(*map(_denominator, w))
-            weights = [c.numerator * (d // c.denominator) for c in w]
-            over[id(w)] = d, weights, sum(map(abs, weights))
-        den, weights, w_l1 = over[id(w)]
+            over[id(w)] = d, [c.numerator * (d // c.denominator) for c in w]
+        den, weights = over[id(w)]
         if unit:
-            bound = max(bound, w_l1 * top[id(a)] * top[id(b)])
+            bound = max(bound, min(weighted(w, a) * top[id(b)],
+                                   weighted(w, b) * top[id(a)]))
         else:
             d = list(map(mul, map(_den, a), map(_den, b)))
             lcm = math.lcm(*d)

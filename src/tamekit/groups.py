@@ -227,18 +227,27 @@ class Subgroup:
                         f"not closed: {a} * {b} = {parent.table[a][b]} escapes")
         if 0 not in eset:
             raise ValueError("subgroup must contain the identity")
-        self.parent = parent
-        self.elements = elems          # parent indices, identity first
         pos = {g: i for i, g in enumerate(elems)}
         table = [[pos[parent.table[a][b]] for b in elems] for a in elems]
         names = [parent.names[g] for g in elems]
-        self.group = FiniteGroup(table, names, _trusted=True)
-        self.to_parent = elems
-        self.from_parent = pos
+        self._embed(parent, FiniteGroup(table, names, _trusted=True), elems)
+
+    def _embed(self, parent: FiniteGroup, group: FiniteGroup,
+               to_parent: list[int]):
+        self.parent = parent
+        self.group = group
+        self.elements = self.to_parent = to_parent  # identity first
+        self.from_parent = {g: i for i, g in enumerate(to_parent)}
 
     @classmethod
     def cyclic(cls, parent: FiniteGroup, s: int) -> "Subgroup":
-        return cls(parent, parent.cyclic_subgroup(s))
+        """<s> presented on the preset C_m, m = |s|, whose element i is
+        g^i: it maps to s^i, so every cyclic subgroup of order m, in any
+        group, shares one group object."""
+        powers = parent.cyclic_subgroup(s)
+        sub = cls.__new__(cls)
+        sub._embed(parent, preset(f"C{len(powers)}"), powers)
+        return sub
 
 
 def _quaternion_table():

@@ -29,9 +29,9 @@ from __future__ import annotations
 from math import gcd
 
 from .arith import is_prime_power
-from .characters import CharTable, VirtualChar
+from .characters import CharTable, VirtualChar, cyclic_table
 from .gaussjacobi import MultChar, gauss_sum
-from .groups import FiniteGroup, preset
+from .groups import FiniteGroup
 from .localmodel import TameElement, frobenius_action
 from .padic import lambda_valuation
 from .stickelberger import pairing, star_pairing
@@ -241,9 +241,8 @@ def crux_check(p: int, e: int) -> dict:
         raise ValueError(f"order must be odd and positive, got {e}")
     if (p - 1) % e != 0:
         raise ValueError(f"{e} does not divide {p} - 1")
-    G = preset(f"C{e}")
     s = 1 % e
-    table = CharTable.cyclic(G, s)
+    table = cyclic_table(e)
     rhs = {}
     for j in range(e):
         chi = VirtualChar.irreducible(table, j)

@@ -17,12 +17,16 @@ coefficients.  For s in G of order m the averaged ladder
     beta*  = (1/m) sum_{i=0}^{m-1} pi^((i + (1-m)/2)/m)     (odd m)
 
 gives resolvends r = sum_i sigma^i(beta) s^(-i).  On the cyclic group
-<g0> of order h that carries r, chi's determinant is prod_j F_j^mult_j:
-the eigenfactors F_j = sum_i r[g0^i] zeta_h^(ij) depend on r alone and are
-one length-h DFT, computed once per resolvend (one packed `_dot` call for
-all h x |exponents| sums, the coefficients passed as they are) and kept
-on it, so every character of every verifier reads them.  mult_j comes
-from chi (VirtualChar.multiplicities): Dixon's eigenvalue data for an
+<g0> of order h that carries an element x, chi's determinant is
+prod_j F_j^mult_j: the eigenfactors F_j = sum_i x[g0^i] zeta_h^(ij) are
+one length-h DFT (one packed `_dot` call for all h x |exponents| sums,
+the coefficients passed as they are).  A resolvend takes it along the s
+it was built on: r[s^i] = sigma^(-i)(ladder) depends on the order m and
+the ladder alone, so each ladder's sigma-orbit and its DFT are computed
+once per ladder and shared by every element of order m, in any group.
+Any other element takes it along the least generator g0 of the group its
+support generates, once, and keeps it.  mult_j comes from chi
+(VirtualChar.multiplicities at g0): Dixon's eigenvalue data for an
 irreducible, and for psi_2 chi the decomposition `adams` computed, so
 the Adams identity stays a check between two routes.  The verifiers
 check that these determinants are exactly the monomials predicted by the
@@ -34,12 +38,13 @@ a unit above the chosen residue characteristic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import is_prime, is_prime_power, smallest_prime_in_class
-from .characters import CharTable, VirtualChar
+from .characters import CharTable, VirtualChar, cyclic_table
 from .cyclotomic import CycNum, _dot, zeta
-from .groups import FiniteGroup, preset
+from .groups import FiniteGroup
 from .padic import lambda_valuation
 from .stickelberger import pairing, star_pairing
 
@@ -328,24 +333,45 @@ def beta_star(m: int) -> TameElement:
     return _ladder(m, (1 - m) // 2)
 
 
-def _resolvend(G: FiniteGroup, s: int, b: TameElement) -> GroupAlgebraElement:
-    m = G.element_order(s)
-    terms = {}
-    cur = b
-    for i in range(m):
-        terms[G.power(s, -i)] = cur
-        cur = sigma_action(cur)
-    return GroupAlgebraElement(G, terms)
+@lru_cache(maxsize=None)
+def _ladder_orbit(m: int, start: int) -> tuple[TameElement, ...]:
+    """[sigma^i(ladder(m, start))] for i < m, kept per ladder."""
+    orbit = [_ladder(m, start)]
+    for _ in range(m - 1):
+        orbit.append(sigma_action(orbit[-1]))
+    return tuple(orbit)
+
+
+@lru_cache(maxsize=None)
+def _ladder_eigenfactors(m: int, start: int) -> tuple[TameElement, ...]:
+    """The eigenfactors of sum_i sigma^i(ladder) s^(-i) along s, for any s
+    of order m: its term at s^i is sigma^(-i)(ladder)."""
+    orbit = _ladder_orbit(m, start)
+    return _dft([orbit[-i % m] for i in range(m)])
+
+
+def _resolvend(G: FiniteGroup, s: int, start: int) -> GroupAlgebraElement:
+    """sum_i sigma^i(ladder(|s|, start)) s^(-i), its eigenfactors taken
+    along s."""
+    powers = G.cyclic_subgroup(s)
+    m = len(powers)
+    orbit = _ladder_orbit(m, start)
+    r = GroupAlgebraElement(G, {powers[-i % m]: orbit[i] for i in range(m)})
+    r.eigen = s, _ladder_eigenfactors(m, start)
+    return r
 
 
 def phi_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
     """sum_i sigma^i(beta) s^(-i), supported on <s>."""
-    return _resolvend(G, s, beta(G.element_order(s)))
+    return _resolvend(G, s, 0)
 
 
 def phi_star_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
     """Centered resolvend; odd-order s only."""
-    return _resolvend(G, s, beta_star(G.element_order(s)))
+    m = G.element_order(s)
+    if m % 2 == 0:
+        raise ValueError(f"centered ladder needs odd order, got {m}")
+    return _resolvend(G, s, (1 - m) // 2)
 
 
 def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
@@ -358,10 +384,35 @@ def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
     return smallest_prime_in_class(k, m)
 
 
-def _eigenfactors(x: GroupAlgebraElement) -> tuple[int, list[TameElement]]:
-    """(g0, [F_0, ..., F_(h-1)]), F_j = sum_i x[g0^i] zeta_h^(ij), for g0
-    the least generator of the cyclic group H that x's support generates:
-    a length-h DFT, h sums per exponent of pi in one `_dot` call, computed
+def _dft(seq: list) -> tuple[TameElement, ...]:
+    """[F_0, ..., F_(h-1)], F_j = sum_i seq[i] zeta_h^(ij) for h = len(seq)
+    and seq[i] a TameElement or None (zero): h sums per exponent of pi in
+    one `_dot` call."""
+    h = len(seq)
+    den = lcm(*(x.den for x in seq if x is not None))
+    # rows[a]: each i with a term v pi^(a/den) in seq[i], as i, the weight
+    # 1 and v
+    rows: dict[int, tuple[list, list, list]] = {}
+    for i, x in enumerate(seq):
+        if x is not None:
+            for a, v in x._over(den).items():
+                idx, w, vals = rows.setdefault(a, ([], [], []))
+                idx.append(i)
+                w.append(1)
+                vals.append(v)
+    roots = [zeta(h, k) for k in range(h)]
+    sums = [(w, vals, [roots[i * j % h] for i in idx])
+            for j in range(h) for idx, w, vals in rows.values()]
+    flat = _dot(sums)
+    k = len(rows)
+    return tuple(TameElement(dict(zip(rows, flat[j * k:(j + 1) * k])), den)
+                 for j in range(h))
+
+
+def _eigenfactors(x: GroupAlgebraElement) -> tuple:
+    """(g0, [F_0, ..., F_(h-1)]), F_j = sum_i x[g0^i] zeta_h^(ij): the DFT
+    along g0, which `_resolvend` sets to s and is otherwise the least
+    generator of the cyclic group H that x's support generates; computed
     once and kept on x."""
     if x.eigen is None:
         G = x.group
@@ -374,24 +425,7 @@ def _eigenfactors(x: GroupAlgebraElement) -> tuple[int, list[TameElement]]:
             raise ValueError(f"support generates a non-cyclic subgroup "
                              f"of order {h}")
         g0 = min(gens)
-        den = lcm(*(c.den for c in x.terms.values()))
-        # rows[a]: each i with a term v pi^(a/den) in x[g0^i], as i, the
-        # weight 1 and v
-        rows: dict[int, tuple[list, list, list]] = {}
-        for i, g in enumerate(G.cyclic_subgroup(g0)):
-            if g in x.terms:
-                for a, v in x.terms[g]._over(den).items():
-                    idx, w, vals = rows.setdefault(a, ([], [], []))
-                    idx.append(i)
-                    w.append(1)
-                    vals.append(v)
-        roots = [zeta(h, k) for k in range(h)]
-        sums = [(w, vals, [roots[i * j % h] for i in idx])
-                for j in range(h) for idx, w, vals in rows.values()]
-        flat = _dot(sums)
-        k = len(rows)
-        x.eigen = g0, [TameElement(dict(zip(rows, flat[j * k:(j + 1) * k])),
-                                   den) for j in range(h)]
+        x.eigen = g0, _dft([x.terms.get(g) for g in G.cyclic_subgroup(g0)])
     return x.eigen
 
 
@@ -402,9 +436,10 @@ def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
     the representation diagonalizes, the linear character xi_j of H with
     xi_j(g0) = zeta_h^j contributes the eigenfactor F_j = sum_h x[h] xi_j(h)
     with multiplicity (chi|_H, xi_j), and the determinant is
-    prod_j F_j^mult_j.  The F_j depend on x alone and are computed once per
-    resolvend; the multiplicities are chi's own, so psi_2 chi brings those
-    `adams` found and the Adams identity stays a check between two routes.
+    prod_j F_j^mult_j.  The F_j depend on x alone, and on a resolvend on
+    its order and ladder alone (`_eigenfactors`); the multiplicities are
+    chi's own, so psi_2 chi brings those `adams` found and the Adams
+    identity stays a check between two routes.
     Negative multiplicities (virtual chi) need monomial eigenfactors.
     """
     if chi.table.group is not x.group:
@@ -463,11 +498,11 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
     if not is_prime(q) or (q - 1) % e:
         raise ValueError(f"residue size {q} must be a prime = 1 mod {e}")
 
-    G = preset(f"C{e}")
+    ctab = cyclic_table(e)
+    G = ctab.group
     s = 1 % e
-    r = _resolvend(G, s, _ladder(e, n))  # alpha's resolvend
+    r = _resolvend(G, s, n)  # alpha's resolvend
     orbit = [r.terms[G.power(s, -j)] for j in range(e)]  # sigma^j(alpha)
-    ctab = CharTable.cyclic(G, s)
 
     checks = []
     for l in range(e):

@@ -20,74 +20,85 @@ route: induction of the explicit virtual characters
 followed by inner products on G, the projections `VirtualChar.from_values`
 takes when it decomposes each induced character, and through the second
 Adams operation.  Agreement of the routes is the content being certified.
+
+All of this data on <s> depends on the order m alone: every element of
+order m, in any group, is presented on the one preset C_m (its element i
+is s^i, `Subgroup.cyclic`), and one context per order holds that group's
+table with Xi, Xi* and d(s), so each of them sums its values once and each
+psi_2 xi^j is decomposed once.  What depends on s and G, the induction to
+G and the multiplicities of G's characters at s, is computed per element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .characters import CharTable, VirtualChar, induce
+from .characters import CharTable, VirtualChar, cyclic_table, induce
 from .groups import FiniteGroup, Subgroup
 
 
+@lru_cache(maxsize=None)
+def _order_chars(m: int) -> tuple:
+    """(table, Xi, Xi*, d) on the shared C_m; Xi* and d are None for even
+    m.  Kept per order, so each VirtualChar sums its values once and each
+    psi_2 xi^j lands once in the table's adams_cache."""
+    ctab = cyclic_table(m)
+    xi = VirtualChar(ctab, {j: Fraction(j, m) for j in range(1, m)})
+    if m % 2 == 0:
+        return ctab, xi, None, None
+    half = range(1, (m - 1) // 2 + 1)  # xi^-j is xi^(m-j)
+    star = {j: Fraction(j, m) for j in half}
+    star.update({m - j: Fraction(-j, m) for j in half})
+    d = VirtualChar(ctab, {m - j: Fraction(-1) for j in half})
+    return ctab, xi, VirtualChar(ctab, star), d
+
+
 def _cyclic_context(G: FiniteGroup, s: int) -> tuple[Subgroup, CharTable]:
-    cache = getattr(G, "_cyclic_ctx", None)
-    if cache is None:
-        cache = G._cyclic_ctx = {}
-    if s not in cache:
-        sub = Subgroup.cyclic(G, s)
-        ctab = CharTable.cyclic(sub.group, sub.from_parent[s])
-        cache[s] = (sub, ctab)
-    return cache[s]
+    """<s> on the shared C_m (element i is s^i) and that order's table."""
+    sub = Subgroup.cyclic(G, s)
+    return sub, _order_chars(sub.group.n)[0]
 
 
 def pairing(vc: VirtualChar, s: int) -> Fraction:
     """<chi, s>: sum of {r/m} over the restriction components xi^r,
     weighted by multiplicity; linear in chi."""
-    mults = vc.multiplicities(s)
-    m = len(mults)
-    return sum((c * Fraction(r, m) for r, c in enumerate(mults)), Fraction(0))
+    acc, den = vc.multiplicity_sums(s)
+    return Fraction(sum(r * a for r, a in enumerate(acc)), den * len(acc))
 
 
 def star_pairing(vc: VirtualChar, s: int) -> Fraction:
     """<chi, s>*: as pairing but with exponents in the symmetric window
     [(1-m)/2, (m-1)/2]; defined only for odd-order s."""
-    mults = vc.multiplicities(s)
-    m = len(mults)
+    acc, den = vc.multiplicity_sums(s)
+    m = len(acc)
     if m % 2 == 0:
         raise ValueError(f"starred pairing needs odd order, got |s| = {m}")
     half = (m - 1) // 2
-    return sum((c * Fraction(r if r <= half else r - m, m)
-                for r, c in enumerate(mults)), Fraction(0))
+    return Fraction(sum((r if r <= half else r - m) * a
+                        for r, a in enumerate(acc)), den * m)
 
 
 def xi_char(G: FiniteGroup, s: int) -> VirtualChar:
     """Xi_s = (1/m) sum_{j=1}^{m-1} j xi^j on <s>."""
-    _, ctab = _cyclic_context(G, s)
-    m = ctab.k
-    return VirtualChar(ctab, {j: Fraction(j, m) for j in range(1, m)})
+    return _order_chars(G.element_order(s))[1]
+
+
+def _odd_order_chars(G: FiniteGroup, s: int, what: str) -> tuple:
+    m = G.element_order(s)
+    if m % 2 == 0:
+        raise ValueError(f"{what} needs odd order, got |s| = {m}")
+    return _order_chars(m)
+
 
 def xi_star_char(G: FiniteGroup, s: int) -> VirtualChar:
     """Xi*_s = (1/m) sum_{j=1}^{(m-1)/2} j (xi^j - xi^{-j}); odd m only."""
-    _, ctab = _cyclic_context(G, s)
-    m = ctab.k
-    if m % 2 == 0:
-        raise ValueError(f"starred element needs odd order, got |s| = {m}")
-    coeffs: dict[int, Fraction] = {}
-    for j in range(1, (m - 1) // 2 + 1):
-        coeffs[j] = coeffs.get(j, Fraction(0)) + Fraction(j, m)
-        coeffs[(-j) % m] = coeffs.get((-j) % m, Fraction(0)) - Fraction(j, m)
-    return VirtualChar(ctab, coeffs)
+    return _odd_order_chars(G, s, "starred element")[2]
 
 
 def d_char(G: FiniteGroup, s: int) -> VirtualChar:
     """d(s) = -sum_{j=1}^{(m-1)/2} xi^{-j}; odd m only; zero for m = 1."""
-    _, ctab = _cyclic_context(G, s)
-    m = ctab.k
-    if m % 2 == 0:
-        raise ValueError(f"d(s) needs odd order, got |s| = {m}")
-    return VirtualChar(ctab, {(-j) % m: Fraction(-1)
-                              for j in range(1, (m - 1) // 2 + 1)})
+    return _odd_order_chars(G, s, "d(s)")[3]
 
 
 def verify_induction_identities(G: FiniteGroup, s: int) -> dict:
@@ -97,9 +108,10 @@ def verify_induction_identities(G: FiniteGroup, s: int) -> dict:
     sub, ctab = _cyclic_context(G, s)
     m = ctab.k
     odd = m % 2 == 1
-    ind_xi = induce(xi_char(G, s), sub, T)
-    ind_xi_star = induce(xi_star_char(G, s), sub, T) if odd else None
-    ind_d = induce(d_char(G, s), sub, T) if odd else None
+    _, xi, xi_star, d = _order_chars(m)
+    ind_xi = induce(xi, sub, T)
+    ind_xi_star = induce(xi_star, sub, T) if odd else None
+    ind_d = induce(d, sub, T) if odd else None
 
     rows = []
     for t in range(T.k):
@@ -121,7 +133,7 @@ def verify_induction_identities(G: FiniteGroup, s: int) -> dict:
                          "chi": f"chi{t}", "lhs": str(lhs_d),
                          "rhs": str(rhs_d), "pass": lhs_d == rhs_d})
     if odd:
-        diff_ok = (xi_star_char(G, s) - xi_char(G, s)) == d_char(G, s)
+        diff_ok = (xi_star - xi) == d
         rows.append({"identity": "Xi* - Xi = d as virtual characters",
                      "chi": "-", "lhs": "-", "rhs": "-", "pass": diff_ok})
     return {"suite": "stickelberger induction identities",
@@ -135,12 +147,10 @@ def verify_adams_identities(G: FiniteGroup, s: int) -> dict:
     (Xi, xi^{2j} - xi^j) computed two ways; on G, the starred pairing is
     <psi_2(chi) - chi, s>."""
     T = CharTable.of(G)
-    _, ctab = _cyclic_context(G, s)
-    m = ctab.k
+    m = G.element_order(s)
     if m % 2 == 0:
         raise ValueError("Adams identities need odd-order s")
-    xs = xi_star_char(G, s)
-    x = xi_char(G, s)
+    ctab, x, xs, _ = _order_chars(m)
     rows = []
     for j in range(1, m):
         xi_j = VirtualChar.irreducible(ctab, j)

@@ -179,7 +179,8 @@ def test_criterion_7_family_ledger_properties():
     _gate("criterion 7: family ledger properties", 10, started, failures)
 
 
-def test_criterion_8_suite_determinism(tmp_path, capsys):
+def test_criterion_8_suite_determinism(tmp_path, capsys, cold_order_caches):
+    # the first run builds the per-order caches and the second reads them
     config = SuiteConfig({})
     runs = []
     for sub in ("first", "second"):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tamekit.characters as characters
+import tamekit.cyclotomic as cyclotomic
 from tamekit.characters import (CharTable, VirtualChar, _charpoly,
-                                 _class_matrices, _dixon_prime, induce,
-                                 restrict)
+                                 _class_matrices, _dixon_prime, cyclic_table,
+                                 induce, restrict)
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
 from tamekit.stickelberger import _cyclic_context, d_char, xi_char, xi_star_char
@@ -711,6 +712,25 @@ def test_c63_table_within_budget():
     assert T.k == 63 and T.degrees == [1] * 63
     assert T.certification["pass"]
     assert elapsed < 3, f"CharTable.of(C63) took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("n", [27, 32, 63])
+def test_certify_packs_cyclic_tables_at_two_bytes(n, monkeypatch):
+    # the per-sum bound of `_dot` fits both orthogonality relations in
+    # 16-bit slots; |W|_1 max|A|_1 max|B|_1 needed 32 at C63.  The power
+    # order table holds Dixon's rows in another order, and the bound is
+    # the largest over all sums.
+    T = cyclic_table(n)
+    widths = []
+
+    def recorded(bound):
+        widths.append(slot_bytes(bound))
+        return widths[-1]
+
+    slot_bytes = cyclotomic._slot_bytes
+    monkeypatch.setattr(cyclotomic, "_slot_bytes", recorded)
+    assert T.certify()["pass"]
+    assert widths == [2]
 
 
 def test_inseparable_class_matrices_fail_after_bounded_tries(monkeypatch):

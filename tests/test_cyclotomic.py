@@ -392,9 +392,10 @@ def _shared_sums(rng, n, big, dens):
 @pytest.mark.parametrize("dens", [False, True])
 @pytest.mark.parametrize("seed", range(4))
 def test_dot_shared_lists_against_the_cycnum_loop(seed, dens):
-    # Integral calls take each sum's slot bound as |W|_1 times the largest
-    # |A|_1 of each operand list; calls with denominators fold them into
-    # the weights first.  Both must agree with plain CycNum sums.
+    # Integral calls bound each sum by min(P(w, a) max|B|_1, P(w, b)
+    # max|A|_1), P(w, a) = sum_j |W_j| |A_j|_1 once per pair of lists;
+    # calls with denominators fold them into the weights first.  Both must
+    # agree with plain CycNum sums.
     rng = random.Random(seed)
     n = (9, 27, 45, 63)[seed]
     big = CycNum(n, {e: rng.randint(-40, 40) for e in range(n)})
@@ -404,8 +405,9 @@ def test_dot_shared_lists_against_the_cycnum_loop(seed, dens):
 
 def test_dot_list_bound_forces_a_wider_slot():
     # One large operand among unit roots on each side, at different
-    # places: the sum itself needs 16-bit slots, the bound from the lists'
-    # largest |A|_1 needs 32, and the result is exact either way.
+    # places: the sum itself needs 16-bit slots, the O(1) bound
+    # P(w, a) max|B|_1 = (l1 + 5) l1 needs 32, and the result is exact
+    # either way.
     n = 9
     spread = _table(n)[1]
     big = CycNum(n, {e: 20 for e in range(6)})  # |big|_1 = 120
@@ -415,7 +417,7 @@ def test_dot_list_bound_forces_a_wider_slot():
     w = [1] * 6
     exact = sum(x * y for x, y in zip([l1] + [1] * 5, [1] * 5 + [l1]))
     assert _slot_bytes(exact * (1 + spread)) == 2
-    assert _slot_bytes(6 * l1 * l1 * (1 + spread)) == 4
+    assert _slot_bytes((l1 + 5) * l1 * (1 + spread)) == 4
     got, = _dot([(w, a, b)])
     assert got == _plain_dot(w, a, b)
 

@@ -424,10 +424,11 @@ def test_f57_factorization():
         assert verify_factorization(G, s)["pass"], s
 
 
-def test_f57_identities_and_factorization_within_budget():
+def test_f57_identities_and_factorization_within_budget(cold_order_caches):
     # what the suite runs on a group: both identity verifiers and the
     # factorization on every element (all of odd order), on a fresh group
-    # whose table is built outside the budget
+    # whose table is built outside the budget, with the per-order caches
+    # empty, so that their building is timed too
     G = _f57()
     CharTable.of(G)
     start = time.perf_counter()
@@ -435,4 +436,4 @@ def test_f57_identities_and_factorization_within_budget():
         assert verify_induction_identities(G, s)["pass"], s
         assert verify_adams_identities(G, s)["pass"], s
         assert verify_factorization(G, s)["pass"], s
-    assert time.perf_counter() - start < 5.0
+    assert time.perf_counter() - start < 2.5

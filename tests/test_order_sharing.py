@@ -1,0 +1,200 @@
+"""Work that depends on an element's order alone is done once per order:
+the cyclic table and Xi, Xi*, d(s) on the shared C_m, each ladder's
+sigma-orbit and its eigenfactors.  Everything that depends on the element
+or its group is still computed per element."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tamekit
+from tamekit import localmodel
+from tamekit.characters import CharTable, VirtualChar, cyclic_table
+from tamekit.cli import SuiteConfig, _dump, _suite_reports
+from tamekit.cyclotomic import zeta
+from tamekit.groups import FiniteGroup, preset
+from tamekit.localmodel import (TameElement, det_resolvend, phi_resolvend,
+                                phi_star_resolvend, verify_factorization)
+from tamekit.stickelberger import (_cyclic_context, d_char,
+                                   verify_adams_identities, xi_char,
+                                   xi_star_char)
+
+
+def _f57():
+    # F57 = C19 : C3, x -> x + 1 and x -> 7x on Z/19
+    return FiniteGroup.from_generators([
+        tuple((x + 1) % 19 for x in range(19)),
+        tuple(7 * x % 19 for x in range(19))])
+
+
+def _odd(G):
+    return [s for s in range(G.n) if G.element_order(s) % 2 == 1]
+
+
+def _ladders(orders):
+    return {(m, start) for m in orders for start in (0, (1 - m) // 2)}
+
+
+def test_one_dft_per_ladder(cold_order_caches, monkeypatch):
+    dft = localmodel._dft
+    runs = []
+
+    def counted(seq):
+        runs.append(len(seq))
+        return dft(seq)
+
+    monkeypatch.setattr(localmodel, "_dft", counted)
+    orders = set()
+    for name in ("C9", "F21"):
+        G = preset(name)
+        for s in _odd(G):
+            assert verify_factorization(G, s)["pass"], (name, s)
+            orders.add(G.element_order(s))
+    assert orders == {1, 3, 7, 9}
+    assert len(runs) == len(_ladders(orders)) == 7
+    assert sorted(runs) == sorted(m for m, _ in _ladders(orders))
+
+
+def test_psi2_of_each_xi_power_is_decomposed_once(cold_order_caches,
+                                                  monkeypatch):
+    from_values = VirtualChar.from_values.__func__
+    tables = []
+
+    def counted(cls, table, values):
+        tables.append((table, tuple(map(repr, values))))
+        return from_values(cls, table, values)
+
+    monkeypatch.setattr(VirtualChar, "from_values", classmethod(counted))
+    orders = set()
+    for name in ("C9", "F21"):
+        G = preset(name)
+        CharTable.of(G)
+        for s in _odd(G):
+            assert verify_adams_identities(G, s)["pass"], (name, s)
+            orders.add(G.element_order(s))
+    # G's tables are left out, as their psi_2 chi may be kept from an
+    # earlier test; on C_m, psi_2 xi^j is decomposed once for each 0 < j < m
+    shared = {id(cyclic_table(m)): m for m in orders}
+    per_order = [(shared[id(t)], vals) for t, vals in tables
+                 if id(t) in shared]
+    assert len(set(per_order)) == len(per_order)
+    assert sorted(m for m, _ in per_order) == \
+        sorted(m for m in orders for _ in range(1, m))
+
+
+def _of_order(G, m):
+    return next(g for g in range(G.n) if G.element_order(g) == m)
+
+
+def test_elements_of_one_order_share_table_and_xi():
+    C7, F21, F57 = preset("C7"), preset("F21"), _f57()
+    s = _of_order(F21, 7)
+    sub1, t1 = _cyclic_context(C7, 1)
+    sub2, t2 = _cyclic_context(F21, s)
+    assert t1 is t2 is cyclic_table(7)
+    assert sub1.group is sub2.group is C7
+    assert sub2.parent is F21 and sub2.to_parent == F21.cyclic_subgroup(s)
+    assert xi_char(C7, 1) is xi_char(F21, s)
+    assert xi_star_char(C7, 1) is xi_star_char(F21, s)
+    assert d_char(C7, 1) is d_char(F21, s)
+    # order 19 in F57 and in C19, order 3 in F57 and in F21
+    assert xi_char(F57, _of_order(F57, 19)) is xi_char(preset("C19"), 1)
+    assert _cyclic_context(F57, _of_order(F57, 3))[1] is \
+        _cyclic_context(F21, _of_order(F21, 3))[1]
+
+
+def _direct_dft(G, x, s, done):
+    """F_j = sum_i x[s^i] zeta_m^(ij), term by term.  A pure function of
+    the sequence x[s^i], so `done` keeps it by the ids of its terms."""
+    seq = [x.terms[g] for g in G.cyclic_subgroup(s)]
+    key = tuple(map(id, seq))
+    if key not in done:
+        m = len(seq)
+        done[key] = seq, [sum((y * zeta(m, i * j % m)
+                               for i, y in enumerate(seq)), TameElement.zero())
+                          for j in range(m)]
+    return done[key][1]
+
+
+@pytest.mark.parametrize("group", ["F21", "F57"])
+def test_eigenfactors_are_the_dft_along_s(group):
+    G = _f57() if group == "F57" else preset(group)
+    T = CharTable.of(G)
+    done = {}
+    for s in _odd(G):
+        for r in (phi_resolvend(G, s), phi_star_resolvend(G, s)):
+            direct = _direct_dft(G, r, s, done)
+            for t in range(T.k):
+                chi = VirtualChar.irreducible(T, t)
+                det = TameElement.one()
+                for f, mult in zip(direct, chi.multiplicities(s)):
+                    det = det * f ** int(mult)
+                assert det_resolvend(r, chi) == det, (s, t)
+            g0, factors = r.eigen
+            assert g0 == s
+            assert list(factors) == direct, s
+
+
+def test_wrong_sigma_after_caching_breaks_equivariance(cold_order_caches,
+                                                       monkeypatch):
+    G = preset("F21")
+    s = _of_order(G, 7)
+    assert verify_factorization(G, s)["pass"]  # the orbits are now cached
+    sigma = localmodel.sigma_action
+    monkeypatch.setattr(localmodel, "sigma_action",
+                        lambda x: sigma(sigma(x)))
+    report = verify_factorization(G, s)
+    assert report["equivariance"] == {"plain": False, "star": False}
+    assert not report["pass"]
+    monkeypatch.undo()
+    assert verify_factorization(G, s)["pass"]
+
+
+def _group_reports(groups):
+    config = SuiteConfig({"groups": groups, "primes": [], "e_values": [],
+                          "crux": []})
+    return {name: _dump(report) for name, report in _suite_reports(config)
+            if name != "ledger-demo"}
+
+
+def test_group_order_does_not_change_reports(cold_order_caches):
+    first = _group_reports(["F21", "C7"])
+    second = _group_reports(["C7", "F21"])
+    assert len(first) == 6
+    assert first == second
+
+
+def test_default_suite_counts_in_a_fresh_process():
+    # 17 ladders: (m, 0) and (m, (1 - m)/2) for the odd orders 1, 3, 5, 7,
+    # 9 of the default groups (one ladder at m = 1), and the Kummer offsets
+    # 1 and e - 1 for e = 3, 5, 7, 9; the others are shared.
+    script = """
+import json
+from tamekit import characters, cyclotomic, localmodel
+from tamekit.cli import SuiteConfig, _suite_reports
+counts = {"dot": 0, "dft": 0}
+dot, dft = cyclotomic._dot, localmodel._dft
+def counted_dot(sums):
+    counts["dot"] += 1
+    return dot(sums)
+def counted_dft(seq):
+    counts["dft"] += 1
+    return dft(seq)
+characters._dot = localmodel._dot = counted_dot
+localmodel._dft = counted_dft
+assert all(report["pass"] for _, report in _suite_reports(SuiteConfig({})))
+print(json.dumps(counts))
+"""
+    src = str(Path(tamekit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    counts = json.loads(out.splitlines()[-1])
+    assert counts["dft"] == 17
+    assert counts["dot"] <= 850, counts
