@@ -8,8 +8,8 @@ Layers, bottom up:
 - padic: truncated Z_p[zeta_p] arithmetic, Teichmueller lifts, lambda-adic
   valuations of cyclotomic integers.
 - groups: small finite groups as explicit multiplication tables.
-- characters: exact character tables, restriction, induction, Adams
-  operations on virtual characters.
+- characters: exact character tables, induction, Adams operations on
+  virtual characters.
 - stickelberger: the pairing <chi, s> and its symmetrized variant, plus the
   classical identities relating them to induced cyclic characters.
 - localmodel: formal uniformizer-power arithmetic for tame local extensions,

@@ -47,13 +47,13 @@ def euler_phi(n: int) -> int:
 @lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
     """Smallest primitive root mod p (p prime); 1 for p = 2."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p == 2:
         return 1
     factors = prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise ValueError(f"{p} is not prime")
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
 def smallest_prime_in_class(k: int, m: int) -> int:

@@ -511,10 +511,6 @@ class VirtualChar:
     def values(self) -> list[CycNum]:
         return list(self._row())
 
-    def degree(self) -> Fraction:
-        return sum((c * self.table.degrees[t] for t, c in self.coeffs.items()),
-                   Fraction(0))
-
     def _same_table(self, other: "VirtualChar"):
         if self.table is not other.table:
             raise ValueError("characters live on different tables")
@@ -535,12 +531,6 @@ class VirtualChar:
     def scale(self, r) -> "VirtualChar":
         r = _as_fraction(r)
         return VirtualChar(self.table, {t: c * r for t, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        """Pointwise product of class functions, re-decomposed exactly."""
-        self._same_table(other)
-        vals = [self.value(j) * other.value(j) for j in range(self.table.k)]
-        return VirtualChar.from_values(self.table, vals)
 
     def __eq__(self, other):
         if not isinstance(other, VirtualChar):
@@ -573,19 +563,6 @@ class VirtualChar:
             return "VirtualChar(0)"
         bits = [f"{c}*chi{t}" for t, c in sorted(self.coeffs.items())]
         return "VirtualChar(" + " + ".join(bits) + ")"
-
-
-def restrict(vc: VirtualChar, sub: Subgroup, subtable: CharTable) -> VirtualChar:
-    """Restriction of a class function on G to a subgroup H, decomposed on
-    the given table of H."""
-    if vc.table.group is not sub.parent:
-        raise ValueError("subgroup does not sit inside the character's group")
-    gvals = vc.values()
-    vals = []
-    for j in range(subtable.k):
-        h_parent = sub.to_parent[subtable.reps[j]]
-        vals.append(gvals[vc.table.class_of[h_parent]])
-    return VirtualChar.from_values(subtable, vals)
 
 
 def induce(vc: VirtualChar, sub: Subgroup, parent_table: CharTable) -> VirtualChar:

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 

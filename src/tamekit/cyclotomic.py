@@ -371,10 +371,6 @@ class CycNum:
         return MappingProxyType(
             {e: Fraction(c, den) for e, c in enumerate(self.num) if c})
 
-    @property
-    def conductor(self) -> int:
-        return self.n
-
     def is_zero(self) -> bool:
         return not any(self.num)
 
@@ -475,12 +471,6 @@ class CycNum:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
@@ -513,9 +503,6 @@ class CycNum:
             return self
         raw = _folded(self.n, ((e * k, c) for e, c in enumerate(self.num)))
         return CycNum._make(self.n, _reduce(self.n, raw), self.den)
-
-    def conjugate(self) -> "CycNum":
-        return self.galois_apply(-1)
 
     def as_rational(self) -> Fraction:
         """This element as a Fraction; raises if it is irrational."""
@@ -581,10 +568,6 @@ class CycNum:
             "n": self.n,
             "coeffs": [[e, str(c)] for e, c in sorted(self.coeffs.items())],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CycNum":
-        return cls(d["n"], {int(e): Fraction(c) for e, c in d["coeffs"]})
 
     def __repr__(self):
         if not self:

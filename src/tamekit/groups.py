@@ -201,18 +201,6 @@ class FiniteGroup:
             x = self.table[x][s]
         return out
 
-    def subgroup_closure(self, gens: list[int]) -> list[int]:
-        seen = {0}
-        queue = [0]
-        while queue:
-            cur = queue.pop(0)
-            for g in gens:
-                nxt = self.table[cur][g]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return sorted(seen)
-
 
 class Subgroup:
     """A subgroup presented as its own FiniteGroup plus the inclusion map."""

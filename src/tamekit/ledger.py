@@ -119,9 +119,6 @@ class PlacedHom:
                 raise ValueError(f"duplicate place label {pl.label!r}")
             self.places[pl.label] = pl
 
-    def labels(self) -> list[str]:
-        return sorted(self.places)
-
     def hom(self, label: str) -> ReprHom:
         pl = self.places.get(label)
         return pl.hom if pl is not None else ReprHom.trivial(self.table)

@@ -16,23 +16,20 @@ coefficients.  For s in G of order m the averaged ladder
     beta   = (1/m) sum_{i=0}^{m-1} pi^(i/m)
     beta*  = (1/m) sum_{i=0}^{m-1} pi^((i + (1-m)/2)/m)     (odd m)
 
-gives resolvends r = sum_i sigma^i(beta) s^(-i).  On the cyclic group
-<g0> of order h that carries an element x, chi's determinant is
-prod_j F_j^mult_j: the eigenfactors F_j = sum_i x[g0^i] zeta_h^(ij) are
-one length-h DFT (one packed `_dot` call for all h x |exponents| sums,
-the coefficients passed as they are).  A resolvend takes it along the s
-it was built on: r[s^i] = sigma^(-i)(ladder) depends on the order m and
-the ladder alone, so each ladder's sigma-orbit and its DFT are computed
-once per ladder and shared by every element of order m, in any group.
-Any other element takes it along the least generator g0 of the group its
-support generates, once, and keeps it.  mult_j comes from chi
-(VirtualChar.multiplicities at g0): Dixon's eigenvalue data for an
-irreducible, and for psi_2 chi the decomposition `adams` computed, so
-the Adams identity stays a check between two routes.  The verifiers
-check that these determinants are exactly the monomials predicted by the
-Stickelberger pairings, that a Kummer generator's twisted orbit sums
-recover each basis monomial, and that the change-of-basis determinant is
-a unit above the chosen residue characteristic.
+gives resolvends r = sum_i sigma^i(beta) s^(-i).  On <s>, chi's
+determinant is prod_j F_j^mult_j: the eigenfactors F_j = sum_i r[s^i]
+zeta_m^(ij) are one length-m DFT (one packed `_dot` call for all
+m x |exponents| sums, the coefficients passed as they are).  r[s^i] =
+sigma^(-i)(ladder) depends on the order m and the ladder alone, so each
+ladder's sigma-orbit and its DFT are computed once per ladder and shared
+by every element of order m, in any group; the resolvend keeps them.
+mult_j comes from chi (VirtualChar.multiplicities at s): Dixon's
+eigenvalue data for an irreducible, and for psi_2 chi the decomposition
+`adams` computed, so the Adams identity stays a check between two routes.
+The verifiers check that these determinants are exactly the monomials
+predicted by the Stickelberger pairings, that a Kummer generator's twisted
+orbit sums recover each basis monomial, and that the change-of-basis
+determinant is a unit above the chosen residue characteristic.
 """
 
 from __future__ import annotations
@@ -190,11 +187,6 @@ class TameElement:
         return {"terms": [[str(Fraction(a, self.den)), c.to_dict()]
                           for a, c in sorted(self.terms.items())]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TameElement":
-        return sum((cls.monomial(Fraction(e), CycNum.from_dict(c))
-                    for e, c in d["terms"]), cls())
-
     def __repr__(self) -> str:
         if not self.terms:
             return "TameElement(0)"
@@ -222,34 +214,17 @@ def frobenius_action(x: TameElement, q: int) -> TameElement:
 class GroupAlgebraElement:
     """Group-ring element with TameElement coefficients.
 
-    `eigen` caches det_resolvend's eigenfactors; every operation returns a
-    new element, so the cache never outlives the terms it was read from.
+    `eigen` is (s, the eigenfactors along s), set by `_resolvend` and read
+    by det_resolvend; `right_mul` and `sigma` return new elements without
+    it.
     """
 
     __slots__ = ("group", "terms", "eigen")
 
-    def __init__(self, group: FiniteGroup, terms: dict | None = None):
+    def __init__(self, group: FiniteGroup, terms: dict[int, TameElement]):
         self.group = group
-        clean: dict[int, TameElement] = {}
-        for g, x in (terms or {}).items():
-            if isinstance(x, Scalar):
-                x = TameElement({0: x})
-            if x:
-                clean[g] = clean[g] + x if g in clean else x
-                if not clean[g]:
-                    del clean[g]
-        self.terms = clean
+        self.terms = terms
         self.eigen = None
-
-    @classmethod
-    def identity(cls, group: FiniteGroup) -> "GroupAlgebraElement":
-        return cls(group, {0: TameElement.one()})
-
-    def support(self) -> list[int]:
-        return sorted(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupAlgebraElement):
@@ -261,44 +236,6 @@ class GroupAlgebraElement:
         return all(x == other.terms[g] for g, x in self.terms.items())
 
     __hash__ = None
-
-    def __add__(self, other) -> "GroupAlgebraElement":
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        if self.group is not other.group:
-            raise ValueError("elements live over different groups")
-        out = dict(self.terms)
-        for g, x in other.terms.items():
-            out[g] = out[g] + x if g in out else x
-        return GroupAlgebraElement(self.group, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self + GroupAlgebraElement(
-            other.group, {g: -x for g, x in other.terms.items()})
-
-    def __mul__(self, other) -> "GroupAlgebraElement":
-        if isinstance(other, Scalar) or isinstance(other, TameElement):
-            return GroupAlgebraElement(
-                self.group, {g: x * other for g, x in self.terms.items()})
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        if self.group is not other.group:
-            raise ValueError("elements live over different groups")
-        mul = self.group.mul
-        out: dict[int, TameElement] = {}
-        for g, x in self.terms.items():
-            for h, y in other.terms.items():
-                k = mul(g, h)
-                xy = x * y
-                out[k] = out[k] + xy if k in out else xy
-        return GroupAlgebraElement(self.group, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar) or isinstance(other, TameElement):
-            return self * other
-        return NotImplemented
 
     def right_mul(self, g: int) -> "GroupAlgebraElement":
         mul = self.group.mul
@@ -319,18 +256,6 @@ def _ladder(m: int, start: int) -> TameElement:
     """(1/m) sum_{i<m} pi^((start + i)/m)."""
     return TameElement(dict.fromkeys(range(start, start + m),
                                      CycNum.from_rational(Fraction(1, m))), m)
-
-
-def beta(m: int) -> TameElement:
-    """(1/m) sum_i pi^(i/m).  Depends only on the order m."""
-    return _ladder(m, 0)
-
-
-def beta_star(m: int) -> TameElement:
-    """Centered variant, exponents shifted by (1-m)/2; odd m only."""
-    if m % 2 == 0:
-        raise ValueError(f"centered ladder needs odd order, got {m}")
-    return _ladder(m, (1 - m) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -384,22 +309,20 @@ def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
     return smallest_prime_in_class(k, m)
 
 
-def _dft(seq: list) -> tuple[TameElement, ...]:
-    """[F_0, ..., F_(h-1)], F_j = sum_i seq[i] zeta_h^(ij) for h = len(seq)
-    and seq[i] a TameElement or None (zero): h sums per exponent of pi in
-    one `_dot` call."""
+def _dft(seq: list[TameElement]) -> tuple[TameElement, ...]:
+    """[F_0, ..., F_(h-1)], F_j = sum_i seq[i] zeta_h^(ij) for h = len(seq):
+    h sums per exponent of pi in one `_dot` call."""
     h = len(seq)
-    den = lcm(*(x.den for x in seq if x is not None))
+    den = lcm(*(x.den for x in seq))
     # rows[a]: each i with a term v pi^(a/den) in seq[i], as i, the weight
     # 1 and v
     rows: dict[int, tuple[list, list, list]] = {}
     for i, x in enumerate(seq):
-        if x is not None:
-            for a, v in x._over(den).items():
-                idx, w, vals = rows.setdefault(a, ([], [], []))
-                idx.append(i)
-                w.append(1)
-                vals.append(v)
+        for a, v in x._over(den).items():
+            idx, w, vals = rows.setdefault(a, ([], [], []))
+            idx.append(i)
+            w.append(1)
+            vals.append(v)
     roots = [zeta(h, k) for k in range(h)]
     sums = [(w, vals, [roots[i * j % h] for i in idx])
             for j in range(h) for idx, w, vals in rows.values()]
@@ -409,44 +332,27 @@ def _dft(seq: list) -> tuple[TameElement, ...]:
                  for j in range(h))
 
 
-def _eigenfactors(x: GroupAlgebraElement) -> tuple:
-    """(g0, [F_0, ..., F_(h-1)]), F_j = sum_i x[g0^i] zeta_h^(ij): the DFT
-    along g0, which `_resolvend` sets to s and is otherwise the least
-    generator of the cyclic group H that x's support generates; computed
-    once and kept on x."""
-    if x.eigen is None:
-        G = x.group
-        if not x.terms:
-            raise ValueError("zero element has no determinant")
-        hull = G.subgroup_closure(x.support())
-        h = len(hull)
-        gens = [g for g in hull if G.element_order(g) == h]
-        if not gens:
-            raise ValueError(f"support generates a non-cyclic subgroup "
-                             f"of order {h}")
-        g0 = min(gens)
-        x.eigen = g0, _dft([x.terms.get(g) for g in G.cyclic_subgroup(g0)])
-    return x.eigen
-
-
 def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
-    """Determinant of chi's representation evaluated on x.
+    """Determinant of chi's representation evaluated on a resolvend x.
 
-    Requires the support of x to generate a cyclic subgroup H = <g0>: there
-    the representation diagonalizes, the linear character xi_j of H with
-    xi_j(g0) = zeta_h^j contributes the eigenfactor F_j = sum_h x[h] xi_j(h)
+    x is built on s (`_resolvend`) and supported on H = <s>, where the
+    representation diagonalizes: the linear character xi_j of H with
+    xi_j(s) = zeta_m^j contributes the eigenfactor F_j = sum_h x[h] xi_j(h)
     with multiplicity (chi|_H, xi_j), and the determinant is
-    prod_j F_j^mult_j.  The F_j depend on x alone, and on a resolvend on
-    its order and ladder alone (`_eigenfactors`); the multiplicities are
-    chi's own, so psi_2 chi brings those `adams` found and the Adams
-    identity stays a check between two routes.
+    prod_j F_j^mult_j.  The F_j depend on the order and the ladder alone
+    and are kept on x; the multiplicities are chi's own, so psi_2 chi
+    brings those `adams` found and the Adams identity stays a check
+    between two routes.
     Negative multiplicities (virtual chi) need monomial eigenfactors.
     """
     if chi.table.group is not x.group:
         raise ValueError("character and element live over different groups")
-    g0, factors = _eigenfactors(x)
+    if x.eigen is None:
+        raise ValueError("det_resolvend needs a resolvend, whose "
+                         "eigenfactors are stored; this element has none")
+    s, factors = x.eigen
     out = TameElement.one()
-    for j, mult in enumerate(chi.multiplicities(g0)):
+    for j, mult in enumerate(chi.multiplicities(s)):
         if mult.denominator != 1:
             raise ValueError(f"non-integral multiplicity {mult} at row {j}")
         if mult == 0:

@@ -109,9 +109,6 @@ class PadicApprox:
         M = self._check(other)
         return PadicApprox(self.p, M, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self):
-        return PadicApprox(self.p, self.M, [-a for a in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, int):
             return PadicApprox(self.p, self.M, [a * other for a in self.coeffs])

@@ -79,28 +79,6 @@ def star_pairing(vc: VirtualChar, s: int) -> Fraction:
                         for r, a in enumerate(acc)), den * m)
 
 
-def xi_char(G: FiniteGroup, s: int) -> VirtualChar:
-    """Xi_s = (1/m) sum_{j=1}^{m-1} j xi^j on <s>."""
-    return _order_chars(G.element_order(s))[1]
-
-
-def _odd_order_chars(G: FiniteGroup, s: int, what: str) -> tuple:
-    m = G.element_order(s)
-    if m % 2 == 0:
-        raise ValueError(f"{what} needs odd order, got |s| = {m}")
-    return _order_chars(m)
-
-
-def xi_star_char(G: FiniteGroup, s: int) -> VirtualChar:
-    """Xi*_s = (1/m) sum_{j=1}^{(m-1)/2} j (xi^j - xi^{-j}); odd m only."""
-    return _odd_order_chars(G, s, "starred element")[2]
-
-
-def d_char(G: FiniteGroup, s: int) -> VirtualChar:
-    """d(s) = -sum_{j=1}^{(m-1)/2} xi^{-j}; odd m only; zero for m = 1."""
-    return _odd_order_chars(G, s, "d(s)")[3]
-
-
 def verify_induction_identities(G: FiniteGroup, s: int) -> dict:
     """Both pairings against their induced-character inner-product
     descriptions, plus the difference identity through d(s)."""

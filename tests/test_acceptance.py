@@ -11,7 +11,7 @@ import time
 from math import gcd
 from pathlib import Path
 
-from tamekit.characters import CharTable, VirtualChar, induce, restrict
+from tamekit.characters import CharTable, VirtualChar, induce
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, run_suite
 from tamekit.gaussjacobi import verify_gauss_identities, verify_jstar
 from tamekit.groups import PRESET_NAMES, Subgroup, preset
@@ -22,6 +22,8 @@ from tamekit.localmodel import (TameElement, verify_factorization,
 from tamekit.stickelberger import (pairing, star_pairing,
                                    verify_adams_identities,
                                    verify_induction_identities)
+
+from restriction import restrict
 
 ALL_GROUPS = ("C3", "C5", "C7", "C9", "S3", "D5", "A4", "Q8", "F21")
 # sha256 of every report the default suite writes, committed with the

@@ -2,6 +2,8 @@
 
 from math import gcd, isqrt
 
+import pytest
+
 from tamekit.arith import (euler_phi, is_prime, is_prime_power, prime_factors,
                            primitive_root, smallest_prime_in_class)
 
@@ -42,6 +44,15 @@ def test_primitive_root_smallest():
     assert primitive_root(31) == 3
     g = primitive_root(31)
     assert sorted(pow(g, k, 31) for k in range(30)) == list(range(1, 31))
+
+
+def test_primitive_root_rejects_non_primes():
+    # (Z/n)^* of these has no element of order n - 1, so no answer is
+    # right; each call raises, and no answer is cached for a later one
+    for n in (0, 1, 4, 9, 15, 25):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not prime"):
+                primitive_root(n)
 
 
 def test_euler_phi_small_values():

@@ -81,9 +81,9 @@ def test_galois_action():
 
 
 def test_conjugate():
-    assert zeta(5).conjugate() == zeta(5, 4)
+    assert zeta(5).galois_apply(-1) == zeta(5, 4)
     x = zeta(8) + zeta(8, 2)
-    assert x.conjugate() == zeta(8, 7) + zeta(8, 6)
+    assert x.galois_apply(-1) == zeta(8, 7) + zeta(8, 6)
 
 
 def test_rationality_detection():
@@ -97,7 +97,7 @@ def test_rationality_detection():
 
 
 def test_embed_and_shrink():
-    assert zeta(3).embed(15).conductor == 15
+    assert zeta(3).embed(15).n == 15
     assert zeta(3).embed(15).shrink_to(3) == zeta(3)
     assert CycNum.from_rational(7).embed(21).shrink_to(1).as_rational() == 7
     with pytest.raises(ValueError):
@@ -116,11 +116,6 @@ def test_shrink_after_embedding_into_a_coprime_split():
 def test_float_coefficients_are_rejected():
     with pytest.raises(TypeError):
         CycNum(5, {1: 0.5})
-
-
-def test_dict_round_trip():
-    x = zeta(12) * Fraction(2, 3) - CycNum.from_rational(5)
-    assert CycNum.from_dict(x.to_dict()) == x
 
 
 def _random_element(rng, n):

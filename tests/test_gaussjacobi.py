@@ -124,7 +124,7 @@ def test_j_star_values():
     assert j_star(quad).as_rational() == Fraction(1, 5)
     # conductor of J* is prime to p
     cubic = MultChar(7, 3, 1)
-    assert j_star(cubic).conductor == 3
+    assert j_star(cubic).n == 3
     assert j_star(cubic).norm() == Fraction(1, 7)
 
 

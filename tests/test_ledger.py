@@ -86,7 +86,7 @@ def test_placed_hom_structure():
     h1 = ReprHom(T, {0: _monomial(1, 3)})
     h2 = ReprHom(T, {2: _monomial(2, 3)})
     f = PlacedHom(T, [Place("a", 7, 1, h1), Place("b", 13, 1, h2)])
-    assert f.labels() == ["a", "b"]
+    assert list(f.places) == ["a", "b"]
     assert f.hom("a") == h1
     assert f.hom("zz").is_trivial()
     with pytest.raises(ValueError):
@@ -140,7 +140,7 @@ def test_decompose_recompose_round_trip():
     f = build_f(G, [("x", 11, 1), ("y", 31, 2), ("z", 41, 3)])
     parts = decompose(f)
     assert len(parts) == 3
-    assert all(len(p.labels()) == 1 for p in parts)
+    assert all(len(p.places) == 1 for p in parts)
     assert recompose(parts) == f
     with pytest.raises(ValueError):
         recompose([])

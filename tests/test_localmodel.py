@@ -13,11 +13,10 @@ from tamekit.arith import smallest_prime_in_class
 from tamekit.characters import CharTable, VirtualChar
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
-from tamekit.localmodel import (GroupAlgebraElement, TameElement, beta,
-                                beta_star, det_resolvend, frobenius_action,
-                                infer_q, phi_resolvend,
-                                phi_star_resolvend, sigma_action,
-                                verify_factorization,
+from tamekit.localmodel import (GroupAlgebraElement, TameElement, _ladder,
+                                det_resolvend, frobenius_action, infer_q,
+                                phi_resolvend, phi_star_resolvend,
+                                sigma_action, verify_factorization,
                                 verify_kummer_generator)
 from tamekit.stickelberger import (pairing, star_pairing,
                                    verify_adams_identities,
@@ -53,12 +52,6 @@ def test_inverse_requires_monomial():
         a.inverse()
     with pytest.raises(ZeroDivisionError):
         TameElement.zero().inverse()
-
-
-def test_dict_round_trip():
-    x = TameElement.monomial(Fraction(-1, 3), zeta(3)) + \
-        TameElement.monomial(Fraction(2, 7), CycNum.from_rational(5))
-    assert TameElement.from_dict(x.to_dict()) == x
 
 
 def test_sigma_twists_by_root_of_unity():
@@ -108,27 +101,27 @@ def test_frobenius_sigma_commutation():
 
 
 def test_beta_elements():
-    b = beta(3)
+    # beta and beta* of order 3: the ladders from 0 and from (1 - 3)/2
+    b = _ladder(3, 0)
     third = Fraction(1, 3)
     assert b == (TameElement.monomial(0) + TameElement.monomial(third)
                  + TameElement.monomial(2 * third)) * third
-    bs = beta_star(3)
+    bs = _ladder(3, -1)
     assert bs == (TameElement.monomial(-third) + TameElement.monomial(0)
                   + TameElement.monomial(third)) * third
     with pytest.raises(ValueError):
-        beta_star(4)
+        phi_star_resolvend(preset("C4"), 1)
 
 
 def test_group_algebra_arithmetic():
     G = preset("S3")
-    e = GroupAlgebraElement.identity(G)
+    e = GroupAlgebraElement(G, {0: TameElement.one()})
     s = G.names.index("(1 2 3)")
     x = e.right_mul(s)
-    assert x.support() == [G.inverse(s)] or x.support() == [s]
+    assert list(x.terms) == [s]
     # right translation composes
     assert x.right_mul(s).right_mul(s) == x.right_mul(0).right_mul(
         G.power(s, 2))
-    assert (e + e) * x == x * 2
 
 
 def test_resolvend_equivariance():
@@ -186,18 +179,6 @@ def test_det_resolvend_is_pairing_monomial():
                     TameElement.monomial(star_pairing(chi, s))
 
 
-def test_det_is_multiplicative_on_commuting_resolvends():
-    G = preset("C7")
-    T = CharTable.of(G)
-    r = phi_resolvend(G, 1)
-    rs = phi_star_resolvend(G, 1)
-    prod = r * rs
-    for t in range(T.k):
-        chi = VirtualChar.irreducible(T, t)
-        assert det_resolvend(prod, chi) == \
-            det_resolvend(r, chi) * det_resolvend(rs, chi)
-
-
 def test_kummer_generator_reports():
     for e in (1, 3, 5):
         for n in (0, (1 - e) // 2):
@@ -225,23 +206,24 @@ def test_factorization_reports():
         verify_factorization(preset("S3"), preset("S3").names.index("(1 2)"))
 
 
-def test_subtracting_a_non_element_is_a_type_error():
-    G = preset("C3")
-    r = phi_resolvend(G, 1)
-    for other in (1, TameElement.one()):
-        with pytest.raises(TypeError):
-            r - other
-        with pytest.raises(TypeError):
-            r + other
-    assert not r - r
+def test_det_resolvend_needs_a_resolvend():
+    G = preset("F21")
+    s = next(g for g in range(G.n) if G.element_order(g) == 7)
+    chi = VirtualChar.irreducible(CharTable.of(G), 0)
+    r = phi_resolvend(G, s)
+    for x in (r.sigma(), r.right_mul(s),
+              GroupAlgebraElement(G, dict(r.terms))):
+        with pytest.raises(ValueError, match="needs a resolvend"):
+            det_resolvend(x, chi)
 
 
 def _det_by_character(x, chi):
-    """Reference: every eigenfactor recomputed for each character."""
+    """Reference: every eigenfactor recomputed for each character, along
+    the least generator g0 of the cyclic group that x's support fills."""
     G = x.group
-    hull = G.subgroup_closure(x.support())
-    h = len(hull)
-    g0 = min(g for g in hull if G.element_order(g) == h)
+    h = len(x.terms)
+    g0 = min(g for g in x.terms if G.element_order(g) == h)
+    assert sorted(G.cyclic_subgroup(g0)) == sorted(x.terms)
     out = TameElement.one()
     for j, mult in enumerate(chi.multiplicities(g0)):
         if mult == 0:
@@ -271,21 +253,6 @@ def test_stored_eigenfactors_match_the_per_character_loop():
             for x in (r, rs):
                 for vc in chars:
                     assert det_resolvend(x, vc) == _det_by_character(x, vc)
-            # a fresh product: the factors kept on r and rs are not its own
-            # (chi and the virtual character suffice for it)
-            prod = r * rs
-            assert prod.eigen is None
-            for vc in chars[0::3] + chars[2::3]:
-                assert det_resolvend(prod, vc) == _det_by_character(prod, vc)
-            # an element on <s> whose coefficients of pi^(1/m) have unequal
-            # denominators, so the eigenfactor sums carry them into _dot
-            m = G.element_order(s)
-            mixed = GroupAlgebraElement(G, {
-                G.power(s, i): TameElement({0: i + 1, 1: Fraction(1, i + 2)},
-                                           m)
-                for i in range(m)})
-            for vc in chars[0::3]:
-                assert det_resolvend(mixed, vc) == _det_by_character(mixed, vc)
 
 
 def test_adams_check_fails_on_a_wrong_psi2(monkeypatch):
@@ -359,7 +326,6 @@ def _elements(draw, max_terms=4):
 def _same(x, ref):
     assert _view(x) == ref
     assert x.to_dict() == _ref_dict(ref)
-    assert TameElement.from_dict(x.to_dict()) == x
 
 
 @settings(max_examples=80, database=None, derandomize=True, deadline=None)

@@ -19,9 +19,8 @@ from tamekit.cyclotomic import zeta
 from tamekit.groups import FiniteGroup, preset
 from tamekit.localmodel import (TameElement, det_resolvend, phi_resolvend,
                                 phi_star_resolvend, verify_factorization)
-from tamekit.stickelberger import (_cyclic_context, d_char,
-                                   verify_adams_identities, xi_char,
-                                   xi_star_char)
+from tamekit.stickelberger import (_cyclic_context, _order_chars,
+                                   verify_adams_identities)
 
 
 def _f57():
@@ -98,11 +97,12 @@ def test_elements_of_one_order_share_table_and_xi():
     assert t1 is t2 is cyclic_table(7)
     assert sub1.group is sub2.group is C7
     assert sub2.parent is F21 and sub2.to_parent == F21.cyclic_subgroup(s)
-    assert xi_char(C7, 1) is xi_char(F21, s)
-    assert xi_star_char(C7, 1) is xi_star_char(F21, s)
-    assert d_char(C7, 1) is d_char(F21, s)
+    # Xi, Xi* and d(s) live on that one table, once per order
+    assert _order_chars(7)[0] is t2
+    assert all(vc.table is t2 for vc in _order_chars(7)[1:])
     # order 19 in F57 and in C19, order 3 in F57 and in F21
-    assert xi_char(F57, _of_order(F57, 19)) is xi_char(preset("C19"), 1)
+    assert _cyclic_context(F57, _of_order(F57, 19))[1] is \
+        _cyclic_context(preset("C19"), 1)[1] is _order_chars(19)[0]
     assert _cyclic_context(F57, _of_order(F57, 3))[1] is \
         _cyclic_context(F21, _of_order(F21, 3))[1]
 

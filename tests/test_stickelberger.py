@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamekit.characters import CharTable, VirtualChar, restrict
+from tamekit.characters import CharTable, VirtualChar
 from tamekit.groups import PRESET_NAMES, preset
-from tamekit.stickelberger import (_cyclic_context, d_char, pairing,
-                                   pairing_table,
-                                   star_pairing, verify_adams_identities,
-                                   verify_induction_identities, xi_char,
-                                   xi_star_char)
+from tamekit.stickelberger import (_cyclic_context, _order_chars, pairing,
+                                   pairing_table, star_pairing,
+                                   verify_adams_identities,
+                                   verify_induction_identities)
+
+from restriction import restrict
 
 
 def _cyclic_rows(G, gen):
@@ -71,9 +72,7 @@ def test_xi_and_d_character_pairings():
     T = CharTable.of(G)
     s = next(g for g in range(G.n) if G.element_order(g) == 7)
     sub, ctab = _cyclic_context(G, s)
-    xi = xi_char(G, s)
-    xis = xi_star_char(G, s)
-    d = d_char(G, s)
+    _, xi, xis, d = _order_chars(7)
     for t in range(T.k):
         chi = VirtualChar.irreducible(T, t)
         res = restrict(chi, sub, ctab)
