@@ -22,11 +22,11 @@ one row of M_j.  The lift takes one m-point DFT per character for one
 class of generators of each cyclic subgroup <g>, with one table of
 z_m^(-uv) per element order m, built once per table; the classes of the
 other generators g^a, gcd(a, m) = 1, read the same multiplicities
-permuted, m_(u a)(g^a) = m_u(g).  The lifted table is then certified
-against both orthogonality relations and sum(d^2) = |G| with exact
-cyclotomic arithmetic, so nothing downstream depends on the modular step.
-`certify` computes its 2 k^2 sums with the packed kernel
-`cyclotomic._dot`, each table value packed once for all of them.
+permuted, m_(u a)(g^a) = m_u(g); each distinct value is built once and
+shared.  The lifted table is then certified against both orthogonality
+relations and sum(d^2) = |G| exactly, so nothing downstream depends on the
+modular step: `certify` tests each of its 2 k^2 sums for zero with one
+`cyclotomic._ZeroTest`, each distinct value packed once for all of them.
 The table keeps m_u as eigen[t][j][u] (g = reps[j], m = |g|), the
 coefficient of xi^u, xi(g) = zeta_m, in chi_t restricted to <g>.  Reducing
 Z[zeta_e] -> F_ell sends each lifted value to chi mod ell, so the true m_u
@@ -62,11 +62,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from operator import mul
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import CycNum, _as_fraction, _dot, zeta
+from .cyclotomic import CycNum, _ZeroTest, _as_fraction, _dot, zeta
 from .groups import FiniteGroup, Subgroup, preset
 
 
@@ -272,10 +271,9 @@ class CharTable:
             dft[m] = (pow(m, -1, ell),
                       [[table[u * v % m] for v in range(m)] for u in range(m)])
 
-        values = []
-        degrees = []
-        eigen = []
-        for d, chi_mod in sorted(rows, key=lambda r: r[0]):
+        built = {}  # mu -> (its value at exp(G), sort key), one per table
+        lifts = []  # (degree, sort key, values, multiplicities) per character
+        for d, chi_mod in rows:
             lifted = {j: _multiplicities([chi_mod[c] for c in cs],
                                          *dft[orders[j]], ell, d)
                       for j, cs in power_classes.items()}
@@ -284,19 +282,19 @@ class CharTable:
                 mu, m = lifted[j], orders[j]
                 mults.append(mu if b == 1 else
                              tuple(mu[w * b % m] for w in range(m)))
-            values.append([CycNum(e, {u * (e // len(mu)): x
-                                      for u, x in enumerate(mu) if x})
-                           for mu in mults])
-            degrees.append(d)
-            eigen.append(mults)
+            for mu in mults:
+                if mu not in built:
+                    v = CycNum(e, {u * (e // len(mu)): x
+                                   for u, x in enumerate(mu) if x})
+                    built[mu] = v, tuple((i, c) for i, c in enumerate(v.num)
+                                         if c)
+            row = [built[mu] for mu in mults]
+            lifts.append((d, tuple(key for _, key in row),
+                          [v for v, _ in row], mults))
+        lifts.sort(key=lambda r: r[:2])
 
-        order_key = sorted(range(len(values)),
-                           key=lambda t: (degrees[t], _row_key(values[t])))
-        values = [values[t] for t in order_key]
-        degrees = [degrees[t] for t in order_key]
-        eigen = [eigen[t] for t in order_key]
-
-        table = cls(group, classes, values, degrees, eigen)
+        table = cls(group, classes, [r[2] for r in lifts],
+                    [r[0] for r in lifts], [r[3] for r in lifts])
         report = table.certify()
         if not report["pass"]:
             raise ArithmeticError(f"character table failed certification: {report}")
@@ -374,27 +372,42 @@ class CharTable:
     # certification -----------------------------------------------------------
 
     def certify(self) -> dict:
-        """Degree sum and both orthogonality relations, exactly.  All 2 k^2
-        sums go through one `_dot`, so each table value is packed once."""
+        """Degree sum and both orthogonality relations, exactly: each of the
+        2 k^2 sums is one `_ZeroTest` at the values' conductor, exp(G) here.
+        With V = A / L over a common denominator and the weights cleared by
+        |G|, they test sum_j |C_j| A_tj A_u,inv(j) = delta_tu |G| L^2 and
+        sum_t A_ti A_t,inv(j) = delta_ij |G| / |C_i| L^2, whose differences
+        |G| (max|A|_1^2 + L^2) bounds, as sum_j |C_j| = |G| and k <= |G|.
+        Each distinct value is packed once and each row scaled by |C_j|
+        once; no sum is reduced or built as a CycNum."""
         n, k, V, inv = self.group.n, self.k, self.values, self.inverse
-        pairs = list(product(range(k), repeat=2))
-        inv_rows = [[row[i] for i in inv] for row in V]
-        columns = list(zip(*V))
-        ones = [1] * k
-        sums = _dot([(self.weights, V[t], inv_rows[u]) for t, u in pairs]
-                    + [(ones, columns[i], columns[inv[j]]) for i, j in pairs])
-        rows, cols = sums[:k * k], sums[k * k:]
+        distinct = {id(x): x for row in V for x in row}
+        cond = math.lcm(self.exponent, *(x.n for x in distinct.values()))
+        den = math.lcm(*(x.den for x in distinct.values()))
+        ints = {i: x.embed(cond) * den for i, x in distinct.items()}
+        top = max(sum(map(abs, a.num)) for a in ints.values())
+        test = _ZeroTest(cond, n * (top * top + den * den))
+        packed = {i: test.pack(a) for i, a in ints.items()}
+        rows = [[packed[id(x)] for x in row] for row in V]
+        scaled = [list(map(mul, self.sizes, row)) for row in rows]
+        inv_rows = [[row[i] for i in inv] for row in rows]
+        columns = list(zip(*rows))
+        unit = den * den
+
+        def vanishes(a, b, delta):
+            return test.is_zero(test.times_psi(sum(map(mul, a, b)) - delta))
+
         checks = [
             {"check": "sum of squared degrees equals group order",
              "pass": sum(d * d for d in self.degrees) == n},
             {"check": "first orthogonality relations",
-             "pass": all(s.is_rational() and s.as_rational()
-                         == (1 if t == u else 0)
-                         for s, (t, u) in zip(rows, pairs))},
+             "pass": all(vanishes(scaled[t], inv_rows[u],
+                                  n * unit if t == u else 0)
+                         for t in range(k) for u in range(k))},
             {"check": "second orthogonality relations",
-             "pass": all(s.is_rational() and s.as_rational()
-                         == (n // self.sizes[i] if i == j else 0)
-                         for s, (i, j) in zip(cols, pairs))},
+             "pass": all(vanishes(columns[i], columns[inv[j]],
+                                  n // self.sizes[i] * unit if i == j else 0)
+                         for i in range(k) for j in range(k))},
         ]
         return {"order": n, "classes": k, "degrees": list(self.degrees),
                 "checks": checks, "pass": all(c["pass"] for c in checks)}
@@ -430,12 +443,6 @@ def _layout(group: FiniteGroup, classes: list[list[int]]) -> tuple:
     sizes = [len(c) for c in classes]
     return (reps, sizes, class_of, [class_of[group.inv[g]] for g in reps],
             [Fraction(s, group.n) for s in sizes])
-
-
-def _row_key(row: list[CycNum]):
-    return tuple(
-        tuple((e, c.numerator, c.denominator) for e, c in sorted(v.coeffs.items()))
-        for v in row)
 
 
 # -- virtual characters -------------------------------------------------------

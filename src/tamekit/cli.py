@@ -6,7 +6,7 @@ a check fails, 2 on usage errors, and 3 when a computation cannot finish
 (Dixon's lift or certification fails, or another internal fault).
 Reports are deterministic: keys are sorted, orderings are fixed, and
 nothing time- or path-dependent is written, so identical invocations
-produce identical bytes.
+produce identical bytes.  Each command imports only the layers it runs.
 """
 
 from __future__ import annotations
@@ -22,15 +22,8 @@ from pathlib import Path
 from .arith import is_prime, is_prime_power
 from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum
-from .gaussjacobi import (PRIME_CAP, MultChar, gauss_sum, j_star,
-                          verify_gauss_identities, verify_jstar)
 from .groups import (MAX_ORDER, PRESET_NAMES, FiniteGroup, cycle_string,
                      parse_cycles, preset)
-from .ledger import build_f, crux_check, decompose, norm_restrict, recompose
-from .localmodel import infer_q, verify_factorization, verify_kummer_generator
-from .stickelberger import (pairing, pairing_table, star_pairing,
-                            verify_adams_identities,
-                            verify_induction_identities)
 
 
 class UsageError(Exception):
@@ -158,6 +151,7 @@ def _check_tame(G: FiniteGroup, s: int, q: int | None, where: str) -> None:
 
 
 def _check_prime(p: int, where: str) -> None:
+    from .gaussjacobi import PRIME_CAP
     if not is_prime(p) or p > PRIME_CAP:
         raise UsageError(f"{where}: {p} is not a prime up to {PRIME_CAP}")
 
@@ -204,6 +198,7 @@ def cmd_chartab(args) -> int:
 
 
 def cmd_pairing(args) -> int:
+    from .stickelberger import pairing_table
     G = _resolve_group(args.group)
     s = _resolve_element(G, args.s)
     if args.star and G.element_order(s) % 2 == 0:
@@ -224,6 +219,8 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_localmodel_verify(args) -> int:
+    from .localmodel import (infer_q, verify_factorization,
+                             verify_kummer_generator)
     G = _resolve_group(args.group)
     s = _resolve_element(G, args.s)
     t = _resolve_element(G, args.t) if args.t is not None else None
@@ -256,6 +253,8 @@ def cmd_localmodel_verify(args) -> int:
 
 
 def cmd_gauss(args) -> int:
+    from .gaussjacobi import (MultChar, gauss_sum, j_star,
+                              verify_gauss_identities, verify_jstar)
     p = args.p
     d = args.order if args.order is not None else p - 1
     _check_prime(p, "--p")
@@ -276,6 +275,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_crux(args) -> int:
+    from .ledger import crux_check
     _check_crux(args.p, args.e)
     report = crux_check(args.p, args.e)
     _write_or_print(_dump(report), args.out, f"crux-p{args.p}-e{args.e}.json")
@@ -293,6 +293,8 @@ DEFAULT_PLACES = {
 
 
 def _ledger_demo_report(data) -> dict:
+    from .ledger import build_f, decompose, norm_restrict, recompose
+    from .stickelberger import pairing, star_pairing
     if not isinstance(data, dict) or not isinstance(data.get("group"), str):
         raise UsageError("places file needs a group name string in \"group\"")
     G = _resolve_group(data["group"])
@@ -366,6 +368,11 @@ def cmd_ledger_demo(args) -> int:
 
 def _suite_reports(config: SuiteConfig):
     """Yield (name, report) pairs in a fixed order."""
+    from .gaussjacobi import verify_gauss_identities, verify_jstar
+    from .ledger import crux_check
+    from .localmodel import verify_factorization, verify_kummer_generator
+    from .stickelberger import (verify_adams_identities,
+                                verify_induction_identities)
     for name in config.groups:
         G = preset(name)
         checks = [verify_induction_identities(G, s) for s in range(G.n)]

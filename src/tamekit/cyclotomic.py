@@ -33,8 +33,8 @@ nnz(a) nnz(b) <= phi(n) the product is a direct convolution of the nonzero
 terms, and only a result with terms at degree >= phi(n) is packed for the
 reduction.  The path is read off the operands; there is no setting.
 
-Character sums sum_j w_j a_j b_j (orthogonality, projections, inner
-products, eigenfactor DFTs) go through one private kernel, `_dot`, which
+Character sums sum_j w_j a_j b_j (projections, sums from coefficients,
+induction, eigenfactor DFTs) go through one private kernel, `_dot`, which
 extends the same packing from one product to whole sums: each distinct
 operand list is walked once and each distinct operand packed once per
 call, a sum's products are added as big ints, and each sum is reduced
@@ -53,8 +53,8 @@ x^n - 1 becomes a fold modulo 2^(8 kb n) - 1 by shifts and masks.  The
 test is exact while |D|_1 |Psi_n|_1 < 2^(8 kb - 1), which bounds every
 coefficient of D Psi_n folded modulo x^n - 1 (the class docstring has
 the argument).  Psi_n and operands at a conductor dividing n act as sums
-of shifts, so the Gauss/Jacobi sweep pays one packed product per pair of
-Gauss sums and no reduction.
+of shifts: the Gauss/Jacobi sweep pays one packed product per pair of
+Gauss sums, `CharTable.certify` one per term of its sums, and no reduction.
 
 `_table(n)` is the one cached table per conductor: Phi_n, Psi_n and their
 packings, O(n) ints, used by every reduction (products, construction,
@@ -216,7 +216,8 @@ def _reduce_packed(n: int, f: int, length: int, kb: int) -> list[int]:
 
 
 class _ZeroTest:
-    """Exact tests of D = 0 in Q(zeta_n) that never reduce modulo Phi_n.
+    """Exact tests of D = 0 in Q(zeta_n) that never reduce modulo Phi_n,
+    for the Gauss/Jacobi sweep and `CharTable.certify`.
 
     x^n - 1 = Phi_n Psi_n divides D Psi_n exactly when Phi_n divides D
     (Phi_n and Psi_n are coprime, x^n - 1 being squarefree; or cancel

@@ -694,12 +694,14 @@ def test_nullspace_is_a_kernel_basis(case):
 
 def test_dixon_matches_the_cyclic_tables():
     # zeta_n^(ij) and its multiplicities, known without Dixon's method
+    def key(row):
+        return tuple(x.num for x in row)
+
     for name in ("C27", "C32", "C45"):
         G = preset(name)
         dixon = CharTable._dixon(G)
         known = CharTable.cyclic(G, 1)
         assert dixon.classes == known.classes, name
-        key = characters._row_key
         where = {key(row): t for t, row in enumerate(known.values)}
         assert sorted(map(key, dixon.values)) == sorted(where), name
         for row, mults in zip(dixon.values, dixon.eigen):
@@ -714,26 +716,147 @@ def test_c63_table_within_budget():
     elapsed = time.monotonic() - started
     assert T.k == 63 and T.degrees == [1] * 63
     assert T.certification["pass"]
-    assert elapsed < 3, f"CharTable.of(C63) took {elapsed:.2f}s"
+    assert elapsed < 2, f"CharTable.of(C63) took {elapsed:.2f}s"
+
+
+def _recording_zero_tests(monkeypatch):
+    """The `_ZeroTest`s that `certify` makes from now on, kept in a list."""
+    made = []
+
+    class Recorded(cyclotomic._ZeroTest):
+        def __init__(self, n, bound):
+            super().__init__(n, bound)
+            self.bound = bound
+            made.append(self)
+
+    monkeypatch.setattr(characters, "_ZeroTest", Recorded)
+    return made
 
 
 @pytest.mark.parametrize("n", [27, 32, 63])
 def test_certify_packs_cyclic_tables_at_two_bytes(n, monkeypatch):
-    # the per-sum bound of `_dot` fits both orthogonality relations in
-    # 16-bit slots; |W|_1 max|A|_1 max|B|_1 needed 32 at C63.  The power
-    # order table holds Dixon's rows in another order, and the bound is
-    # the largest over all sums.
-    T = cyclic_table(n)
-    widths = []
+    # |G| (max|A|_1^2 + 1) |Psi_n|_1 fits the zero test's 16-bit slots, for
+    # the power order table and for Dixon's, which holds the same values.
+    tables = [cyclic_table(n), CharTable.of(preset(f"C{n}"))]
+    made = _recording_zero_tests(monkeypatch)
+    assert all(T.certify()["pass"] for T in tables)
+    assert [t.kb for t in made] == [2, 2]
 
-    def recorded(bound):
-        widths.append(slot_bytes(bound))
-        return widths[-1]
 
-    slot_bytes = cyclotomic._slot_bytes
-    monkeypatch.setattr(cyclotomic, "_slot_bytes", recorded)
+def _l1(x):
+    return sum(map(abs, x.num))
+
+
+@pytest.mark.parametrize("name", ["C27", "C32", "C63", "F21", "He5"])
+def test_certify_bound_covers_every_sum(name, monkeypatch):
+    # Each sum D = sum |C_j| a_j b_j - delta (relation 1) or
+    # sum a_t b_t - delta (relation 2) of integral values, multiplied out
+    # without reduction; |D|_1 is at most the sum of the |.|_1 of its terms.
+    G = _heisenberg(5) if name == "He5" else preset(name)
+    T = CharTable.of(G)
+    n, k, inv, sizes = G.n, T.k, T.inverse, T.sizes
+    assert all(x.den == 1 for row in T.values for x in row)
+    norms = [[_l1(x) for x in row] for row in T.values]
+    widest = 0
+    for t in range(k):
+        for u in range(k):
+            widest = max(widest, n * (t == u) + sum(
+                sizes[j] * norms[t][j] * norms[u][inv[j]] for j in range(k)))
+    for i in range(k):
+        for j in range(k):
+            widest = max(widest, n // sizes[i] * (i == j) + sum(
+                norms[t][i] * norms[t][inv[j]] for t in range(k)))
+    made = _recording_zero_tests(monkeypatch)
     assert T.certify()["pass"]
-    assert widths == [2]
+    assert len(made) == 1 and made[0].n == T.exponent
+    assert made[0].bound >= widest, (made[0].bound, widest)
+
+
+def _conjugate(x):
+    return x.galois_apply(-1)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_certify_rejects_every_shifted_or_conjugated_value(name):
+    # Adding 1 to a value off the identity class, or conjugating a value
+    # that is not real, breaks an orthogonality relation; the degrees are
+    # kept, so the first check still passes.
+    T = CharTable.of(preset(name))
+    one = T.class_of[0]
+    bad_tables = []
+    for t in range(T.k):
+        for j in range(T.k):
+            x = T.values[t][j]
+            changes = [x + 1] if j != one else []
+            if _conjugate(x) != x:
+                changes.append(_conjugate(x))
+            for y in changes:
+                values = [row[:] for row in T.values]
+                values[t][j] = y
+                bad_tables.append(values)
+    assert bad_tables
+    for values in bad_tables:
+        bad = CharTable(T.group, T.classes, values, T.degrees, T.eigen)
+        report = bad.certify()
+        assert not report["pass"]
+        assert report["checks"][0]["pass"]
+    assert T.certify()["pass"]
+
+
+def _reference_checks(T):
+    """Both orthogonality relations with CycNum arithmetic and Fraction
+    weights, as sums of class functions."""
+    n, k, V, inv = T.group.n, T.k, T.values, T.inverse
+    zero = CycNum.from_rational(0)
+    first = all(
+        sum((Fraction(T.sizes[j], n) * V[t][j] * V[u][inv[j]]
+             for j in range(k)), zero) == (1 if t == u else 0)
+        for t in range(k) for u in range(k))
+    second = all(
+        sum((V[t][i] * V[t][inv[j]] for t in range(k)), zero)
+        == (n // T.sizes[i] if i == j else 0)
+        for i in range(k) for j in range(k))
+    return [first, second]
+
+
+def test_certify_clears_denominators_like_the_reference():
+    # Rotating two rows of S3's real table by the rational rotation
+    # (3/5, 4/5) keeps both relations and puts 5 in the denominators; one
+    # value off by 1/5 more breaks them.
+    T = CharTable.of(preset("S3"))
+    a, b = T.values[0], T.values[1]
+    rotated = [[x * Fraction(3, 5) + y * Fraction(4, 5) for x, y in zip(a, b)],
+               [x * Fraction(4, 5) - y * Fraction(3, 5) for x, y in zip(a, b)],
+               T.values[2]]
+    assert any(x.den == 5 for x in rotated[0])
+    nudged = [row[:] for row in rotated]
+    nudged[0][1] = nudged[0][1] + Fraction(1, 5)
+    verdicts = []
+    for values in (rotated, nudged):
+        table = CharTable(T.group, T.classes, values, T.degrees, T.eigen)
+        checks = [c["pass"] for c in table.certify()["checks"]]
+        assert checks[1:] == _reference_checks(table)
+        verdicts.append(checks)
+    assert verdicts == [[True, True, True], [True, False, False]]
+
+
+def test_certify_builds_no_sum(monkeypatch):
+    # no `_dot`, and CycNums only for the distinct values, none per sum
+    def refused(sums):
+        raise AssertionError("certify called _dot")
+
+    monkeypatch.setattr(characters, "_dot", refused)
+    monkeypatch.setattr(cyclotomic, "_dot", refused)
+    built = []
+    make = CycNum._make.__func__
+    monkeypatch.setattr(CycNum, "_make", classmethod(
+        lambda cls, *args: built.append(1) or make(cls, *args)))
+    for name in ("C27", "F21"):
+        T = CharTable.of(preset(name))
+        distinct = {id(x) for row in T.values for x in row}
+        built.clear()
+        assert T.certify()["pass"]
+        assert len(built) <= len(distinct), (name, len(built))
 
 
 def test_inseparable_class_matrices_fail_after_bounded_tries(monkeypatch):

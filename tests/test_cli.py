@@ -3,11 +3,15 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tamekit
 import tamekit.gaussjacobi as gaussjacobi
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, UsageError, main
 
@@ -31,6 +35,32 @@ def test_chartab_reports_match_committed_digests(tmp_path, capsys):
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in tmp_path.iterdir()}
     assert digests == pinned
+
+
+def test_chartab_loads_only_the_character_layer(tmp_path):
+    # A fresh interpreter: importing the CLI and running chartab leave the
+    # pairing, local-model, Gauss-sum, ledger and lambda-adic layers out.
+    script = f"""
+import json, sys
+import tamekit.cli
+loaded = [sorted(sys.modules)]
+out = {str(tmp_path)!r}
+assert tamekit.cli.main(["chartab", "--group", "C9", "--out", out]) == 0
+loaded.append(sorted(sys.modules))
+print(json.dumps(loaded))
+"""
+    src = str(Path(tamekit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    skipped = {f"tamekit.{m}" for m in ("gaussjacobi", "ledger", "localmodel",
+                                        "stickelberger", "padic")}
+    for modules in json.loads(out.splitlines()[-1]):
+        assert "tamekit.characters" in modules
+        assert not skipped & set(modules), skipped & set(modules)
+    assert (tmp_path / "chartab-C9.json").is_file()
 
 
 def test_chartab_csv(capsys):
@@ -341,7 +371,7 @@ def test_internal_fault_exits_three(monkeypatch, capsys):
     def broken(p):
         raise ValueError("internal\nfault")
 
-    monkeypatch.setattr("tamekit.cli.verify_gauss_identities", broken)
+    monkeypatch.setattr("tamekit.gaussjacobi.verify_gauss_identities", broken)
     assert main(["gauss", "--p", "5"]) == 3
     out, err = capsys.readouterr()
     assert err == "error: ValueError: internal fault\n", err
