@@ -743,10 +743,6 @@ def test_certify_packs_cyclic_tables_at_two_bytes(n, monkeypatch):
     assert [t.kb for t in made] == [2, 2]
 
 
-def _l1(x):
-    return sum(map(abs, x.num))
-
-
 @pytest.mark.parametrize("name", ["C27", "C32", "C63", "F21", "He5"])
 def test_certify_bound_covers_every_sum(name, monkeypatch):
     # Each sum D = sum |C_j| a_j b_j - delta (relation 1) or
@@ -756,7 +752,7 @@ def test_certify_bound_covers_every_sum(name, monkeypatch):
     T = CharTable.of(G)
     n, k, inv, sizes = G.n, T.k, T.inverse, T.sizes
     assert all(x.den == 1 for row in T.values for x in row)
-    norms = [[_l1(x) for x in row] for row in T.values]
+    norms = [[sum(map(abs, x.num)) for x in row] for row in T.values]
     widest = 0
     for t in range(k):
         for u in range(k):
@@ -772,10 +768,6 @@ def test_certify_bound_covers_every_sum(name, monkeypatch):
     assert made[0].bound >= widest, (made[0].bound, widest)
 
 
-def _conjugate(x):
-    return x.galois_apply(-1)
-
-
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_certify_rejects_every_shifted_or_conjugated_value(name):
     # Adding 1 to a value off the identity class, or conjugating a value
@@ -787,9 +779,10 @@ def test_certify_rejects_every_shifted_or_conjugated_value(name):
     for t in range(T.k):
         for j in range(T.k):
             x = T.values[t][j]
+            conjugate = x.galois_apply(-1)
             changes = [x + 1] if j != one else []
-            if _conjugate(x) != x:
-                changes.append(_conjugate(x))
+            if conjugate != x:
+                changes.append(conjugate)
             for y in changes:
                 values = [row[:] for row in T.values]
                 values[t][j] = y
