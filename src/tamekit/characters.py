@@ -550,8 +550,8 @@ class VirtualChar:
         irreducibles are orthonormal: `CharTable.of` certifies it or raises,
         and `CharTable.cyclic`'s rows zeta_m^(ij) are so by construction."""
         self._same_table(other)
-        return sum((c * other.coeffs.get(t, 0) for t, c in self.coeffs.items()),
-                   Fraction(0))
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        return sum((c * long.get(t, 0) for t, c in short.items()), Fraction(0))
 
     def adams(self, k: int) -> "VirtualChar":
         """psi_k: the class function g -> chi(g^k), decomposed exactly.  It

@@ -185,7 +185,7 @@ def cmd_chartab(args) -> int:
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["chi", "degree"] + list(table.to_dict()["class_reps"]))
+        w.writerow(["chi", "degree"] + [G.names[r] for r in table.reps])
         for t in range(table.k):
             w.writerow([f"chi{t}", table.degrees[t]]
                        + [_cyc_str(table.value(t, j)) for j in range(table.k)])

@@ -30,8 +30,10 @@ many bytes as they need, converted one coefficient at a time.  A bias of
 Packing costs O(phi(n)) however few terms the operands have, and character
 values are mostly monomials and short sums of roots of unity.  So when
 nnz(a) nnz(b) <= phi(n) the product is a direct convolution of the nonzero
-terms, and only a result with terms at degree >= phi(n) is packed for the
-reduction.  The path is read off the operands; there is no setting.
+terms, nnz(a) nnz(b) int products, wrapped modulo x^n - 1 and folded
+(`_reduce`): at a prime power n no short product is packed.  A rational
+operand (all numerators but num[0] zero) scales the other's numerators,
+with no product or reduction; rationals invert as Fractions.
 
 Character sums sum_j w_j a_j b_j (projections, sums from coefficients,
 induction, eigenfactor DFTs) go through one private kernel, `_dot`, which
@@ -62,9 +64,9 @@ embedding, Galois action, `shrink_to`).  A dense table of the rows
 x^e mod Phi_n would hold (n - phi(n)) phi(n) ints per conductor, 165,600
 at n = 930, and every table kept beside it adds to peak memory.
 
-Division and descent use the same numerators and products.  `inverse` is
-the product of the other Galois conjugates over the norm, and `norm` is
-x times that product; the conjugates are multiplied as a balanced tree.
+Division and descent use the same numerators and products.  `inverse` of
+an irrational x is its other Galois conjugates' product over the norm,
+`norm` is x times that product; the conjugates multiply as a balanced tree.
 `shrink_to(m)` for n = m r, gcd(m, r) = 1, keeps the zeta_r^0 coordinate
 of each term zeta_n^e = zeta_r^(e alpha) zeta_m^(e beta), reduces the
 result once modulo Phi_m, and accepts it only if it embeds back to the
@@ -78,7 +80,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul, sub
 from types import MappingProxyType
 
 from .arith import euler_phi, prime_factors
@@ -306,12 +308,12 @@ class _ZeroTest:
 def _reduce(n: int, raw: list[int]) -> list[int]:
     """Numerators of sum raw[e] x^e mod Phi_n, len(raw) < n + phi(n)."""
     phi, spread, step = _table(n)[:3]
+    if len(raw) > n:  # x^n = 1 mod Phi_n: degree d >= n wraps onto d - n
+        raw = list(map(add, raw, raw[n:])) + raw[len(raw) - n:n]
     cut = n - step  # fold degrees >= cut down first, as _table describes
-    if cut < len(raw) <= n:
-        top = raw[cut:]
-        raw = raw[:cut]
-        for j in range(0, cut, step):
-            raw[j:j + len(top)] = [c - t for c, t in zip(raw[j:], top)]
+    if cut < len(raw) <= n:  # the top step degrees, taken from each block
+        top = raw[cut:] + [0] * (n - len(raw))
+        raw = list(map(sub, raw, top * (cut // step)))
     high = raw[phi:]
     if not any(high):
         return raw[:phi] + [0] * (phi - len(raw))
@@ -359,9 +361,11 @@ class CycNum:
         return obj
 
     @classmethod
-    def from_rational(cls, x) -> "CycNum":
-        x = _as_fraction(x)
-        return cls._make(1, [x.numerator], x.denominator)
+    def from_rational(cls, x, n: int = 1) -> "CycNum":
+        """The rational x at conductor n."""
+        x = x if isinstance(x, int) else _as_fraction(x)
+        return cls._make(n, [x.numerator] + [0] * (_table(n)[0] - 1),
+                         x.denominator)
 
     # -- structure ---------------------------------------------------------
 
@@ -422,26 +426,30 @@ class CycNum:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, p: int, q: int) -> "CycNum":
+        """self p / q for q > 0: no product, no reduction."""
+        return CycNum._make(self.n, [c * p for c in self.num], self.den * q)
+
     def __mul__(self, other):
         if not isinstance(other, CycNum):
             if isinstance(other, (int, Fraction)):
-                return CycNum._make(self.n, [c * other.numerator for c in self.num],
-                                    self.den * other.denominator)
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        a, b, m = self._common(other)
+        a, b = (other, self) if self.is_rational() else (self, other)
+        if b.is_rational():
+            return a.embed(math.lcm(a.n, b.n))._scaled(b.num[0], b.den)
+        a, b, m = a._common(b)
         phi = len(a.num)
         den = a.den * b.den
         nnz_a = phi - a.num.count(0)
         nnz_b = phi - b.num.count(0)
-        if not nnz_a or not nnz_b:
-            return CycNum._make(m, [0] * phi, 1)
-        if nnz_a * nnz_b <= phi:
-            raw = [0] * (2 * phi - 1)
+        if nnz_a * nnz_b <= phi:  # neither is rational, so neither is 0
+            terms_a = [(i, x) for i, x in enumerate(a.num) if x]
             terms_b = [(j, y) for j, y in enumerate(b.num) if y]
-            for i, x in enumerate(a.num):
-                if x:
-                    for j, y in terms_b:
-                        raw[i + j] += x * y
+            raw = [0] * (terms_a[-1][0] + terms_b[-1][0] + 1)
+            for i, x in terms_a:
+                for j, y in terms_b:
+                    raw[i + j] += x * y
             return CycNum._make(m, _reduce(m, raw), den)
         l1 = sum(map(abs, a.num)) * sum(map(abs, b.num))  # >= |a b|_1
         kb = _slot_bytes(l1 * (1 + _table(m)[1]))
@@ -451,22 +459,17 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse: the product of the other Galois
-        conjugates divided by the norm."""
+        """Multiplicative inverse: a rational's by Fraction arithmetic, else
+        the product of the other Galois conjugates divided by the norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
+        if self.is_rational():
+            return CycNum.from_rational(Fraction(self.den, self.num[0]),
+                                        self.n)
         rest = self._other_conjugates()
-        total = self * rest  # rational: total.num[0] / total.den
-        q, d = total.num[0], total.den
-        if q < 0:
-            q, d = -q, -d
-        return CycNum._make(self.n, [c * d for c in rest.num], rest.den * q)
+        return rest * (self * rest).inverse()  # the norm is rational
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / Fraction(other))
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
@@ -477,7 +480,7 @@ class CycNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycNum._make(self.n, [1] + [0] * (len(self.num) - 1), 1)
+        result = CycNum.from_rational(1, self.n)
         base = self
         while k:
             if k & 1:
@@ -523,7 +526,7 @@ class CycNum:
         terms = [self.galois_apply(k) for k in range(2, self.n)
                  if math.gcd(k, self.n) == 1]
         if not terms:  # n is 1 or 2, phi(n) = 1
-            return CycNum._make(self.n, [1], 1)
+            return CycNum.from_rational(1, self.n)
         while len(terms) > 1:
             terms = [a * b for a, b in zip(terms[::2], terms[1::2])] \
                 + terms[len(terms) - len(terms) % 2:]

@@ -26,10 +26,14 @@ by every element of order m, in any group; the resolvend keeps them.
 mult_j comes from chi (VirtualChar.multiplicities at s): Dixon's
 eigenvalue data for an irreducible, and for psi_2 chi the decomposition
 `adams` computed, so the Adams identity stays a check between two routes.
-The verifiers check that these determinants are exactly the monomials
-predicted by the Stickelberger pairings, that a Kummer generator's twisted
-orbit sums recover each basis monomial, and that the change-of-basis
-determinant is a unit above the chosen residue characteristic.
+The eigenfactors are monomials, and a product of single terms is one
+exponent sum and one coefficient product.  The verifiers check that these
+determinants are exactly the monomials predicted by the Stickelberger
+pairings, that a Kummer generator's twisted orbit sums recover each basis
+monomial, and that the change-of-basis determinant is a unit above the
+chosen residue characteristic.  Twisted sums are exponent rotations of the
+orbit's numerators, apart from `_dot` and the stored eigenfactors, so the
+two Kummer routes stay independent.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from math import gcd, lcm
 
 from .arith import is_prime, is_prime_power, smallest_prime_in_class
 from .characters import CharTable, VirtualChar, cyclic_table
-from .cyclotomic import CycNum, _dot, zeta
+from .cyclotomic import CycNum, _dot, _folded, _reduce, zeta
 from .groups import FiniteGroup
 from .padic import lambda_valuation
 from .stickelberger import pairing, star_pairing
@@ -61,20 +65,22 @@ class TameElement:
 
     __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict | None = None, den: int = 1):
+    def __new__(cls, terms: dict | None = None, den: int = 1):
         """sum of c * pi^(a/den) over the items a: c of terms."""
-        clean: dict[int, CycNum] = {}
-        for a, c in (terms or {}).items():
-            if isinstance(c, (int, Fraction)):
-                c = CycNum.from_rational(c)
-            if c:
-                clean[a] = c
-        g = gcd(den, *clean)
+        clean = {a: CycNum.from_rational(c) if isinstance(c, (int, Fraction))
+                 else c for a, c in (terms or {}).items()}
+        return cls._make({a: c for a, c in clean.items() if c}, den)
+
+    @classmethod
+    def _make(cls, terms: dict[int, CycNum], den: int) -> "TameElement":
+        """sum of c * pi^(a/den) for nonzero CycNums c, with no coercion."""
+        g = gcd(den, *terms)
         if g != 1:
-            clean = {a // g: c for a, c in clean.items()}
+            terms = {a // g: c for a, c in terms.items()}
             den //= g
-        self.terms = clean
-        self.den = den
+        obj = object.__new__(cls)
+        obj.terms, obj.den = terms, den
+        return obj
 
     @classmethod
     def zero(cls) -> "TameElement":
@@ -100,10 +106,10 @@ class TameElement:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            other = TameElement({0: other})
         if not isinstance(other, TameElement):
-            return NotImplemented
+            if not isinstance(other, Scalar):
+                return NotImplemented
+            other = TameElement({0: other})
         if self.den != other.den or self.terms.keys() != other.terms.keys():
             return False
         return all(c == other.terms[a] for a, c in self.terms.items())
@@ -111,20 +117,20 @@ class TameElement:
     __hash__ = None
 
     def __add__(self, other) -> "TameElement":
-        if isinstance(other, Scalar):
-            other = TameElement({0: other})
         if not isinstance(other, TameElement):
-            return NotImplemented
+            if not isinstance(other, Scalar):
+                return NotImplemented
+            other = TameElement({0: other})
         den = lcm(self.den, other.den)
         out = dict(self._over(den))
         for a, c in other._over(den).items():
             out[a] = out[a] + c if a in out else c
-        return TameElement(out, den)
+        return TameElement._make({a: c for a, c in out.items() if c}, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TameElement":
-        return TameElement({a: -c for a, c in self.terms.items()}, self.den)
+        return self._make({a: -c for a, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -133,11 +139,11 @@ class TameElement:
         return (-self) + other
 
     def __mul__(self, other) -> "TameElement":
-        if isinstance(other, Scalar):
-            return TameElement({a: c * other for a, c in self.terms.items()},
-                               self.den)
         if not isinstance(other, TameElement):
-            return NotImplemented
+            if not isinstance(other, Scalar):
+                return NotImplemented
+            return self._make({a: c * other for a, c in self.terms.items()}
+                              if other else {}, self.den)
         den = lcm(self.den, other.den)
         right = other._over(den).items()
         out: dict[int, CycNum] = {}
@@ -146,7 +152,7 @@ class TameElement:
                 a = a1 + a2
                 c = c1 * c2
                 out[a] = out[a] + c if a in out else c
-        return TameElement(out, den)
+        return TameElement._make({a: c for a, c in out.items() if c}, den)
 
     __rmul__ = __mul__
 
@@ -163,14 +169,14 @@ class TameElement:
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible in the model")
         [(a, c)] = self.terms.items()
-        return TameElement({-a: c.inverse()}, self.den)
+        return TameElement._make({-a: c.inverse()}, self.den)
 
     def __pow__(self, k: int) -> "TameElement":
         if not isinstance(k, int):
             return NotImplemented
         if len(self.terms) == 1 and k:  # (c pi^e)^k = c^k pi^(ke)
             [(a, c)] = self.terms.items()
-            return TameElement({a * k: c ** k}, self.den)
+            return self._make({a * k: c ** k}, self.den)
         if k < 0:
             return self.inverse() ** -k  # raises: only monomials invert
         out = TameElement.one()
@@ -202,13 +208,12 @@ def sigma_action(x: TameElement) -> TameElement:
     mod 1, not on the denominator it is written over.
     """
     D = x.den
-    return TameElement({a: c * zeta(D, a % D) for a, c in x.terms.items()}, D)
+    return x._make({a: c * zeta(D, a % D) for a, c in x.terms.items()}, D)
 
 
 def frobenius_action(x: TameElement, q: int) -> TameElement:
     """Raise every coefficient root of unity to the q-th power."""
-    return TameElement({a: c.galois_apply(q) for a, c in x.terms.items()},
-                       x.den)
+    return x._make({a: c.galois_apply(q) for a, c in x.terms.items()}, x.den)
 
 
 class GroupAlgebraElement:
@@ -384,11 +389,30 @@ def _det_via_elimination(rows: list[list[CycNum]]) -> CycNum:
     return det
 
 
+def _twisted_sum(orbit: list[TameElement], t: int) -> TameElement:
+    """sum_j orbit[j] zeta_e^(t j), e = len(orbit), coefficients at
+    conductors dividing e: each coefficient rotates the orbit's integer
+    numerators by t j slots at conductor e, adds them over one common
+    denominator and is reduced once, with no CycNum product."""
+    e, den = len(orbit), lcm(*(x.den for x in orbit))
+    lcd = lcm(*(c.den for x in orbit for c in x.terms.values()))
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for j, x in enumerate(orbit):
+        for a, c in x._over(den).items():
+            k, scale = e // c.n, lcd // c.den
+            pairs.setdefault(a, []).extend(
+                (i * k + t * j, v * scale) for i, v in enumerate(c.num))
+    terms = {a: CycNum._make(e, _reduce(e, _folded(e, p)), lcd)
+             for a, p in pairs.items()}
+    return TameElement._make({a: c for a, c in terms.items() if c}, den)
+
+
 def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
     """Certify that alpha = (1/e) sum_i pi^((n+i)/e) generates freely.
 
-    Two routes per linear character: the twisted orbit sum
-    sum_j sigma^j(alpha) zeta_e^(-(n+l)j) must equal the single monomial
+    Two independent routes per linear character: the twisted orbit sum
+    sum_j sigma^j(alpha) zeta_e^(-(n+l)j), an exponent rotation of the
+    orbit's numerators (`_twisted_sum`), must equal the single monomial
     pi^((n+l)/e), and the determinant route through det_resolvend must
     land on the same monomial.  The e x e matrix taking the sigma-orbit
     of alpha to the monomial basis must in addition have determinant a
@@ -413,9 +437,7 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
     checks = []
     for l in range(e):
         target = TameElement.monomial(Fraction(n + l, e))
-        twisted = TameElement.zero()
-        for j in range(e):
-            twisted = twisted + orbit[j] * zeta(e, (-(n + l) * j) % e)
+        twisted = _twisted_sum(orbit, -(n + l))
         chi = VirtualChar.irreducible(ctab, (n + l) % e)
         det_route = det_resolvend(r, chi)
         ok = twisted == target and det_route == target

@@ -154,10 +154,16 @@ def test_norm_is_multiplicative_sampled():
 # Z[zeta_n][1/den] -> F_ell that uses none of the kernel's packing or
 # reduction.  Coefficient sizes are drawn so that every slot width runs:
 # small and word-sized ones pack into array slots, ones above 2^63 into
-# wide slots; sparse operands take the convolution path.
+# wide slots; sparse operands take the convolution path.  The cheap
+# operands run as a second case beside the kernel's sparse and dense ones:
+# single terms at exponents >= phi(n) take the wrap and fold of `_reduce`,
+# and rationals from `from_rational`, conductor 1 included, the scaling.
 
 CONDUCTORS = (9, 27, 63, 105, 930)
 PAIRS = [(n, n) for n in CONDUCTORS] + [(9, 27), (27, 63), (63, 105), (9, 930)]
+CHEAP_PAIRS = [(1, 9), (1, 930), (7, 7), (7, 21), (21, 21)]
+KERNEL_SHAPES = ("sparse", "dense")
+CHEAP_SHAPES = ("single", "rational")
 SIZES = {"small": (0, 9), "word": (2 ** 20, 2 ** 28), "wide": (2 ** 63, 2 ** 80)}
 
 
@@ -185,22 +191,27 @@ def _image(x, m, ell, r):
 
 
 @st.composite
-def elements(draw, n):
+def elements(draw, n, shapes=KERNEL_SHAPES):
     lo, hi = SIZES[draw(st.sampled_from(sorted(SIZES)))]
     coeff = st.builds(lambda m, s: m * s, st.integers(lo, hi),
                       st.sampled_from([1, -1]))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(shapes))
+    den = draw(st.integers(1, 6))
+    if shape == "rational":
+        return CycNum.from_rational(Fraction(draw(coeff), den), n)
+    if shape == "sparse":
         support = draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=3))
+    elif shape == "single":  # zeta_n^n = 1
+        support = [draw(st.integers(euler_phi(n), n))]
     else:
         support = range(euler_phi(n))
-    den = draw(st.integers(1, 6))
     return CycNum(n, {e: Fraction(draw(coeff), den) for e in support})
 
 
 @st.composite
-def pairs(draw):
-    n1, n2 = draw(st.sampled_from(PAIRS))
-    return draw(elements(n1)), draw(elements(n2))
+def pairs(draw, conductors, shapes):
+    n1, n2 = draw(st.sampled_from(conductors))
+    return draw(elements(n1, shapes)), draw(elements(n2, shapes))
 
 
 def _canonical(x):
@@ -208,10 +219,7 @@ def _canonical(x):
             and math.gcd(x.den, *x.num) == 1)
 
 
-@settings(max_examples=120, database=None, derandomize=True, deadline=None)
-@given(pairs())
-def test_product_matches_evaluation_mod_ell(ab):
-    a, b = ab
+def _check_product(a, b):
     c = a * b
     m = math.lcm(a.n, b.n)
     assert c.n == m and _canonical(c)
@@ -222,10 +230,7 @@ def test_product_matches_evaluation_mod_ell(ab):
         (_image(a, m, ell, r) + _image(b, m, ell, r)) % ell
 
 
-@settings(max_examples=60, database=None, derandomize=True, deadline=None)
-@given(pairs())
-def test_canonical_form_is_unique(ab):
-    a, b = ab
+def _check_canonical(a, b):
     back = (a + b) - b
     a_up = a.embed(back.n)
     assert (back.num, back.den) == (a_up.num, a_up.den)
@@ -234,6 +239,25 @@ def test_canonical_form_is_unique(ab):
     assert _canonical(a * b - b * a) and not (a * b - b * a)
     assert dict(a.coeffs) == {i: Fraction(c, a.den)
                               for i, c in enumerate(a.num) if c}
+
+
+@settings(max_examples=120, database=None, derandomize=True, deadline=None)
+@given(pairs(PAIRS, KERNEL_SHAPES))
+def test_product_matches_evaluation_mod_ell(ab):
+    _check_product(*ab)
+
+
+@settings(max_examples=60, database=None, derandomize=True, deadline=None)
+@given(pairs(PAIRS, KERNEL_SHAPES))
+def test_canonical_form_is_unique(ab):
+    _check_canonical(*ab)
+
+
+@settings(max_examples=120, database=None, derandomize=True, deadline=None)
+@given(pairs(PAIRS + CHEAP_PAIRS, KERNEL_SHAPES + CHEAP_SHAPES))
+def test_cheap_operands_match_evaluation_mod_ell(ab):
+    _check_product(*ab)
+    _check_canonical(*ab)
 
 
 def test_slots_cover_growth_in_reduction():
@@ -270,16 +294,14 @@ def test_embed_shrink_round_trip(data, split):
 
 
 @st.composite
-def units(draw):
-    """Nonzero elements at composite conductors, sparse and dense."""
-    x = draw(elements(draw(st.sampled_from((9, 12, 63, 105)))))
+def units(draw, shapes):
+    """Nonzero elements of the given shapes at composite conductors."""
+    x = draw(elements(draw(st.sampled_from((9, 12, 63, 105))), shapes))
     assume(x)
     return x
 
 
-@settings(max_examples=30, database=None, derandomize=True, deadline=None)
-@given(units(), st.integers(-2 ** 16, 2 ** 16))
-def test_inverse_matches_evaluation_mod_ell(x, c):
+def _check_inverse(x, c):
     inv = x.inverse()
     assert x * inv == 1 and _canonical(inv)
     ell, r = _root_mod(x.n)
@@ -288,6 +310,19 @@ def test_inverse_matches_evaluation_mod_ell(x, c):
         assert _image(inv, x.n, ell, r) == pow(image, -1, ell)
     y = 1 - zeta(x.n) * c
     assert (x * y).norm() == x.norm() * y.norm()
+
+
+@settings(max_examples=30, database=None, derandomize=True, deadline=None)
+@given(units(KERNEL_SHAPES), st.integers(-2 ** 16, 2 ** 16))
+def test_inverse_matches_evaluation_mod_ell(x, c):
+    _check_inverse(x, c)
+
+
+# rational units invert by Fraction arithmetic, the rest by conjugates
+@settings(max_examples=30, database=None, derandomize=True, deadline=None)
+@given(units(CHEAP_SHAPES), st.integers(-2 ** 16, 2 ** 16))
+def test_cheap_inverse_matches_evaluation_mod_ell(x, c):
+    _check_inverse(x, c)
 
 
 # -- the packed dot kernel ----------------------------------------------------

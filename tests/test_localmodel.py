@@ -9,11 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamekit import localmodel
 from tamekit.arith import smallest_prime_in_class
 from tamekit.characters import CharTable, VirtualChar
 from tamekit.cyclotomic import CycNum, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
 from tamekit.localmodel import (GroupAlgebraElement, TameElement, _ladder,
+                                _ladder_orbit, _twisted_sum,
                                 det_resolvend, frobenius_action, infer_q,
                                 phi_resolvend, phi_star_resolvend,
                                 sigma_action, verify_factorization,
@@ -192,6 +194,47 @@ def test_kummer_generator_reports():
     for e, n, q in ((9, 1, 64), (7, 3, 2)):
         with pytest.raises(ValueError, match="prime = 1 mod"):
             verify_kummer_generator(e, n, q=q)
+
+
+@pytest.mark.parametrize("e", [1, 3, 4, 9, 15])
+def test_twisted_sums_match_the_product_loop(e, monkeypatch):
+    # every offset of both ladders; at e = 15 the reduction is packed
+    def unused(*args):
+        raise AssertionError("the twisted route reads no DFT")
+
+    monkeypatch.setattr(localmodel, "_dot", unused)
+    monkeypatch.setattr(localmodel, "_dft", unused)
+    for start in {0, (1 - e) // 2}:
+        orbit = _ladder_orbit(e, start)
+        for t in range(-e, e):
+            loop = sum((x * zeta(e, t * j % e) for j, x in enumerate(orbit)),
+                       TameElement.zero())
+            assert _twisted_sum(orbit, t) == loop, (start, t)
+
+
+def _kummer_routes(n):
+    checks = verify_kummer_generator(9, n)["checks"]
+    return ({c["det_route"] for c in checks},
+            {c["twisted_sum"] for c in checks})
+
+
+@pytest.mark.parametrize("n", [1, -4])
+def test_rotated_eigenfactors_break_only_the_det_route(cold_order_caches,
+                                                       monkeypatch, n):
+    eigen = localmodel._ladder_eigenfactors
+    monkeypatch.setattr(localmodel, "_ladder_eigenfactors",
+                        lambda m, start: eigen(m, start)[1:]
+                        + eigen(m, start)[:1])
+    assert _kummer_routes(n) == ({False}, {True})
+
+
+@pytest.mark.parametrize("n", [1, -4])
+def test_shifted_rotation_breaks_only_the_twisted_route(cold_order_caches,
+                                                        monkeypatch, n):
+    folded = localmodel._folded
+    monkeypatch.setattr(localmodel, "_folded", lambda m, terms: folded(
+        m, ((e + 1, c) for e, c in terms)))
+    assert _kummer_routes(n) == ({True}, {False})
 
 
 def test_factorization_reports():
