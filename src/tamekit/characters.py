@@ -5,33 +5,32 @@ matrices are simultaneously diagonalized over F_ell for a prime
 ell = 1 mod exp(G) with ell > 2|G|, degrees are recovered from the column
 orthogonality relation mod ell, and each character value is lifted exactly
 as chi(g) = sum_u m_u zeta_m^u where the eigenvalue multiplicities m_u are
-small non-negative integers read off mod ell.  The eigenvalues of a
-combination C of the class matrices are the roots of its characteristic
-polynomial p mod ell (Hessenberg form, then the usual recurrence), found
-by evaluating it at the ell points of F_ell; when there are k distinct
-roots each eigenspace is one-dimensional (Dixon, Numer. Math. 10, 1967;
-Schneider, J. Symbolic Comput. 9, 1990).  Its vectors come from one
-Krylov sequence C^i e_0, i < k, e_0 the identity class: for a root lam,
-(p / (x - lam))(C) e_0 is killed by C - lam (Cayley-Hamilton) and is not
-zero, since e_0 is the sum of the primitive idempotents of the class
-algebra.  That is O(k^3) in all, with no elimination per root.  The class
-matrices commute (class sums are central), so every class matrix
-preserves each of these eigenspaces: their vectors are common
-eigenvectors without a recheck, and the eigenvalue omega_j is read from
-one row of M_j.  The lift takes one m-point DFT per character for one
-class of generators of each cyclic subgroup <g>, with one table of
-z_m^(-uv) per element order m, built once per table; the classes of the
-other generators g^a, gcd(a, m) = 1, read the same multiplicities
-permuted, m_(u a)(g^a) = m_u(g); each distinct value is built once and
-shared.  The lifted table is then certified against both orthogonality
-relations and sum(d^2) = |G| exactly, so nothing downstream depends on the
-modular step: `certify` tests each of its 2 k^2 sums for zero with one
-`cyclotomic._ZeroTest`, each distinct value packed once for all of them.
-The table keeps m_u as eigen[t][j][u] (g = reps[j], m = |g|), the
-coefficient of xi^u, xi(g) = zeta_m, in chi_t restricted to <g>.  Reducing
-Z[zeta_e] -> F_ell sends each lifted value to chi mod ell, so the true m_u
-are congruent to the lifted ones mod ell; both lie in [0, d] with d < ell,
-so the lifted m_u are exact once the table certifies.
+small non-negative integers read off mod ell.  A combination C of the
+class matrices with k distinct eigenvalues mod ell has one-dimensional
+eigenspaces (Dixon, Numer. Math. 10, 1967; Schneider, J. Symbolic Comput.
+9, 1990).  One Krylov sequence C^i e_0, i <= k, e_0 the identity class,
+gives both its characteristic polynomial p, by solving for C^k e_0 in the
+lower powers, and its eigenvectors: for a root lam of p, found by
+evaluating it at the ell points of F_ell, (p / (x - lam))(C) e_0 is killed
+by C - lam and is not zero, since e_0 is the sum of the primitive
+idempotents of the class algebra.  That is O(k^3) in all, with no
+elimination per root.  The class matrices commute (class sums are
+central), so every class matrix preserves each of these eigenspaces: their
+vectors are common eigenvectors without a recheck, and the eigenvalue
+omega_j is read from one row of M_j.  The lift takes one m-point DFT per
+character for one class of generators of each cyclic subgroup <g>, with
+one table of z_m^(-uv) per element order m, built once per table; the
+classes of the other generators g^a, gcd(a, m) = 1, read the same
+multiplicities permuted, m_(u a)(g^a) = m_u(g); each distinct value is
+built once and shared.  The lifted table is then certified against both
+orthogonality relations and sum(d^2) = |G| exactly, so nothing downstream
+depends on the modular step: `certify` tests each of its 2 k^2 sums for
+zero with one `cyclotomic._ZeroTest`, each distinct value packed once for
+all of them.  The table keeps m_u as eigen[t][j][u] (g = reps[j], m = |g|),
+the coefficient of xi^u, xi(g) = zeta_m, in chi_t restricted to <g>.
+Reducing Z[zeta_e] -> F_ell sends each lifted value to chi mod ell, so the
+true m_u are congruent to the lifted ones mod ell; both lie in [0, d] with
+d < ell, so the lifted m_u are exact once the table certifies.
 
 A VirtualChar stores its values on the classes once, so `value` is a
 lookup: an irreducible's are its table row, `from_values` keeps the input
@@ -71,48 +70,26 @@ from .groups import FiniteGroup, Subgroup, preset
 
 # -- linear algebra over F_ell ----------------------------------------------
 
-def _charpoly(mat: list[list[int]], ell: int) -> list[int]:
-    """det(x I - mat) mod ell, coefficients from the constant term up.
-
-    The matrix is brought to upper Hessenberg form h by similarities
-    (row_i -= f row_(c+1), then col_(c+1) += f col_i); the polynomial p_m of
-    its leading m x m block then satisfies
-    p_(m+1) = (x - h[m][m]) p_m
-              - sum_i h[m-i][m] h[m][m-1] ... h[m-i+1][m-i] p_(m-i)
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9)."""
-    k = len(mat)
-    h = [[x % ell for x in row] for row in mat]
-    for c in range(k - 2):
-        piv = next((i for i in range(c + 1, k) if h[i][c]), None)
-        if piv is None:
-            continue
-        if piv != c + 1:
-            h[piv], h[c + 1] = h[c + 1], h[piv]
-            for row in h:
-                row[piv], row[c + 1] = row[c + 1], row[piv]
-        top = h[c + 1]
-        inv = pow(top[c], -1, ell)
-        fs = [h[i][c] * inv % ell for i in range(c + 2, k)]
-        for i, f in enumerate(fs, c + 2):
-            if f:
-                h[i] = [(x - f * y) % ell for x, y in zip(h[i], top)]
-        for row in h:
-            row[c + 1] = (row[c + 1] + sum(map(mul, fs, row[c + 2:]))) % ell
-    polys = [[1]]
-    for m in range(k):
-        p = [0] + polys[m]
-        for d, a in enumerate(polys[m]):
-            p[d] -= h[m][m] * a
-        t = 1
-        for i in range(1, m + 1):
-            t = t * h[m - i + 1][m - i] % ell
-            if not t:
-                break
-            f = h[m - i][m] * t
-            for d, a in enumerate(polys[m - i]):
-                p[d] -= f * a
-        polys.append([a % ell for a in p])
-    return polys[k]
+def _krylov_poly(krylov: list[list[int]], ell: int) -> list[int] | None:
+    """p = x^k - sum_(i<k) c_i x^i mod ell, coefficients from the constant
+    term up, for the solution of sum_(i<k) c_i K_i = K_k, krylov being
+    K_0, ..., K_k of length k, by Gauss-Jordan elimination; None when
+    K_0, ..., K_(k-1) are dependent."""
+    k = len(krylov) - 1
+    m = [list(row) for row in zip(*krylov)]  # m[r] = ((K_i)_r)_(i <= k)
+    for c in range(k):
+        pr = next((i for i in range(c, k) if m[i][c]), None)
+        if pr is None:
+            return None
+        m[c], m[pr] = m[pr], m[c]
+        # the pivot row is zero left of c, so only columns c.. change
+        inv = pow(m[c][c], -1, ell)
+        piv = m[c][c:] = [x * inv % ell for x in m[c][c:]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != c:
+                row[c:] = [(x - f * y) % ell for x, y in zip(row[c:], piv)]
+    return [-row[k] % ell for row in m] + [1]
 
 
 def _class_matrices(G: FiniteGroup, classes: list[list[int]],
@@ -308,32 +285,34 @@ class CharTable:
 
         Tries combinations C = sum_j t^j M_j until C has k distinct
         eigenvalues and returns an eigenvector for each, in increasing
-        order of the eigenvalue.  The eigenvalues are the roots of C's
-        characteristic polynomial p (`_charpoly`), found by evaluating it at
-        the ell points of F_ell; C is rejected when there are fewer than k.
-        The eigenvectors come from one Krylov sequence K_i = C^i e_0, i < k,
-        where e_0 is the identity class, the unit of the class algebra: for
-        a root lam, q = p / (x - lam) by synthetic division and
-        v = q(C) e_0 = sum_i q_i K_i, so (C - lam) v = p(C) e_0 = 0 by
-        Cayley-Hamilton.  v is not zero: e_0 is the sum of the primitive
-        idempotents of the algebra, C acts on each by one of its k distinct
-        eigenvalues, so v = q(lam) e_lam = p'(lam) e_lam for the idempotent
-        e_lam of lam, and p'(lam) != 0 at a simple root; a zero v raises.
-        That is k mat-vecs and O(k^2) per root.  Class sums are central, so
-        the M_j commute with each other and with C: for C v = lam v,
+        order of the eigenvalue, both from one Krylov sequence
+        K_i = C^i e_0, i <= k, e_0 the identity class.  e_0 is the sum of
+        the k primitive idempotents of the class algebra, which C scales by
+        its eigenvalues, so K_0, ..., K_(k-1) are independent iff those are
+        distinct, and then C's characteristic polynomial is the monic p
+        with p(C) e_0 = 0 (`_krylov_poly`).  C is rejected when the K_i are
+        dependent or fewer than k points of F_ell are roots of p.  For a
+        root lam, q = p / (x - lam) by synthetic division and
+        v = q(C) e_0 = sum_i q_i K_i, so (C - lam) v = p(C) e_0 = 0, and
+        v != 0 as q is monic of degree k - 1.  That is k mat-vecs, one
+        elimination and O(k^2) per root.  Class sums are central, so the
+        M_j commute with each other and with C: for C v = lam v,
         C (M_j v) = lam M_j v, so M_j v lies in the eigenspace of lam, which
         is one-dimensional as lam is simple.  Each vector is therefore an
         eigenvector of every M_j without a recheck; `certify` is the exact
         backstop for the whole table.  t and t + ell give the same C, so at
         most min(200, ell) - 1 combinations are tried."""
         for t in range(1, min(200, ell)):
-            comb = [[0] * k for _ in range(k)]
-            scale = 1
-            for M in mats:
-                comb = [[(a + scale * b) % ell for a, b in zip(cr, mr)]
-                        for cr, mr in zip(comb, M)]
-                scale = (scale * t) % ell
-            poly = _charpoly(comb, ell)
+            scales = [pow(t, j, ell) for j in range(len(mats))]
+            comb = [[sum(map(mul, scales, col)) % ell for col in zip(*rows)]
+                    for rows in zip(*mats)]
+            krylov = [[1] + [0] * (k - 1)]
+            for _ in range(k):
+                last = krylov[-1]
+                krylov.append([sum(map(mul, row, last)) % ell for row in comb])
+            poly = _krylov_poly(krylov, ell)
+            if poly is None:
+                continue
             roots = []
             for lam in range(ell):
                 acc = 0
@@ -343,21 +322,13 @@ class CharTable:
                     roots.append(lam)
             if len(roots) < k:
                 continue
-            krylov = [[1] + [0] * (k - 1)]
-            for _ in range(k - 1):
-                last = krylov[-1]
-                krylov.append([sum(map(mul, row, last)) % ell for row in comb])
-            coords = list(zip(*krylov))  # coords[r][i] = (C^i e_0)_r
+            coords = list(zip(*krylov[:k]))  # coords[r][i] = (C^i e_0)_r
             vecs = []
             for lam in roots:
                 q = [1] * k  # p / (x - lam), from the top coefficient down
                 for i in range(k - 1, 0, -1):
                     q[i - 1] = (poly[i] + lam * q[i]) % ell
-                v = tuple(sum(map(mul, q, c)) % ell for c in coords)
-                if not any(v):
-                    raise ArithmeticError(
-                        "zero Krylov vector at a simple eigenvalue")
-                vecs.append(v)
+                vecs.append(tuple(sum(map(mul, q, c)) % ell for c in coords))
             return vecs
         raise ArithmeticError("no separating class-sum combination found")
 
@@ -508,12 +479,6 @@ class VirtualChar:
             w = c.numerator * (den // c.denominator)
             acc = [a + w * mu for a, mu in zip(acc, eigen[t][j])]
         return acc, den
-
-    def multiplicities(self, g: int) -> list[Fraction]:
-        """Coefficients of xi^u (xi(g) = zeta_|g|) in self restricted to
-        <g>."""
-        acc, den = self.multiplicity_sums(g)
-        return [Fraction(a, den) for a in acc]
 
     def values(self) -> list[CycNum]:
         return list(self._row())

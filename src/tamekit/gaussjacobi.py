@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import CycNum, _ZeroTest, zeta
+from .cyclotomic import CycNum, _ZeroTest
 
 PRIME_CAP = 101
 
@@ -86,12 +86,6 @@ class MultChar:
         g = gcd(self.a, self.d)
         return self.d // g, (self.a // g) % (self.d // g)
 
-    def value(self, x: int) -> CycNum:
-        if x % self.p == 0:
-            raise ValueError("character undefined at 0")
-        d0, a0 = self.reduced()
-        return zeta(d0, a0 * _dlog(self.p)[x % self.p] % d0)
-
     def __mul__(self, other: "MultChar") -> "MultChar":
         if not isinstance(other, MultChar):
             return NotImplemented
@@ -100,12 +94,6 @@ class MultChar:
         d = lcm(self.d, other.d)
         return MultChar(self.p, d,
                         self.a * (d // self.d) + other.a * (d // other.d))
-
-    def power(self, k: int) -> "MultChar":
-        return MultChar(self.p, self.d, self.a * k)
-
-    def inverse(self) -> "MultChar":
-        return self.power(-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultChar):

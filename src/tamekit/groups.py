@@ -144,9 +144,6 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def inverse(self, i: int) -> int:
-        return self.inv[i]
-
     def power(self, i: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv[i], -k)

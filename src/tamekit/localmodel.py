@@ -23,7 +23,7 @@ m x |exponents| sums, the coefficients passed as they are).  r[s^i] =
 sigma^(-i)(ladder) depends on the order m and the ladder alone, so each
 ladder's sigma-orbit and its DFT are computed once per ladder and shared
 by every element of order m, in any group; the resolvend keeps them.
-mult_j comes from chi (VirtualChar.multiplicities at s): Dixon's
+mult_j comes from chi (VirtualChar.multiplicity_sums at s): Dixon's
 eigenvalue data for an irreducible, and for psi_2 chi the decomposition
 `adams` computed, so the Adams identity stays a check between two routes.
 The eigenfactors are monomials, and a product of single terms is one
@@ -81,10 +81,6 @@ class TameElement:
         obj = object.__new__(cls)
         obj.terms, obj.den = terms, den
         return obj
-
-    @classmethod
-    def zero(cls) -> "TameElement":
-        return cls()
 
     @classmethod
     def one(cls) -> "TameElement":
@@ -183,11 +179,6 @@ class TameElement:
         for _ in range(k):
             out = out * self
         return out
-
-    def valuation(self) -> Fraction:
-        if not self.terms:
-            raise ValueError("zero has no valuation")
-        return Fraction(min(self.terms), self.den)
 
     def to_dict(self) -> dict:
         return {"terms": [[str(Fraction(a, self.den)), c.to_dict()]
@@ -356,15 +347,18 @@ def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
         raise ValueError("det_resolvend needs a resolvend, whose "
                          "eigenfactors are stored; this element has none")
     s, factors = x.eigen
+    acc, den = chi.multiplicity_sums(s)
     out = TameElement.one()
-    for j, mult in enumerate(chi.multiplicities(s)):
-        if mult.denominator != 1:
-            raise ValueError(f"non-integral multiplicity {mult} at row {j}")
+    for j, a in enumerate(acc):
+        mult, rest = divmod(a, den)
+        if rest:
+            raise ValueError(f"non-integral multiplicity {Fraction(a, den)} "
+                             f"at row {j}")
         if mult == 0:
             continue
         if mult < 0 and factors[j].monomial_parts() is None:
             raise ValueError(f"eigenfactor for row {j} is not invertible")
-        out = out * factors[j] ** int(mult)
+        out = out * factors[j] ** mult
     return out
 
 
@@ -384,8 +378,8 @@ def _det_via_elimination(rows: list[list[CycNum]]) -> CycNum:
         inv = mat[c][c].inverse()
         for r in range(c + 1, n):
             if mat[r][c]:
-                f = mat[r][c] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[c])]
+                f = -(mat[r][c] * inv)
+                mat[r] = [a + f * b for a, b in zip(mat[r], mat[c])]
     return det
 
 

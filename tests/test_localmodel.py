@@ -32,14 +32,13 @@ def test_monomial_algebra():
     assert ab.monomial_parts() == (Fraction(5, 6), zeta(4))
     assert (a ** 3).monomial_parts() == (Fraction(1), CycNum.from_rational(1))
     assert a ** -2 == a.inverse() * a.inverse()
-    assert a.valuation() == Fraction(1, 3)
-    assert (a + b).valuation() == Fraction(1, 3)
+    assert (a + b).to_dict()["terms"][0][0] == "1/3"  # lowest first
     assert (a + b).monomial_parts() is None
 
 
 def test_zero_one_and_scalars():
     one = TameElement.one()
-    zero = TameElement.zero()
+    zero = TameElement()
     a = TameElement.monomial(Fraction(2, 5))
     assert a * one == a and a + zero == a
     assert not zero and bool(a)
@@ -53,7 +52,7 @@ def test_inverse_requires_monomial():
     with pytest.raises(ValueError):
         a.inverse()
     with pytest.raises(ZeroDivisionError):
-        TameElement.zero().inverse()
+        TameElement().inverse()
 
 
 def test_sigma_twists_by_root_of_unity():
@@ -90,7 +89,7 @@ def test_frobenius_sigma_commutation():
         q = rng.choice([2, 11, 13])
         if q % m == 0:
             continue
-        x = TameElement.zero()
+        x = TameElement()
         for _ in range(rng.randrange(1, 4)):
             x = x + TameElement.monomial(
                 Fraction(rng.randrange(-6, 7), m),
@@ -208,7 +207,7 @@ def test_twisted_sums_match_the_product_loop(e, monkeypatch):
         orbit = _ladder_orbit(e, start)
         for t in range(-e, e):
             loop = sum((x * zeta(e, t * j % e) for j, x in enumerate(orbit)),
-                       TameElement.zero())
+                       TameElement())
             assert _twisted_sum(orbit, t) == loop, (start, t)
 
 
@@ -267,15 +266,17 @@ def _det_by_character(x, chi):
     h = len(x.terms)
     g0 = min(g for g in x.terms if G.element_order(g) == h)
     assert sorted(G.cyclic_subgroup(g0)) == sorted(x.terms)
+    acc, den = chi.multiplicity_sums(g0)
+    assert all(a % den == 0 for a in acc)
     out = TameElement.one()
-    for j, mult in enumerate(chi.multiplicities(g0)):
+    for j, mult in enumerate(a // den for a in acc):
         if mult == 0:
             continue
-        factor = TameElement.zero()
+        factor = TameElement()
         for i, g in enumerate(G.cyclic_subgroup(g0)):
             if g in x.terms:
                 factor = factor + x.terms[g] * zeta(h, i * j % h)
-        out = out * factor ** int(mult)
+        out = out * factor ** mult
     return out
 
 
@@ -391,8 +392,6 @@ def test_integer_keys_match_fraction_keys(xr, yr, k, q):
     assert _view(sigma_action(x)) == {
         e: c * zeta(e.denominator, e.numerator % e.denominator)
         for e, c in xf.items()}
-    if xf:
-        assert x.valuation() == min(xf)
     assert (x == y) == (xf == yf)
 
 

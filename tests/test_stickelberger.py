@@ -132,7 +132,8 @@ def test_multiplicities_match_restriction(data):
     b = VirtualChar(T, dict(enumerate(data.draw(combo))))
     sub, ctab = _cyclic_context(G, s)
     res = restrict(a, sub, ctab)
-    assert a.multiplicities(s) == \
+    acc, den = a.multiplicity_sums(s)
+    assert [Fraction(x, den) for x in acc] == \
         [res.coeffs.get(u, Fraction(0)) for u in range(ctab.k)]
     assert pairing(a + b, s) == pairing(a, s) + pairing(b, s)
     if ctab.k % 2:
