@@ -35,17 +35,17 @@ d < ell, so the lifted m_u are exact once the table certifies.
 A VirtualChar stores its values on the classes once, so `value` is a
 lookup: an irreducible's are its table row, `from_values` keeps the input
 it has decomposed and checked, and any other (`+`, `-`, `scale`, ...) sums
-them from its coefficients once, on first use.  The projections and the
-reproduction check of `from_values` and the sums from coefficients run
-on the same kernel; `inner` reads the coefficients alone, since the
-irreducibles are orthonormal.  The work that does not depend on a group
-element is done once per table: the table keeps its class layout
+them from its coefficients once, on first use.  Every character sum runs
+on the table's packed form (`cyclotomic._PackedMatrix`, built on first
+use): `from_values` projects with one `dot`, one product per class, and
+reproduces its input, as sums from coefficients are, by one `combine` of
+the rows, with no product; `inner` reads the coefficients alone, since the
+irreducibles are orthonormal.  The table also keeps its class layout
 (representatives, sizes, the class of each element, inverse classes and
-the weights |C_j|/|G| that every character sum reads); `adams` keeps
-each decomposition of psi_k chi on the table, keyed by chi's
-coefficients and k; and `induce` counts the elements of H by their class
-in G and in H, one weighted sum per class of G, instead of conjugating
-by every element of G.
+the weights |C_j|/|G|) and each psi_k chi that `adams` decomposes, keyed
+by chi's coefficients and k.  `induce` counts the elements of H by their
+class in G and in H, so each value is at most |H| rational multiples of
+f's values, instead of conjugating by every element of G.
 
 Table values are stored as CycNum at conductor exp(G).  Irreducibles are sorted by
 (degree, lexicographic serialized values), except that tables built for a
@@ -60,36 +60,42 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import CycNum, _ZeroTest, _as_fraction, _dot, zeta
+from .cyclotomic import (CycNum, _PackedMatrix, _ZeroTest, _as_fraction,
+                         _pack, zeta)
 from .groups import FiniteGroup, Subgroup, preset
 
 
 # -- linear algebra over F_ell ----------------------------------------------
 
-def _krylov_poly(krylov: list[list[int]], ell: int) -> list[int] | None:
-    """p = x^k - sum_(i<k) c_i x^i mod ell, coefficients from the constant
-    term up, for the solution of sum_(i<k) c_i K_i = K_k, krylov being
-    K_0, ..., K_k of length k, by Gauss-Jordan elimination; None when
-    K_0, ..., K_(k-1) are dependent."""
-    k = len(krylov) - 1
-    m = [list(row) for row in zip(*krylov)]  # m[r] = ((K_i)_r)_(i <= k)
-    for c in range(k):
-        pr = next((i for i in range(c, k) if m[i][c]), None)
-        if pr is None:
-            return None
-        m[c], m[pr] = m[pr], m[c]
-        # the pivot row is zero left of c, so only columns c.. change
-        inv = pow(m[c][c], -1, ell)
-        piv = m[c][c:] = [x * inv % ell for x in m[c][c:]]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != c:
-                row[c:] = [(x - f * y) % ell for x, y in zip(row[c:], piv)]
-    return [-row[k] % ell for row in m] + [1]
+def _krylov_poly(comb: list[list[int]], ell: int) -> tuple | None:
+    """(p, [K_0, ..., K_(k-1)]), K_i = C^i e_0 mod ell for C = comb, k x k,
+    and p = x^k + sum_(i<k) p_i x^i with p(C) e_0 = 0, coefficients from
+    the constant term up; None at the first K_i, i < k, that depends on
+    the earlier ones.  Each K_i is reduced as it is made against their
+    echelon rows, kept with their coordinates in the K_j."""
+    k = len(comb)
+    krylov, basis = [], []  # basis: (pivot, row, coordinates)
+    vec = [1] + [0] * (k - 1)
+    for i in range(k + 1):
+        row, co = vec, [0] * i + [1]
+        for piv, brow, bco in basis:
+            f = row[piv]
+            if f:
+                row = [(x - f * y) % ell for x, y in zip(row, brow)]
+                co = [(x - f * y) % ell for x, y in zip(co, bco)] \
+                    + co[len(bco):]
+        piv = next((r for r, x in enumerate(row) if x), None)
+        if piv is None:  # always so at i = k: K_0, ..., K_(k-1) span
+            return (co, krylov) if i == k else None
+        inv = pow(row[piv], -1, ell)
+        basis.append((piv, [x * inv % ell for x in row],
+                      [x * inv % ell for x in co]))
+        krylov.append(vec)
+        vec = [sum(map(mul, r, vec)) % ell for r in comb]
 
 
 def _class_matrices(G: FiniteGroup, classes: list[list[int]],
@@ -204,7 +210,7 @@ class CharTable:
         ell = _dixon_prime(e, n)
 
         mats = _class_matrices(G, classes, ell)
-        vecs = cls._simultaneous_eigenvectors(mats, ell, k)
+        vecs = cls._simultaneous_eigenvectors(mats, ell, n)
 
         inv_sizes = [pow(s, -1, ell) for s in sizes]
         z_e = pow(primitive_root(ell), (ell - 1) // e, ell)
@@ -279,9 +285,9 @@ class CharTable:
         return table
 
     @staticmethod
-    def _simultaneous_eigenvectors(mats, ell, k):
-        """k common eigenvectors of the class matrices mod ell, mats[0]
-        being the identity class's.
+    def _simultaneous_eigenvectors(mats, ell, order):
+        """k common eigenvectors of the k class matrices mod ell of a
+        group of the given order, mats[0] being the identity class's.
 
         Tries combinations C = sum_j t^j M_j until C has k distinct
         eigenvalues and returns an eigenvector for each, in increasing
@@ -290,29 +296,27 @@ class CharTable:
         the k primitive idempotents of the class algebra, which C scales by
         its eigenvalues, so K_0, ..., K_(k-1) are independent iff those are
         distinct, and then C's characteristic polynomial is the monic p
-        with p(C) e_0 = 0 (`_krylov_poly`).  C is rejected when the K_i are
-        dependent or fewer than k points of F_ell are roots of p.  For a
-        root lam, q = p / (x - lam) by synthetic division and
-        v = q(C) e_0 = sum_i q_i K_i, so (C - lam) v = p(C) e_0 = 0, and
-        v != 0 as q is monic of degree k - 1.  That is k mat-vecs, one
-        elimination and O(k^2) per root.  Class sums are central, so the
-        M_j commute with each other and with C: for C v = lam v,
-        C (M_j v) = lam M_j v, so M_j v lies in the eigenspace of lam, which
-        is one-dimensional as lam is simple.  Each vector is therefore an
-        eigenvector of every M_j without a recheck; `certify` is the exact
-        backstop for the whole table.  t and t + ell give the same C, so at
-        most min(200, ell) - 1 combinations are tried."""
-        for t in range(1, min(200, ell)):
-            scales = [pow(t, j, ell) for j in range(len(mats))]
+        with p(C) e_0 = 0 (`_krylov_poly`).  C is rejected at the first
+        K_i that depends on the earlier ones (K_2 at t = 1), or when fewer
+        than k points of F_ell are roots of p.  For a root lam,
+        q = p / (x - lam) and v = q(C) e_0 = sum_i q_i K_i: (C - lam) v =
+        p(C) e_0 = 0, and v != 0 as q is monic of degree k - 1.  Class sums
+        are central, so the M_j commute with each other and with C, and
+        M_j v lies in the eigenspace of lam, one-dimensional as lam is
+        simple: each vector is an eigenvector of every M_j without a
+        recheck; `certify` is the exact backstop for the whole table.
+        t and t + ell give the same C, so at most min(200, ell) - 1
+        combinations are tried."""
+        k = len(mats)
+        tries = range(1, min(200, ell))
+        for t in tries:
+            scales = [pow(t, j, ell) for j in range(k)]
             comb = [[sum(map(mul, scales, col)) % ell for col in zip(*rows)]
                     for rows in zip(*mats)]
-            krylov = [[1] + [0] * (k - 1)]
-            for _ in range(k):
-                last = krylov[-1]
-                krylov.append([sum(map(mul, row, last)) % ell for row in comb])
-            poly = _krylov_poly(krylov, ell)
-            if poly is None:
+            found = _krylov_poly(comb, ell)
+            if found is None:
                 continue
+            poly, krylov = found
             roots = []
             for lam in range(ell):
                 acc = 0
@@ -322,7 +326,7 @@ class CharTable:
                     roots.append(lam)
             if len(roots) < k:
                 continue
-            coords = list(zip(*krylov[:k]))  # coords[r][i] = (C^i e_0)_r
+            coords = list(zip(*krylov))  # coords[r][i] = (C^i e_0)_r
             vecs = []
             for lam in roots:
                 q = [1] * k  # p / (x - lam), from the top coefficient down
@@ -330,7 +334,14 @@ class CharTable:
                     q[i - 1] = (poly[i] + lam * q[i]) % ell
                 vecs.append(tuple(sum(map(mul, q, c)) % ell for c in coords))
             return vecs
-        raise ArithmeticError("no separating class-sum combination found")
+        raise ArithmeticError(
+            "no separating class-sum combination found: "
+            f"|G| = {order}, k = {k}, ell = {ell}, {len(tries)} tries")
+
+    @cached_property
+    def packed(self) -> _PackedMatrix:
+        """The values as one `_PackedMatrix`, built on first use."""
+        return _PackedMatrix(self.values)
 
     # queries -----------------------------------------------------------------
 
@@ -349,21 +360,16 @@ class CharTable:
         |G|, they test sum_j |C_j| A_tj A_u,inv(j) = delta_tu |G| L^2 and
         sum_t A_ti A_t,inv(j) = delta_ij |G| / |C_i| L^2, whose differences
         |G| (max|A|_1^2 + L^2) bounds, as sum_j |C_j| = |G| and k <= |G|.
-        Each distinct value is packed once and each row scaled by |C_j|
-        once; no sum is reduced or built as a CycNum."""
-        n, k, V, inv = self.group.n, self.k, self.values, self.inverse
-        distinct = {id(x): x for row in V for x in row}
-        cond = math.lcm(self.exponent, *(x.n for x in distinct.values()))
-        den = math.lcm(*(x.den for x in distinct.values()))
-        ints = {i: x.embed(cond) * den for i, x in distinct.items()}
-        top = max(sum(map(abs, a.num)) for a in ints.values())
-        test = _ZeroTest(cond, n * (top * top + den * den))
-        packed = {i: test.pack(a) for i, a in ints.items()}
-        rows = [[packed[id(x)] for x in row] for row in V]
+        A and L are `packed`'s, each distinct value packed once and each
+        row scaled by |C_j| once; no sum is reduced or built as a CycNum."""
+        n, k, inv, P = self.group.n, self.k, self.inverse, self.packed
+        test = _ZeroTest(P.n, n * (P.top * P.top + P.den * P.den))
+        packed = {id(v): _pack(v, test.kb) for row in P.nums for v in row}
+        rows = [[packed[id(v)] for v in row] for row in P.nums]
         scaled = [list(map(mul, self.sizes, row)) for row in rows]
         inv_rows = [[row[i] for i in inv] for row in rows]
         columns = list(zip(*rows))
-        unit = den * den
+        unit = P.den * P.den
 
         def vanishes(a, b, delta):
             return test.is_zero(test.times_psi(sum(map(mul, a, b)) - delta))
@@ -444,12 +450,10 @@ class VirtualChar:
     def from_values(cls, table: CharTable, values: list[CycNum]) -> "VirtualChar":
         """Decompose a class function exactly in the irreducible basis."""
         values = list(values)
-        inv = table.inverse
-        projections = _dot([(table.weights, values, [row[i] for i in inv])
-                            for row in table.values])
+        projections = table.packed.dot([values[i] for i in table.inverse],
+                                       table.weights)
         vc = cls(table, {t: p.as_rational() for t, p in enumerate(projections)})
-        # confirm the decomposition reproduces the input
-        if vc._row() != values:
+        if vc._row() != values:  # the decomposition must reproduce them
             raise ValueError("class function is not in the character span")
         vc._values = values
         return vc
@@ -458,10 +462,7 @@ class VirtualChar:
         """The stored values, summed from the coefficients if there are
         none yet."""
         if self._values is None:
-            ts, cs = list(self.coeffs), list(self.coeffs.values())
-            ones = [CycNum.from_rational(1)] * len(ts)
-            self._values = _dot([(cs, [self.table.values[t][j] for t in ts],
-                                  ones) for j in range(self.table.k)])
+            self._values = self.table.packed.combine(self.coeffs)
         return self._values
 
     def value(self, j: int) -> CycNum:
@@ -550,8 +551,7 @@ def induce(vc: VirtualChar, sub: Subgroup, parent_table: CharTable) -> VirtualCh
     counts = [Counter() for _ in range(T.k)]  # [G-class][H-class]: elements
     for h, g in enumerate(sub.to_parent):
         counts[T.class_of[g]][S.class_of[h]] += 1
-    hvals, one = vc._row(), CycNum.from_rational(1)
-    vals = _dot([([Fraction(T.group.n * x, S.group.n * T.sizes[j])
-                   for x in c.values()], [hvals[i] for i in c], [one] * len(c))
-                 for j, c in enumerate(counts)])
+    hvals, zero = vc._row(), CycNum.from_rational(0)
+    vals = [sum((hvals[i] * Fraction(T.group.n * x, S.group.n * T.sizes[j])
+                 for i, x in c.items()), zero) for j, c in enumerate(counts)]
     return VirtualChar.from_values(T, vals)

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from pathlib import Path
 
@@ -95,7 +96,30 @@ class SuiteConfig:
 
 
 def _dump(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) + newline, byte for
+    byte, for reports of str, int, bool, None, lists and str-keyed dicts;
+    anything else raises TypeError.  The stdlib encoder runs in pure
+    Python when indenting, and this writer takes about half its time."""
+    return _json(report, "\n") + "\n"
+
+
+def _json(x, pad: str) -> str:
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, list):
+        items = [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" \
+            if items else "[]"
+    if isinstance(x, dict):  # _quote raises TypeError on a non-str key
+        items = [_quote(k) + ": " + _json(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" \
+            if items else "{}"
+    raise TypeError(f"{type(x).__name__} is not a report value")
 
 
 def _cyc_str(c: CycNum) -> str:

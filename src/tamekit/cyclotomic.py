@@ -35,28 +35,25 @@ terms, nnz(a) nnz(b) int products, wrapped modulo x^n - 1 and folded
 operand (all numerators but num[0] zero) scales the other's numerators,
 with no product or reduction; rationals invert as Fractions.
 
-Character sums sum_j w_j a_j b_j (projections, sums from coefficients,
-induction, eigenfactor DFTs) go through one private kernel, `_dot`, which
-extends the same packing from one product to whole sums: each distinct
-operand list is walked once and each distinct operand packed once per
-call, a sum's products are added as big ints, and each sum is reduced
-modulo Phi_n once.  Callers pass operands with any denominators.  The
-slots hold a bound on sum_j |W_j| |A_j|_1 |B_j|_1 (1 + spread) over the
-integer weights and numerators, which bounds every slot of the sum and of
-its reduction by the argument of `_table`; for integral operands it is
-|W|_1 times the largest |A|_1 of each operand list, O(1) per sum.
-Roots of unity come from `zeta`, which is cached, so equal roots are one
-object and `_dot` packs each of them once.
+Character sums go through one private kernel, `_PackedMatrix`: a table
+(characters, or the DFT matrix zeta_h^(ij)) is embedded, cleared of its
+denominator, normed and packed once per slot width, by row and by column.
+`dot`, sum_j w_j a_j B_tj for every row t (projections, DFTs), takes one
+product of each packed a_j and column, k in place of k^2 small ones, and
+reduces each row's block modulo Phi_n once, its slots holding the bound
+sum_j |W_j| |A_j|_1 max_t |B_tj|_1 (1 + spread) of `_table`'s argument.
+`combine`, sum_t c_t B_tj for every column j (values from coefficients),
+is an integer combination of the packed rows: no product, no reduction.
 
 An identity needs a yes or no, not a canonical form, and `_ZeroTest`
 answers it with no reduction modulo Phi_n: Phi_n divides D exactly when
 D Psi_n vanishes modulo x^n - 1, and on ints packed at 8 kb bits a slot,
 x^n - 1 becomes a fold modulo 2^(8 kb n) - 1 by shifts and masks.  The
-test is exact while |D|_1 |Psi_n|_1 < 2^(8 kb - 1), which bounds every
-coefficient of D Psi_n folded modulo x^n - 1 (the class docstring has
-the argument).  Psi_n and operands at a conductor dividing n act as sums
-of shifts: the Gauss/Jacobi sweep pays one packed product per pair of
-Gauss sums, `CharTable.certify` one per term of its sums, and no reduction.
+test is exact while |D'|_inf |Psi_n|_1 < 2^(8 kb - 1), D' being D folded
+modulo x^n - 1, which |f|_1 |h|_inf over D's products f h bounds (see the
+class).  Psi_n and operands at a conductor dividing n act as sums of
+shifts: the Gauss/Jacobi sweep pays one packed product per pair of Gauss
+sums, `CharTable.certify` one per term of its sums, and no reduction.
 
 `_table(n)` is the one cached table per conductor: Phi_n, Psi_n and their
 packings, O(n) ints, used by every reduction (products, construction,
@@ -80,7 +77,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, sub
 from types import MappingProxyType
 
 from .arith import euler_phi, prime_factors
@@ -226,12 +223,13 @@ class _ZeroTest:
     Psi_n in Z[x]).  With B = 2^(8 kb) and M = B^n - 1, B^n = 1 mod M, so
     x -> B maps Z[x]/(x^n - 1) into Z/M: packed products taken mod M, and
     shifts by whole slots, give (D Psi_n)(B) mod M.  Reducing mod M folds
-    blocks of 8 kb n bits with shifts and masks, no division.  Let g be
-    D Psi_n folded mod x^n - 1: deg g < n, and no coefficient exceeds
-    |D|_1 |Psi_n|_1 in magnitude.  Below 2^(8 kb - 1) that makes
-    |g(B)| < M/2, so g(B) = 0 mod M forces g(B) = 0, and then g = 0,
-    since balanced base-B digits are unique.  So a zero residue means
-    Phi_n | D, and a nonzero one means it does not.
+    blocks of 8 kb n bits with shifts and masks, no division.  Let D' be
+    D folded mod x^n - 1 and g = D' Psi_n folded likewise: deg g < n,
+    and g_i = sum_j D'_j Psi_((i - j) mod n) meets each coefficient of
+    Psi_n (degree < n) once, so |g|_inf <= |D'|_inf |Psi_n|_1.  Below
+    2^(8 kb - 1) that makes |g(B)| < M/2, so g(B) = 0 mod M forces
+    g(B) = 0, and then g = 0, since balanced base-B digits are unique.
+    So a zero residue means Phi_n | D, and a nonzero one means it does not.
 
     A packed value is multiplied by Psi_n as sums of shifts, one per
     sparse factor: for n = q m with q the largest prime of n,
@@ -240,11 +238,13 @@ class _ZeroTest:
     is 7 + 12 shifts at p = 61 (Psi_n itself has 84 terms) and 5 + 4 at
     p = 101.
 
-    `bound` must bound |D|_1 for every D tested, D's operands being
-    integral CycNums at conductors dividing n.  Slots are the fewest bytes
-    that hold bound |Psi_n|_1 and a sign, not an array width: operands are
-    packed once, and every product and shift after that is on ints of
-    that many bytes per slot (5 in place of 8 at p = 71)."""
+    `bound` must bound |D'|_inf for every D tested, D's operands being
+    integral CycNums at conductors dividing n.  |D|_1 does, and so does
+    the sum of |f|_1 |h|_inf over D's products f h, as each coefficient of
+    f h folded mod x^n - 1 meets each coefficient of h once.  Slots are
+    the fewest bytes that hold bound |Psi_n|_1 and a sign, not an array
+    width: operands are packed once, and every product and shift after
+    that is on ints of that many bytes per slot (3 at p = 31, 61, 101)."""
 
     __slots__ = ("n", "kb", "width", "mask", "psi")
 
@@ -590,80 +590,80 @@ class CycNum:
         return f"CycNum({self.n}; " + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
-def _dot(sums: list) -> list[CycNum]:
-    """[sum_j w[j] a[j] b[j] for each (w, a, b) in sums]: w holds int or
-    Fraction weights and a, b hold CycNums of any denominators, all three
-    of one length per sum.  Every sum is returned at the lcm conductor n of
-    all operands.
+class _PackedMatrix:
+    """The k x c matrix rows[t][j] of CycNums: each distinct entry embedded
+    at a conductor n (their lcm by default) over one denominator L and
+    normed, once; packed on first use at a slot width, by row (c blocks of
+    phi(n) slots) and by column (k blocks of 2 phi(n) - 1, for products)."""
 
-    Lists and operands are told apart by id, which `sums` keeps alive:
-    each distinct operand list is walked once, and each distinct operand
-    embedded at n and packed once for all the sums; a sum adds its
-    products as packed ints and is reduced modulo Phi_n once.  Over a
-    common denominator D, w_j a_j b_j = W_j A_j B_j / D with integer
-    weights W_j and numerators A_j, B_j, and no slot of the sum or of its
-    reduction exceeds sum_j |W_j| |A_j|_1 |B_j|_1 (1 + spread) (see
-    `_table`).  With integral operands W is w over its own denominator,
-    and min(P(w, a) max|B|_1, P(w, b) max|A|_1), P(w, a) = sum_j |W_j|
-    |A_j|_1 taken once per pair of weight list and operand list and max|A|_1
-    once per operand list, bounds that sum in O(1); otherwise one pass per
-    sum folds the operands' denominators into W and takes the sum itself.
-    The largest bound, and every operand's own |A|_1, sets one slot
-    width."""
-    lists = {}
-    for _, a, b in sums:
-        lists[id(a)] = a
-        lists[id(b)] = b
-    ops = {}
-    for a in lists.values():
-        ops.update(zip(map(id, a), a))
-    n = math.lcm(*(x.n for x in ops.values()))
-    phi, spread = _table(n)[:2]
-    unit = all(x.den == 1 for x in ops.values())
-    ops = {i: x.embed(n) for i, x in ops.items()}
-    l1 = {i: sum(map(abs, x.num)) for i, x in ops.items()}
-    if unit:  # largest |A|_1 of each list
-        top = {i: max(map(l1.get, map(id, a)), default=0)
-               for i, a in lists.items()}
-    over = {}  # id(w) -> (lcm of w's denominators, w's numerators)
-    paired = {}  # (id(w), id(a)) -> P(w, a)
+    def __init__(self, rows: list, n: int | None = None):
+        distinct = {id(x): x for row in rows for x in row}
+        n = n or math.lcm(*(x.n for x in distinct.values()))
+        den = math.lcm(*map(_den, distinct.values()))
+        ints = {i: [c * (den // x.den) for c in x.embed(n).num]
+                for i, x in distinct.items()}
+        self.rows, self.n, self.den = rows, n, den
+        self._at, self._packs = {}, {}  # conductor -> matrix, width -> ints
+        self.nums = [[ints[id(x)] for x in row] for row in rows]
+        l1 = {i: sum(map(abs, v)) for i, v in ints.items()}
+        inf = {i: max(map(abs, v)) for i, v in ints.items()}
+        self.row_inf = [max(map(inf.get, map(id, row))) for row in rows]
+        self.col_l1 = [max(map(l1.get, map(id, col))) for col in zip(*rows)]
+        self.top = max(l1.values())
 
-    def weighted(w, a):
-        key = id(w), id(a)
-        if key not in paired:
-            paired[key] = sum(map(mul, map(abs, over[id(w)][1]),
-                                  map(l1.get, map(id, a))))
-        return paired[key]
+    def _packed(self, kb: int, columns: bool) -> list[int]:
+        if (kb, columns) not in self._packs:
+            pad = [0] * (_table(self.n)[0] - 1) if columns else []
+            self._packs[kb, columns] = [
+                _pack([c for v in line for c in (*v, *pad)], kb)
+                for line in (zip(*self.nums) if columns else self.nums)]
+        return self._packs[kb, columns]
 
-    prepared = []  # (W, D) per sum
-    bound = max(l1.values(), default=0)  # every operand is packed
-    for w, a, b in sums:
-        if id(w) not in over:
-            d = math.lcm(*map(_denominator, w))
-            over[id(w)] = d, [c.numerator * (d // c.denominator) for c in w]
-        den, weights = over[id(w)]
-        if unit:
-            bound = max(bound, min(weighted(w, a) * top[id(b)],
-                                   weighted(w, b) * top[id(a)]))
-        else:
-            d = list(map(mul, map(_den, a), map(_den, b)))
-            lcm = math.lcm(*d)
-            den *= lcm
-            weights = list(map(mul, weights, map(lcm.__floordiv__, d)))
-            bound = max(bound, sum(map(mul, map(mul, map(abs, weights),
-                                                map(l1.get, map(id, a))),
-                                       map(l1.get, map(id, b)))))
-        prepared.append((weights, den))
-    kb = _slot_bytes(bound * (1 + spread))
-    ints = {i: _pack(x.num, kb) for i, x in ops.items()}
-    packed = {i: list(map(ints.get, map(id, a))) for i, a in lists.items()}
-    out = []
-    for (_, a, b), (weights, den) in zip(sums, prepared):
-        f = sum(map(mul, map(mul, weights, packed[id(a)]), packed[id(b)]))
-        num = _reduce_packed(n, f, 2 * phi - 1, kb) if phi > 1 \
-            else _unpack(f, 1, kb)
-        out.append(CycNum._make(n, num, den))
-    return out
+    def dot(self, values: list, weights: list) -> list[CycNum]:
+        """[sum_j weights[j] values[j] rows[t][j] for each row t] at the
+        lcm conductor, for int or Fraction weights and values of any
+        denominator.  No slot of a row's block or its reduction exceeds
+        sum_j |W_j| |A_j|_1 max_t |B_tj|_1 (1 + spread), by `_table`."""
+        n = math.lcm(self.n, *(x.n for x in values))
+        if n != self.n:
+            if n not in self._at:
+                self._at[n] = _PackedMatrix(self.rows, n)
+            return self._at[n].dot(values, weights)
+        phi, spread = _table(n)[:2]
+        wd = math.lcm(*map(_denominator, weights))
+        vd = math.lcm(*map(_den, values))
+        terms, bound = [], 0
+        for j, (w, x) in enumerate(zip(weights, values)):
+            w = w.numerator * (wd // w.denominator)
+            if w and x and self.col_l1[j]:
+                a = [c * (vd // x.den) for c in x.embed(n).num]
+                terms.append((w, a, j))
+                bound += abs(w) * sum(map(abs, a)) * self.col_l1[j]
+        kb = _slot_bytes(max(self.top, bound * (1 + spread)))
+        cols = self._packed(kb, True)
+        f = sum(w * _pack(a, kb) * cols[j] for w, a, j in terms)
+        blk, out, den = 2 * phi - 1, [], wd * vd * self.den
+        for _ in self.rows:  # each row's block from the bottom, signed
+            high = _high(f, blk, kb)
+            block, f = f - (high << 8 * kb * blk), high
+            num = _reduce_packed(n, block, blk, kb) if phi > 1 else [block]
+            out.append(CycNum._make(n, num, den))
+        return out
+
+    def combine(self, coeffs: dict) -> list[CycNum]:
+        """[sum_t coeffs[t] rows[t][j] for each column j]: over the
+        coefficients' denominator no slot exceeds sum_t |C_t| max_j
+        |B_tj|_inf, and a combination of reduced numerators is reduced."""
+        d = math.lcm(*map(_denominator, coeffs.values()))
+        terms = [(c.numerator * (d // c.denominator), t)
+                 for t, c in coeffs.items()]
+        kb = _slot_bytes(max(self.top, sum(abs(c) * self.row_inf[t]
+                                           for c, t in terms)))
+        rows, phi = self._packed(kb, False), _table(self.n)[0]
+        flat = _unpack(sum(c * rows[t] for c, t in terms),
+                       len(self.col_l1) * phi, kb)
+        return [CycNum._make(self.n, flat[i:i + phi], d * self.den)
+                for i in range(0, len(flat), phi)]
 
 
 def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -696,5 +696,5 @@ def _promote(x):
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k as a CycNum of conductor n.  Cached:
     CycNums are immutable, so each root is built once and equal calls
-    share one object, which `_dot` then packs once."""
+    share one object, which `_PackedMatrix` embeds and norms once."""
     return CycNum(n, {k: 1})

@@ -199,8 +199,9 @@ def verify_gauss_identities(p: int) -> dict:
                                     for every pair with a + b != 0 mod p-1
 
     Each is a zero test of lhs - rhs modulo Phi_N, as the module
-    docstring describes; the slot bound comes from the largest |tau|_1
-    and |J|_1 of the sweep, so every J is summed before the first test.
+    docstring describes; the slot bound comes from the largest |tau|_1,
+    |tau|_inf and |J|_1 of the sweep, so every J is summed before the
+    first test.
     """
     if not is_prime(p) or p > PRIME_CAP:
         raise ValueError(f"unsupported prime {p}")
@@ -210,10 +211,12 @@ def verify_gauss_identities(p: int) -> dict:
     taus = [gauss_sum(chi).embed(N) for chi in chars]
     jacobi = {(x, y): jacobi_sum(chars[x], chars[y])
               for x in range(1, d) for y in range(1, d) if (x + y) % d}
-    # |D|_1 <= |tau_a|_1 |tau_b|_1 + |J|_1 |tau_c|_1 (+ p for tau checks)
+    # In Z[x]/(x^N - 1), |f g|_inf <= |f|_1 |g|_inf, so every slot of D
+    # is at most max|tau|_inf (max|tau|_1 + max|J|_1) + p.
     top = max((sum(map(abs, t.num)) for t in taus[1:]), default=0)
+    peak = max((max(map(abs, t.num)) for t in taus[1:]), default=0)
     widest = max((sum(map(abs, J.num)) for J in jacobi.values()), default=0)
-    test = _ZeroTest(N, top * top + max(p, widest * top))
+    test = _ZeroTest(N, peak * (top + widest) + p)
     packed = [test.pack(t) for t in taus]
     psi = list(map(test.times_psi, packed))  # tau_c Psi_N; psi[0] = Psi_N
 

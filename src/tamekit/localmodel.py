@@ -44,7 +44,7 @@ from math import gcd, lcm
 
 from .arith import is_prime, is_prime_power, smallest_prime_in_class
 from .characters import CharTable, VirtualChar, cyclic_table
-from .cyclotomic import CycNum, _dot, _folded, _reduce, zeta
+from .cyclotomic import CycNum, _folded, _reduce, zeta
 from .groups import FiniteGroup
 from .padic import lambda_valuation
 from .stickelberger import pairing, star_pairing
@@ -307,24 +307,18 @@ def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
 
 def _dft(seq: list[TameElement]) -> tuple[TameElement, ...]:
     """[F_0, ..., F_(h-1)], F_j = sum_i seq[i] zeta_h^(ij) for h = len(seq):
-    h sums per exponent of pi in one `_dot` call."""
+    per exponent of pi, one `dot` of its coefficients against the rows
+    zeta_h^(ij) of `cyclic_table(h)`, packed once per order."""
     h = len(seq)
     den = lcm(*(x.den for x in seq))
-    # rows[a]: each i with a term v pi^(a/den) in seq[i], as i, the weight
-    # 1 and v
-    rows: dict[int, tuple[list, list, list]] = {}
+    zero = CycNum.from_rational(0)
+    rows: dict[int, list[CycNum]] = {}  # a -> coefficients of pi^(a/den)
     for i, x in enumerate(seq):
         for a, v in x._over(den).items():
-            idx, w, vals = rows.setdefault(a, ([], [], []))
-            idx.append(i)
-            w.append(1)
-            vals.append(v)
-    roots = [zeta(h, k) for k in range(h)]
-    sums = [(w, vals, [roots[i * j % h] for i in idx])
-            for j in range(h) for idx, w, vals in rows.values()]
-    flat = _dot(sums)
-    k = len(rows)
-    return tuple(TameElement(dict(zip(rows, flat[j * k:(j + 1) * k])), den)
+            rows.setdefault(a, [zero] * h)[i] = v
+    table = cyclic_table(h)
+    sums = {a: table.packed.dot(v, table.sizes) for a, v in rows.items()}
+    return tuple(TameElement({a: f[j] for a, f in sums.items()}, den)
                  for j in range(h))
 
 

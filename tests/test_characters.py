@@ -13,7 +13,7 @@ import tamekit.cyclotomic as cyclotomic
 from tamekit.characters import (CharTable, VirtualChar, _class_matrices,
                                  _dixon_prime, _krylov_poly, cyclic_table,
                                  induce)
-from tamekit.cyclotomic import CycNum, zeta
+from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
 from tamekit.stickelberger import _cyclic_context, _order_chars
 
@@ -358,8 +358,35 @@ def test_from_values_rejects_the_altered_table():
     values = [row[:] for row in T.values]
     values[2][1] = values[2][1] + 1
     bad = CharTable(T.group, T.classes, values, T.degrees, T.eigen)
-    with pytest.raises(ValueError, match="not in the character span"):
-        VirtualChar.from_values(bad, T.values[2])
+    for r in (1, 5):  # at exp(G) and packed again at 5 exp(G)
+        with pytest.raises(ValueError, match="not in the character span"):
+            VirtualChar.from_values(
+                bad, [x.embed(r * T.exponent) for x in T.values[2]])
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_from_values_recovers_rational_combinations(name):
+    # Class functions summed with CycNum arithmetic from random rational
+    # coefficients, given at exp(G) and embedded at conductors that exp(G)
+    # does not divide, where the table is packed again: the decomposition
+    # returns the coefficients and keeps the values.  A value moved off
+    # the character span by zeta at such a conductor has an irrational
+    # projection.
+    T = CharTable.of(preset(name))
+    rng = random.Random(name)
+    zero = CycNum.from_rational(0)
+    for r in (1, 2, 3, 5, 7):
+        coeffs = {t: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for t in rng.sample(range(T.k), rng.randint(1, T.k))}
+        values = [sum((c * T.values[t][j] for t, c in coeffs.items()),
+                      zero).embed(r * T.exponent) for j in range(T.k)]
+        vc = VirtualChar.from_values(T, values)
+        assert vc.coeffs == {t: c for t, c in coeffs.items() if c}, r
+        assert vc.values() == values
+        nudged = list(values)
+        nudged[rng.randrange(T.k)] += zeta(r * T.exponent * 4)
+        with pytest.raises(ValueError, match="not rational"):
+            VirtualChar.from_values(T, nudged)
 
 
 def test_from_values_rejects_an_irrational_projection():
@@ -441,7 +468,9 @@ def test_inner_reads_coefficients_without_class_sums(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(characters, "_dot", counting("_dot", characters._dot))
+    for name in ("dot", "combine"):
+        monkeypatch.setattr(_PackedMatrix, name,
+                            counting(name, getattr(_PackedMatrix, name)))
     monkeypatch.setattr(VirtualChar, "_row",
                         counting("_row", VirtualChar._row))
     monkeypatch.setattr(CycNum, "__init__",
@@ -543,9 +572,31 @@ def test_dependent_krylov_vectors_reject_every_combination(monkeypatch):
     diag = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
     monkeypatch.setattr(characters, "_class_matrices",
                         lambda G, classes, ell: [diag] * len(classes))
-    with pytest.raises(ArithmeticError,
-                       match="no separating class-sum combination"):
+    with pytest.raises(ArithmeticError, match=(
+            r"no separating class-sum combination found: "
+            r"\|G\| = 6, k = 3, ell = 13, 12 tries$")):
         CharTable._dixon(preset("S3"))
+
+
+def test_krylov_search_stops_at_the_first_dependent_vector():
+    # At t = 1, C = sum_j M_j is |G| times the projection on the trivial
+    # character, so K_2 = |G| K_1: the search rejects C after two mat-vecs
+    # (one pass over C's rows each), not k.
+    class Rows(list):
+        passes = 0
+
+        def __iter__(self):
+            Rows.passes += 1
+            return super().__iter__()
+
+    for name in PRESET_NAMES + ("C27", "C32"):
+        G = preset(name)
+        classes = G.conjugacy_classes()
+        ell = _dixon_prime(G.exponent(), G.n)
+        comb = Rows(_combination(_class_matrices(G, classes, ell), 1, ell))
+        Rows.passes = 0
+        assert _krylov_poly(comb, ell) is None, name
+        assert Rows.passes == 2, (name, Rows.passes)
 
 
 def _nullspace(mat, ell):
@@ -610,9 +661,11 @@ def test_charpoly_roots_are_the_eigenvalues_of_the_separating_combination():
         mats = _class_matrices(G, classes, ell)
         for t in range(1, ell):
             comb = _combination(mats, t, ell)
-            poly = _krylov_poly(_krylov(comb, ell), ell)
-            if poly is None:
+            found = _krylov_poly(comb, ell)
+            if found is None:
                 continue
+            poly, vectors = found
+            assert vectors == _krylov(comb, ell)[:k], name
             assert len(poly) == k + 1 and poly[k] == 1, name
             roots = [lam for lam in range(ell) if not _evaluate(poly, lam, ell)]
             if len(roots) == k:
@@ -624,7 +677,7 @@ def test_charpoly_roots_are_the_eigenvalues_of_the_separating_combination():
                                  for c, x in enumerate(row)]
                                 for r, row in enumerate(comb)], ell)]
         assert roots == eigen, name
-        vecs = CharTable._simultaneous_eigenvectors(mats, ell, k)
+        vecs = CharTable._simultaneous_eigenvectors(mats, ell, G.n)
         assert len(vecs) == k, name
         for lam, v in zip(roots, vecs):
             cv = [sum(a * b for a, b in zip(row, v)) % ell for row in comb]
@@ -688,10 +741,12 @@ def test_charpoly_is_the_determinant_at_every_point(case):
     mat, ell = case
     k = len(mat)
     krylov = _krylov(mat, ell)
-    poly = _krylov_poly(krylov, ell)
-    if poly is None:
+    found = _krylov_poly(mat, ell)
+    if found is None:
         assert _eliminate(krylov[:k], ell)[0] < k
         return
+    poly, vectors = found
+    assert vectors == krylov[:k]
     assert len(poly) == k + 1 and poly[k] == 1
     for lam in range(ell):
         shifted = [[((lam if r == c else 0) - x) % ell
@@ -856,12 +911,13 @@ def test_certify_clears_denominators_like_the_reference():
 
 
 def test_certify_builds_no_sum(monkeypatch):
-    # no `_dot`, and CycNums only for the distinct values, none per sum
-    def refused(sums):
-        raise AssertionError("certify called _dot")
+    # no character sum, and CycNums only for the distinct values, none
+    # per sum
+    def refused(*args):
+        raise AssertionError("certify took a character sum")
 
-    monkeypatch.setattr(characters, "_dot", refused)
-    monkeypatch.setattr(cyclotomic, "_dot", refused)
+    monkeypatch.setattr(_PackedMatrix, "dot", refused)
+    monkeypatch.setattr(_PackedMatrix, "combine", refused)
     built = []
     make = CycNum._make.__func__
     monkeypatch.setattr(CycNum, "_make", classmethod(
@@ -877,15 +933,16 @@ def test_certify_builds_no_sum(monkeypatch):
 def test_inseparable_class_matrices_fail_after_bounded_tries(monkeypatch):
     calls = []
 
-    def counted(krylov, ell):
+    def counted(comb, ell):
         calls.append(ell)
-        return _krylov_poly(krylov, ell)
+        return _krylov_poly(comb, ell)
 
     monkeypatch.setattr(characters, "_krylov_poly", counted)
     identity = [[1, 0], [0, 1]]
     for ell, tries in ((7, 6), (211, 199)):
         calls.clear()
-        with pytest.raises(ArithmeticError,
-                           match="no separating class-sum combination"):
+        with pytest.raises(ArithmeticError, match=(
+                r"no separating class-sum combination found: "
+                rf"\|G\| = 2, k = 2, ell = {ell}, {tries} tries$")):
             CharTable._simultaneous_eigenvectors([identity, identity], ell, 2)
         assert calls == [ell] * tries

@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tamekit
+import tamekit.cli as cli
 import tamekit.gaussjacobi as gaussjacobi
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, UsageError, main
 
@@ -376,3 +378,49 @@ def test_internal_fault_exits_three(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err == "error: ValueError: internal fault\n", err
     assert not out
+
+
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40)
+
+
+@settings(max_examples=100, database=None, derandomize=True, deadline=None)
+@given(REPORT_VALUES)
+def test_dump_matches_the_stdlib_encoder(value):
+    assert cli._dump(value) == json.dumps(value, sort_keys=True,
+                                          indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": 0.0}, {1: 2}, {None: 1},
+                                   [(1, 2)], {"a": {"b": set()}}])
+def test_dump_rejects_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        cli._dump(value)
+
+
+def test_every_command_dumps_like_the_stdlib_encoder(monkeypatch, tmp_path,
+                                                     capsys):
+    # every report a command writes, as the object it dumps
+    dumped = []
+    dump = cli._dump
+
+    def recorded(report):
+        dumped.append(report)
+        return dump(report)
+
+    monkeypatch.setattr(cli, "_dump", recorded)
+    f21 = ["--group", "F21", "--s", "(1 2 3 4 5 6 7)"]
+    commands = [["chartab", "--group", "S3"], ["chartab", "--group", "C9"],
+                ["pairing"] + f21, ["pairing", "--star"] + f21,
+                ["localmodel", "verify"] + f21, ["gauss", "--p", "7"],
+                ["crux", "--p", "7", "--e", "3"], ["ledger", "demo"],
+                ["suite", "--out", str(tmp_path)]]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(dumped) == 8 + 43  # the suite writes 43 files, summary too
+    for report in dumped:
+        assert dump(report) == json.dumps(report, sort_keys=True,
+                                          indent=2) + "\n"

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tamekit.arith import euler_phi
-from tamekit.cyclotomic import (CycNum, _ZeroTest, _dot, _pack, _slot_bytes,
-                                _table, cyclotomic_poly, zeta)
+from tamekit.cyclotomic import (CycNum, _PackedMatrix, _ZeroTest, _pack,
+                                _slot_bytes, _table, cyclotomic_poly, zeta)
 
 
 def test_cyclotomic_poly_known_coefficients():
@@ -325,11 +325,11 @@ def test_cheap_inverse_matches_evaluation_mod_ell(x, c):
     _check_inverse(x, c)
 
 
-# -- the packed dot kernel ----------------------------------------------------
+# -- the packed table kernel --------------------------------------------------
 #
-# _dot against plain CycNum sums.  Weights up to 2^40 on small operands
-# make the weights, not the operands, set the slot width, so a bound that
-# left them out would overflow its slots.
+# _PackedMatrix.dot and .combine against plain CycNum sums.  Weights up to
+# 2^40 on small operands make the weights, not the operands, set the slot
+# width, so a bound that left them out would overflow its slots.
 
 DOT_PAIRS = [(1, 1), (9, 9), (27, 27), (63, 63), (930, 930), (9, 27),
              (1, 63), (27, 63)]
@@ -343,40 +343,49 @@ def _plain_dot(w, a, b):
                CycNum.from_rational(0))
 
 
+def _plain_combine(rows, coeffs):
+    zero = CycNum.from_rational(0)
+    return [sum((c * rows[t][j] for t, c in coeffs.items()), zero)
+            for j in range(len(rows[0]))]
+
+
 @st.composite
-def dot_sums(draw):
-    """Sums that share operand and weight objects, as certify's do."""
+def dot_cases(draw):
+    """A matrix whose rows share entry objects, as a table's do, operands
+    at its conductor or another, weights, and row coefficients."""
     n1, n2 = draw(st.sampled_from(DOT_PAIRS))
-    lefts = draw(st.lists(elements(n1), min_size=1, max_size=2))
-    rights = draw(st.lists(elements(n2), min_size=1, max_size=2))
-    length = draw(st.integers(1, 4))
-    shared = draw(st.lists(WEIGHTS, min_size=length, max_size=length))
-    sums = []
-    for _ in range(draw(st.integers(1, 3))):
-        w = shared if draw(st.booleans()) else \
-            draw(st.lists(WEIGHTS, min_size=length, max_size=length))
-        a = [draw(st.sampled_from(lefts)) for _ in range(length)]
-        b = [draw(st.sampled_from(rights)) for _ in range(length)]
-        sums.append((w, a, b))
-    return sums
+    entries = draw(st.lists(elements(n1), min_size=1, max_size=3))
+    width = draw(st.integers(1, 4))
+    rows = [[draw(st.sampled_from(entries)) for _ in range(width)]
+            for _ in range(draw(st.integers(1, 3)))]
+    values = [draw(elements(n2)) for _ in range(width)]
+    weights = draw(st.lists(WEIGHTS, min_size=width, max_size=width))
+    coeffs = draw(st.dictionaries(st.integers(0, len(rows) - 1), WEIGHTS))
+    return rows, values, weights, coeffs
 
 
 @settings(max_examples=60, database=None, derandomize=True, deadline=None)
-@given(dot_sums())
-def test_dot_matches_plain_sums(sums):
-    got = _dot(sums)
-    m = math.lcm(*(x.n for _, a, b in sums for x in a + b))
-    assert len(got) == len(sums)
-    for (w, a, b), g in zip(sums, got):
+@given(dot_cases())
+def test_dot_matches_plain_sums(case):
+    rows, values, weights, coeffs = case
+    packed = _PackedMatrix(rows)
+    got = packed.dot(values, weights)
+    m = math.lcm(*(x.n for x in values + rows[0]))
+    assert len(got) == len(rows)
+    for row, g in zip(rows, got):
         assert g.n == m and _canonical(g)
-        assert g == _plain_dot(w, a, b)
+        assert g == _plain_dot(weights, values, row)
+    got = packed.combine(coeffs)
+    assert all(g.n == packed.n and _canonical(g) for g in got)
+    assert got == _plain_combine(rows, coeffs)
 
 
 @pytest.mark.parametrize("n", [1, 9, 63])
 def test_dot_at_each_slot_width(n):
     # L (1 + spread) sets the width: at n = 9, 1 + spread = 4, so L = 8191
     # still fits 16-bit slots and 8192 needs 32.  For each width the largest
-    # L it holds and the next one up both run, and the sum attains L.
+    # L it holds and the next one up both run, the sum attains L, and the
+    # kernel packs at exactly that width.
     # zeta^(phi-1) squared lands in slot 2 phi - 2, so the reduction runs.
     phi, spread = _table(n)[:2]
     x = zeta(n, phi - 1)
@@ -385,18 +394,21 @@ def test_dot_at_each_slot_width(n):
         for extra in (0, 1):
             top = (2 ** bits - 1) // (1 + spread) + extra
             w = [top // 2, top - top // 2]
-            got, = _dot([(w, [x, x], [x, x])])
+            packed = _PackedMatrix([[x, x]])
+            got, = packed.dot([x, x], w)
             assert got == x * x * top
-            seen.add(_slot_bytes(top * (1 + spread)))
+            kb = _slot_bytes(top * (1 + spread))
+            assert set(packed._packs) == {(kb, True)}
+            seen.add(kb)
     assert seen == {2, 4, 8, 9, 12}
 
 
-def _shared_sums(rng, n, big, dens):
-    """Twelve sums over four shared operand lists of length 6 at conductor
-    n: roots of unity, one list with `big` among them, one with -big and
-    big^2 at different places, and with `dens` some operands over 3 or 4.
-    Three weight lists, each used by a sum over the big^2 list: Fractions,
-    ones, and large ints that outweigh the operands."""
+def _shared_rows(rng, n, big, dens):
+    """Four rows of length 6 at conductor n that share their entries:
+    roots of unity, one row with `big` among them, one with -big and big^2
+    at different places, and with `dens` some entries over 3 or 4.  Three
+    weight lists: Fractions, ones, and large ints that outweigh the
+    entries."""
     roots = [zeta(n, e) for e in range(n)]
 
     def operands(specials):
@@ -408,48 +420,54 @@ def _shared_sums(rng, n, big, dens):
             xs[i] = xs[i] / rng.choice((3, 4))
         return xs
 
-    lists = [operands(()), operands((big,)), operands((-big, big * big)),
-             operands(())]
+    rows = [operands(()), operands((big,)), operands((-big, big * big)),
+            operands(())]
     weights = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                 for _ in range(6)],
                [1] * 6,
                [rng.randint(-2 ** 40, 2 ** 40) for _ in range(6)]]
-    firsts = [(w, lists[2], rng.choice(lists)) for w in weights]
-    return firsts + [(rng.choice(weights), rng.choice(lists),
-                      rng.choice(lists)) for _ in range(9)]
+    return rows, weights
 
 
 @pytest.mark.parametrize("dens", [False, True])
 @pytest.mark.parametrize("seed", range(4))
 def test_dot_shared_lists_against_the_cycnum_loop(seed, dens):
-    # Integral calls bound each sum by min(P(w, a) max|B|_1, P(w, b)
-    # max|A|_1), P(w, a) = sum_j |W_j| |A_j|_1 once per pair of lists;
-    # calls with denominators fold them into the weights first.  Both must
-    # agree with plain CycNum sums.
+    # Every row as operands against the matrix of all four, under every
+    # weight list, and every row weighted by every weight list as
+    # coefficients: the bound takes each column's largest |B|_1, and with
+    # denominators both the entries' and the operands' are cleared.
     rng = random.Random(seed)
     n = (9, 27, 45, 63)[seed]
     big = CycNum(n, {e: rng.randint(-40, 40) for e in range(n)})
-    sums = _shared_sums(rng, n, big, dens)
-    assert _dot(sums) == [_plain_dot(w, a, b) for w, a, b in sums]
+    rows, weights = _shared_rows(rng, n, big, dens)
+    packed = _PackedMatrix(rows)
+    for w in weights:
+        for values in rows:
+            assert packed.dot(values, w) == \
+                [_plain_dot(w, values, row) for row in rows]
+        coeffs = dict(enumerate(w[:4]))
+        assert packed.combine(coeffs) == _plain_combine(rows, coeffs)
 
 
 def test_dot_list_bound_forces_a_wider_slot():
-    # One large operand among unit roots on each side, at different
-    # places: the sum itself needs 16-bit slots, the O(1) bound
-    # P(w, a) max|B|_1 = (l1 + 5) l1 needs 32, and the result is exact
+    # Two large operands, each met by a large entry in a different row: a
+    # row's sum needs 16-bit slots, the bound sum_j |A_j|_1 max_t |B_tj|_1,
+    # which takes both large entries, needs 32, and the result is exact
     # either way.
     n = 9
     spread = _table(n)[1]
-    big = CycNum(n, {e: 20 for e in range(6)})  # |big|_1 = 120
+    big = CycNum(n, {e: 20 for e in range(4)})  # |big|_1 = 80
     l1 = sum(map(abs, big.num))
-    a = [big] + [zeta(n, e) for e in range(1, 6)]
-    b = [zeta(n, e) for e in range(5)] + [big]
-    w = [1] * 6
-    exact = sum(x * y for x, y in zip([l1] + [1] * 5, [1] * 5 + [l1]))
+    roots = [zeta(n, e) for e in range(6)]
+    rows = [[big] + roots[1:], [roots[0], big] + roots[2:]]
+    values = [big, big] + roots[2:]
+    exact = l1 * l1 + l1 + 4
     assert _slot_bytes(exact * (1 + spread)) == 2
-    assert _slot_bytes((l1 + 5) * l1 * (1 + spread)) == 4
-    got, = _dot([(w, a, b)])
-    assert got == _plain_dot(w, a, b)
+    assert _slot_bytes((2 * l1 * l1 + 4) * (1 + spread)) == 4
+    packed = _PackedMatrix(rows)
+    assert packed.dot(values, [1] * 6) == \
+        [_plain_dot([1] * 6, values, row) for row in rows]
+    assert set(packed._packs) == {(4, True)}
 
 
 def _poly_mul(f, g):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tamekit import localmodel
 from tamekit.arith import smallest_prime_in_class
 from tamekit.characters import CharTable, VirtualChar
-from tamekit.cyclotomic import CycNum, zeta
+from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
 from tamekit.localmodel import (GroupAlgebraElement, TameElement, _ladder,
                                 _ladder_orbit, _twisted_sum,
@@ -195,13 +195,36 @@ def test_kummer_generator_reports():
             verify_kummer_generator(e, n, q=q)
 
 
+@pytest.mark.parametrize("h", range(1, 20))
+def test_dft_matches_the_plain_sums(h):
+    # Random sequences over mixed pi-denominators, with coefficients over
+    # denominators 1 to 6 at conductors that divide h and at 2h, against
+    # sum_i seq[i] zeta_h^(ij) term by term.
+    rng = random.Random(h)
+    conductors = [m for m in range(1, h + 1) if h % m == 0] + [2 * h]
+
+    def coefficient():
+        m = rng.choice(conductors)
+        return CycNum(m, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                          for e in rng.sample(range(m), min(m, 3))})
+
+    seq = [TameElement({a: coefficient() for a in rng.sample(range(-4, 5), 3)},
+                       rng.choice([1, 2, h])) for _ in range(h)]
+    got = localmodel._dft(seq)
+    assert len(got) == h
+    for j in range(h):
+        plain = sum((x * zeta(h, i * j % h) for i, x in enumerate(seq)),
+                    TameElement())
+        assert got[j] == plain, j
+
+
 @pytest.mark.parametrize("e", [1, 3, 4, 9, 15])
 def test_twisted_sums_match_the_product_loop(e, monkeypatch):
     # every offset of both ladders; at e = 15 the reduction is packed
     def unused(*args):
         raise AssertionError("the twisted route reads no DFT")
 
-    monkeypatch.setattr(localmodel, "_dot", unused)
+    monkeypatch.setattr(_PackedMatrix, "dot", unused)
     monkeypatch.setattr(localmodel, "_dft", unused)
     for start in {0, (1 - e) // 2}:
         orbit = _ladder_orbit(e, start)

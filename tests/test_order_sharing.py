@@ -173,20 +173,23 @@ def test_group_order_does_not_change_reports(cold_order_caches):
 def test_default_suite_counts_in_a_fresh_process():
     # 17 ladders: (m, 0) and (m, (1 - m)/2) for the odd orders 1, 3, 5, 7,
     # 9 of the default groups (one ladder at m = 1), and the Kummer offsets
-    # 1 and e - 1 for e = 3, 5, 7, 9; the others are shared.
+    # 1 and e - 1 for e = 3, 5, 7, 9; the others are shared.  The packed
+    # kernel takes 369 `dot` and 289 `combine` calls.
     script = """
 import json
-from tamekit import characters, cyclotomic, localmodel
+from tamekit import cyclotomic, localmodel
 from tamekit.cli import SuiteConfig, _suite_reports
-counts = {"dot": 0, "dft": 0}
-dot, dft = cyclotomic._dot, localmodel._dft
-def counted_dot(sums):
-    counts["dot"] += 1
-    return dot(sums)
+counts = {"sums": 0, "dft": 0}
+packed, dft = cyclotomic._PackedMatrix, localmodel._dft
+def counting(fn):
+    def wrapper(*args):
+        counts["sums"] += 1
+        return fn(*args)
+    return wrapper
 def counted_dft(seq):
     counts["dft"] += 1
     return dft(seq)
-characters._dot = localmodel._dot = counted_dot
+packed.dot, packed.combine = counting(packed.dot), counting(packed.combine)
 localmodel._dft = counted_dft
 assert all(report["pass"] for _, report in _suite_reports(SuiteConfig({})))
 print(json.dumps(counts))
@@ -199,4 +202,4 @@ print(json.dumps(counts))
                          capture_output=True, text=True).stdout
     counts = json.loads(out.splitlines()[-1])
     assert counts["dft"] == 17
-    assert counts["dot"] <= 850, counts
+    assert counts["sums"] <= 710, counts
