@@ -18,8 +18,8 @@ coefficients.  For s in G of order m the averaged ladder
 
 gives resolvends r = sum_i sigma^i(beta) s^(-i).  On <s>, chi's
 determinant is prod_j F_j^mult_j: the eigenfactors F_j = sum_i r[s^i]
-zeta_m^(ij) are one length-m DFT (one packed `_dot` call for all
-m x |exponents| sums, the coefficients passed as they are).  r[s^i] =
+zeta_m^(ij) are one length-m DFT (one `dot` per exponent against the
+packed rows of `cyclic_table(m)`, the coefficients as they are).  r[s^i] =
 sigma^(-i)(ladder) depends on the order m and the ladder alone, so each
 ladder's sigma-orbit and its DFT are computed once per ladder and shared
 by every element of order m, in any group; the resolvend keeps them.
@@ -32,8 +32,8 @@ determinants are exactly the monomials predicted by the Stickelberger
 pairings, that a Kummer generator's twisted orbit sums recover each basis
 monomial, and that the change-of-basis determinant is a unit above the
 chosen residue characteristic.  Twisted sums are exponent rotations of the
-orbit's numerators, apart from `_dot` and the stored eigenfactors, so the
-two Kummer routes stay independent.
+orbit's numerators, apart from the DFT and the stored eigenfactors, so
+the two Kummer routes stay independent.
 """
 
 from __future__ import annotations
