@@ -1,22 +1,22 @@
 """Exact character tables and virtual characters.
 
 Tables are computed by Dixon's modular method: the class-sum multiplication
-matrices are simultaneously diagonalized over F_ell for a prime
-ell = 1 mod exp(G) with ell > 2|G|, degrees are recovered from the column
-orthogonality relation mod ell, and each character value is lifted exactly
-as chi(g) = sum_u m_u zeta_m^u where the eigenvalue multiplicities m_u are
-small non-negative integers read off mod ell.  A combination C of the
-class matrices with k distinct eigenvalues mod ell has one-dimensional
-eigenspaces (Dixon, Numer. Math. 10, 1967; Schneider, J. Symbolic Comput.
-9, 1990).  One Krylov sequence C^i e_0, i <= k, e_0 the identity class,
-gives both its characteristic polynomial p, by solving for C^k e_0 in the
-lower powers, and its eigenvectors: for a root lam of p, found by
-evaluating it at the ell points of F_ell, (p / (x - lam))(C) e_0 is killed
-by C - lam and is not zero, since e_0 is the sum of the primitive
-idempotents of the class algebra.  That is O(k^3) in all, with no
-elimination per root.  The class matrices commute (class sums are
-central), so every class matrix preserves each of these eigenspaces: their
-vectors are common eigenvectors without a recheck, and the eigenvalue
+matrices are simultaneously diagonalized over F_ell for a prime ell = 1 mod
+exp(G), ell >= max(2|G| + 1, k^2), degrees are recovered from the column
+orthogonality relation mod ell, and each character value is lifted exactly as
+chi(g) = sum_u m_u zeta_m^u where the eigenvalue multiplicities m_u are small
+non-negative integers read off mod ell.  A combination C of the class matrices
+with k distinct eigenvalues mod ell has one-dimensional eigenspaces (Dixon,
+Numer. Math. 10, 1967; Schneider, J. Symbolic Comput. 9, 1990); k random values
+in F_ell all differ with probability about exp(-k^2 / 2 ell), 0.6 at ell = k^2.
+One Krylov sequence C^i e_0, i <= k, e_0 the identity class, gives both its
+characteristic polynomial p, by solving for C^k e_0 in the lower powers, and
+its eigenvectors: for a root lam of p, found by evaluating it at the ell points
+of F_ell, (p / (x - lam))(C) e_0 is killed by C - lam and is not zero, since
+e_0 is the sum of the primitive idempotents of the class algebra.  That is
+O(k^3) in all, with no elimination per root.  The class matrices commute (class
+sums are central), so every class matrix preserves each of these eigenspaces:
+their vectors are common eigenvectors without a recheck, and the eigenvalue
 omega_j is read from one row of M_j.  The lift takes one m-point DFT per
 character for one class of generators of each cyclic subgroup <g>, with
 one table of z_m^(-uv) per element order m, built once per table; the
@@ -132,8 +132,9 @@ def _multiplicities(powers: list[int], minv: int, rows: list[list[int]],
     return mu
 
 
-def _dixon_prime(exponent: int, order: int) -> int:
-    ell = 2 * order + 1
+def _dixon_prime(exponent: int, order: int, k: int) -> int:
+    """The least prime ell = 1 mod exponent, ell >= max(2 order + 1, k^2)."""
+    ell = max(2 * order + 1, k * k)
     ell += (1 - ell) % exponent
     while True:
         if is_prime(ell):
@@ -207,7 +208,7 @@ class CharTable:
         k = len(classes)
         reps, sizes, class_of, inv_class, _ = _layout(G, classes)
         e = G.exponent()
-        ell = _dixon_prime(e, n)
+        ell = _dixon_prime(e, n, k)
 
         mats = _class_matrices(G, classes, ell)
         vecs = cls._simultaneous_eigenvectors(mats, ell, n)

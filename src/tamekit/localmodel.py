@@ -33,7 +33,8 @@ pairings, that a Kummer generator's twisted orbit sums recover each basis
 monomial, and that the change-of-basis determinant is a unit above the
 chosen residue characteristic.  Twisted sums are exponent rotations of the
 orbit's numerators, apart from the DFT and the stored eigenfactors, so
-the two Kummer routes stay independent.
+the two Kummer routes stay independent.  r^sigma = r s is checked by such
+a rotation too, not by `sigma_action`, which built the orbit under test.
 """
 
 from __future__ import annotations
@@ -208,39 +209,17 @@ def frobenius_action(x: TameElement, q: int) -> TameElement:
 
 
 class GroupAlgebraElement:
-    """Group-ring element with TameElement coefficients.
-
-    `eigen` is (s, the eigenfactors along s), set by `_resolvend` and read
-    by det_resolvend; `right_mul` and `sigma` return new elements without
-    it.
-    """
+    """A resolvend: TameElement coefficients on <s>, and `eigen` = (s, its
+    eigenfactors along s) for det_resolvend.  `_sigma_equivariant` checks
+    r^sigma = r s by rotating numerators, as `sigma_action` built r."""
 
     __slots__ = ("group", "terms", "eigen")
 
-    def __init__(self, group: FiniteGroup, terms: dict[int, TameElement]):
+    def __init__(self, group: FiniteGroup, terms: dict[int, TameElement],
+                 eigen: tuple[int, tuple[TameElement, ...]]):
         self.group = group
         self.terms = terms
-        self.eigen = None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        if self.group is not other.group:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(x == other.terms[g] for g, x in self.terms.items())
-
-    __hash__ = None
-
-    def right_mul(self, g: int) -> "GroupAlgebraElement":
-        mul = self.group.mul
-        return GroupAlgebraElement(
-            self.group, {mul(h, g): x for h, x in self.terms.items()})
-
-    def sigma(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.group, {g: sigma_action(x) for g, x in self.terms.items()})
+        self.eigen = eigen
 
     def __repr__(self) -> str:
         names = self.group.names
@@ -277,9 +256,9 @@ def _resolvend(G: FiniteGroup, s: int, start: int) -> GroupAlgebraElement:
     powers = G.cyclic_subgroup(s)
     m = len(powers)
     orbit = _ladder_orbit(m, start)
-    r = GroupAlgebraElement(G, {powers[-i % m]: orbit[i] for i in range(m)})
-    r.eigen = s, _ladder_eigenfactors(m, start)
-    return r
+    return GroupAlgebraElement(
+        G, {powers[-i % m]: orbit[i] for i in range(m)},
+        (s, _ladder_eigenfactors(m, start)))
 
 
 def phi_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
@@ -337,9 +316,6 @@ def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
     """
     if chi.table.group is not x.group:
         raise ValueError("character and element live over different groups")
-    if x.eigen is None:
-        raise ValueError("det_resolvend needs a resolvend, whose "
-                         "eigenfactors are stored; this element has none")
     s, factors = x.eigen
     acc, den = chi.multiplicity_sums(s)
     out = TameElement.one()
@@ -393,6 +369,26 @@ def _twisted_sum(orbit: list[TameElement], t: int) -> TameElement:
     terms = {a: CycNum._make(e, _reduce(e, _folded(e, p)), lcd)
              for a, p in pairs.items()}
     return TameElement._make({a: c for a, c in terms.items() if c}, den)
+
+
+def _sigma_equivariant(r: GroupAlgebraElement, s: int) -> bool:
+    """Whether sigma(r[g]) = r[g s^-1] for each g in r's support, each term
+    c pi^(a/D) of r[g] twisted to c zeta_D^a by rotating c's numerators a
+    slots at conductor lcm(D, c.n): no product and no `sigma_action`."""
+    G = r.group
+    s_inv = G.power(s, -1)
+    for g, x in r.terms.items():
+        y = r.terms.get(G.mul(g, s_inv))
+        if y is None or y.den != x.den or y.terms.keys() != x.terms.keys():
+            return False
+        for a, c in x.terms.items():
+            n = lcm(x.den, c.n)
+            k, t = n // c.n, a * (n // x.den)
+            raw = _folded(n, ((i * k + t, v) for i, v in enumerate(c.num)
+                              if v))
+            if CycNum._make(n, _reduce(n, raw), c.den) != y.terms[a]:
+                return False
+    return True
 
 
 def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
@@ -469,7 +465,8 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
 
         D*(chi) D(chi)^-1 = D(psi2 chi) D(chi)^-2 = pi^<psi2 chi - 2chi, s>.
 
-    Also checks sigma-equivariance r^sigma = r.s for both resolvends.
+    Also checks r^sigma = r.s for both resolvends by rotating numerators
+    (`_sigma_equivariant`), not by `sigma_action`, which built them.
     Raises ValueError unless t s t^-1 = s^q with q a prime power prime to
     |s|, before anything is computed.
     """
@@ -493,8 +490,8 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
     r = phi_resolvend(G, s)
     r_star = phi_star_resolvend(G, s)
     equivariance = {
-        "plain": r.sigma() == r.right_mul(s),
-        "star": r_star.sigma() == r_star.right_mul(s),
+        "plain": _sigma_equivariant(r, s),
+        "star": _sigma_equivariant(r_star, s),
     }
 
     checks = []

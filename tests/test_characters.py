@@ -4,6 +4,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -502,6 +503,30 @@ def _dixon_groups():
             + [("He3", _heisenberg(3)), ("F57", _f57())])
 
 
+def _cycles(orders):
+    """Generators of C_o1 x C_o2 x ..., one cycle per factor on disjoint
+    points."""
+    n, gens, start = sum(orders), [], 0
+    for o in orders:
+        perm = list(range(n))
+        perm[start:start + o] = [start + (i + 1) % o for i in range(o)]
+        gens.append(tuple(perm))
+        start += o
+    return gens
+
+
+@pytest.mark.parametrize("orders", [(3, 3, 3), (3, 9), (7, 7)],
+                         ids=["C3xC3xC3", "C3xC9", "C7xC7"])
+def test_dixon_certifies_abelian_groups_with_a_class_per_element(orders):
+    # k = |G|: k eigenvalues mod ell ~ 2|G| nearly always collide, so ell
+    # must grow with k^2 for a combination to separate them
+    G = FiniteGroup.from_generators(_cycles(orders))
+    T = CharTable.of(G)
+    assert G.n == T.k == prod(orders)
+    assert T.degrees == [1] * T.k
+    assert T.certification["pass"]
+
+
 def test_heisenberg_and_frobenius_degrees():
     # He_p: p^2 linear characters and p - 1 of degree p; F_pq: q linear
     # characters and (p - 1)/q of degree q.  Known without tamekit.
@@ -518,7 +543,7 @@ def test_heisenberg_and_frobenius_degrees():
 def test_dixon_vectors_are_eigenvectors_of_every_class_matrix():
     for name, G in _dixon_groups() + [("C45", preset("C45"))]:
         classes = G.conjugacy_classes()
-        ell = _dixon_prime(G.exponent(), G.n)
+        ell = _dixon_prime(G.exponent(), G.n, len(classes))
         mats = _class_matrices(G, classes, ell)
         vecs = CharTable._simultaneous_eigenvectors(mats, ell, len(classes))
         assert len(vecs) == len(classes), name
@@ -592,7 +617,7 @@ def test_krylov_search_stops_at_the_first_dependent_vector():
     for name in PRESET_NAMES + ("C27", "C32"):
         G = preset(name)
         classes = G.conjugacy_classes()
-        ell = _dixon_prime(G.exponent(), G.n)
+        ell = _dixon_prime(G.exponent(), G.n, len(classes))
         comb = Rows(_combination(_class_matrices(G, classes, ell), 1, ell))
         Rows.passes = 0
         assert _krylov_poly(comb, ell) is None, name
@@ -657,7 +682,7 @@ def test_charpoly_roots_are_the_eigenvalues_of_the_separating_combination():
         G = preset(name)
         classes = G.conjugacy_classes()
         k = len(classes)
-        ell = _dixon_prime(G.exponent(), G.n)
+        ell = _dixon_prime(G.exponent(), G.n, len(classes))
         mats = _class_matrices(G, classes, ell)
         for t in range(1, ell):
             comb = _combination(mats, t, ell)

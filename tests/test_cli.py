@@ -179,6 +179,10 @@ def test_gauss_report_matches_its_pinned_digest(tmp_path, capsys):
     (["crux", "--p", "31", "--e", "5"],
      "crux-p31-e5.json",
      "e7966b5c1aedd2364d2c70253d01e3a797bde88dab6290d8f69d0ff183e5316a"),
+    # a prime conductor: zeta_19^18 reduces to a dense vector
+    (["localmodel", "verify", "--group", "C19", "--s", "1", "--n", "1"],
+     "localmodel-C19-1.json",
+     "89f8b70e732f933c3e2c4b5b3f4558eb43106ff4619098cfa1b6822aaad5f536"),
 ])
 def test_report_matches_its_pinned_digest(argv, name, digest, tmp_path,
                                           capsys):

@@ -15,7 +15,8 @@ from tamekit.characters import CharTable, VirtualChar
 from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
 from tamekit.localmodel import (GroupAlgebraElement, TameElement, _ladder,
-                                _ladder_orbit, _twisted_sum,
+                                _ladder_orbit, _sigma_equivariant,
+                                _twisted_sum,
                                 det_resolvend, frobenius_action, infer_q,
                                 phi_resolvend, phi_star_resolvend,
                                 sigma_action, verify_factorization,
@@ -114,27 +115,40 @@ def test_beta_elements():
         phi_star_resolvend(preset("C4"), 1)
 
 
-def test_group_algebra_arithmetic():
-    G = preset("S3")
-    e = GroupAlgebraElement(G, {0: TameElement.one()})
-    s = G.names.index("(1 2 3)")
-    x = e.right_mul(s)
-    assert list(x.terms) == [s]
-    # right translation composes
-    assert x.right_mul(s).right_mul(s) == x.right_mul(0).right_mul(
-        G.power(s, 2))
-
-
-def test_resolvend_equivariance():
+def test_resolvend_equivariance(monkeypatch):
+    resolvends = []
     for name in ("C3", "C5", "S3", "F21"):
         G = preset(name)
         for s in range(G.n):
             if G.element_order(s) % 2 == 0:
                 continue
-            r = phi_resolvend(G, s)
-            assert r.sigma() == r.right_mul(s)
-            rs = phi_star_resolvend(G, s)
-            assert rs.sigma() == rs.right_mul(s)
+            for r in (phi_resolvend(G, s), phi_star_resolvend(G, s)):
+                # the definition, sigma(r[g]) = r[g s^-1], as a reference
+                s_inv = G.power(s, -1)
+                assert all(sigma_action(x) == r.terms[G.mul(g, s_inv)]
+                           for g, x in r.terms.items())
+                resolvends.append((r, s))
+
+    def unused(x):
+        raise AssertionError("the rotation route reads no sigma_action")
+
+    monkeypatch.setattr(localmodel, "sigma_action", unused)
+    for r, s in resolvends:
+        G, m = r.group, r.group.element_order(s)
+        assert _sigma_equivariant(r, s)
+        if m == 1:
+            continue
+        # the wrong translate, a missing term, a shifted exponent
+        assert not _sigma_equivariant(r, G.power(s, 2))
+        g = next(iter(r.terms))
+        partial = dict(r.terms)
+        del partial[g]
+        assert not _sigma_equivariant(
+            GroupAlgebraElement(G, partial, r.eigen), s)
+        shifted = dict(r.terms)
+        shifted[g] = shifted[g] * TameElement.monomial(Fraction(1, m))
+        assert not _sigma_equivariant(
+            GroupAlgebraElement(G, shifted, r.eigen), s)
 
 
 def test_cocycle_validation():
@@ -259,6 +273,22 @@ def test_shifted_rotation_breaks_only_the_twisted_route(cold_order_caches,
     assert _kummer_routes(n) == ({True}, {False})
 
 
+@pytest.mark.parametrize("name", ["C7", "C9", "F21"])
+def test_shifted_rotation_breaks_only_equivariance(monkeypatch, name):
+    # zeta_D^(a+1) in place of zeta_D^a: one slot too far
+    folded = localmodel._folded
+    monkeypatch.setattr(localmodel, "_folded", lambda m, terms: folded(
+        m, ((e + 1, c) for e, c in terms)))
+    G = preset(name)
+    for s in range(G.n):
+        rep = verify_factorization(G, s)
+        moved = G.element_order(s) > 1
+        assert rep["equivariance"] == {"plain": not moved, "star": not moved}
+        for c in rep["checks"]:
+            assert c["plain_matches_pairing"] and c["star_matches_pairing"]
+            assert c["adams_ratio"] and c["f_matches"]
+
+
 def test_factorization_reports():
     for name in ("C3", "S3"):
         G = preset(name)
@@ -269,17 +299,6 @@ def test_factorization_reports():
             assert rep["pass"], (name, s)
     with pytest.raises(ValueError):
         verify_factorization(preset("S3"), preset("S3").names.index("(1 2)"))
-
-
-def test_det_resolvend_needs_a_resolvend():
-    G = preset("F21")
-    s = next(g for g in range(G.n) if G.element_order(g) == 7)
-    chi = VirtualChar.irreducible(CharTable.of(G), 0)
-    r = phi_resolvend(G, s)
-    for x in (r.sigma(), r.right_mul(s),
-              GroupAlgebraElement(G, dict(r.terms))):
-        with pytest.raises(ValueError, match="needs a resolvend"):
-            det_resolvend(x, chi)
 
 
 def _det_by_character(x, chi):

@@ -141,19 +141,24 @@ def test_eigenfactors_are_the_dft_along_s(group):
             assert list(factors) == direct, s
 
 
-def test_wrong_sigma_after_caching_breaks_equivariance(cold_order_caches,
-                                                       monkeypatch):
-    G = preset("F21")
-    s = _of_order(G, 7)
-    assert verify_factorization(G, s)["pass"]  # the orbits are now cached
-    sigma = localmodel.sigma_action
-    monkeypatch.setattr(localmodel, "sigma_action",
-                        lambda x: sigma(sigma(x)))
-    report = verify_factorization(G, s)
-    assert report["equivariance"] == {"plain": False, "star": False}
-    assert not report["pass"]
-    monkeypatch.undo()
-    assert verify_factorization(G, s)["pass"]
+@pytest.mark.parametrize("name", ["C7", "C9", "F21"])
+def test_wrong_sigma_on_a_cold_cache_breaks_equivariance(cold_order_caches,
+                                                         monkeypatch, name):
+    # zeta_D^(2a) in place of zeta_D^a builds every ladder orbit; the check
+    # rotates numerators instead of calling sigma_action, so it sees that
+    def doubled(x):
+        D = x.den
+        return x._make({a: c * zeta(D, 2 * a % D) for a, c in x.terms.items()},
+                       D)
+
+    monkeypatch.setattr(localmodel, "sigma_action", doubled)
+    G = preset(name)
+    for s in _odd(G):
+        report = verify_factorization(G, s)
+        moved = G.element_order(s) > 1
+        assert report["equivariance"] == {"plain": not moved,
+                                          "star": not moved}, s
+        assert report["pass"] is not moved
 
 
 def _group_reports(groups):
@@ -179,8 +184,9 @@ def test_default_suite_counts_in_a_fresh_process():
 import json
 from tamekit import cyclotomic, localmodel
 from tamekit.cli import SuiteConfig, _suite_reports
-counts = {"sums": 0, "dft": 0}
+counts = {"sums": 0, "dft": 0, "sigma": 0}
 packed, dft = cyclotomic._PackedMatrix, localmodel._dft
+sigma = localmodel.sigma_action
 def counting(fn):
     def wrapper(*args):
         counts["sums"] += 1
@@ -190,7 +196,10 @@ def counted_dft(seq):
     counts["dft"] += 1
     return dft(seq)
 packed.dot, packed.combine = counting(packed.dot), counting(packed.combine)
-localmodel._dft = counted_dft
+def counted_sigma(x):
+    counts["sigma"] += 1
+    return sigma(x)
+localmodel._dft, localmodel.sigma_action = counted_dft, counted_sigma
 assert all(report["pass"] for _, report in _suite_reports(SuiteConfig({})))
 print(json.dumps(counts))
 """
@@ -202,4 +211,6 @@ print(json.dumps(counts))
                          capture_output=True, text=True).stdout
     counts = json.loads(out.splitlines()[-1])
     assert counts["dft"] == 17
+    # one sigma_action per ladder step, sum (m - 1) over the 17 ladders
+    assert counts["sigma"] == 80
     assert counts["sums"] <= 710, counts
