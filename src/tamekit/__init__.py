@@ -5,8 +5,8 @@ Layers, bottom up:
 - arith: prime factors, primality, prime powers, Euler's phi, primitive
   roots and primes in residue classes; the one home of trial division.
 - cyclotomic: exact arithmetic in Q(zeta_n) on the reduced power basis.
-- padic: truncated Z_p[zeta_p] arithmetic, Teichmueller lifts, lambda-adic
-  valuations of cyclotomic integers.
+- padic: the image of a cyclotomic integer in (Z/p^K)[zeta_p] and its
+  exact lambda-adic valuation.
 - groups: small finite groups as explicit multiplication tables.
 - characters: exact character tables, induction, Adams operations on
   virtual characters.

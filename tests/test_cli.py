@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,9 @@ def test_gauss_report_matches_its_pinned_digest(tmp_path, capsys):
     (["localmodel", "verify", "--group", "C19", "--s", "1", "--n", "1"],
      "localmodel-C19-1.json",
      "89f8b70e732f933c3e2c4b5b3f4558eb43106ff4619098cfa1b6822aaad5f536"),
+    (["crux", "--p", "101", "--e", "25"],
+     "crux-p101-e25.json",
+     "c50ce74b81ccca637c1535f33a2bbca3d6342b7b0e5c1e667e4887b4153f7cb1"),
 ])
 def test_report_matches_its_pinned_digest(argv, name, digest, tmp_path,
                                           capsys):
@@ -197,6 +201,17 @@ def test_localmodel_verify(capsys):
                  "--n", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["factorization"]["pass"] and report["kummer"]["pass"]
+
+
+def test_localmodel_verify_at_a_large_q_within_budget(capsys):
+    # 0.001 s for the unit check on a 2-core x86-64 VM, CPython 3.11
+    start = time.perf_counter()
+    assert main(["localmodel", "verify", "--group", "C3", "--s", "1",
+                 "--n", "1", "--q", "100003"]) == 0
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2, elapsed
+    unit = json.loads(capsys.readouterr().out)["kummer"]["unit_determinant"]
+    assert unit["q"] == 100003 and unit["lambda_valuation"] == 0
 
 
 def test_ledger_demo(capsys):
