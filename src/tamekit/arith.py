@@ -2,8 +2,8 @@
 roots and primes in residue classes.
 
 Every answer rests on prime_factors, the package's one trial-division loop.
-The inputs are conductors, residue sizes, character moduli and Dixon
-primes, all small enough that trial division is the simplest exact method.
+The inputs are conductors, residue sizes (up to MAX_RESIDUE), character
+moduli and Dixon primes, small enough for trial division to be simplest.
 """
 
 from __future__ import annotations
@@ -35,6 +35,18 @@ def is_prime_power(n: int) -> bool:
     return len(prime_factors(n)) == 1
 
 
+MAX_RESIDUE = 10 ** 12  # trial division of q then takes at most 10^6 steps
+
+
+def check_residue_size(q: int, m: int) -> None:
+    """ValueError unless q is a prime power up to MAX_RESIDUE prime to m."""
+    if q > MAX_RESIDUE or not is_prime_power(q):
+        raise ValueError(f"residue size q = {q} must be a prime power up "
+                         f"to {MAX_RESIDUE:,}")
+    if gcd(m, q) != 1:
+        raise ValueError(f"residue size q = {q} is wild: not prime to {m}")
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
@@ -56,13 +68,11 @@ def primitive_root(p: int) -> int:
                 if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
-def smallest_prime_in_class(k: int, m: int) -> int:
-    """Least prime congruent to k mod m (k coprime to m, or m = 1)."""
-    if m == 1:
-        return 2
+def smallest_prime_in_class(k: int, m: int, lower: int = 0) -> int:
+    """Least prime q = k mod m with q >= lower (k coprime to m, or m = 1)."""
     if gcd(k % m, m) != 1:
         raise ValueError(f"no primes in class {k} mod {m}")
-    q = k % m
+    q = lower + (k - lower) % m
     while True:
         if is_prime(q):
             return q

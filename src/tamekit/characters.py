@@ -1,36 +1,41 @@
 """Exact character tables and virtual characters.
 
 Tables are computed by Dixon's modular method: the class-sum multiplication
-matrices are simultaneously diagonalized over F_ell for a prime ell = 1 mod
-exp(G), ell >= max(2|G| + 1, k^2), degrees are recovered from the column
-orthogonality relation mod ell, and each character value is lifted exactly as
-chi(g) = sum_u m_u zeta_m^u where the eigenvalue multiplicities m_u are small
-non-negative integers read off mod ell.  A combination C of the class matrices
-with k distinct eigenvalues mod ell has one-dimensional eigenspaces (Dixon,
-Numer. Math. 10, 1967; Schneider, J. Symbolic Comput. 9, 1990); k random values
-in F_ell all differ with probability about exp(-k^2 / 2 ell), 0.6 at ell = k^2.
-One Krylov sequence C^i e_0, i <= k, e_0 the identity class, gives both its
+matrices M_j are simultaneously diagonalized over F_ell for a prime ell = 1
+mod exp(G), ell >= max(2|G| + 1, k^2), degrees are recovered from the column
+orthogonality relation mod ell, and each character value is lifted exactly
+as chi(g) = sum_u m_u zeta_m^u where the eigenvalue multiplicities m_u are
+small non-negative integers read off mod ell.  No M_j is built: for each x,
+x y = reps[kk] has one solution y, so the coefficient of class sum kk in
+(class sum j)(class sum i) counts the x in C_j with x^-1 reps[kk] in C_i,
+and one k x |G| list of those classes (`_class_products`) gives each
+combination C of the M_j in one O(|G| k) pass.  A C with k distinct
+eigenvalues mod ell has one-dimensional eigenspaces (Dixon, Numer. Math. 10,
+1967; Schneider, J. Symbolic Comput. 9, 1990); k random values in F_ell all
+differ with probability about exp(-k^2 / 2 ell), 0.6 at ell = k^2.  One
+Krylov sequence C^i e_0, i <= k, e_0 the identity class, gives both its
 characteristic polynomial p, by solving for C^k e_0 in the lower powers, and
-its eigenvectors: for a root lam of p, found by evaluating it at the ell points
-of F_ell, (p / (x - lam))(C) e_0 is killed by C - lam and is not zero, since
-e_0 is the sum of the primitive idempotents of the class algebra.  That is
-O(k^3) in all, with no elimination per root.  The class matrices commute (class
-sums are central), so every class matrix preserves each of these eigenspaces:
-their vectors are common eigenvectors without a recheck, and the eigenvalue
-omega_j is read from one row of M_j.  The lift takes one m-point DFT per
-character for one class of generators of each cyclic subgroup <g>, with
-one table of z_m^(-uv) per element order m, built once per table; the
-classes of the other generators g^a, gcd(a, m) = 1, read the same
-multiplicities permuted, m_(u a)(g^a) = m_u(g); each distinct value is
-built once and shared.  The lifted table is then certified against both
-orthogonality relations and sum(d^2) = |G| exactly, so nothing downstream
-depends on the modular step: `certify` tests each of its 2 k^2 sums for
-zero with one `cyclotomic._ZeroTest`, each distinct value packed once for
-all of them.  The table keeps m_u as eigen[t][j][u] (g = reps[j], m = |g|),
-the coefficient of xi^u, xi(g) = zeta_m, in chi_t restricted to <g>.
-Reducing Z[zeta_e] -> F_ell sends each lifted value to chi mod ell, so the
-true m_u are congruent to the lifted ones mod ell; both lie in [0, d] with
-d < ell, so the lifted m_u are exact once the table certifies.
+its eigenvectors: for a root lam of p, found by evaluating it at the ell
+points of F_ell, (p / (x - lam))(C) e_0 is killed by C - lam and is not
+zero, since e_0 is the sum of the primitive idempotents of the class
+algebra.  That is O(k^3) in all, with no elimination per root.  The class
+matrices commute (class sums are central), so every class matrix preserves
+each of these eigenspaces: their vectors are common eigenvectors without a
+recheck, and the eigenvalues omega_j are read off the class products in one
+pass over G per vector.  The lift takes one m-point DFT per character for
+one class of generators of each cyclic subgroup <g>, with one table of
+z_m^(-uv) per element order m, built once per table; the classes of the
+other generators g^a, gcd(a, m) = 1, read the same multiplicities permuted,
+m_(u a)(g^a) = m_u(g); each distinct value is built once and shared.  The
+lifted table is then certified against both orthogonality relations and
+sum(d^2) = |G| exactly, so nothing downstream depends on the modular step:
+`certify` tests each of its 2 k^2 sums for zero with one
+`cyclotomic._ZeroTest`, each distinct value packed once for all of them.
+The table keeps m_u as eigen[t][j][u] (g = reps[j], m = |g|), the
+coefficient of xi^u, xi(g) = zeta_m, in chi_t restricted to <g>.  Reducing
+Z[zeta_e] -> F_ell sends each lifted value to chi mod ell, so the true m_u
+are congruent to the lifted ones mod ell; both lie in [0, d] with d < ell,
+so the lifted m_u are exact once the table certifies.
 
 A VirtualChar stores its values on the classes once, so `value` is a
 lookup: an irreducible's are its table row, `from_values` keeps the input
@@ -63,7 +68,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .arith import is_prime, primitive_root
+from .arith import primitive_root, smallest_prime_in_class
 from .cyclotomic import (CycNum, _PackedMatrix, _ZeroTest, _as_fraction,
                          _pack, zeta)
 from .groups import FiniteGroup, Subgroup, preset
@@ -98,24 +103,12 @@ def _krylov_poly(comb: list[list[int]], ell: int) -> tuple | None:
         vec = [sum(map(mul, r, vec)) % ell for r in comb]
 
 
-def _class_matrices(G: FiniteGroup, classes: list[list[int]],
-                    ell: int) -> list[list[list[int]]]:
-    """mats[j]: multiplication by class sum j in the class-sum basis, mod
-    ell, as rows: mats[j][kk][i] is the coefficient of class sum kk in
-    (class sum j)(class sum i)."""
-    k = len(classes)
-    rep_slot = {cl[0]: j for j, cl in enumerate(classes)}
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for j in range(k):
-        for x in classes[j]:
-            row = G.table[x]
-            for i in range(k):
-                for y in classes[i]:
-                    slot = rep_slot.get(row[y])
-                    if slot is not None:
-                        a[j][i][slot] += 1
-    return [[[a[j][i][kk] % ell for i in range(k)] for kk in range(k)]
-            for j in range(k)]
+def _class_products(G: FiniteGroup, reps: list[int],
+                    class_of: list[int]) -> list[list[int]]:
+    """prods[kk][x] = the class of x^-1 reps[kk].  As x y = reps[kk] has one
+    solution y = x^-1 reps[kk], M_j[kk][i], the coefficient of class sum kk
+    in (class sum j)(class sum i), is #{x in C_j : prods[kk][x] = i}."""
+    return [[class_of[G.table[y][r]] for y in G.inv] for r in reps]
 
 
 def _multiplicities(powers: list[int], minv: int, rows: list[list[int]],
@@ -130,16 +123,6 @@ def _multiplicities(powers: list[int], minv: int, rows: list[list[int]],
     if sum(mu) != d:
         raise ArithmeticError("multiplicities do not sum to degree")
     return mu
-
-
-def _dixon_prime(exponent: int, order: int, k: int) -> int:
-    """The least prime ell = 1 mod exponent, ell >= max(2 order + 1, k^2)."""
-    ell = max(2 * order + 1, k * k)
-    ell += (1 - ell) % exponent
-    while True:
-        if is_prime(ell):
-            return ell
-        ell += exponent
 
 
 # -- the table ---------------------------------------------------------------
@@ -208,20 +191,21 @@ class CharTable:
         k = len(classes)
         reps, sizes, class_of, inv_class, _ = _layout(G, classes)
         e = G.exponent()
-        ell = _dixon_prime(e, n, k)
-
-        mats = _class_matrices(G, classes, ell)
-        vecs = cls._simultaneous_eigenvectors(mats, ell, n)
+        ell = smallest_prime_in_class(1, e, max(2 * n + 1, k * k))
+        prods = _class_products(G, reps, class_of)
+        vecs = cls._simultaneous_eigenvectors(prods, class_of, ell)
 
         inv_sizes = [pow(s, -1, ell) for s in sizes]
         z_e = pow(primitive_root(ell), (ell - 1) // e, ell)
 
         rows = []
         for v in vecs:
-            # v is an eigenvector of every M_j, so omega_j = (M_j v)_idx / v_idx
+            # v is an eigenvector of every M_j, so omega_j = (M_j v)_idx /
+            # v_idx, and (M_j v)_idx sums v[prods[idx][x]] over x in C_j
             idx = next(i for i in range(k) if v[i])
             v_inv = pow(v[idx], -1, ell)
-            omega = [sum(map(mul, M[idx], v)) * v_inv % ell for M in mats]
+            p = prods[idx]
+            omega = [sum(v[p[x]] for x in cl) * v_inv % ell for cl in classes]
             s = sum(om * omega[inv_class[j]] * inv_sizes[j]
                     for j, om in enumerate(omega)) % ell
             dsq = (n * pow(s, -1, ell)) % ell
@@ -286,13 +270,14 @@ class CharTable:
         return table
 
     @staticmethod
-    def _simultaneous_eigenvectors(mats, ell, order):
-        """k common eigenvectors of the k class matrices mod ell of a
-        group of the given order, mats[0] being the identity class's.
+    def _simultaneous_eigenvectors(prods, class_of, ell):
+        """k common eigenvectors mod ell of the class matrices M_j that the
+        class products `prods` of a class layout `class_of` give.
 
-        Tries combinations C = sum_j t^j M_j until C has k distinct
-        eigenvalues and returns an eigenvector for each, in increasing
-        order of the eigenvalue, both from one Krylov sequence
+        Tries combinations C = sum_j t^j M_j, C[kk][i] the sum of
+        t^class_of[x] over the x with prods[kk][x] = i, until C has k
+        distinct eigenvalues and returns an eigenvector for each, in
+        increasing order of the eigenvalue, both from one Krylov sequence
         K_i = C^i e_0, i <= k, e_0 the identity class.  e_0 is the sum of
         the k primitive idempotents of the class algebra, which C scales by
         its eigenvalues, so K_0, ..., K_(k-1) are independent iff those are
@@ -308,12 +293,16 @@ class CharTable:
         recheck; `certify` is the exact backstop for the whole table.
         t and t + ell give the same C, so at most min(200, ell) - 1
         combinations are tried."""
-        k = len(mats)
+        k = len(prods)
         tries = range(1, min(200, ell))
         for t in tries:
-            scales = [pow(t, j, ell) for j in range(k)]
-            comb = [[sum(map(mul, scales, col)) % ell for col in zip(*rows)]
-                    for rows in zip(*mats)]
+            weights = [pow(t, j, ell) for j in class_of]
+            comb = []
+            for row in prods:
+                acc = [0] * k
+                for i, w in zip(row, weights):
+                    acc[i] += w
+                comb.append([a % ell for a in acc])
             found = _krylov_poly(comb, ell)
             if found is None:
                 continue
@@ -337,7 +326,7 @@ class CharTable:
             return vecs
         raise ArithmeticError(
             "no separating class-sum combination found: "
-            f"|G| = {order}, k = {k}, ell = {ell}, {len(tries)} tries")
+            f"|G| = {len(class_of)}, k = {k}, ell = {ell}, {len(tries)} tries")
 
     @cached_property
     def packed(self) -> _PackedMatrix:

@@ -17,10 +17,9 @@ import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
 from pathlib import Path
 
-from .arith import is_prime, is_prime_power
+from .arith import check_residue_size, is_prime
 from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum
 from .groups import (MAX_ORDER, PRESET_NAMES, FiniteGroup, cycle_string,
@@ -68,8 +67,8 @@ class SuiteConfig:
         self.e_values = [self._as_int("e_values", e)
                          for e in merged["e_values"]]
         for e in self.e_values:
-            if e < 1 or e % 2 == 0:
-                raise UsageError(f"configured e = {e} must be odd and positive")
+            if not 1 <= e <= MAX_ORDER or e % 2 == 0:
+                raise UsageError(f"e_values: {e} must be odd in 1..{MAX_ORDER}")
         self.crux = []
         for pair in merged["crux"]:
             if not isinstance(pair, list) or len(pair) != 2:
@@ -164,14 +163,16 @@ def _resolve_element(G: FiniteGroup, text: str) -> int:
 
 
 def _check_tame(G: FiniteGroup, s: int, q: int | None, where: str) -> None:
-    """Odd |s| and a residue size q, if given, that is a prime power prime
-    to |s|."""
+    """Odd |s| and a residue size q, if given, that `check_residue_size`
+    accepts for |s|."""
     m = G.element_order(s)
     if m % 2 == 0:
         raise UsageError(f"{where}: |s| = |{G.names[s]}| = {m} must be odd")
-    if q is not None and (not is_prime_power(q) or gcd(m, q) != 1):
-        raise UsageError(f"{where}: q = {q} must be a prime power prime "
-                         f"to |s| = {m}")
+    if q is not None:
+        try:
+            check_residue_size(q, m)
+        except ValueError as ex:
+            raise UsageError(f"{where}: {ex}") from None
 
 
 def _check_prime(p: int, where: str) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import is_prime_power
+from .arith import check_residue_size
 from .characters import CharTable, VirtualChar, cyclic_table
 from .gaussjacobi import MultChar, gauss_sum
 from .groups import FiniteGroup
@@ -91,13 +91,10 @@ class Place:
     __slots__ = ("label", "q", "s", "hom")
 
     def __init__(self, label: str, q: int, s: int, hom: ReprHom):
-        if not is_prime_power(q):
-            raise ValueError(f"residue size must be a prime power, got {q}")
         m = hom.table.group.element_order(s)
         if m % 2 == 0:
             raise ValueError(f"place {label!r}: |s| = {m} must be odd")
-        if gcd(m, q) != 1:
-            raise ValueError(f"place {label!r} is wild: gcd({m}, {q}) != 1")
+        check_residue_size(q, m)
         self.label = label
         self.q = q
         self.s = s

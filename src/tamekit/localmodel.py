@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import is_prime, is_prime_power, smallest_prime_in_class
+from .arith import check_residue_size, is_prime, smallest_prime_in_class
 from .characters import CharTable, VirtualChar, cyclic_table
 from .cyclotomic import CycNum, _folded, _reduce, zeta
 from .groups import FiniteGroup
@@ -409,6 +409,7 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
         raise ValueError(f"window offset {n} out of range for order {e}")
     if q is None:
         q = smallest_prime_in_class(1, e)
+    check_residue_size(q, e)
     if not is_prime(q) or (q - 1) % e:
         raise ValueError(f"residue size {q} must be a prime = 1 mod {e}")
 
@@ -467,8 +468,8 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
 
     Also checks r^sigma = r.s for both resolvends by rotating numerators
     (`_sigma_equivariant`), not by `sigma_action`, which built them.
-    Raises ValueError unless t s t^-1 = s^q with q a prime power prime to
-    |s|, before anything is computed.
+    Raises ValueError unless t s t^-1 = s^q with q a residue size that
+    `check_residue_size` accepts for |s|, before anything is computed.
     """
     m = G.element_order(s)
     if m % 2 == 0:
@@ -477,10 +478,7 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
         t = 0
     if q is None:
         q = infer_q(G, s, t)
-    if not is_prime_power(q):
-        raise ValueError(f"residue size must be a prime power, got {q}")
-    if gcd(m, q) != 1:
-        raise ValueError(f"wild cocycle: gcd(|s|, q) = gcd({m}, {q}) != 1")
+    check_residue_size(q, m)
     if G.conjugate(t, s) != G.power(s, q):
         raise ValueError(
             f"relation t s t^-1 = s^q fails for s={G.names[s]}, "

@@ -1,10 +1,12 @@
 """Elementary number theory, checked against tables and brute force."""
 
+import time
 from math import gcd, isqrt
 
 import pytest
 
-from tamekit.arith import (euler_phi, is_prime, is_prime_power, prime_factors,
+from tamekit.arith import (MAX_RESIDUE, check_residue_size, euler_phi,
+                           is_prime, is_prime_power, prime_factors,
                            primitive_root, smallest_prime_in_class)
 
 LIMIT = 2000
@@ -70,6 +72,23 @@ def test_prime_power_predicate():
     assert not any(is_prime_power(n) for n in no)
 
 
+def test_residue_size_check_is_bounded():
+    # the largest prime below the bound is accepted, trial division up to
+    # its square root within budget; the primes 10^12 + 39 and 2^61 - 1
+    # above it are rejected before any division
+    start = time.perf_counter()
+    check_residue_size(999999999989, 3)
+    for q in (10 ** 12 + 39, 2 ** 61 - 1):
+        with pytest.raises(ValueError, match=f"up to {MAX_RESIDUE:,}"):
+            check_residue_size(q, 3)
+    assert time.perf_counter() - start < 2
+    check_residue_size(49, 3)
+    with pytest.raises(ValueError, match="prime power"):
+        check_residue_size(6, 5)
+    with pytest.raises(ValueError, match="wild"):
+        check_residue_size(9, 3)
+
+
 def test_smallest_prime_in_class():
     assert smallest_prime_in_class(1, 3) == 7
     assert smallest_prime_in_class(2, 3) == 2
@@ -77,6 +96,18 @@ def test_smallest_prime_in_class():
     assert smallest_prime_in_class(1, 7) == 29
     assert smallest_prime_in_class(1, 9) == 19
     assert smallest_prime_in_class(0, 1) == 2
+    # with a lower bound, as Dixon's prime: 1 mod exp(G) and at least
+    # max(2|G| + 1, k^2), here for C32 and the trivial group
+    assert smallest_prime_in_class(1, 32, 1025) == 1153
+    assert smallest_prime_in_class(1, 1, 3) == 3
+    assert smallest_prime_in_class(1, 6, 7) == 7
+    assert smallest_prime_in_class(1, 6, 8) == 13
+    for m in range(1, 13):
+        for k in (k for k in range(m) if gcd(k, m) == 1):
+            for lower in range(60):
+                assert smallest_prime_in_class(k, m, lower) == next(
+                    q for q in range(lower, 200)
+                    if q % m == k and is_prime(q)), (k, m, lower)
 
 
 def test_factorisation_reproduces_n():

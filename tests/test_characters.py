@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import tamekit.characters as characters
 import tamekit.cyclotomic as cyclotomic
-from tamekit.characters import (CharTable, VirtualChar, _class_matrices,
-                                 _dixon_prime, _krylov_poly, cyclic_table,
-                                 induce)
+from tamekit.arith import smallest_prime_in_class
+from tamekit.characters import (CharTable, VirtualChar, _class_products,
+                                 _krylov_poly, _layout, cyclic_table, induce)
 from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
 from tamekit.stickelberger import _cyclic_context, _order_chars
@@ -515,8 +515,8 @@ def _cycles(orders):
     return gens
 
 
-@pytest.mark.parametrize("orders", [(3, 3, 3), (3, 9), (7, 7)],
-                         ids=["C3xC3xC3", "C3xC9", "C7xC7"])
+@pytest.mark.parametrize("orders", [(3, 3, 3), (3, 9), (7, 7), (3, 3, 3, 3)],
+                         ids=["C3xC3xC3", "C3xC9", "C7xC7", "C3xC3xC3xC3"])
 def test_dixon_certifies_abelian_groups_with_a_class_per_element(orders):
     # k = |G|: k eigenvalues mod ell ~ 2|G| nearly always collide, so ell
     # must grow with k^2 for a combination to separate them
@@ -540,12 +540,53 @@ def test_heisenberg_and_frobenius_degrees():
         assert T.certification["pass"]
 
 
+def _class_matrices(G, classes):
+    """mats[j][kk][i], the coefficient of class sum kk in (class sum j)(class
+    sum i), by counting every product x y, x in C_j and y in C_i: the
+    reference for the class products that Dixon's method reads instead."""
+    k = len(classes)
+    rep_slot = {cl[0]: j for j, cl in enumerate(classes)}
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for j in range(k):
+        for x in classes[j]:
+            for i in range(k):
+                for y in classes[i]:
+                    slot = rep_slot.get(G.table[x][y])
+                    if slot is not None:
+                        a[j][slot][i] += 1
+    return a
+
+
+def _dixon_setup(G):
+    """(classes, class_of, class products, ell) as `CharTable._dixon` makes
+    them."""
+    classes = G.conjugacy_classes()
+    k = len(classes)
+    reps, _, class_of, _, _ = _layout(G, classes)
+    ell = smallest_prime_in_class(1, G.exponent(), max(2 * G.n + 1, k * k))
+    return classes, class_of, _class_products(G, reps, class_of), ell
+
+
+def test_class_products_give_every_structure_constant():
+    # M_j[kk][i] = #{x in C_j : prods[kk][x] = i}, entry for entry, on
+    # groups with one class per element and with large classes
+    groups = [(name, preset(name)) for name in PRESET_NAMES + ("C27", "C45")]
+    groups += [("He3", _heisenberg(3)), ("He5", _heisenberg(5)),
+               ("F57", _f57()),
+               ("C3xC3xC3", FiniteGroup.from_generators(_cycles((3, 3, 3))))]
+    for name, G in groups:
+        classes, _, prods, _ = _dixon_setup(G)
+        k = len(classes)
+        counted = [[[sum(prods[kk][x] == i for x in cl) for i in range(k)]
+                    for kk in range(k)] for cl in classes]
+        assert counted == _class_matrices(G, classes), name
+
+
 def test_dixon_vectors_are_eigenvectors_of_every_class_matrix():
     for name, G in _dixon_groups() + [("C45", preset("C45"))]:
-        classes = G.conjugacy_classes()
-        ell = _dixon_prime(G.exponent(), G.n, len(classes))
-        mats = _class_matrices(G, classes, ell)
-        vecs = CharTable._simultaneous_eigenvectors(mats, ell, len(classes))
+        classes, class_of, prods, ell = _dixon_setup(G)
+        mats = _class_matrices(G, classes)
+        vecs = CharTable._simultaneous_eigenvectors(prods, class_of, ell)
         assert len(vecs) == len(classes), name
         for M in mats:
             for v in vecs:
@@ -590,13 +631,12 @@ def test_lift_runs_one_dft_per_cyclic_subgroup(monkeypatch):
 
 
 def test_dependent_krylov_vectors_reject_every_combination(monkeypatch):
-    # Class matrices diag(1, 2, 3): a nonzero combination c diag(1, 2, 3)
-    # has three distinct eigenvalues, but e_0 lies in one eigenspace, so its
-    # Krylov vectors span at most one dimension and no combination is
-    # accepted.
-    diag = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
-    monkeypatch.setattr(characters, "_class_matrices",
-                        lambda G, classes, ell: [diag] * len(classes))
+    # Class products prods[kk][x] = kk make every class matrix the
+    # identity, so each combination is a scalar matrix: K_1 is a multiple
+    # of e_0 and no combination is accepted.
+    monkeypatch.setattr(characters, "_class_products",
+                        lambda G, reps, class_of: [[kk] * G.n
+                                                   for kk in range(len(reps))])
     with pytest.raises(ArithmeticError, match=(
             r"no separating class-sum combination found: "
             r"\|G\| = 6, k = 3, ell = 13, 12 tries$")):
@@ -616,9 +656,8 @@ def test_krylov_search_stops_at_the_first_dependent_vector():
 
     for name in PRESET_NAMES + ("C27", "C32"):
         G = preset(name)
-        classes = G.conjugacy_classes()
-        ell = _dixon_prime(G.exponent(), G.n, len(classes))
-        comb = Rows(_combination(_class_matrices(G, classes, ell), 1, ell))
+        classes, _, _, ell = _dixon_setup(G)
+        comb = Rows(_combination(_class_matrices(G, classes), 1, ell))
         Rows.passes = 0
         assert _krylov_poly(comb, ell) is None, name
         assert Rows.passes == 2, (name, Rows.passes)
@@ -680,10 +719,9 @@ def _krylov(mat, ell):
 def test_charpoly_roots_are_the_eigenvalues_of_the_separating_combination():
     for name in PRESET_NAMES + ("C27",):
         G = preset(name)
-        classes = G.conjugacy_classes()
+        classes, class_of, prods, ell = _dixon_setup(G)
         k = len(classes)
-        ell = _dixon_prime(G.exponent(), G.n, len(classes))
-        mats = _class_matrices(G, classes, ell)
+        mats = _class_matrices(G, classes)
         for t in range(1, ell):
             comb = _combination(mats, t, ell)
             found = _krylov_poly(comb, ell)
@@ -702,7 +740,7 @@ def test_charpoly_roots_are_the_eigenvalues_of_the_separating_combination():
                                  for c, x in enumerate(row)]
                                 for r, row in enumerate(comb)], ell)]
         assert roots == eigen, name
-        vecs = CharTable._simultaneous_eigenvectors(mats, ell, G.n)
+        vecs = CharTable._simultaneous_eigenvectors(prods, class_of, ell)
         assert len(vecs) == k, name
         for lam, v in zip(roots, vecs):
             cv = [sum(a * b for a, b in zip(row, v)) % ell for row in comb]
@@ -963,11 +1001,13 @@ def test_inseparable_class_matrices_fail_after_bounded_tries(monkeypatch):
         return _krylov_poly(comb, ell)
 
     monkeypatch.setattr(characters, "_krylov_poly", counted)
-    identity = [[1, 0], [0, 1]]
+    # prods[kk][x] = kk: both class matrices of a group of order 2 are the
+    # identity, so every combination is scalar
+    identity = [[0, 0], [1, 1]]
     for ell, tries in ((7, 6), (211, 199)):
         calls.clear()
         with pytest.raises(ArithmeticError, match=(
                 r"no separating class-sum combination found: "
                 rf"\|G\| = 2, k = 2, ell = {ell}, {tries} tries$")):
-            CharTable._simultaneous_eigenvectors([identity, identity], ell, 2)
+            CharTable._simultaneous_eigenvectors(identity, [0, 1], ell)
         assert calls == [ell] * tries

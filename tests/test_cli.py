@@ -110,6 +110,12 @@ def test_usage_errors_exit_two(capsys):
          "--t", "(2 3 5)(4 7 6)", "--q", "2", "--n", "3"],
         ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "64",
          "--n", "1"],
+        # 2^61 - 1 is a prime = 1 mod 3, above the residue-size bound; it
+        # is rejected before trial division starts
+        ["localmodel", "verify", "--group", "C3", "--s", "1",
+         "--q", "2305843009213693951"],
+        ["localmodel", "verify", "--group", "C3", "--s", "1",
+         "--q", "2305843009213693951", "--n", "1"],
         # without --q, q = 2 is inferred from t, and --n needs q = 1 mod 7
         ["localmodel", "verify", "--group", "F21", "--s", "(1 2 3 4 5 6 7)",
          "--t", "(2 3 5)(4 7 6)", "--n", "3"],
@@ -317,6 +323,7 @@ def test_suite_bad_config_exits_two(tmp_path, capsys):
     {"crux": [7]},
     {"crux": [[7, "x"]]},
     {"precision": 2.5},
+    {"e_values": [361]},
 ])
 def test_suite_malformed_config_exits_two(data, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -363,6 +370,7 @@ _PLACE = {"label": "v7", "q": 7, "s": "(1 2 3)"}
     ({"group": "S3", "places": [{**_PLACE, "q": 6}]}, "q"),
     ({"group": "S3", "places": [{**_PLACE, "q": 3}]}, "q"),
     ({"group": "S3", "places": [_PLACE, {**_PLACE, "q": 13}]}, "label"),
+    ({"group": "S3", "places": [{**_PLACE, "q": 2 ** 61 - 1}]}, "q"),
 ])
 def test_ledger_demo_malformed_places_exits_two(data, field, tmp_path, capsys):
     places = tmp_path / "places.json"

@@ -78,6 +78,8 @@ def test_place_validation():
         Place("v", 7, G.names.index("(1 2)"), hom)  # even order
     with pytest.raises(ValueError):
         Place("v", 9, s3, hom)  # wild
+    with pytest.raises(ValueError, match="prime power up to"):
+        Place("v", 2 ** 61 - 1, s3, hom)  # a prime above the bound
 
 
 def test_placed_hom_structure():

@@ -166,6 +166,17 @@ def test_cocycle_validation():
         verify_factorization(G, s, t, 7)
 
 
+def test_residue_size_above_the_bound_is_rejected_at_once():
+    # 2^61 - 1 is a prime = 1 mod 3; trial division up to its square root
+    # would take about 1.5 * 10^9 steps, and both verifiers refuse it first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="prime power up to"):
+        verify_factorization(preset("C3"), 1, q=2 ** 61 - 1)
+    with pytest.raises(ValueError, match="prime power up to"):
+        verify_kummer_generator(3, 1, q=2 ** 61 - 1)
+    assert time.perf_counter() - start < 2
+
+
 def test_infer_q_defaults():
     for name, q in (("C3", 7), ("C5", 11), ("C7", 29), ("C9", 19)):
         G = preset(name)
