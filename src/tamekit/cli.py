@@ -19,7 +19,6 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .arith import check_residue_size, is_prime
 from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum
 from .groups import (MAX_ORDER, PRESET_NAMES, FiniteGroup, cycle_string,
@@ -45,6 +44,8 @@ class SuiteConfig:
     __slots__ = ("groups", "primes", "e_values", "crux", "format")
 
     def __init__(self, data: dict):
+        from .gaussjacobi import check_modulus
+        from .ledger import check_crux
         unknown = set(data) - set(DEFAULT_CONFIG)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -57,13 +58,10 @@ class SuiteConfig:
         for name in self.groups:
             if not isinstance(name, str):
                 raise UsageError(f"groups entries must be names, got {name!r}")
-            try:
-                preset(name)
-            except ValueError as ex:
-                raise UsageError(str(ex)) from None
+            _resolve_group(name)
         self.primes = [self._as_int("primes", p) for p in merged["primes"]]
         for p in self.primes:
-            _check_prime(p, "primes")
+            _checked("primes", check_modulus, p, p - 1)
         self.e_values = [self._as_int("e_values", e)
                          for e in merged["e_values"]]
         for e in self.e_values:
@@ -76,7 +74,7 @@ class SuiteConfig:
                                  f"got {pair!r}")
             self.crux.append(tuple(self._as_int("crux", x) for x in pair))
         for p, e in self.crux:
-            _check_crux(p, e)
+            _checked(f"crux pair ({p}, {e})", check_crux, p, e)
         self.format = merged["format"]
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
@@ -162,33 +160,20 @@ def _resolve_element(G: FiniteGroup, text: str) -> int:
     raise UsageError(f"element {text!r} not in group; names: {G.names}")
 
 
-def _check_tame(G: FiniteGroup, s: int, q: int | None, where: str) -> None:
-    """Odd |s| and a residue size q, if given, that `check_residue_size`
-    accepts for |s|."""
-    m = G.element_order(s)
-    if m % 2 == 0:
-        raise UsageError(f"{where}: |s| = |{G.names[s]}| = {m} must be odd")
-    if q is not None:
-        try:
-            check_residue_size(q, m)
-        except ValueError as ex:
-            raise UsageError(f"{where}: {ex}") from None
+def _checked(where: str, check, *args):
+    """check(*args), a library input check, whose ValueError becomes a
+    UsageError prefixed by where.  Only checks go through here: a
+    ValueError from a computation is a fault and exits 3."""
+    try:
+        return check(*args)
+    except ValueError as ex:
+        raise UsageError(f"{where}: {ex}") from None
 
 
-def _check_prime(p: int, where: str) -> None:
-    from .gaussjacobi import PRIME_CAP
-    if not is_prime(p) or p > PRIME_CAP:
-        raise UsageError(f"{where}: {p} is not a prime up to {PRIME_CAP}")
-
-
-def _check_crux(p: int, e: int) -> None:
-    """e odd and positive, p a prime up to PRIME_CAP, and e | p - 1."""
-    where = f"crux pair ({p}, {e})"
-    if e < 1 or e % 2 == 0:
-        raise UsageError(f"{where}: e must be odd and positive")
-    _check_prime(p, where)
-    if (p - 1) % e:
-        raise UsageError(f"{where}: e does not divide p - 1")
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _write_or_print(text: str, out: str | None, filename: str) -> None:
@@ -208,13 +193,11 @@ def cmd_chartab(args) -> int:
     table = CharTable.of(G)
     cert = table.certification
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["chi", "degree"] + [G.names[r] for r in table.reps])
-        for t in range(table.k):
-            w.writerow([f"chi{t}", table.degrees[t]]
-                       + [_cyc_str(table.value(t, j)) for j in range(table.k)])
-        _write_or_print(buf.getvalue(), args.out, f"chartab-{args.group}.csv")
+        rows = [["chi", "degree"] + [G.names[r] for r in table.reps]]
+        rows += [[f"chi{t}", table.degrees[t]]
+                 + [_cyc_str(table.value(t, j)) for j in range(table.k)]
+                 for t in range(table.k)]
+        _write_or_print(_csv(rows), args.out, f"chartab-{args.group}.csv")
     else:
         report = {"suite": "character table", "group": args.group,
                   "table": table.to_dict(), "certification": cert}
@@ -232,40 +215,27 @@ def cmd_pairing(args) -> int:
     report = pairing_table(G, s, star=args.star)
     stem = f"pairing-{args.group}-{s}" + ("-star" if args.star else "")
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["chi", "degree", "value"])
-        for row in report["rows"]:
-            w.writerow([row["chi"], row["degree"], row["value"]])
-        _write_or_print(buf.getvalue(), args.out, stem + ".csv")
+        rows = [[r["chi"], r["degree"], r["value"]] for r in report["rows"]]
+        _write_or_print(_csv([["chi", "degree", "value"]] + rows), args.out,
+                        stem + ".csv")
     else:
         _write_or_print(_dump(report), args.out, stem + ".json")
     return 0
 
 
 def cmd_localmodel_verify(args) -> int:
-    from .localmodel import (infer_q, verify_factorization,
-                             verify_kummer_generator)
+    from .localmodel import (check_tame, check_window, infer_q,
+                             verify_factorization, verify_kummer_generator)
     G = _resolve_group(args.group)
     s = _resolve_element(G, args.s)
-    t = _resolve_element(G, args.t) if args.t is not None else None
-    _check_tame(G, s, args.q, "localmodel verify")
-    m = G.element_order(s)
-    image = G.conjugate(t or 0, s)
-    if image not in {G.power(s, k) for k in range(m)}:
-        raise UsageError(f"t = {G.names[t]} does not normalize <{G.names[s]}>")
+    t = _resolve_element(G, args.t) if args.t is not None else 0
+    where = "localmodel verify"
+    m = _checked(where, check_tame, G, s, args.q, t)
     # one residue size for both checks: --q, else the least prime q with
     # t s t^-1 = s^q
-    q = args.q if args.q is not None else infer_q(G, s, t or 0)
-    if G.power(s, q) != image:
-        raise UsageError(f"t s t^-1 = s^q fails for q = {q}")
+    q = args.q if args.q is not None else infer_q(G, s, t)
     if args.n is not None:
-        if abs(args.n) >= m:
-            raise UsageError(
-                f"window offset {args.n} out of range for |s| = {m}")
-        if not is_prime(q) or (q - 1) % m:
-            raise UsageError(f"--n needs q = {q} to be a prime "
-                             f"= 1 mod |s| = {m}")
+        _checked(where, check_window, m, args.n, q)
     report = {"suite": "localmodel verify",
               "factorization": verify_factorization(G, s, t=t, q=q)}
     if args.n is not None:
@@ -278,13 +248,11 @@ def cmd_localmodel_verify(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    from .gaussjacobi import (MultChar, gauss_sum, j_star,
+    from .gaussjacobi import (MultChar, check_modulus, gauss_sum, j_star,
                               verify_gauss_identities, verify_jstar)
     p = args.p
     d = args.order if args.order is not None else p - 1
-    _check_prime(p, "--p")
-    if d < 1 or (p - 1) % d != 0:
-        raise UsageError(f"order {d} does not divide {p} - 1")
+    _checked("gauss", check_modulus, p, d)
     values = []
     for a in range(d):
         chi = MultChar(p, d, a)
@@ -300,8 +268,8 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_crux(args) -> int:
-    from .ledger import crux_check
-    _check_crux(args.p, args.e)
+    from .ledger import check_crux, crux_check
+    _checked(f"crux pair ({args.p}, {args.e})", check_crux, args.p, args.e)
     report = crux_check(args.p, args.e)
     _write_or_print(_dump(report), args.out, f"crux-p{args.p}-e{args.e}.json")
     return 0 if report["pass"] else 1
@@ -319,6 +287,7 @@ DEFAULT_PLACES = {
 
 def _ledger_demo_report(data) -> dict:
     from .ledger import build_f, decompose, norm_restrict, recompose
+    from .localmodel import check_tame
     from .stickelberger import pairing, star_pairing
     if not isinstance(data, dict) or not isinstance(data.get("group"), str):
         raise UsageError("places file needs a group name string in \"group\"")
@@ -340,7 +309,7 @@ def _ledger_demo_report(data) -> dict:
             raise UsageError(f"duplicate place label {label!r}")
         q = SuiteConfig._as_int("q", pl["q"])
         s = _resolve_element(G, str(pl["s"]))
-        _check_tame(G, s, q, f"place {label!r}")
+        _checked(f"place {label!r}", check_tame, G, s, q)
         places.append((label, q, s))
     table = CharTable.of(G)
     f = build_f(G, places)
@@ -377,13 +346,8 @@ def _ledger_demo_report(data) -> dict:
 
 
 def cmd_ledger_demo(args) -> int:
-    if args.places:
-        try:
-            data = json.loads(Path(args.places).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
-            raise UsageError(f"cannot read places file: {ex}") from None
-    else:
-        data = DEFAULT_PLACES
+    data = _read_json(args.places, "places file") if args.places \
+        else DEFAULT_PLACES
     report = _ledger_demo_report(data)
     _write_or_print(_dump(report), args.out, "ledger-demo.json")
     return 0 if report["pass"] else 1
@@ -449,12 +413,9 @@ def run_suite(config: SuiteConfig, out_dir: str) -> int:
             failed.append(name)
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     if config.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["check", "pass"])
-        for row in summary:
-            w.writerow([row["check"], str(row["pass"]).lower()])
-        (path / "summary.csv").write_text(buf.getvalue())
+        (path / "summary.csv").write_text(_csv(
+            [["check", "pass"]]
+            + [[row["check"], str(row["pass"]).lower()] for row in summary]))
     else:
         (path / "summary.json").write_text(
             _dump({"checks": summary, "pass": not failed}))
@@ -464,32 +425,19 @@ def run_suite(config: SuiteConfig, out_dir: str) -> int:
     return 0
 
 
-def _load_config(path_text: str | None) -> dict:
-    if path_text is None:
-        return {}
-    path = Path(path_text)
+def _read_json(path_text: str, what: str):
+    """The JSON value in a file, read for --config or --places."""
     try:
-        raw = path.read_bytes()
-    except OSError as ex:
-        raise UsageError(f"cannot read config: {ex}") from None
-    try:
-        if path.suffix == ".toml":
-            import tomllib
-            data = tomllib.loads(raw.decode())
-        else:
-            data = json.loads(raw)
-    except ImportError:
-        raise UsageError("TOML config needs Python 3.11+; use JSON") from None
-    except ValueError as ex:  # not UTF-8, or not valid TOML or JSON
-        raise UsageError(f"bad config {path_text}: {ex}") from None
-    if not isinstance(data, dict):
-        raise UsageError(f"config {path_text} must hold a JSON object, "
-                         f"got {json.dumps(data)}")
-    return data
+        return json.loads(Path(path_text).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as ex:  # ValueError: not UTF-8, or not JSON
+        raise UsageError(f"cannot read {what} {path_text}: {ex}") from None
 
 
 def cmd_suite(args) -> int:
-    data = _load_config(args.config)
+    data = {} if args.config is None else _read_json(args.config, "config")
+    if not isinstance(data, dict):
+        raise UsageError(f"config {args.config} must hold a JSON object, "
+                         f"got {json.dumps(data)}")
     if args.format:
         data["format"] = args.format
     config = SuiteConfig(data)

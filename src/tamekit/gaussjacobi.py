@@ -45,6 +45,15 @@ from .cyclotomic import CycNum, _ZeroTest
 PRIME_CAP = 101
 
 
+def check_modulus(p: int, d: int) -> None:
+    """ValueError unless p is a prime up to PRIME_CAP and d a positive
+    divisor of p - 1, the order of a character family mod p."""
+    if not (p <= PRIME_CAP and is_prime(p)):
+        raise ValueError(f"{p} is not a prime up to {PRIME_CAP}")
+    if d < 1 or (p - 1) % d:
+        raise ValueError(f"order {d} does not divide {p} - 1")
+
+
 @lru_cache(maxsize=None)
 def _dlog(p: int) -> tuple[int, ...]:
     """Discrete logs base the smallest primitive root; index -1 at 0."""
@@ -63,12 +72,7 @@ class MultChar:
     __slots__ = ("p", "d", "a")
 
     def __init__(self, p: int, d: int, a: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        if p > PRIME_CAP:
-            raise ValueError(f"prime {p} beyond supported cap {PRIME_CAP}")
-        if d < 1 or (p - 1) % d != 0:
-            raise ValueError(f"order {d} does not divide {p} - 1")
+        check_modulus(p, d)
         self.p = p
         self.d = d
         self.a = a % d
@@ -201,10 +205,9 @@ def verify_gauss_identities(p: int) -> dict:
     Each is a zero test of lhs - rhs modulo Phi_N, as the module
     docstring describes; the slot bound comes from the largest |tau|_1,
     |tau|_inf and |J|_1 of the sweep, so every J is summed before the
-    first test.
+    first test.  Raises ValueError unless `check_modulus(p, p - 1)` passes.
     """
-    if not is_prime(p) or p > PRIME_CAP:
-        raise ValueError(f"unsupported prime {p}")
+    check_modulus(p, p - 1)
     d = p - 1
     N = p * d
     chars = [MultChar(p, d, a) for a in range(d)]

@@ -122,9 +122,7 @@ class FiniteGroup:
         ident = tuple(range(deg))
         elements = [ident]
         index = {ident: 0}
-        queue = [ident]
-        while queue:
-            cur = queue.pop(0)
+        for cur in elements:  # breadth first: elements grows as it is read
             for g in gens:
                 nxt = _compose(cur, g)
                 if nxt not in index:
@@ -132,12 +130,9 @@ class FiniteGroup:
                         raise ValueError(f"closure exceeds order {MAX_ORDER}")
                     index[nxt] = len(elements)
                     elements.append(nxt)
-                    queue.append(nxt)
         table = [[index[_compose(a, b)] for b in elements] for a in elements]
         names = [cycle_string(e) for e in elements]
-        grp = cls(table, names, _trusted=True)
-        grp.perms = elements
-        return grp
+        return cls(table, names, _trusted=True)
 
     # -- basic structure ---------------------------------------------------
 

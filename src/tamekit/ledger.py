@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import check_residue_size
 from .characters import CharTable, VirtualChar, cyclic_table
-from .gaussjacobi import MultChar, gauss_sum
+from .gaussjacobi import MultChar, check_modulus, gauss_sum
 from .groups import FiniteGroup
-from .localmodel import TameElement, frobenius_action
+from .localmodel import TameElement, check_tame, frobenius_action
 from .padic import lambda_valuation
 from .stickelberger import pairing, star_pairing
 
@@ -91,10 +90,7 @@ class Place:
     __slots__ = ("label", "q", "s", "hom")
 
     def __init__(self, label: str, q: int, s: int, hom: ReprHom):
-        m = hom.table.group.element_order(s)
-        if m % 2 == 0:
-            raise ValueError(f"place {label!r}: |s| = {m} must be odd")
-        check_residue_size(q, m)
+        check_tame(hom.table.group, s, q)
         self.label = label
         self.q = q
         self.s = s
@@ -222,6 +218,14 @@ def norm_restrict(f: ReprHom, twists: list[int]) -> ReprHom:
     return ReprHom(table, values)
 
 
+def check_crux(p: int, e: int) -> None:
+    """ValueError unless e is odd and positive and `check_modulus(p, e)`
+    passes: p a prime up to PRIME_CAP with e | p - 1."""
+    if e < 1 or e % 2 == 0:
+        raise ValueError(f"order e = {e} must be odd and positive")
+    check_modulus(p, e)
+
+
 def crux_check(p: int, e: int) -> dict:
     """Match lambda-adic J* valuations against pairing differences.
 
@@ -229,12 +233,10 @@ def crux_check(p: int, e: int) -> dict:
     character group of C_e to the order-e characters of F_p^* (one per
     unit u mod e); each must be tested on every character.  Valuations
     are exact: v(J*) = v(tau(chi^2)) - 2 v(tau(chi)), and the target is
-    (p-1)(<chi,s>* - <chi,s>).
+    (p-1)(<chi,s>* - <chi,s>).  Raises ValueError unless `check_crux`
+    passes.
     """
-    if e < 1 or e % 2 == 0:
-        raise ValueError(f"order must be odd and positive, got {e}")
-    if (p - 1) % e != 0:
-        raise ValueError(f"{e} does not divide {p} - 1")
+    check_crux(p, e)
     s = 1 % e
     table = cyclic_table(e)
     rhs = {}

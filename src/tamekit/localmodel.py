@@ -274,14 +274,35 @@ def phi_star_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
     return _resolvend(G, s, (1 - m) // 2)
 
 
-def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
-    """Smallest prime q compatible with t s t^-1 = s^q."""
+def check_tame(G: FiniteGroup, s: int, q: int | None,
+               t: int | None = None) -> int:
+    """|s|; ValueError unless s, with q and t where given, makes a tame
+    place: |s| odd, q a residue size that `check_residue_size` accepts
+    for |s|, t normalizing <s>, and t s t^-1 = s^q."""
     m = G.element_order(s)
+    if m % 2 == 0:
+        raise ValueError(f"|s| = |{G.names[s]}| = {m} must be odd")
+    if q is not None:
+        check_residue_size(q, m)
+    if t is not None:
+        image = G.conjugate(t, s)
+        if image not in G.cyclic_subgroup(s):
+            raise ValueError(f"t = {G.names[t]} does not normalize "
+                             f"<{G.names[s]}>")
+        if q is not None and G.power(s, q) != image:
+            raise ValueError(
+                f"relation t s t^-1 = s^q fails for s = {G.names[s]}, "
+                f"t = {G.names[t]}, q = {q}")
+    return m
+
+
+def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
+    """Smallest prime q compatible with t s t^-1 = s^q; ValueError unless
+    `check_tame(G, s, None, t)` passes."""
+    m = check_tame(G, s, None, t)
     c = G.conjugate(t, s)
-    k = next((k for k in range(m) if G.power(s, k) == c), None)
-    if k is None:
-        raise ValueError("t does not normalize <s>")
-    return smallest_prime_in_class(k, m)
+    return smallest_prime_in_class(
+        next(k for k in range(m) if G.power(s, k) == c), m)
 
 
 def _dft(seq: list[TameElement]) -> tuple[TameElement, ...]:
@@ -391,6 +412,20 @@ def _sigma_equivariant(r: GroupAlgebraElement, s: int) -> bool:
     return True
 
 
+def check_window(e: int, n: int, q: int | None) -> None:
+    """ValueError unless e >= 1, the window offset n has |n| < e, and q,
+    if given, is a prime = 1 mod e up to MAX_RESIDUE."""
+    if e < 1:
+        raise ValueError(f"order must be positive, got {e}")
+    if abs(n) >= e:
+        raise ValueError(f"window offset {n} out of range for |s| = {e}")
+    if q is not None:
+        check_residue_size(q, e)
+        if not is_prime(q) or (q - 1) % e:
+            raise ValueError(f"the window needs q = {q} to be a prime "
+                             f"= 1 mod |s| = {e}")
+
+
 def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
     """Certify that alpha = (1/e) sum_i pi^((n+i)/e) generates freely.
 
@@ -401,17 +436,13 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
     land on the same monomial.  The e x e matrix taking the sigma-orbit
     of alpha to the monomial basis must in addition have determinant a
     unit above q, checked by exact lambda-adic valuation; q must be a
-    prime = 1 mod e, so that Q(zeta_e) embeds in Z_q[lambda].
+    prime = 1 mod e, so that Q(zeta_e) embeds in Z_q[lambda].  Raises
+    ValueError unless `check_window(e, n, q)` passes; q defaults to the
+    least such prime.
     """
-    if e < 1:
-        raise ValueError(f"order must be positive, got {e}")
-    if abs(n) > e - 1 and e > 1 or (e == 1 and n != 0):
-        raise ValueError(f"window offset {n} out of range for order {e}")
+    check_window(e, n, q)
     if q is None:
         q = smallest_prime_in_class(1, e)
-    check_residue_size(q, e)
-    if not is_prime(q) or (q - 1) % e:
-        raise ValueError(f"residue size {q} must be a prime = 1 mod {e}")
 
     ctab = cyclic_table(e)
     G = ctab.group
@@ -468,21 +499,15 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
 
     Also checks r^sigma = r.s for both resolvends by rotating numerators
     (`_sigma_equivariant`), not by `sigma_action`, which built them.
-    Raises ValueError unless t s t^-1 = s^q with q a residue size that
-    `check_residue_size` accepts for |s|, before anything is computed.
+    t defaults to the identity and q to `infer_q(G, s, t)`.  Raises
+    ValueError unless `check_tame(G, s, q, t)` passes, before anything
+    is computed.
     """
-    m = G.element_order(s)
-    if m % 2 == 0:
-        raise ValueError(f"factorization check needs odd |s|, got {m}")
     if t is None:
         t = 0
     if q is None:
         q = infer_q(G, s, t)
-    check_residue_size(q, m)
-    if G.conjugate(t, s) != G.power(s, q):
-        raise ValueError(
-            f"relation t s t^-1 = s^q fails for s={G.names[s]}, "
-            f"t={G.names[t]}, q={q}")
+    m = check_tame(G, s, q, t)
     table = CharTable.of(G)
 
     r = phi_resolvend(G, s)

@@ -16,7 +16,12 @@ from hypothesis import given, settings, strategies as st
 import tamekit
 import tamekit.cli as cli
 import tamekit.gaussjacobi as gaussjacobi
+from tamekit.characters import CharTable
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, UsageError, main
+from tamekit.gaussjacobi import MultChar, verify_gauss_identities
+from tamekit.groups import preset
+from tamekit.ledger import Place, ReprHom, crux_check
+from tamekit.localmodel import verify_factorization, verify_kummer_generator
 
 # sha256 of the benchmark's reports, committed with it (read, never written).
 EXPECTED = Path(__file__).resolve().parents[1] / "tamebench" / "expected.json"
@@ -87,43 +92,48 @@ def test_pairing_csv(capsys):
     assert len(rows) == 4
 
 
+USAGE_ERRORS = [
+    ["pairing", "--group", "NOPE", "--s", "0"],
+    ["pairing", "--group", "S3", "--s", "17"],
+    ["pairing", "--group", "S3", "--s", "(1 2)", "--star"],
+    ["crux", "--p", "11", "--e", "4"],
+    ["crux", "--p", "12", "--e", "3"],
+    ["crux", "--p", "103", "--e", "3"],
+    ["gauss", "--p", "9"],
+    ["gauss", "--p", "7", "--order", "4"],
+    ["gauss", "--p", "103"],
+    # 2^61 - 1 is prime; the cap is checked before trial division
+    ["gauss", "--p", "2305843009213693951"],
+    ["crux", "--p", "2305843009213693951", "--e", "3"],
+    ["localmodel", "verify", "--group", "S3", "--s", "(1 2)"],
+    ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "3"],
+    ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "6"],
+    ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "5"],
+    ["localmodel", "verify", "--group", "F21", "--s", "2", "--t", "1"],
+    ["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
+     "--n", "3"],
+    # --q fits the factorization but not the Kummer unit check
+    ["localmodel", "verify", "--group", "F21", "--s", "(1 2 3 4 5 6 7)",
+     "--t", "(2 3 5)(4 7 6)", "--q", "2", "--n", "3"],
+    ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "64",
+     "--n", "1"],
+    # 2^61 - 1 is a prime = 1 mod 3, above the residue-size bound; it
+    # is rejected before trial division starts
+    ["localmodel", "verify", "--group", "C3", "--s", "1",
+     "--q", "2305843009213693951"],
+    ["localmodel", "verify", "--group", "C3", "--s", "1",
+     "--q", "2305843009213693951", "--n", "1"],
+    # without --q, q = 2 is inferred from t, and --n needs q = 1 mod 7
+    ["localmodel", "verify", "--group", "F21", "--s", "(1 2 3 4 5 6 7)",
+     "--t", "(2 3 5)(4 7 6)", "--n", "3"],
+    # element text that is not a permutation, or too large to be one
+    ["pairing", "--group", "S3", "--s", "(1 2)(1 3)"],
+    ["pairing", "--group", "S3", "--s", "(1 1000000000)"],
+]
+
+
 def test_usage_errors_exit_two(capsys):
-    cases = [
-        ["pairing", "--group", "NOPE", "--s", "0"],
-        ["pairing", "--group", "S3", "--s", "17"],
-        ["pairing", "--group", "S3", "--s", "(1 2)", "--star"],
-        ["crux", "--p", "11", "--e", "4"],
-        ["crux", "--p", "12", "--e", "3"],
-        ["crux", "--p", "103", "--e", "3"],
-        ["gauss", "--p", "9"],
-        ["gauss", "--p", "7", "--order", "4"],
-        ["gauss", "--p", "103"],
-        ["localmodel", "verify", "--group", "S3", "--s", "(1 2)"],
-        ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "3"],
-        ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "6"],
-        ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "5"],
-        ["localmodel", "verify", "--group", "F21", "--s", "2", "--t", "1"],
-        ["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
-         "--n", "3"],
-        # --q fits the factorization but not the Kummer unit check
-        ["localmodel", "verify", "--group", "F21", "--s", "(1 2 3 4 5 6 7)",
-         "--t", "(2 3 5)(4 7 6)", "--q", "2", "--n", "3"],
-        ["localmodel", "verify", "--group", "C9", "--s", "1", "--q", "64",
-         "--n", "1"],
-        # 2^61 - 1 is a prime = 1 mod 3, above the residue-size bound; it
-        # is rejected before trial division starts
-        ["localmodel", "verify", "--group", "C3", "--s", "1",
-         "--q", "2305843009213693951"],
-        ["localmodel", "verify", "--group", "C3", "--s", "1",
-         "--q", "2305843009213693951", "--n", "1"],
-        # without --q, q = 2 is inferred from t, and --n needs q = 1 mod 7
-        ["localmodel", "verify", "--group", "F21", "--s", "(1 2 3 4 5 6 7)",
-         "--t", "(2 3 5)(4 7 6)", "--n", "3"],
-        # element text that is not a permutation, or too large to be one
-        ["pairing", "--group", "S3", "--s", "(1 2)(1 3)"],
-        ["pairing", "--group", "S3", "--s", "(1 1000000000)"],
-    ]
-    for argv in cases:
+    for argv in USAGE_ERRORS:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -313,7 +323,7 @@ def test_suite_bad_config_exits_two(tmp_path, capsys):
         assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("data", [
+MALFORMED_CONFIGS = [
     {"primes": 5},
     {"groups": "S3"},
     {"groups": [5]},
@@ -324,7 +334,10 @@ def test_suite_bad_config_exits_two(tmp_path, capsys):
     {"crux": [[7, "x"]]},
     {"precision": 2.5},
     {"e_values": [361]},
-])
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED_CONFIGS)
 def test_suite_malformed_config_exits_two(data, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
@@ -354,7 +367,7 @@ def test_suite_config_that_is_not_an_object_exits_two(data, fmt, tmp_path,
 _PLACE = {"label": "v7", "q": 7, "s": "(1 2 3)"}
 
 
-@pytest.mark.parametrize("data, field", [
+MALFORMED_PLACES = [
     ({"places": []}, "group"),
     ([_PLACE], "group"),
     ({"group": 3, "places": [_PLACE]}, "group"),
@@ -371,7 +384,10 @@ _PLACE = {"label": "v7", "q": 7, "s": "(1 2 3)"}
     ({"group": "S3", "places": [{**_PLACE, "q": 3}]}, "q"),
     ({"group": "S3", "places": [_PLACE, {**_PLACE, "q": 13}]}, "label"),
     ({"group": "S3", "places": [{**_PLACE, "q": 2 ** 61 - 1}]}, "q"),
-])
+]
+
+
+@pytest.mark.parametrize("data, field", MALFORMED_PLACES)
 def test_ledger_demo_malformed_places_exits_two(data, field, tmp_path, capsys):
     places = tmp_path / "places.json"
     places.write_text(json.dumps(data))
@@ -393,6 +409,72 @@ def test_ledger_demo_unreadable_places_exits_two(content, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "places file" in err, err
     assert not (tmp_path / "r").exists()
+
+
+def test_usage_errors_exit_before_any_computation(monkeypatch, tmp_path,
+                                                   capsys):
+    # every usage error is found before a table is built or a verifier runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before the inputs were checked")
+
+    for target in ("characters.CharTable.of", "characters.CharTable._dixon",
+                   "localmodel.verify_factorization",
+                   "localmodel.verify_kummer_generator", "ledger.crux_check",
+                   "gaussjacobi.verify_gauss_identities",
+                   "stickelberger.pairing_table"):
+        monkeypatch.setattr(f"tamekit.{target}", forbidden)
+    out = str(tmp_path / "r")
+    runs = [[*argv, "--out", out] for argv in USAGE_ERRORS]
+    for i, data in enumerate(MALFORMED_CONFIGS):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(data))
+        runs.append(["suite", "--config", str(path), "--out", out])
+    for i, (data, _) in enumerate(MALFORMED_PLACES):
+        path = tmp_path / f"places{i}.json"
+        path.write_text(json.dumps(data))
+        runs.append(["ledger", "demo", "--places", str(path), "--out", out])
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "r").exists()
+
+
+def test_usage_message_is_the_library_message(tmp_path, capsys):
+    # one case per input rule: the CLI prefixes where the input came from
+    # to the text of the ValueError the library raises for the same input
+    S3, F21 = preset("S3"), preset("F21")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"primes": [9]}))
+    places = tmp_path / "places.json"
+    places.write_text(json.dumps({"group": "S3",
+                                  "places": [{**_PLACE, "q": 6}]}))
+    cases = [
+        (["gauss", "--p", "9"], "gauss", lambda: verify_gauss_identities(9)),
+        (["gauss", "--p", "7", "--order", "4"], "gauss",
+         lambda: MultChar(7, 4, 1)),
+        (["suite", "--config", str(config), "--out", str(tmp_path / "r")],
+         "primes", lambda: verify_gauss_identities(9)),
+        (["crux", "--p", "11", "--e", "4"], "crux pair (11, 4)",
+         lambda: crux_check(11, 4)),
+        (["localmodel", "verify", "--group", "F21", "--s", "2", "--t", "1"],
+         "localmodel verify", lambda: verify_factorization(F21, 2, t=1)),
+        (["ledger", "demo", "--places", str(places)], "place 'v7'",
+         lambda: Place("v7", 6, S3.names.index("(1 2 3)"),
+                       ReprHom.trivial(CharTable.of(S3)))),
+        (["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
+          "--n", "3"], "localmodel verify",
+         lambda: verify_kummer_generator(3, 3)),
+    ]
+    for argv, where, library in cases:
+        with pytest.raises(ValueError) as info:
+            library()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {where}: {info.value}\n"
+    # both elements are named when t does not normalize <s>
+    with pytest.raises(ValueError, match=re.escape(
+            "t = (1 2 3 4 5 6 7) does not normalize <(2 3 5)(4 7 6)>")):
+        verify_factorization(F21, 2, t=1)
 
 
 def test_internal_fault_exits_three(monkeypatch, capsys):

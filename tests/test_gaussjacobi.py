@@ -30,6 +30,10 @@ def test_mult_char_basics():
         MultChar(8, 7, 1)  # not prime
     with pytest.raises(ValueError):
         MultChar(103, 2, 1)  # beyond the table cap
+    with pytest.raises(ValueError, match="103 is not a prime up to 101"):
+        MultChar(103, 102, 1)
+    with pytest.raises(ValueError, match="9 is not a prime up to 101"):
+        verify_gauss_identities(9)
     assert PRIME_CAP == 101
 
 

@@ -72,8 +72,8 @@ def test_place_validation():
     hom = ReprHom.trivial(T)
     s3 = G.names.index("(1 2 3)")
     Place("v", 7, s3, hom)
-    with pytest.raises(ValueError):
-        Place("v", 6, s3, hom)  # not a prime power
+    with pytest.raises(ValueError, match="q = 6 must be a prime power"):
+        Place("v", 6, s3, hom)
     with pytest.raises(ValueError):
         Place("v", 7, G.names.index("(1 2)"), hom)  # even order
     with pytest.raises(ValueError):
@@ -199,5 +199,5 @@ def test_crux_reports():
     assert [row["lhs_val"] for row in rep["per_chi"]] == [0, 0, 0, -10, -10]
     with pytest.raises(ValueError):
         crux_check(11, 4)
-    with pytest.raises(ValueError):
-        crux_check(11, 7)  # 7 does not divide 10
+    with pytest.raises(ValueError, match="order 7 does not divide 11 - 1"):
+        crux_check(11, 7)

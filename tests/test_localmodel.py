@@ -214,6 +214,9 @@ def test_kummer_generator_reports():
     assert verify_kummer_generator(4, 0)["pass"]
     with pytest.raises(ValueError):
         verify_kummer_generator(3, 3)
+    with pytest.raises(ValueError, match=r"window offset 9 out of range "
+                                         r"for \|s\| = 9"):
+        verify_kummer_generator(9, 9)
     # the unit check needs a prime q = 1 mod e
     for e, n, q in ((9, 1, 64), (7, 3, 2)):
         with pytest.raises(ValueError, match="prime = 1 mod"):
