@@ -46,6 +46,7 @@ class SuiteConfig:
     def __init__(self, data: dict):
         from .gaussjacobi import check_modulus
         from .ledger import check_crux
+        from .localmodel import check_window
         unknown = set(data) - set(DEFAULT_CONFIG)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -65,8 +66,9 @@ class SuiteConfig:
         self.e_values = [self._as_int("e_values", e)
                          for e in merged["e_values"]]
         for e in self.e_values:
-            if not 1 <= e <= MAX_ORDER or e % 2 == 0:
-                raise UsageError(f"e_values: {e} must be odd in 1..{MAX_ORDER}")
+            _checked("e_values", check_window, e, 0, None)
+            if e % 2 == 0:
+                raise UsageError(f"e_values: order e = {e} must be odd")
         self.crux = []
         for pair in merged["crux"]:
             if not isinstance(pair, list) or len(pair) != 2:
@@ -206,12 +208,11 @@ def cmd_chartab(args) -> int:
 
 
 def cmd_pairing(args) -> int:
-    from .stickelberger import pairing_table
+    from .stickelberger import check_tame, pairing_table
     G = _resolve_group(args.group)
     s = _resolve_element(G, args.s)
-    if args.star and G.element_order(s) % 2 == 0:
-        raise UsageError(
-            f"starred pairing needs odd |s|; |{G.names[s]}| is even")
+    if args.star:
+        _checked("pairing", check_tame, G, s, None)
     report = pairing_table(G, s, star=args.star)
     stem = f"pairing-{args.group}-{s}" + ("-star" if args.star else "")
     if args.format == "csv":
@@ -224,8 +225,9 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_localmodel_verify(args) -> int:
-    from .localmodel import (check_tame, check_window, infer_q,
-                             verify_factorization, verify_kummer_generator)
+    from .localmodel import (check_window, infer_q, verify_factorization,
+                             verify_kummer_generator)
+    from .stickelberger import check_tame
     G = _resolve_group(args.group)
     s = _resolve_element(G, args.s)
     t = _resolve_element(G, args.t) if args.t is not None else 0
@@ -287,8 +289,7 @@ DEFAULT_PLACES = {
 
 def _ledger_demo_report(data) -> dict:
     from .ledger import build_f, decompose, norm_restrict, recompose
-    from .localmodel import check_tame
-    from .stickelberger import pairing, star_pairing
+    from .stickelberger import check_tame, pairing, star_pairing
     if not isinstance(data, dict) or not isinstance(data.get("group"), str):
         raise UsageError("places file needs a group name string in \"group\"")
     G = _resolve_group(data["group"])

@@ -127,9 +127,8 @@ def gauss_sum(chi: MultChar) -> CycNum:
 
 def jacobi_sum(chi1: MultChar, chi2: MultChar) -> CycNum:
     """J(chi1, chi2) in Q(zeta_d); rejects pairs where a factor or the
-    product is trivial (those degenerate to Gauss-sum conventions)."""
-    if chi1.p != chi2.p:
-        raise ValueError("characters of different primes")
+    product is trivial (those degenerate to Gauss-sum conventions), and
+    through the product, pairs of characters at different primes."""
     if chi1.is_trivial or chi2.is_trivial or (chi1 * chi2).is_trivial:
         raise ValueError("degenerate character pair")
     p = chi1.p

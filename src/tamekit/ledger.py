@@ -31,9 +31,9 @@ from math import gcd
 from .characters import CharTable, VirtualChar, cyclic_table
 from .gaussjacobi import MultChar, check_modulus, gauss_sum
 from .groups import FiniteGroup
-from .localmodel import TameElement, check_tame, frobenius_action
+from .localmodel import TameElement, frobenius_action
 from .padic import lambda_valuation
-from .stickelberger import pairing, star_pairing
+from .stickelberger import check_tame, pairing, star_pairing
 
 
 class ReprHom:

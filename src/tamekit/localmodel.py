@@ -46,9 +46,9 @@ from math import gcd, lcm
 from .arith import check_residue_size, is_prime, smallest_prime_in_class
 from .characters import CharTable, VirtualChar, cyclic_table
 from .cyclotomic import CycNum, _folded, _reduce, zeta
-from .groups import FiniteGroup
+from .groups import MAX_ORDER, FiniteGroup
 from .padic import lambda_valuation
-from .stickelberger import pairing, star_pairing
+from .stickelberger import check_tame, pairing, star_pairing
 
 Scalar = (int, Fraction, CycNum)
 
@@ -267,33 +267,9 @@ def phi_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
 
 
 def phi_star_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
-    """Centered resolvend; odd-order s only."""
-    m = G.element_order(s)
-    if m % 2 == 0:
-        raise ValueError(f"centered ladder needs odd order, got {m}")
+    """Centered resolvend; ValueError unless `check_tame` accepts s."""
+    m = check_tame(G, s, None)
     return _resolvend(G, s, (1 - m) // 2)
-
-
-def check_tame(G: FiniteGroup, s: int, q: int | None,
-               t: int | None = None) -> int:
-    """|s|; ValueError unless s, with q and t where given, makes a tame
-    place: |s| odd, q a residue size that `check_residue_size` accepts
-    for |s|, t normalizing <s>, and t s t^-1 = s^q."""
-    m = G.element_order(s)
-    if m % 2 == 0:
-        raise ValueError(f"|s| = |{G.names[s]}| = {m} must be odd")
-    if q is not None:
-        check_residue_size(q, m)
-    if t is not None:
-        image = G.conjugate(t, s)
-        if image not in G.cyclic_subgroup(s):
-            raise ValueError(f"t = {G.names[t]} does not normalize "
-                             f"<{G.names[s]}>")
-        if q is not None and G.power(s, q) != image:
-            raise ValueError(
-                f"relation t s t^-1 = s^q fails for s = {G.names[s]}, "
-                f"t = {G.names[t]}, q = {q}")
-    return m
 
 
 def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
@@ -413,10 +389,10 @@ def _sigma_equivariant(r: GroupAlgebraElement, s: int) -> bool:
 
 
 def check_window(e: int, n: int, q: int | None) -> None:
-    """ValueError unless e >= 1, the window offset n has |n| < e, and q,
-    if given, is a prime = 1 mod e up to MAX_RESIDUE."""
-    if e < 1:
-        raise ValueError(f"order must be positive, got {e}")
+    """ValueError unless e is in 1..MAX_ORDER, the window offset n has
+    |n| < e, and q, if given, is a prime = 1 mod e up to MAX_RESIDUE."""
+    if not 1 <= e <= MAX_ORDER:
+        raise ValueError(f"order e = {e} must be in 1..{MAX_ORDER}")
     if abs(n) >= e:
         raise ValueError(f"window offset {n} out of range for |s| = {e}")
     if q is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .arith import is_prime, primitive_root
+from .arith import primitive_root
 from .cyclotomic import CycNum
 
 
@@ -30,8 +30,7 @@ def embed_cyclotomic(a: CycNum, p: int, K: int = 4) -> dict[int, int]:
     conductors are embedded compatibly through zeta_n = zeta_N^{N/n} with
     N = p(p-1).  Rational coefficients must be p-integral.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
+    T = primitive_root(p)  # ValueError unless p is prime
     N = p * (p - 1)
     n = a.n
     if N % n:
@@ -42,7 +41,6 @@ def embed_cyclotomic(a: CycNum, p: int, K: int = 4) -> dict[int, int]:
         raise ValueError("coefficient is not p-integral")
     mod = p ** K
     # the Teichmueller lift: g^(p^j) agrees with it mod p^(j+1)
-    T = primitive_root(p)
     for _ in range(K):
         T = pow(T, p, mod)
     k = N // n

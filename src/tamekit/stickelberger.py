@@ -8,7 +8,9 @@ that of the eigenvalue zeta_m^r of s, which the character table keeps from
 Dixon's method (VirtualChar.multiplicity_sums).  The pairing <chi, s> adds
 r/m over the restriction components xi^r with r taken in [0, m); the starred
 pairing takes r in the symmetric window [(1-m)/2, (m-1)/2] and only exists
-for odd m.
+for odd m.  `check_tame` states that odd-order rule, with the rest of the
+tame-place rule, once for the package: every starred pairing, centered
+ladder and tame place is checked through it.
 
 The verifiers here recompute both pairings through a second, independent
 route: induction of the explicit virtual characters
@@ -34,8 +36,31 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .arith import check_residue_size
 from .characters import CharTable, VirtualChar, cyclic_table, induce
 from .groups import FiniteGroup, Subgroup
+
+
+def check_tame(G: FiniteGroup, s: int, q: int | None,
+               t: int | None = None) -> int:
+    """|s|; ValueError unless s, with q and t where given, makes a tame
+    place: |s| odd, q a residue size that `check_residue_size` accepts
+    for |s|, t normalizing <s>, and t s t^-1 = s^q."""
+    m = G.element_order(s)
+    if m % 2 == 0:
+        raise ValueError(f"|s| = |{G.names[s]}| = {m} must be odd")
+    if q is not None:
+        check_residue_size(q, m)
+    if t is not None:
+        image = G.conjugate(t, s)
+        if image not in G.cyclic_subgroup(s):
+            raise ValueError(f"t = {G.names[t]} does not normalize "
+                             f"<{G.names[s]}>")
+        if q is not None and G.power(s, q) != image:
+            raise ValueError(
+                f"relation t s t^-1 = s^q fails for s = {G.names[s]}, "
+                f"t = {G.names[t]}, q = {q}")
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -69,11 +94,9 @@ def pairing(vc: VirtualChar, s: int) -> Fraction:
 
 def star_pairing(vc: VirtualChar, s: int) -> Fraction:
     """<chi, s>*: as pairing but with exponents in the symmetric window
-    [(1-m)/2, (m-1)/2]; defined only for odd-order s."""
+    [(1-m)/2, (m-1)/2]; ValueError unless `check_tame` accepts s."""
+    m = check_tame(vc.table.group, s, None)
     acc, den = vc.multiplicity_sums(s)
-    m = len(acc)
-    if m % 2 == 0:
-        raise ValueError(f"starred pairing needs odd order, got |s| = {m}")
     half = (m - 1) // 2
     return Fraction(sum((r if r <= half else r - m) * a
                         for r, a in enumerate(acc)), den * m)
@@ -123,11 +146,9 @@ def verify_induction_identities(G: FiniteGroup, s: int) -> dict:
 def verify_adams_identities(G: FiniteGroup, s: int) -> dict:
     """The second-Adams descriptions: on <s>, (Xi*, xi^j) matches
     (Xi, xi^{2j} - xi^j) computed two ways; on G, the starred pairing is
-    <psi_2(chi) - chi, s>."""
+    <psi_2(chi) - chi, s>.  ValueError unless `check_tame` accepts s."""
+    m = check_tame(G, s, None)
     T = CharTable.of(G)
-    m = G.element_order(s)
-    if m % 2 == 0:
-        raise ValueError("Adams identities need odd-order s")
     ctab, x, xs, _ = _order_chars(m)
     rows = []
     for j in range(1, m):

@@ -22,6 +22,7 @@ from tamekit.gaussjacobi import MultChar, verify_gauss_identities
 from tamekit.groups import preset
 from tamekit.ledger import Place, ReprHom, crux_check
 from tamekit.localmodel import verify_factorization, verify_kummer_generator
+from tamekit.stickelberger import pairing_table
 
 # sha256 of the benchmark's reports, committed with it (read, never written).
 EXPECTED = Path(__file__).resolve().parents[1] / "tamebench" / "expected.json"
@@ -446,6 +447,8 @@ def test_usage_message_is_the_library_message(tmp_path, capsys):
     S3, F21 = preset("S3"), preset("F21")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"primes": [9]}))
+    big_e = tmp_path / "big_e.json"
+    big_e.write_text(json.dumps({"e_values": [361]}))
     places = tmp_path / "places.json"
     places.write_text(json.dumps({"group": "S3",
                                   "places": [{**_PLACE, "q": 6}]}))
@@ -465,6 +468,10 @@ def test_usage_message_is_the_library_message(tmp_path, capsys):
         (["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
           "--n", "3"], "localmodel verify",
          lambda: verify_kummer_generator(3, 3)),
+        (["pairing", "--group", "S3", "--s", "(1 2)", "--star"], "pairing",
+         lambda: pairing_table(S3, S3.names.index("(1 2)"), star=True)),
+        (["suite", "--config", str(big_e), "--out", str(tmp_path / "r")],
+         "e_values", lambda: verify_kummer_generator(361, 0)),
     ]
     for argv, where, library in cases:
         with pytest.raises(ValueError) as info:

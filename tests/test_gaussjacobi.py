@@ -110,6 +110,8 @@ def test_jacobi_rejects_degenerate_pairs():
         jacobi_sum(triv, quad)
     with pytest.raises(ValueError):
         jacobi_sum(quad, quad)  # product trivial
+    with pytest.raises(ValueError, match="characters of different primes"):
+        jacobi_sum(quad, MultChar(11, 2, 1))
 
 
 def test_jacobi_gauss_compatibility():

@@ -16,7 +16,7 @@ from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
 from tamekit.localmodel import (GroupAlgebraElement, TameElement, _ladder,
                                 _ladder_orbit, _sigma_equivariant,
-                                _twisted_sum,
+                                _twisted_sum, check_window,
                                 det_resolvend, frobenius_action, infer_q,
                                 phi_resolvend, phi_star_resolvend,
                                 sigma_action, verify_factorization,
@@ -217,6 +217,14 @@ def test_kummer_generator_reports():
     with pytest.raises(ValueError, match=r"window offset 9 out of range "
                                          r"for \|s\| = 9"):
         verify_kummer_generator(9, 9)
+    # the order bound is check_window's, not a failure inside groups.preset
+    for e in (361, 0):
+        with pytest.raises(ValueError,
+                           match=rf"^order e = {e} must be in 1\.\.360$"):
+            verify_kummer_generator(e, 0)
+        with pytest.raises(ValueError,
+                           match=rf"^order e = {e} must be in 1\.\.360$"):
+            check_window(e, 0, None)
     # the unit check needs a prime q = 1 mod e
     for e, n, q in ((9, 1, 64), (7, 3, 2)):
         with pytest.raises(ValueError, match="prime = 1 mod"):

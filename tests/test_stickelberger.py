@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from tamekit.characters import CharTable, VirtualChar
 from tamekit.groups import PRESET_NAMES, preset
-from tamekit.stickelberger import (_cyclic_context, _order_chars, pairing,
-                                   pairing_table, star_pairing,
+from tamekit.ledger import Place, ReprHom
+from tamekit.localmodel import phi_star_resolvend, verify_factorization
+from tamekit.stickelberger import (_cyclic_context, _order_chars, check_tame,
+                                   pairing, pairing_table, star_pairing,
                                    verify_adams_identities,
                                    verify_induction_identities)
 
@@ -49,12 +51,27 @@ def test_pairing_is_additive():
     assert star_pairing(a + b, s) == star_pairing(a, s) + star_pairing(b, s)
 
 
-def test_star_pairing_rejects_even_order():
+def test_odd_order_rule_has_one_message():
+    # every entry point that needs an odd |s| rejects (1 2) through
+    # check_tame, with its text
     G = preset("S3")
     T = CharTable.of(G)
     t = G.names.index("(1 2)")
-    with pytest.raises(ValueError):
-        star_pairing(VirtualChar.irreducible(T, 0), t)
+    entries = [
+        lambda: check_tame(G, t, None),
+        lambda: star_pairing(VirtualChar.irreducible(T, 0), t),
+        lambda: verify_adams_identities(G, t),
+        lambda: phi_star_resolvend(G, t),
+        lambda: pairing_table(G, t, star=True),
+        lambda: verify_factorization(G, t),
+        lambda: Place("v7", 7, t, ReprHom.trivial(T)),
+    ]
+    texts = set()
+    for entry in entries:
+        with pytest.raises(ValueError) as info:
+            entry()
+        texts.add(str(info.value))
+    assert texts == {"|s| = |(1 2)| = 2 must be odd"}
 
 
 def test_star_window_is_symmetric():
@@ -97,12 +114,6 @@ def test_adams_identities_odd_order_elements():
                 continue
             rep = verify_adams_identities(G, s)
             assert rep["pass"], (name, s)
-
-
-def test_adams_identities_reject_even_order():
-    G = preset("S3")
-    with pytest.raises(ValueError):
-        verify_adams_identities(G, G.names.index("(1 2)"))
 
 
 def test_pairing_table_report():
