@@ -51,6 +51,14 @@ def test_pairing_is_additive():
     assert star_pairing(a + b, s) == star_pairing(a, s) + star_pairing(b, s)
 
 
+def test_star_pairing_rejects_even_order():
+    G = preset("S3")
+    T = CharTable.of(G)
+    t = G.names.index("(1 2)")
+    with pytest.raises(ValueError, match="must be odd"):
+        star_pairing(VirtualChar.irreducible(T, 0), t)
+
+
 def test_odd_order_rule_has_one_message():
     # every entry point that needs an odd |s| rejects (1 2) through
     # check_tame, with its text
@@ -114,6 +122,12 @@ def test_adams_identities_odd_order_elements():
                 continue
             rep = verify_adams_identities(G, s)
             assert rep["pass"], (name, s)
+
+
+def test_adams_identities_reject_even_order():
+    G = preset("S3")
+    with pytest.raises(ValueError, match="must be odd"):
+        verify_adams_identities(G, G.names.index("(1 2)"))
 
 
 def test_pairing_table_report():
