@@ -69,8 +69,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from .arith import primitive_root, smallest_prime_in_class
-from .cyclotomic import (CycNum, _PackedMatrix, _ZeroTest, _as_fraction,
-                         _pack, zeta)
+from .cyclotomic import CycNum, _PackedMatrix, _ZeroTest, _as_fraction, zeta
 from .groups import FiniteGroup, Subgroup, preset
 
 
@@ -354,7 +353,7 @@ class CharTable:
         row scaled by |C_j| once; no sum is reduced or built as a CycNum."""
         n, k, inv, P = self.group.n, self.k, self.inverse, self.packed
         test = _ZeroTest(P.n, n * (P.top * P.top + P.den * P.den))
-        packed = {id(v): _pack(v, test.kb) for row in P.nums for v in row}
+        packed = {id(v): test.pack(v) for row in P.nums for v in row}
         rows = [[packed[id(v)] for v in row] for row in P.nums]
         scaled = [list(map(mul, self.sizes, row)) for row in rows]
         inv_rows = [[row[i] for i in inv] for row in rows]
@@ -362,7 +361,7 @@ class CharTable:
         unit = P.den * P.den
 
         def vanishes(a, b, delta):
-            return test.is_zero(test.times_psi(sum(map(mul, a, b)) - delta))
+            return test.is_zero(test.times_binomials(sum(map(mul, a, b)) - delta))
 
         checks = [
             {"check": "sum of squared degrees equals group order",
@@ -380,13 +379,14 @@ class CharTable:
                 "checks": checks, "pass": all(c["pass"] for c in checks)}
 
     def to_dict(self) -> dict:
+        shown = {id(v): v.to_dict() for row in self.values for v in row}
         return {
             "order": self.group.n,
             "exponent": self.exponent,
             "class_reps": [self.group.names[r] for r in self.reps],
             "class_sizes": list(self.sizes),
             "degrees": list(self.degrees),
-            "rows": [[v.to_dict() for v in row] for row in self.values],
+            "rows": [[shown[id(v)] for v in row] for row in self.values],
         }
 
 

@@ -96,29 +96,39 @@ class SuiteConfig:
 
 def _dump(report: dict) -> str:
     """json.dumps(report, sort_keys=True, indent=2) + newline, byte for
-    byte, for reports of str, int, bool, None, lists and str-keyed dicts;
-    anything else raises TypeError.  The stdlib encoder runs in pure
+    byte, for reports of exactly str, int, bool, None, lists and str-keyed
+    dicts; anything else raises TypeError.  The stdlib encoder runs in pure
     Python when indenting, and this writer takes about half its time."""
-    return _json(report, "\n") + "\n"
+    leaf = _LEAVES.get(type(report))
+    return (leaf(report) if leaf else _json(report, "\n", {})) + "\n"
 
 
-def _json(x, pad: str) -> str:
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    inner = pad + "  "
+# Each leaf type's renderer, a C callable: no leaf costs a Python frame.
+_LEAVES = {str: _quote, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
+
+
+def _json(x, pad: str, memo: dict) -> str:
+    """The list or dict x at indent pad, its leaves rendered inline and
+    never memoized.  memo maps (id, pad) of each list and dict to its text,
+    so a shared one, as a character table's values are, is rendered once."""
+    key = id(x), pad
+    if key in memo:
+        return memo[key]
+    inner, leaf = pad + "  ", _LEAVES.get
     if isinstance(x, list):
-        items = [_json(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" \
-            if items else "[]"
-    if isinstance(x, dict):  # _quote raises TypeError on a non-str key
-        items = [_quote(k) + ": " + _json(x[k], inner) for k in sorted(x)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" \
-            if items else "{}"
-    raise TypeError(f"{type(x).__name__} is not a report value")
+        items = [f(v) if (f := leaf(type(v))) else _json(v, inner, memo)
+                 for v in x]
+        text = f"[{inner}{(',' + inner).join(items)}{pad}]" if x else "[]"
+    elif isinstance(x, dict):  # _quote raises TypeError on a non-str key
+        items = [f"{_quote(k)}: {f(v) if (f := leaf(type(v))) else _json(v, inner, memo)}"
+                 for k, v in sorted(x.items())]
+        text = f"{{{inner}{(',' + inner).join(items)}{pad}}}" if x else "{}"
+    else:
+        raise TypeError(f"{type(x).__name__} is not a report value")
+    memo[key] = text
+    return text
 
 
 def _cyc_str(c: CycNum) -> str:

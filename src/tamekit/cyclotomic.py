@@ -46,14 +46,15 @@ sum_j |W_j| |A_j|_1 max_t |B_tj|_1 (1 + spread) of `_table`'s argument.
 is an integer combination of the packed rows: no product, no reduction.
 
 An identity needs a yes or no, not a canonical form, and `_ZeroTest`
-answers it with no reduction modulo Phi_n: Phi_n divides D exactly when
-D Psi_n vanishes modulo x^n - 1, and on ints packed at 8 kb bits a slot,
-x^n - 1 becomes a fold modulo 2^(8 kb n) - 1 by shifts and masks.  The
-test is exact while |D'|_inf |Psi_n|_1 < 2^(8 kb - 1), D' being D folded
-modulo x^n - 1, which |f|_1 |h|_inf over D's products f h bounds (see the
-class).  Psi_n and operands at a conductor dividing n act as sums of
-shifts: the Gauss/Jacobi sweep pays one packed product per pair of Gauss
-sums, `CharTable.certify` one per term of its sums, and no reduction.
+answers it by the ideal norm, with no reduction modulo Phi_n: on ints
+packed at B = 2^(8 kb) a slot, x^n - 1 becomes a fold modulo B^n - 1, and
+D h, h = prod_{q | n} (x^(n/q) - 1) over primes q, a unit times Psi_n at
+zeta_n, vanishes there exactly when D = 0, once B - 1 exceeds |sigma(D)|
+in every embedding sigma (see the class).  So slots are sized by D's
+values, and h costs one shift and subtraction per prime of n.  Operands
+at a conductor dividing n act as sums of shifts: the Gauss/Jacobi sweep
+pays one packed product per pair of Gauss sums, `CharTable.certify` one
+per term of its sums, and no reduction.
 
 `_table(n)` is the one cached table per conductor: Phi_n, Psi_n and their
 packings, O(n) ints, used by every reduction (products, construction,
@@ -77,6 +78,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, attrgetter, sub
 from types import MappingProxyType
 
@@ -88,36 +90,38 @@ _denominator = attrgetter("denominator")
 _den = attrgetter("den")
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient of integer polynomials (ascending coeffs), monic divisor,
-    remainder known to vanish."""
-    num = list(num)
-    dd = len(den) - 1
-    terms = [(j, d) for j, d in enumerate(den) if d]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dd] = c
-            for j, d in terms:
-                num[i - dd + j] -= c * d
-    if any(num):
-        raise ArithmeticError("division was not exact")
-    return out
+def _binomials(n: int, sign: int) -> tuple[int, ...]:
+    """Phi_n for sign 1 and -Psi_n for sign -1, n > 1.  With m the product
+    of the primes of n, Phi_n(x) = Phi_m(x^(n/m)), Psi_n likewise, and
+    prod_{d | m} (1 - x^d)^(sign mu(m/d)) is Phi_m (the signs cancel, as
+    sum mu = 0), or -Psi_m to its degree m - phi(m), as the factor 1 - x^m
+    of x^m - 1 = prod_{d | m} Phi_d only reaches higher ones.  Each 1 - x^d
+    is one pass of subtractions, each inverse 1 + x^d + x^2d + ... one
+    running sum along every residue class mod d."""
+    primes = prime_factors(n)
+    m = math.prod(primes)
+    degree = euler_phi(m) if sign > 0 else m - euler_phi(m)
+    divisors = [(m, 1)]  # (d, mu(m/d))
+    for q in primes:
+        divisors += [(d // q, -mu) for d, mu in divisors]
+    f = [1] + [0] * degree
+    for d, mu in divisors:
+        if d <= degree and mu == sign:
+            f[d:] = list(map(sub, f[d:], f))
+    for d, mu in divisors:
+        if d <= degree and mu != sign:
+            for r in range(d):
+                f[r::d] = accumulate(f[r::d])
+    out = [0] * (degree * (n // m) + 1)
+    out[::n // m] = f
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending, monic, degree phi(n)."""
-    if n == 1:
-        return (-1, 1)
-    poly = [0] * (n + 1)
-    poly[0] = -1
-    poly[n] = 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_poly(d))
-    return tuple(poly)
+    """Coefficients of Phi_n, ascending, monic, degree phi(n), from the
+    Moebius product of binomials (`_binomials`)."""
+    return _binomials(n, 1) if n > 1 else (-1, 1)
 
 
 # -- packed integer kernel --------------------------------------------------
@@ -193,7 +197,7 @@ def _table(n: int) -> tuple:
     r = f - q Phi_n.  packings maps a slot width to (Phi_n, Psi_n) packed
     at it, filled on first use."""
     big = cyclotomic_poly(n)
-    small = tuple(_poly_div_exact([-1] + [0] * (n - 1) + [1], big))
+    small = tuple(-c for c in _binomials(n, -1)) if n > 1 else (1,)
     spread = max(map(abs, small)) * sum(map(abs, big))
     step = n // prime_factors(n)[0] if n > 1 else 0
     return euler_phi(n), spread, step, big, small, {}
@@ -218,62 +222,42 @@ class _ZeroTest:
     """Exact tests of D = 0 in Q(zeta_n) that never reduce modulo Phi_n,
     for the Gauss/Jacobi sweep and `CharTable.certify`.
 
-    x^n - 1 = Phi_n Psi_n divides D Psi_n exactly when Phi_n divides D
-    (Phi_n and Psi_n are coprime, x^n - 1 being squarefree; or cancel
-    Psi_n in Z[x]).  With B = 2^(8 kb) and M = B^n - 1, B^n = 1 mod M, so
-    x -> B maps Z[x]/(x^n - 1) into Z/M: packed products taken mod M, and
-    shifts by whole slots, give (D Psi_n)(B) mod M.  Reducing mod M folds
-    blocks of 8 kb n bits with shifts and masks, no division.  Let D' be
-    D folded mod x^n - 1 and g = D' Psi_n folded likewise: deg g < n,
-    and g_i = sum_j D'_j Psi_((i - j) mod n) meets each coefficient of
-    Psi_n (degree < n) once, so |g|_inf <= |D'|_inf |Psi_n|_1.  Below
-    2^(8 kb - 1) that makes |g(B)| < M/2, so g(B) = 0 mod M forces
-    g(B) = 0, and then g = 0, since balanced base-B digits are unique.
-    So a zero residue means Phi_n | D, and a nonzero one means it does not.
+    The test reads (d h)(B) mod M for an integral representative d of D,
+    B = 2^(8 kb), M = B^n - 1 and h = prod_{q | n} (x^(n/q) - 1), q prime.
+    As B^n = 1 mod M, packed products and whole-slot shifts follow x -> B
+    in Z[x]/(x^n - 1); reducing mod M folds blocks of 8 kb n bits by
+    shifts and masks, and h is one shift and subtraction per q.
 
-    A packed value is multiplied by Psi_n as sums of shifts, one per
-    sparse factor: for n = q m with q the largest prime of n,
-    Psi_n(x) = Phi_m(x) Psi_m(x^q) if q does not divide m, and
-    Psi_m(x^q) if it does.  At the Gauss sweep's conductors p(p - 1) that
-    is 7 + 12 shifts at p = 61 (Psi_n itself has 84 terms) and 5 + 4 at
-    p = 101.
+    Every proper divisor of n divides some n/q, so h = Psi_n u in Z[x],
+    Psi_n = (x^n - 1)/Phi_n, and u(zeta_n) is a unit: h and Psi_n have the
+    norm n^phi(n)/|disc Q(zeta_n)| at zeta_n, up to sign (Washington,
+    Introduction to Cyclotomic Fields, Prop. 2.7).  If D = 0, x^n - 1
+    divides d h.  If the residue is 0, cancelling Psi_n(B) from
+    M | d(B) Psi_n(B) u(B) leaves Phi_n(B) | d(B) u(B), an element of the
+    ideal (zeta_n - B) of norm Phi_n(B), so Phi_n(B) | N(D).  `bound` must
+    bound |sigma(D)| in every complex embedding sigma, as the l1 norm of
+    any integral representative does, and slots are the fewest bytes with
+    B - 1 > bound; then |N(D)| < (B - 1)^phi(n) <= Phi_n(B), so N(D) = 0.
+    Operands are packed once and must fit a slot with a sign, which `pack`
+    checks; later products and shifts keep kb bytes a slot (2 in the sweep
+    at every p <= 101)."""
 
-    `bound` must bound |D'|_inf for every D tested, D's operands being
-    integral CycNums at conductors dividing n.  |D|_1 does, and so does
-    the sum of |f|_1 |h|_inf over D's products f h, as each coefficient of
-    f h folded mod x^n - 1 meets each coefficient of h once.  Slots are
-    the fewest bytes that hold bound |Psi_n|_1 and a sign, not an array
-    width: operands are packed once, and every product and shift after
-    that is on ints of that many bytes per slot (3 at p = 31, 61, 101)."""
-
-    __slots__ = ("n", "kb", "width", "mask", "psi")
+    __slots__ = ("n", "kb", "width", "mask", "shifts")
 
     def __init__(self, n: int, bound: int):
         self.n = n
-        psi_l1 = sum(map(abs, _table(n)[4]))
-        self.kb = kb = (bound * psi_l1).bit_length() // 8 + 1
+        self.kb = kb = ((bound + 1).bit_length() + 7) // 8
         self.width = 8 * kb * n
         self.mask = (1 << self.width) - 1  # M
-        q = prime_factors(n)[-1] if n > 1 else 1
-        m = n // q
-        # Phi_m(x) first: it has the lower degree, so the ints stay short.
-        factors = [(cyclotomic_poly(m), 1)] if m % q else []
-        factors.append((_table(m)[4], q))  # Psi_m(x^q)
-        # per factor: its coefficients, each with its terms' shifts in bits
-        self.psi = []
-        for poly, step in factors:
-            shifts = {}
-            for e, c in enumerate(poly):
-                if c:
-                    shifts.setdefault(c, []).append(8 * kb * step * e)
-            self.psi.append(sorted(shifts.items()))
+        self.shifts = [8 * kb * (n // q) for q in prime_factors(n)]
 
-    def pack(self, x: "CycNum") -> int:
-        """x's numerators packed at this slot width; x integral at n."""
-        if x.den != 1 or x.n != self.n:
-            raise ValueError("zero test needs integral operands at "
-                             f"conductor {self.n}")
-        return _pack(x.num, self.kb)
+    def pack(self, num) -> int:
+        """The ints num, numerators of an integral operand at conductor n,
+        packed at this slot width; ValueError if one does not fit."""
+        if max(map(abs, num), default=0) >> (8 * self.kb - 1):
+            raise ValueError("zero test operand does not fit "
+                             f"{self.kb}-byte slots")
+        return _pack(num, self.kb)
 
     def fold(self, v: int) -> int:
         """v mod M, in 0..M (M itself is a zero residue)."""
@@ -282,12 +266,11 @@ class _ZeroTest:
             v = (v & mask) + (v >> width)
         return v
 
-    def times_psi(self, v: int) -> int:
-        """v Psi_n mod M, for a packed or folded v."""
-        for factor in self.psi:
-            v = self.fold(sum(c * sum(v << s for s in shifts)
-                              for c, shifts in factor))
-        return v
+    def times_binomials(self, v: int) -> int:
+        """v h mod M, for a packed or folded v."""
+        for s in self.shifts:
+            v = (v << s) - v
+        return self.fold(v)
 
     def rotations(self, x: "CycNum", t: int) -> int:
         """x t, unfolded, for integral x at a conductor L dividing n: each
@@ -300,7 +283,7 @@ class _ZeroTest:
         return sum(c * (t << e * unit) for e, c in enumerate(x.num) if c)
 
     def is_zero(self, v: int) -> bool:
-        """Whether v is 0 mod M: Phi_n | D for v = (D Psi_n)(B) mod M."""
+        """Whether v is 0 mod M: D = 0 for v = (d h)(B) mod M."""
         v = self.fold(v)
         return not v or v == self.mask
 

@@ -20,16 +20,18 @@ descent and keeps norms cheap.
 
 The identity sweep embeds every tau at conductor N = p(p-1) and checks
 each relation as one exact zero test of D = J tau_c - tau_a tau_b
-modulo Phi_N (`cyclotomic._ZeroTest`): D Psi_N vanishes modulo x^N - 1,
-for Psi_N = (x^N - 1)/Phi_N, tested on packed ints modulo
-2^(8 kb N) - 1 with no reduction modulo Phi_N.  tau_c Psi_N is formed
-once per character.  tau(chi_a) tau(chi_b) is one packed product per
-unordered pair, times Psi_N, shared by both orders, while J(chi_a, chi_b)
-is summed from its own definition for each ordered pair, at its own
-conductor L; its terms are shifts of tau_c Psi_N by e N/L slots, so
-J tau_c needs no full-width product.  Both orders are thus checked
-against independent left-hand sides, and nothing uses the substitution
-that proves the identity.  The tau checks tau_a tau_(-a) = (-1)^a p go
+(`cyclotomic._ZeroTest`): D h vanishes modulo x^N - 1, for
+h = prod_{q | N} (x^(N/q) - 1), on packed ints modulo 2^(8 kb N) - 1.
+The slots are sized from the definitions alone: tau sums p - 1 roots of
+unity and J p - 2, so |sigma(D)| <= (p - 1)(2p - 3) in every embedding
+sigma, 2 bytes for every p <= PRIME_CAP; nothing uses |tau|^2 = p, which
+the sweep verifies.  tau_c h is formed once per character, and
+tau(chi_a) tau(chi_b) h once per unordered pair, shared by both orders,
+while J(chi_a, chi_b) is summed from its definition for each ordered pair
+when the pair is tested, at its own conductor L: its terms shift tau_c h
+by e N/L slots, so J tau_c needs no full-width product.  Both orders are
+thus checked against independent left-hand sides, and nothing uses the
+substitution that proves the identity.  The tau checks tau_a tau_(-a) = (-1)^a p go
 through the same test.
 """
 
@@ -40,7 +42,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import CycNum, _ZeroTest
+from .cyclotomic import CycNum, _reduce, _ZeroTest
 
 PRIME_CAP = 101
 
@@ -111,18 +113,22 @@ class MultChar:
         return f"MultChar(p={self.p}, d={self.d}, a={self.a})"
 
 
-def gauss_sum(chi: MultChar) -> CycNum:
-    """tau(chi) as an exact element of Q(zeta_{p d}); tau(1) = 1.
-
-    At conductor N = p d, zeta_p = Z^d and zeta_d = Z^p, so each x in
-    F_p^* gives one term, and no two collide (x is recoverable mod p)."""
-    if chi.is_trivial:
-        return CycNum.from_rational(1)
+def _gauss_terms(chi: MultChar, sign: int) -> CycNum:
+    """sum_{x in F_p^*} chi(x)^-sign zeta_p^(sign x), chi nontrivial: tau
+    for sign 1, its conjugate for -1.  At conductor N = p d, zeta_p = Z^d
+    and zeta_d = Z^p, so the p - 1 terms never collide (x mod p is kept)."""
     p = chi.p
     d, a = chi.reduced()
     dlog = _dlog(p)
-    return CycNum(p * d, {(x * d + p * (-a * dlog[x] % d)) % (p * d): 1
+    return CycNum(p * d, {sign * (x * d + p * (-a * dlog[x] % d)) % (p * d): 1
                           for x in range(1, p)})
+
+
+def gauss_sum(chi: MultChar) -> CycNum:
+    """tau(chi) as an exact element of Q(zeta_{p d}); tau(1) = 1."""
+    if chi.is_trivial:
+        return CycNum.from_rational(1)
+    return _gauss_terms(chi, 1)
 
 
 def jacobi_sum(chi1: MultChar, chi2: MultChar) -> CycNum:
@@ -136,19 +142,19 @@ def jacobi_sum(chi1: MultChar, chi2: MultChar) -> CycNum:
     d2, a2 = chi2.reduced()
     L = lcm(d1, d2)
     m1, m2 = a1 * (L // d1), a2 * (L // d2)
-    dlog = _dlog(p)
-    raw: dict[int, int] = {}
+    dlog = _dlog(p)  # dlog[1 - x] is dlog[p + 1 - x]
+    raw = [0] * L
     for x in range(2, p):
-        e = (-m1 * dlog[x] - m2 * dlog[(1 - x) % p]) % L
-        raw[e] = raw.get(e, 0) + 1
-    return CycNum(L, raw)
+        raw[(-m1 * dlog[x] - m2 * dlog[1 - x]) % L] += 1
+    return CycNum._make(L, _reduce(L, raw), 1)
 
 
 def tau_inverse(chi: MultChar) -> CycNum:
-    """tau(chi)^-1 = galois_apply(tau(chi), -1) / p for nontrivial chi."""
+    """tau(chi)^-1 = galois_apply(tau(chi), -1) / p for nontrivial chi,
+    the conjugate summed from its definition: one reduction."""
     if chi.is_trivial:
         return CycNum.from_rational(1)
-    return gauss_sum(chi).galois_apply(-1) * Fraction(1, chi.p)
+    return _gauss_terms(chi, -1) * Fraction(1, chi.p)
 
 
 @lru_cache(maxsize=None)
@@ -201,43 +207,35 @@ def verify_gauss_identities(p: int) -> dict:
         J(chi_a, chi_b) tau(chi_a chi_b) = tau(chi_a) tau(chi_b)
                                     for every pair with a + b != 0 mod p-1
 
-    Each is a zero test of lhs - rhs modulo Phi_N, as the module
-    docstring describes; the slot bound comes from the largest |tau|_1,
-    |tau|_inf and |J|_1 of the sweep, so every J is summed before the
-    first test.  Raises ValueError unless `check_modulus(p, p - 1)` passes.
+    Each is a zero test of lhs - rhs, bounded from the definitions as the
+    module docstring describes (the tau checks add p), and each J is
+    summed when its pair is tested.  Raises ValueError unless
+    `check_modulus(p, p - 1)` passes.
     """
     check_modulus(p, p - 1)
     d = p - 1
     N = p * d
     chars = [MultChar(p, d, a) for a in range(d)]
-    taus = [gauss_sum(chi).embed(N) for chi in chars]
-    jacobi = {(x, y): jacobi_sum(chars[x], chars[y])
-              for x in range(1, d) for y in range(1, d) if (x + y) % d}
-    # In Z[x]/(x^N - 1), |f g|_inf <= |f|_1 |g|_inf, so every slot of D
-    # is at most max|tau|_inf (max|tau|_1 + max|J|_1) + p.
-    top = max((sum(map(abs, t.num)) for t in taus[1:]), default=0)
-    peak = max((max(map(abs, t.num)) for t in taus[1:]), default=0)
-    widest = max((sum(map(abs, J.num)) for J in jacobi.values()), default=0)
-    test = _ZeroTest(N, peak * (top + widest) + p)
-    packed = [test.pack(t) for t in taus]
-    psi = list(map(test.times_psi, packed))  # tau_c Psi_N; psi[0] = Psi_N
+    test = _ZeroTest(N, (p - 1) * (2 * p - 3) + p)
+    packed = [test.pack(gauss_sum(chi).embed(N).num) for chi in chars]
+    tau_h = list(map(test.times_binomials, packed))  # tau_c h; tau_h[0] = h
 
     tau_pass = {}
     pair_count = 0
     failures = []
     for a in range(1, d):
         for b in range(a, d):
-            product = test.times_psi(packed[a] * packed[b])
+            product = test.times_binomials(packed[a] * packed[b])
             c = (a + b) % d
             if not c:
                 sign = -1 if a % 2 else 1
                 tau_pass[a] = tau_pass[b] = test.is_zero(
-                    product - sign * p * psi[0])
+                    product - sign * p * tau_h[0])
                 continue
             for x, y in {(a, b), (b, a)}:
                 pair_count += 1
-                if not test.is_zero(
-                        test.rotations(jacobi[x, y], psi[c]) - product):
+                J = jacobi_sum(chars[x], chars[y])
+                if not test.is_zero(test.rotations(J, tau_h[c]) - product):
                     failures.append([x, y])
     tau_checks = [{"a": a, "chi_minus_one": -1 if a % 2 else 1,
                    "pass": tau_pass[a]} for a in range(1, d)]

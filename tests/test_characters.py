@@ -873,14 +873,26 @@ def _recording_zero_tests(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("n", [27, 32, 63])
-def test_certify_packs_cyclic_tables_at_two_bytes(n, monkeypatch):
-    # |G| (max|A|_1^2 + 1) |Psi_n|_1 fits the zero test's 16-bit slots, for
-    # the power order table and for Dixon's, which holds the same values.
+def _certify_slot_bytes(n, monkeypatch):
+    """The slot widths of `certify` on C_n's power order table and on
+    Dixon's, which holds the same values."""
     tables = [cyclic_table(n), CharTable.of(preset(f"C{n}"))]
     made = _recording_zero_tests(monkeypatch)
     assert all(T.certify()["pass"] for T in tables)
-    assert [t.kb for t in made] == [2, 2]
+    return [t.kb for t in made]
+
+
+@pytest.mark.parametrize("n", [27, 32])
+def test_certify_packs_cyclic_tables_at_one_byte(n, monkeypatch):
+    # |G| (max|A|_1^2 + 1) is 135 at C27 (|zeta_27^e|_1 <= 2) and 64 at
+    # C32, below 2^8 - 1.
+    assert _certify_slot_bytes(n, monkeypatch) == [1, 1]
+
+
+@pytest.mark.parametrize("n", [63])
+def test_certify_packs_cyclic_tables_at_two_bytes(n, monkeypatch):
+    # |G| (max|A|_1^2 + 1) is 63 (9^2 + 1) = 5,166 at C63, past 2^8 - 1.
+    assert _certify_slot_bytes(n, monkeypatch) == [2, 2]
 
 
 @pytest.mark.parametrize("name", ["C27", "C32", "C63", "F21", "He5"])

@@ -204,6 +204,9 @@ def test_gauss_report_matches_its_pinned_digest(tmp_path, capsys):
     (["crux", "--p", "101", "--e", "25"],
      "crux-p101-e25.json",
      "c50ce74b81ccca637c1535f33a2bbca3d6342b7b0e5c1e667e4887b4153f7cb1"),
+    (["gauss", "--p", "61"],
+     "gauss-p61-d60.json",
+     "a1661cf13252ff8d27f7fd40b5ea79318b3b746f42d446a160f414b86721185b"),
 ])
 def test_report_matches_its_pinned_digest(argv, name, digest, tmp_path,
                                           capsys):

@@ -7,11 +7,12 @@ independent modular checks; each is marked at the assertion.
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tamekit.arith import euler_phi
+from tamekit.arith import euler_phi, prime_factors
 from tamekit.cyclotomic import (CycNum, _PackedMatrix, _ZeroTest, _pack,
                                 _slot_bytes, _table, cyclotomic_poly, zeta)
 
@@ -27,6 +28,41 @@ def test_cyclotomic_poly_known_coefficients():
 def test_cyclotomic_poly_degree_is_totient():
     for n in range(1, 30):
         assert len(cyclotomic_poly(n)) == euler_phi(n) + 1
+
+
+def _divided(num, den):
+    """Quotient of integer polynomials (ascending), den monic; the
+    remainder must vanish."""
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = out[i - dd] = num[i]
+        if c:
+            for j, x in enumerate(den):
+                num[i - dd + j] -= c * x
+    assert not any(num)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _recursive_poly(n):
+    """Phi_n as x^n - 1 divided by Phi_d for each proper divisor d."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _divided(poly, _recursive_poly(d))
+    return tuple(poly)
+
+
+def test_cyclotomic_polys_from_binomials_match_recursive_division():
+    # Phi_n and Psi_n = (x^n - 1)/Phi_n of `_table`, both Moebius
+    # products of binomials, against division by every smaller Phi_d.
+    for n in [*range(1, 401), 930, 3660, 10100]:
+        phi = _recursive_poly(n)
+        assert cyclotomic_poly(n) == phi, n
+        assert _table(n)[4] == tuple(_divided([-1] + [0] * (n - 1) + [1],
+                                              phi)), n
 
 
 def test_root_of_unity_relations():
@@ -488,7 +524,7 @@ def test_zero_test_against_canonical_forms(n):
 
     def vanishes(raw):
         test = _ZeroTest(n, sum(map(abs, raw)))
-        return test.is_zero(test.times_psi(_pack(raw, test.kb)))
+        return test.is_zero(test.times_binomials(_pack(raw, test.kb)))
 
     r = [rng.randint(-9, 9) for _ in range(n - phi)]
     r[-1] = 5
@@ -526,6 +562,48 @@ def test_zero_test_rotations_match_products(n):
         z = x * y + (element(n, 1, 1) if trial % 3 == 0 else 0)
         l1 = [sum(map(abs, v.num)) for v in (x, y, z)]
         test = _ZeroTest(n, l1[0] * l1[1] + l1[2])
-        got = test.is_zero(test.rotations(x, test.times_psi(test.pack(y)))
-                           - test.times_psi(test.pack(z)))
+        got = test.is_zero(
+            test.rotations(x, test.times_binomials(test.pack(y.num)))
+            - test.times_binomials(test.pack(z.num)))
         assert got == (x * y == z), trial
+
+
+def test_binomial_annihilator_is_psi_times_a_unit():
+    # h = prod_{q | n} (x^(n/q) - 1) and Psi_n = (x^n - 1)/Phi_n have the
+    # same norm at zeta_n, up to sign; Psi_n divides h in Z[x], so h/Psi_n
+    # is a unit there.  Psi_n is the reference division's.
+    for n in [*range(1, 121), 156, 180, 210]:
+        h = CycNum.from_rational(1, n)
+        for q in prime_factors(n):
+            h = h * (zeta(n, n // q) - 1)
+        psi = _divided([-1] + [0] * (n - 1) + [1], _recursive_poly(n))
+        psi = CycNum(n, dict(enumerate(psi)))
+        assert abs(h.norm()) == abs(psi.norm()), n
+
+
+@pytest.mark.parametrize("n", [1, 9, 30, 930])
+def test_zero_test_needs_the_embedding_bound(n):
+    # zeta_n - B has the representative x - B (1 - B at n = 1), which
+    # vanishes at x = B, so the test of kb-byte slots, B = 2^(8 kb), reads
+    # 0 for it: |sigma(zeta_n - B)| >= B - 1 in every embedding, past that
+    # test's bound B - 2.  With bound B + 1 it is nonzero, as it is.
+    for kb in (1, 2, 3):
+        B = 1 << 8 * kb
+        assert zeta(n) - B
+        short, covered = _ZeroTest(n, B - 2), _ZeroTest(n, B + 1)
+        assert (short.kb, covered.kb) == (kb, kb + 1)
+        for test, vanishes in ((short, True), (covered, False)):
+            v = test.rotations(zeta(n), 1) - B  # x - B at the slot base
+            assert test.is_zero(test.times_binomials(v)) is vanishes
+
+
+def test_zero_test_slots_hold_the_bound_and_the_operands():
+    # the fewest bytes kb with 2^(8 kb) - 1 > bound
+    for bound, kb in [(0, 1), (254, 1), (255, 2), (65534, 2), (65535, 3)]:
+        assert _ZeroTest(7, bound).kb == kb
+    # packed operands must fit a slot with a sign
+    test = _ZeroTest(7, 200)
+    assert test.kb == 1
+    assert test.pack([127, -127]) == _pack([127, -127], 1)
+    with pytest.raises(ValueError, match="does not fit 1-byte slots"):
+        test.pack([128, 0])
