@@ -16,7 +16,8 @@ Layers, bottom up:
   resolvends and their equivariant determinants.
 - gaussjacobi: Gauss and Jacobi sums over prime fields and the unit-index
   quotient J*.
-- ledger: place-indexed bookkeeping of representing homomorphisms and the
+- ledger: representing homomorphisms place by place, as plain data (a
+  hom is a tuple of tame monomials, a family a dict of places), and the
   valuation-matching crux check.
 - cli: command line front end over all of the above.
 """

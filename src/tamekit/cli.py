@@ -47,9 +47,7 @@ class SuiteConfig:
         from .gaussjacobi import check_modulus
         from .ledger import check_crux
         from .localmodel import check_window
-        unknown = set(data) - set(DEFAULT_CONFIG)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(data, DEFAULT_CONFIG, "config")
         merged = {**DEFAULT_CONFIG, **data}
         for field in ("groups", "primes", "e_values", "crux"):
             if not isinstance(merged[field], list):
@@ -92,6 +90,13 @@ class SuiteConfig:
             except ValueError:
                 pass
         raise UsageError(f"{field} must hold integers, got {value!r}")
+
+
+def _check_keys(data: dict, known, what: str) -> None:
+    """UsageError naming every key of data that known lacks."""
+    unknown = set(data) - set(known)
+    if unknown:
+        raise UsageError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _dump(report: dict) -> str:
@@ -298,10 +303,12 @@ DEFAULT_PLACES = {
 
 
 def _ledger_demo_report(data) -> dict:
-    from .ledger import build_f, decompose, norm_restrict, recompose
-    from .stickelberger import check_tame, pairing, star_pairing
+    from .ledger import (build_f, check_places, decompose, family_dict,
+                         norm_restrict, recompose)
+    from .stickelberger import pairing, star_pairing
     if not isinstance(data, dict) or not isinstance(data.get("group"), str):
         raise UsageError("places file needs a group name string in \"group\"")
+    _check_keys(data, DEFAULT_PLACES, "places file")
     G = _resolve_group(data["group"])
     entries = data.get("places")
     if not isinstance(entries, list) or not entries:
@@ -310,18 +317,16 @@ def _ledger_demo_report(data) -> dict:
     for pl in entries:
         if not isinstance(pl, dict):
             raise UsageError(f"places entries must be objects, got {pl!r}")
+        _check_keys(pl, ("label", "q", "s"), "places entry")
         for field in ("label", "q", "s"):
             if field not in pl:
                 raise UsageError(f"places entry {pl!r} has no {field}")
         label = pl["label"]
         if not isinstance(label, str):
             raise UsageError(f"label must be a string, got {label!r}")
-        if any(label == seen for seen, _, _ in places):
-            raise UsageError(f"duplicate place label {label!r}")
-        q = SuiteConfig._as_int("q", pl["q"])
-        s = _resolve_element(G, str(pl["s"]))
-        _checked(f"place {label!r}", check_tame, G, s, q)
-        places.append((label, q, s))
+        places.append((label, SuiteConfig._as_int("q", pl["q"]),
+                       _resolve_element(G, str(pl["s"]))))
+    _checked("ledger demo", check_places, G, places)
     table = CharTable.of(G)
     f = build_f(G, places)
     parts = decompose(f)
@@ -330,23 +335,23 @@ def _ledger_demo_report(data) -> dict:
     exponents_ok = True
     exp_rows = []
     for label, _, s in places:
-        hom = f.hom(label)
+        hom = f[label][2]
         for i in range(table.k):
             chi = VirtualChar.irreducible(table, i)
             want = star_pairing(chi, s) - pairing(chi, s)
-            got = hom.value(i).monomial_parts()
+            got = hom[i].monomial_parts()
             ok = got is not None and got[0] == want and got[1] == \
                 CycNum.from_rational(1)
             exponents_ok = exponents_ok and ok
             exp_rows.append({"place": label, "chi": f"chi{i}",
                              "exponent": str(want), "pass": ok})
 
-    first = f.hom(places[0][0])
-    identity_ok = norm_restrict(first, [1]) == first
+    first = f[places[0][0]][2]
+    identity_ok = norm_restrict(table, first, [1]) == first
     report = {
         "suite": "ledger-demo",
         "group": data["group"],
-        "family": f.to_dict(),
+        "family": family_dict(G, f),
         "factors": len(parts),
         "round_trip": round_trip,
         "exponents": exp_rows,

@@ -97,9 +97,11 @@ class MultChar:
             return NotImplemented
         if self.p != other.p:
             raise ValueError("characters of different primes")
-        d = lcm(self.d, other.d)
-        return MultChar(self.p, d,
-                        self.a * (d // self.d) + other.a * (d // other.d))
+        d = lcm(self.d, other.d)  # divides p - 1, as both orders do,
+        chi = object.__new__(MultChar)  # so check_modulus is not rerun
+        chi.p, chi.d = self.p, d
+        chi.a = (self.a * (d // self.d) + other.a * (d // other.d)) % d
+        return chi
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultChar):

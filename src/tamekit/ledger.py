@@ -1,17 +1,19 @@
-"""Representing homomorphisms on characters, place by place.
+"""Representing homomorphisms on characters, place by place, as plain data.
 
-A ReprHom assigns each irreducible character a tame monomial value; it is
-the exact shadow of a homomorphism on the full character ring, extended
-multiplicatively.  A PlacedHom is a finitely supported family of these,
-one per labelled place, each place carrying its residue size q_v and its
-ramification element s_v.  The distinguished family built here is
+A hom on one character table is a tuple of k tame monomials, indexed like
+the table's rows: the exact shadow of a homomorphism on the full character
+ring, extended multiplicatively.  A family is a dict {label: (q, s, hom)},
+one hom per labelled place, each place carrying its residue size q_v and
+its ramification element s_v.  `check_places` states the rules a family's
+places keep, once for the package: distinct labels, and each place tame
+(`check_tame`).  The distinguished family built here is
 
     f_v(chi) = pi_v ^ <psi2 chi - 2 chi, s_v>
 
 whose exponent also equals <chi, s_v>* - <chi, s_v>.  decompose splits a
-family into single-place factors and recompose multiplies them back, an
-exact round trip.  norm_restrict forms the transversal-twisted product
-implementing restriction of scalars on values.
+family into single-place factors and recompose joins factors on disjoint
+places back, an exact round trip.  norm_restrict forms the
+transversal-twisted product implementing restriction of scalars on values.
 
 crux_check ties the threads together p-adically: for the cyclic group of
 odd order e and a prime p = 1 mod e, some identification of its character
@@ -36,154 +38,56 @@ from .padic import lambda_valuation
 from .stickelberger import check_tame, pairing, star_pairing
 
 
-class ReprHom:
-    """Monomial-valued map on the irreducible characters of one table."""
-
-    __slots__ = ("table", "values")
-
-    def __init__(self, table: CharTable, values: dict[int, TameElement] | None = None):
-        vals = {}
-        for i in range(table.k):
-            x = (values or {}).get(i, TameElement.one())
-            if not isinstance(x, TameElement):
-                x = TameElement.monomial(0, x)
-            if not x:
-                raise ValueError(f"value at character {i} must be nonzero")
-            vals[i] = x
-        self.table = table
-        self.values = vals
-
-    @classmethod
-    def trivial(cls, table: CharTable) -> "ReprHom":
-        return cls(table)
-
-    def value(self, i: int) -> TameElement:
-        return self.values[i]
-
-    def is_trivial(self) -> bool:
-        one = TameElement.one()
-        return all(x == one for x in self.values.values())
-
-    def __mul__(self, other: "ReprHom") -> "ReprHom":
-        if not isinstance(other, ReprHom):
-            return NotImplemented
-        if self.table is not other.table:
-            raise ValueError("homs live on different tables")
-        return ReprHom(self.table,
-                       {i: x * other.values[i] for i, x in self.values.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReprHom):
-            return NotImplemented
-        return self.table is other.table and all(
-            self.values[i] == other.values[i] for i in self.values)
-
-    __hash__ = None
-
-    def to_dict(self) -> dict:
-        return {str(i): x.to_dict() for i, x in sorted(self.values.items())}
-
-
-class Place:
-    """One labelled place: residue size, ramification element, hom."""
-
-    __slots__ = ("label", "q", "s", "hom")
-
-    def __init__(self, label: str, q: int, s: int, hom: ReprHom):
-        check_tame(hom.table.group, s, q)
-        self.label = label
-        self.q = q
-        self.s = s
-        self.hom = hom
-
-
-class PlacedHom:
-    """Finitely supported family of ReprHoms over labelled places."""
-
-    __slots__ = ("table", "places")
-
-    def __init__(self, table: CharTable, places: list[Place] | None = None):
-        self.table = table
-        self.places = {}
-        for pl in places or []:
-            if pl.hom.table is not table:
-                raise ValueError("place hom on a different table")
-            if pl.label in self.places:
-                raise ValueError(f"duplicate place label {pl.label!r}")
-            self.places[pl.label] = pl
-
-    def hom(self, label: str) -> ReprHom:
-        pl = self.places.get(label)
-        return pl.hom if pl is not None else ReprHom.trivial(self.table)
-
-    def __mul__(self, other: "PlacedHom") -> "PlacedHom":
-        if not isinstance(other, PlacedHom):
-            return NotImplemented
-        if self.table is not other.table:
-            raise ValueError("families live on different tables")
-        merged = []
-        for label in sorted(set(self.places) | set(other.places)):
-            a, b = self.places.get(label), other.places.get(label)
-            if a is not None and b is not None:
-                if (a.q, a.s) != (b.q, b.s):
-                    raise ValueError(f"place {label!r} has conflicting data")
-                merged.append(Place(label, a.q, a.s, a.hom * b.hom))
-            else:
-                pl = a if a is not None else b
-                merged.append(Place(pl.label, pl.q, pl.s, pl.hom))
-        return PlacedHom(self.table, merged)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PlacedHom):
-            return NotImplemented
-        if self.table is not other.table:
-            return False
-        labels = set(self.places) | set(other.places)
-        for label in labels:
-            a, b = self.places.get(label), other.places.get(label)
-            if a is None or b is None:
-                pl = a if a is not None else b
-                if not pl.hom.is_trivial():
-                    return False
-                continue
-            if (a.q, a.s) != (b.q, b.s) or a.hom != b.hom:
-                return False
-        return True
-
-    __hash__ = None
-
-    def to_dict(self) -> dict:
-        return {label: {"q": pl.q, "s": pl.hom.table.group.names[pl.s],
-                        "hom": pl.hom.to_dict()}
-                for label, pl in sorted(self.places.items())}
-
-
-def build_f(G: FiniteGroup, places: list[tuple[str, int, int]]) -> PlacedHom:
-    """f_v(chi) = pi^<psi2 chi - 2 chi, s_v> at each declared place."""
-    table = CharTable.of(G)
-    built = []
+def check_places(G: FiniteGroup, places: list[tuple[str, int, int]]) -> None:
+    """ValueError unless the (label, q, s) places have distinct labels and
+    `check_tame` accepts each (s, q)."""
+    seen = set()
     for label, q, s in places:
-        values = {}
-        for i in range(table.k):
-            chi = VirtualChar.irreducible(table, i)
-            e = pairing(chi.adams(2) - chi - chi, s)
-            values[i] = TameElement.monomial(e)
-        built.append(Place(label, q, s, ReprHom(table, values)))
-    return PlacedHom(table, built)
+        if label in seen:
+            raise ValueError(f"duplicate place label {label!r}")
+        seen.add(label)
+        try:
+            check_tame(G, s, q)
+        except ValueError as ex:
+            raise ValueError(f"place {label!r}: {ex}") from None
 
 
-def decompose(f: PlacedHom) -> list[PlacedHom]:
+def build_f(G: FiniteGroup, places: list[tuple[str, int, int]]) -> dict:
+    """The family f_v(chi) = pi^<psi2 chi - 2 chi, s_v> at each declared
+    place, in the order given; ValueError unless `check_places` passes."""
+    check_places(G, places)
+    table = CharTable.of(G)
+    chars = [VirtualChar.irreducible(table, i) for i in range(table.k)]
+    return {label: (q, s, tuple(
+                TameElement.monomial(pairing(chi.adams(2) - chi - chi, s))
+                for chi in chars))
+            for label, q, s in places}
+
+
+def family_dict(G: FiniteGroup, f: dict) -> dict:
+    """The family as a report value."""
+    return {label: {"q": q, "s": G.names[s],
+                    "hom": {str(i): x.to_dict() for i, x in enumerate(hom)}}
+            for label, (q, s, hom) in f.items()}
+
+
+def decompose(f: dict) -> list[dict]:
     """Single-place factors, in label order."""
-    return [PlacedHom(f.table, [pl]) for _, pl in sorted(f.places.items())]
+    return [{label: f[label]} for label in sorted(f)]
 
 
-def recompose(parts: list[PlacedHom]) -> PlacedHom:
-    """Product of the factors; exact inverse of decompose."""
+def recompose(parts: list[dict]) -> dict:
+    """The family on the places of the factors; exact inverse of
+    decompose.  ValueError when there are no factors or a place appears
+    in two."""
     if not parts:
         raise ValueError("nothing to recompose")
-    out = parts[0]
-    for part in parts[1:]:
-        out = out * part
+    out = {}
+    for part in parts:
+        for label, place in part.items():
+            if label in out:
+                raise ValueError(f"place {label!r} appears in two factors")
+            out[label] = place
     return out
 
 
@@ -200,22 +104,21 @@ def _twist_index(table: CharTable, i: int, k: int) -> int:
     raise ValueError(f"no row matches the {k}-twist of character {i}")
 
 
-def norm_restrict(f: ReprHom, twists: list[int]) -> ReprHom:
-    """Product over the transversal of the twisted homs.
+def norm_restrict(table: CharTable, hom: tuple, twists: list[int]) -> tuple:
+    """Product over the transversal of the twisted homs on table.
 
-    The twist k sends chi to the value of f at sigma_k . chi, conjugated
+    The twist k sends chi to the value of hom at sigma_k . chi, conjugated
     back by k; a singleton transversal [1] is the identity.
     """
     if not twists:
         raise ValueError("empty transversal")
-    table = f.table
-    values = {}
+    values = []
     for i in range(table.k):
         acc = TameElement.one()
         for k in twists:
-            acc = acc * frobenius_action(f.value(_twist_index(table, i, k)), k)
-        values[i] = acc
-    return ReprHom(table, values)
+            acc = acc * frobenius_action(hom[_twist_index(table, i, k)], k)
+        values.append(acc)
+    return tuple(values)
 
 
 def check_crux(p: int, e: int) -> None:

@@ -79,12 +79,6 @@ def _order_chars(m: int) -> tuple:
     return ctab, xi, VirtualChar(ctab, star), d
 
 
-def _cyclic_context(G: FiniteGroup, s: int) -> tuple[Subgroup, CharTable]:
-    """<s> on the shared C_m (element i is s^i) and that order's table."""
-    sub = Subgroup.cyclic(G, s)
-    return sub, _order_chars(sub.group.n)[0]
-
-
 def pairing(vc: VirtualChar, s: int) -> Fraction:
     """<chi, s>: sum of {r/m} over the restriction components xi^r,
     weighted by multiplicity; linear in chi."""
@@ -106,8 +100,8 @@ def verify_induction_identities(G: FiniteGroup, s: int) -> dict:
     """Both pairings against their induced-character inner-product
     descriptions, plus the difference identity through d(s)."""
     T = CharTable.of(G)
-    sub, ctab = _cyclic_context(G, s)
-    m = ctab.k
+    sub = Subgroup.cyclic(G, s)  # <s> on the shared C_m, element i is s^i
+    m = sub.group.n
     odd = m % 2 == 1
     _, xi, xi_star, d = _order_chars(m)
     ind_xi = induce(xi, sub, T)

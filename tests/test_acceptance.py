@@ -15,8 +15,8 @@ from tamekit.characters import CharTable, VirtualChar, induce
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, run_suite
 from tamekit.gaussjacobi import verify_gauss_identities, verify_jstar
 from tamekit.groups import PRESET_NAMES, Subgroup, preset
-from tamekit.ledger import (ReprHom, build_f, crux_check, decompose,
-                            norm_restrict, recompose)
+from tamekit.ledger import (build_f, crux_check, decompose, norm_restrict,
+                            recompose)
 from tamekit.localmodel import (TameElement, verify_factorization,
                                 verify_kummer_generator)
 from tamekit.stickelberger import (pairing, star_pairing,
@@ -162,20 +162,20 @@ def test_criterion_7_family_ledger_properties():
             failures.append(("round-trip", case))
             continue
         label, _, s = places[0]
-        hom = f.hom(label)
+        hom = f[label][2]
         for t in range(T.k):
             chi = VirtualChar.irreducible(T, t)
             want = star_pairing(chi, s) - pairing(chi, s)
-            if hom.value(t) != TameElement.monomial(want):
+            if hom[t] != TameElement.monomial(want):
                 failures.append(("exponent", case, t))
-        if norm_restrict(hom, [1]) != hom:
+        if norm_restrict(T, hom, [1]) != hom:
             failures.append(("identity", case))
         exp = T.exponent
         units = [k for k in range(1, exp) if gcd(k, exp) == 1]
         k1, k2 = rng.sample(units, 2) if len(units) > 1 else (1, 1)
-        nested = norm_restrict(norm_restrict(hom, [1, k1]), [1, k2])
-        flat = norm_restrict(hom, [a * b % exp
-                                   for a in (1, k1) for b in (1, k2)])
+        nested = norm_restrict(T, norm_restrict(T, hom, [1, k1]), [1, k2])
+        flat = norm_restrict(T, hom, [a * b % exp
+                                      for a in (1, k1) for b in (1, k2)])
         if nested != flat:
             failures.append(("associativity", case))
     _gate("criterion 7: family ledger properties", 10, started, failures)

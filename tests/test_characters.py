@@ -16,7 +16,7 @@ from tamekit.characters import (CharTable, VirtualChar, _class_products,
                                  _krylov_poly, _layout, cyclic_table, induce)
 from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
-from tamekit.stickelberger import _cyclic_context, _order_chars
+from tamekit.stickelberger import _order_chars
 
 from restriction import restrict
 
@@ -443,9 +443,9 @@ def _inner_cases():
     G = preset("C9")
     for s in (1, 2):
         assert G.element_order(s) == 9
-        _, T = _cyclic_context(G, s)
+        assert Subgroup.cyclic(G, s).group is G
+        T, xi, xis, d = _order_chars(9)
         irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
-        _, xi, xis, d = _order_chars(9)
         chars = irr + [xi, xis, d, xi.adams(2), xis.adams(2), irr[4].adams(2),
                        (irr[2] - irr[7]).adams(2), xis - xi - d,
                        xi.scale(Fraction(-3, 2)) + d, irr[1] + irr[5].scale(7)]

@@ -16,11 +16,10 @@ from hypothesis import given, settings, strategies as st
 import tamekit
 import tamekit.cli as cli
 import tamekit.gaussjacobi as gaussjacobi
-from tamekit.characters import CharTable
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, UsageError, main
 from tamekit.gaussjacobi import MultChar, verify_gauss_identities
 from tamekit.groups import preset
-from tamekit.ledger import Place, ReprHom, crux_check
+from tamekit.ledger import build_f, crux_check
 from tamekit.localmodel import verify_factorization, verify_kummer_generator
 from tamekit.stickelberger import pairing_table
 
@@ -388,6 +387,8 @@ MALFORMED_PLACES = [
     ({"group": "S3", "places": [{**_PLACE, "q": 3}]}, "q"),
     ({"group": "S3", "places": [_PLACE, {**_PLACE, "q": 13}]}, "label"),
     ({"group": "S3", "places": [{**_PLACE, "q": 2 ** 61 - 1}]}, "q"),
+    ({"group": "S3", "places": [_PLACE], "extra": 1}, "extra"),
+    ({"group": "S3", "places": [{**_PLACE, "t": "(1 2)"}]}, "t"),
 ]
 
 
@@ -448,6 +449,7 @@ def test_usage_message_is_the_library_message(tmp_path, capsys):
     # one case per input rule: the CLI prefixes where the input came from
     # to the text of the ValueError the library raises for the same input
     S3, F21 = preset("S3"), preset("F21")
+    s3 = S3.names.index("(1 2 3)")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"primes": [9]}))
     big_e = tmp_path / "big_e.json"
@@ -455,6 +457,9 @@ def test_usage_message_is_the_library_message(tmp_path, capsys):
     places = tmp_path / "places.json"
     places.write_text(json.dumps({"group": "S3",
                                   "places": [{**_PLACE, "q": 6}]}))
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps({"group": "S3",
+                                 "places": [_PLACE, {**_PLACE, "q": 13}]}))
     cases = [
         (["gauss", "--p", "9"], "gauss", lambda: verify_gauss_identities(9)),
         (["gauss", "--p", "7", "--order", "4"], "gauss",
@@ -465,9 +470,10 @@ def test_usage_message_is_the_library_message(tmp_path, capsys):
          lambda: crux_check(11, 4)),
         (["localmodel", "verify", "--group", "F21", "--s", "2", "--t", "1"],
          "localmodel verify", lambda: verify_factorization(F21, 2, t=1)),
-        (["ledger", "demo", "--places", str(places)], "place 'v7'",
-         lambda: Place("v7", 6, S3.names.index("(1 2 3)"),
-                       ReprHom.trivial(CharTable.of(S3)))),
+        (["ledger", "demo", "--places", str(places)], "ledger demo",
+         lambda: build_f(S3, [("v7", 6, s3)])),
+        (["ledger", "demo", "--places", str(twice)], "ledger demo",
+         lambda: build_f(S3, [("v7", 7, s3), ("v7", 13, s3)])),
         (["localmodel", "verify", "--group", "S3", "--s", "(1 2 3)",
           "--n", "3"], "localmodel verify",
          lambda: verify_kummer_generator(3, 3)),

@@ -8,6 +8,7 @@ import random
 import time
 from array import array
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -63,6 +64,21 @@ def test_mult_char_group_structure():
     assert hash(MultChar(7, 6, 2)) == hash(MultChar(7, 3, 1))
 
 
+def test_mult_char_product_skips_the_modulus_check(monkeypatch):
+    # both factors passed check_modulus, and lcm(d1, d2) divides p - 1
+    chars = [MultChar(61, d, a) for d, a in ((4, 3), (6, 5), (15, 7), (60, 1))]
+
+    def forbidden(p, d):
+        raise AssertionError(f"check_modulus({p}, {d}) rerun")
+
+    monkeypatch.setattr(gaussjacobi, "check_modulus", forbidden)
+    for x in chars:
+        for y in chars:
+            xy = x * y
+            assert (xy.p, xy.d) == (61, x.d * y.d // gcd(x.d, y.d))
+            # the generator goes to zeta_d1^a1 zeta_d2^a2
+            assert Fraction(xy.a, xy.d) == \
+                (Fraction(x.a, x.d) + Fraction(y.a, y.d)) % 1
 def test_quadratic_gauss_sum_small_primes():
     # p = 3: tau = zeta_3 - zeta_3^2, tau^2 = -3
     tau3 = gauss_sum(MultChar(3, 2, 1))

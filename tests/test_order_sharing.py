@@ -16,11 +16,10 @@ from tamekit import localmodel
 from tamekit.characters import CharTable, VirtualChar, cyclic_table
 from tamekit.cli import SuiteConfig, _dump, _suite_reports
 from tamekit.cyclotomic import zeta
-from tamekit.groups import FiniteGroup, preset
+from tamekit.groups import FiniteGroup, Subgroup, preset
 from tamekit.localmodel import (TameElement, det_resolvend, phi_resolvend,
                                 phi_star_resolvend, verify_factorization)
-from tamekit.stickelberger import (_cyclic_context, _order_chars,
-                                   verify_adams_identities)
+from tamekit.stickelberger import _order_chars, verify_adams_identities
 
 
 def _f57():
@@ -92,19 +91,19 @@ def _of_order(G, m):
 def test_elements_of_one_order_share_table_and_xi():
     C7, F21, F57 = preset("C7"), preset("F21"), _f57()
     s = _of_order(F21, 7)
-    sub1, t1 = _cyclic_context(C7, 1)
-    sub2, t2 = _cyclic_context(F21, s)
-    assert t1 is t2 is cyclic_table(7)
+    sub1, sub2 = Subgroup.cyclic(C7, 1), Subgroup.cyclic(F21, s)
     assert sub1.group is sub2.group is C7
     assert sub2.parent is F21 and sub2.to_parent == F21.cyclic_subgroup(s)
     # Xi, Xi* and d(s) live on that one table, once per order
-    assert _order_chars(7)[0] is t2
-    assert all(vc.table is t2 for vc in _order_chars(7)[1:])
+    t = _order_chars(sub2.group.n)[0]
+    assert t is _order_chars(sub1.group.n)[0] is cyclic_table(7)
+    assert all(vc.table is t for vc in _order_chars(7)[1:])
     # order 19 in F57 and in C19, order 3 in F57 and in F21
-    assert _cyclic_context(F57, _of_order(F57, 19))[1] is \
-        _cyclic_context(preset("C19"), 1)[1] is _order_chars(19)[0]
-    assert _cyclic_context(F57, _of_order(F57, 3))[1] is \
-        _cyclic_context(F21, _of_order(F21, 3))[1]
+    assert Subgroup.cyclic(F57, _of_order(F57, 19)).group is \
+        Subgroup.cyclic(preset("C19"), 1).group is preset("C19")
+    assert _order_chars(19)[0] is cyclic_table(19)
+    assert Subgroup.cyclic(F57, _of_order(F57, 3)).group is \
+        Subgroup.cyclic(F21, _of_order(F21, 3)).group
 
 
 def _direct_dft(G, x, s, done):

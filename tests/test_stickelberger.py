@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamekit.characters import CharTable, VirtualChar
-from tamekit.groups import PRESET_NAMES, preset
-from tamekit.ledger import Place, ReprHom
+from tamekit.groups import PRESET_NAMES, Subgroup, preset
+from tamekit.ledger import build_f
 from tamekit.localmodel import phi_star_resolvend, verify_factorization
-from tamekit.stickelberger import (_cyclic_context, _order_chars, check_tame,
-                                   pairing, pairing_table, star_pairing,
+from tamekit.stickelberger import (_order_chars, check_tame, pairing,
+                                   pairing_table, star_pairing,
                                    verify_adams_identities,
                                    verify_induction_identities)
 
@@ -72,7 +72,6 @@ def test_odd_order_rule_has_one_message():
         lambda: phi_star_resolvend(G, t),
         lambda: pairing_table(G, t, star=True),
         lambda: verify_factorization(G, t),
-        lambda: Place("v7", 7, t, ReprHom.trivial(T)),
     ]
     texts = set()
     for entry in entries:
@@ -80,6 +79,9 @@ def test_odd_order_rule_has_one_message():
             entry()
         texts.add(str(info.value))
     assert texts == {"|s| = |(1 2)| = 2 must be odd"}
+    with pytest.raises(ValueError) as info:
+        build_f(G, [("v7", 7, t)])  # a place also names its label
+    assert str(info.value) == "place 'v7': |s| = |(1 2)| = 2 must be odd"
 
 
 def test_star_window_is_symmetric():
@@ -96,8 +98,8 @@ def test_xi_and_d_character_pairings():
     G = preset("F21")
     T = CharTable.of(G)
     s = next(g for g in range(G.n) if G.element_order(g) == 7)
-    sub, ctab = _cyclic_context(G, s)
-    _, xi, xis, d = _order_chars(7)
+    sub = Subgroup.cyclic(G, s)
+    ctab, xi, xis, d = _order_chars(7)
     for t in range(T.k):
         chi = VirtualChar.irreducible(T, t)
         res = restrict(chi, sub, ctab)
@@ -155,7 +157,8 @@ def test_multiplicities_match_restriction(data):
     combo = st.lists(coeff, min_size=T.k, max_size=T.k)
     a = VirtualChar(T, dict(enumerate(data.draw(combo))))
     b = VirtualChar(T, dict(enumerate(data.draw(combo))))
-    sub, ctab = _cyclic_context(G, s)
+    sub = Subgroup.cyclic(G, s)
+    ctab = _order_chars(sub.group.n)[0]
     res = restrict(a, sub, ctab)
     acc, den = a.multiplicity_sums(s)
     assert [Fraction(x, den) for x in acc] == \
