@@ -37,20 +37,26 @@ Z[zeta_e] -> F_ell sends each lifted value to chi mod ell, so the true m_u
 are congruent to the lifted ones mod ell; both lie in [0, d] with d < ell,
 so the lifted m_u are exact once the table certifies.
 
-A VirtualChar stores its values on the classes once, so `value` is a
-lookup: an irreducible's are its table row, `from_values` keeps the input
-it has decomposed and checked, and any other (`+`, `-`, `scale`, ...) sums
-them from its coefficients once, on first use.  Every character sum runs
-on the table's packed form (`cyclotomic._PackedMatrix`, built on first
-use): `from_values` projects with one `dot`, one product per class, and
-reproduces its input, as sums from coefficients are, by one `combine` of
-the rows, with no product; `inner` reads the coefficients alone, since the
-irreducibles are orthonormal.  The table also keeps its class layout
-(representatives, sizes, the class of each element, inverse classes and
-the weights |C_j|/|G|) and each psi_k chi that `adams` decomposes, keyed
-by chi's coefficients and k.  `induce` counts the elements of H by their
-class in G and in H, so each value is at most |H| rational multiples of
-f's values, instead of conjugating by every element of G.
+A VirtualChar sum_t num[t] chi_t / den has CycNum's form: k int
+numerators indexed like the table's rows over one den > 0 with gcd(den,
+*num) = 1, so equal characters have identical fields; `+`, `-`, `scale`
+and `==` act on the ints, and `coeffs` is a {t: Fraction} view.  It stores
+its values on the classes once, so `value` is a lookup: an irreducible,
+one shared instance per table and row, has its table row, `from_values`
+keeps the input it has decomposed and checked, and any other sums them
+from its numerators once, on first use.  Every character sum runs on the
+table's packed form (`cyclotomic._PackedMatrix`, built on first use):
+`from_values` projects with one `dot`, one product per class, and
+reproduces its input, as sums from numerators are, by one `combine` of the
+rows, with no product; `inner` is one integer dot product of the
+numerators, since the irreducibles are orthonormal, and
+`multiplicity_sums` sums Dixon's eigen rows with them.  The table also
+keeps its class layout (representatives, sizes, the class of each
+element, inverse classes and the weights |C_j|/|G|) and each psi_k chi
+that `adams` decomposes, keyed by chi's (num, den) and k.  `induce` counts
+the elements of H by their class in G and in H, so each value is at most
+|H| rational multiples of f's values, instead of conjugating by every
+element of G.
 
 Table values are stored as CycNum at conductor exp(G).  Irreducibles are sorted by
 (degree, lexicographic serialized values), except that tables built for a
@@ -67,9 +73,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
+from types import MappingProxyType
 
 from .arith import primitive_root, smallest_prime_in_class
-from .cyclotomic import CycNum, _PackedMatrix, _ZeroTest, _as_fraction, zeta
+from .cyclotomic import (CycNum, _PackedMatrix, _ZeroTest, _as_fraction,
+                         _normal, zeta)
 from .groups import FiniteGroup, Subgroup, preset
 
 
@@ -144,8 +152,10 @@ class CharTable:
         # certify() report of a table built by Dixon's method, kept so that
         # callers read it instead of recertifying the same table.
         self.certification: dict | None = None
-        # VirtualChar.adams results, keyed by (coefficients, k)
+        # VirtualChar.adams results, keyed by (num, den, k)
         self.adams_cache: dict = {}
+        # VirtualChar.irreducible's shared instances, made on first use
+        self.irreducibles: list = [None] * self.k
 
     # construction ----------------------------------------------------------
 
@@ -415,26 +425,37 @@ def _layout(group: FiniteGroup, classes: list[list[int]]) -> tuple:
 # -- virtual characters -------------------------------------------------------
 
 class VirtualChar:
-    """A rational combination of the irreducibles of a fixed table.
+    """A rational combination sum_t num[t] chi_t / den of the irreducibles
+    of a fixed table, in lowest terms (module docstring)."""
 
-    The values on the classes are stored once: an irreducible's are its
-    table row and `from_values` keeps the input it has checked.  Any other,
-    such as the result of `+`, `-` or `scale`, is summed from the
-    coefficients on first use."""
-
-    __slots__ = ("table", "coeffs", "_values")
+    __slots__ = ("table", "num", "den", "_values")
 
     def __init__(self, table: CharTable, coeffs: dict[int, Fraction]):
-        self.table = table
+        """sum_t coeffs[t] chi_t, for int or Fraction coefficients."""
         coeffs = {t: _as_fraction(c) for t, c in coeffs.items()}
-        self.coeffs = {t: c for t, c in coeffs.items() if c}
-        self._values = None
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        num = [0] * table.k  # in lowest terms over the lcm of denominators
+        for t, c in coeffs.items():
+            num[t] = c.numerator * (den // c.denominator)
+        self.table, self._values = table, None
+        self.num, self.den = tuple(num), den
+
+    @classmethod
+    def _make(cls, table: CharTable, num: list, den: int) -> "VirtualChar":
+        """sum_t num[t] chi_t / den for den > 0, with no coercion."""
+        obj = object.__new__(cls)
+        obj.table, obj._values = table, None
+        obj.num, obj.den = _normal(num, den)
+        return obj
 
     @classmethod
     def irreducible(cls, table: CharTable, t: int) -> "VirtualChar":
-        vc = cls(table, {t: Fraction(1)})
-        vc._values = table.values[t]
-        return vc
+        """chi_t: one instance per table and row, made on first use."""
+        if table.irreducibles[t] is None:
+            vc = table.irreducibles[t] = cls._make(
+                table, [int(i == t) for i in range(table.k)], 1)
+            vc._values = table.values[t]
+        return table.irreducibles[t]
 
     @classmethod
     def from_values(cls, table: CharTable, values: list[CycNum]) -> "VirtualChar":
@@ -442,17 +463,30 @@ class VirtualChar:
         values = list(values)
         projections = table.packed.dot([values[i] for i in table.inverse],
                                        table.weights)
-        vc = cls(table, {t: p.as_rational() for t, p in enumerate(projections)})
+        if not all(map(CycNum.is_rational, projections)):
+            raise ValueError("class function is not rational in the "
+                             "irreducible basis")
+        den = math.lcm(*(p.den for p in projections))
+        vc = cls._make(table, [p.num[0] * (den // p.den)
+                               for p in projections], den)
         if vc._row() != values:  # the decomposition must reproduce them
             raise ValueError("class function is not in the character span")
         vc._values = values
         return vc
 
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {t: Fraction} view of the nonzero coefficients."""
+        den = self.den
+        return MappingProxyType(
+            {t: Fraction(c, den) for t, c in enumerate(self.num) if c})
+
     def _row(self) -> list[CycNum]:
-        """The stored values, summed from the coefficients if there are
-        none yet."""
+        """The stored values, summed from the numerators if there are none
+        yet."""
         if self._values is None:
-            self._values = self.table.packed.combine(self.coeffs)
+            self._values = self.table.packed.combine(
+                {t: c for t, c in enumerate(self.num) if c}, self.den)
         return self._values
 
     def value(self, j: int) -> CycNum:
@@ -460,16 +494,15 @@ class VirtualChar:
 
     def multiplicity_sums(self, g: int) -> tuple[list[int], int]:
         """(acc, den) with acc[u] / den the coefficient of xi^u (xi(g) =
-        zeta_|g|) in self restricted to <g>: the eigen rows summed as ints
-        over the coefficients' common denominator den."""
+        zeta_|g|) in self restricted to <g>: the eigen rows summed with
+        the numerators, over their denominator."""
         j = self.table.class_of[g]
         eigen = self.table.eigen
-        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
         acc = [0] * len(eigen[0][j])
-        for t, c in self.coeffs.items():
-            w = c.numerator * (den // c.denominator)
-            acc = [a + w * mu for a, mu in zip(acc, eigen[t][j])]
-        return acc, den
+        for t, c in enumerate(self.num):
+            if c:
+                acc = [a + c * mu for a, mu in zip(acc, eigen[t][j])]
+        return acc, self.den
 
     def values(self) -> list[CycNum]:
         return list(self._row())
@@ -480,41 +513,43 @@ class VirtualChar:
 
     def __add__(self, other):
         self._same_table(other)
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            out[t] = out.get(t, Fraction(0)) + c
-        return VirtualChar(self.table, out)
+        da, db = self.den, other.den
+        return VirtualChar._make(
+            self.table, [x * db + y * da for x, y in zip(self.num, other.num)],
+            da * db)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return VirtualChar(self.table, {t: -c for t, c in self.coeffs.items()})
+        return VirtualChar._make(self.table, [-c for c in self.num], self.den)
 
     def scale(self, r) -> "VirtualChar":
         r = _as_fraction(r)
-        return VirtualChar(self.table, {t: c * r for t, c in self.coeffs.items()})
+        return VirtualChar._make(
+            self.table, [c * r.numerator for c in self.num],
+            self.den * r.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, VirtualChar):
             return NotImplemented
         self._same_table(other)
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def inner(self, other: "VirtualChar") -> Fraction:
         """(1/|G|) sum_g self(g) conj(other(g)) = sum_t a_t b_t, as the
         irreducibles are orthonormal: `CharTable.of` certifies it or raises,
         and `CharTable.cyclic`'s rows zeta_m^(ij) are so by construction."""
         self._same_table(other)
-        short, long = sorted((self.coeffs, other.coeffs), key=len)
-        return sum((c * long.get(t, 0) for t, c in short.items()), Fraction(0))
+        return Fraction(sum(map(mul, self.num, other.num)),
+                        self.den * other.den)
 
     def adams(self, k: int) -> "VirtualChar":
         """psi_k: the class function g -> chi(g^k), decomposed exactly.  It
         depends on the coefficients and k alone, so the decomposition is
         kept on the table and later calls read it."""
         tb = self.table
-        key = (frozenset(self.coeffs.items()), k)
+        key = (self.num, self.den, k)
         psi = tb.adams_cache.get(key)
         if psi is None:
             vals = [self.value(tb.power_class(j, k)) for j in range(tb.k)]
@@ -522,9 +557,9 @@ class VirtualChar:
         return psi
 
     def __repr__(self):
-        if not self.coeffs:
+        if not any(self.num):
             return "VirtualChar(0)"
-        bits = [f"{c}*chi{t}" for t, c in sorted(self.coeffs.items())]
+        bits = [f"{c}*chi{t}" for t, c in self.coeffs.items()]
         return "VirtualChar(" + " + ".join(bits) + ")"
 
 

@@ -24,7 +24,8 @@ slots are the narrowest of 16, 32 and 64 bits that holds it, converted as
 C arrays through int.to_bytes/from_bytes: narrow slots pay, since a
 690 x 690-slot multiply (a length-930 reduction) takes 1.06 ms at 64 bits
 and 0.41 ms at 32 on CPython 3.11, 2-core x86-64 VM.  Wider bounds get as
-many bytes as they need, converted one coefficient at a time.  A bias of
+many bytes as they need, converted one coefficient at a time; the 8-bit
+slots that `_ZeroTest` may choose are C arrays too.  A bias of
 2^(k-1) per slot keeps signed slots from borrowing from their neighbours.
 
 Packing costs O(phi(n)) however few terms the operands have, and character
@@ -33,7 +34,8 @@ nnz(a) nnz(b) <= phi(n) the product is a direct convolution of the nonzero
 terms, nnz(a) nnz(b) int products, wrapped modulo x^n - 1 and folded
 (`_reduce`): at a prime power n no short product is packed.  A rational
 operand (all numerators but num[0] zero) scales the other's numerators,
-with no product or reduction; rationals invert as Fractions.
+with no product or reduction; rationals invert as Fractions and take
+powers on their numerator and denominator.
 
 Character sums go through one private kernel, `_PackedMatrix`: a table
 (characters, or the DFT matrix zeta_h^(ij)) is embedded, cleared of its
@@ -127,8 +129,9 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 # -- packed integer kernel --------------------------------------------------
 
 # Slot widths in bytes that an array type converts in C, with its typecode.
-_ARRAY = {array(t).itemsize: t for t in "qih"}
-_WIDTHS = sorted(_ARRAY)
+# `_slot_bytes` picks from 2 bytes up; 1-byte slots come from `_ZeroTest`.
+_ARRAY = {array(t).itemsize: t for t in "qihb"}
+_WIDTHS = sorted(w for w in _ARRAY if w > 1)
 
 
 @lru_cache(maxsize=256)
@@ -463,6 +466,9 @@ class CycNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
+        if self.is_rational():  # (a/d)^k = a^k/d^k, as __mul__ scales
+            return CycNum._make(self.n, [self.num[0] ** k, *self.num[1:]],
+                                self.den ** k)
         result = CycNum.from_rational(1, self.n)
         base = self
         while k:
@@ -633,10 +639,11 @@ class _PackedMatrix:
             out.append(CycNum._make(n, num, den))
         return out
 
-    def combine(self, coeffs: dict) -> list[CycNum]:
-        """[sum_t coeffs[t] rows[t][j] for each column j]: over the
-        coefficients' denominator no slot exceeds sum_t |C_t| max_j
-        |B_tj|_inf, and a combination of reduced numerators is reduced."""
+    def combine(self, coeffs: dict, den: int = 1) -> list[CycNum]:
+        """[sum_t coeffs[t] rows[t][j] / den for each column j], den > 0:
+        over the coefficients' denominator no slot exceeds sum_t |C_t|
+        max_j |B_tj|_inf, and a combination of reduced numerators is
+        reduced."""
         d = math.lcm(*map(_denominator, coeffs.values()))
         terms = [(c.numerator * (d // c.denominator), t)
                  for t, c in coeffs.items()]
@@ -645,7 +652,7 @@ class _PackedMatrix:
         rows, phi = self._packed(kb, False), _table(self.n)[0]
         flat = _unpack(sum(c * rows[t] for c, t in terms),
                        len(self.col_l1) * phi, kb)
-        return [CycNum._make(self.n, flat[i:i + phi], d * self.den)
+        return [CycNum._make(self.n, flat[i:i + phi], d * den * self.den)
                 for i in range(0, len(flat), phi)]
 
 

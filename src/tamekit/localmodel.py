@@ -26,8 +26,10 @@ by every element of order m, in any group; the resolvend keeps them.
 mult_j comes from chi (VirtualChar.multiplicity_sums at s): Dixon's
 eigenvalue data for an irreducible, and for psi_2 chi the decomposition
 `adams` computed, so the Adams identity stays a check between two routes.
-The eigenfactors are monomials, and a product of single terms is one
-exponent sum and one coefficient product.  The verifiers check that these
+The eigenfactors are monomials F_j = c_j pi^(k_j/D), read off once per
+ladder (`_ladder_monomials`), so a determinant is one integer exponent sum
+sum_j mult_j k_j over D and one coefficient product, and no TameElement
+is multiplied or raised to a power.  The verifiers check that these
 determinants are exactly the monomials predicted by the Stickelberger
 pairings, that a Kummer generator's twisted orbit sums recover each basis
 monomial, and that the change-of-basis determinant is a unit above the
@@ -45,12 +47,13 @@ from math import gcd, lcm
 
 from .arith import check_residue_size, is_prime, smallest_prime_in_class
 from .characters import CharTable, VirtualChar, cyclic_table
-from .cyclotomic import CycNum, _folded, _reduce, zeta
+from .cyclotomic import CycNum, _as_fraction, _folded, _reduce, zeta
 from .groups import MAX_ORDER, FiniteGroup
 from .padic import lambda_valuation
 from .stickelberger import check_tame, pairing, star_pairing
 
 Scalar = (int, Fraction, CycNum)
+_ONE = CycNum.from_rational(1)
 
 
 class TameElement:
@@ -85,12 +88,15 @@ class TameElement:
 
     @classmethod
     def one(cls) -> "TameElement":
-        return cls({0: 1})
+        return cls._make({0: _ONE}, 1)
 
     @classmethod
-    def monomial(cls, exponent, coeff=1) -> "TameElement":
-        e = Fraction(exponent)
-        return cls({e.numerator: coeff}, e.denominator)
+    def monomial(cls, exponent, coeff=_ONE) -> "TameElement":
+        """coeff * pi^exponent, for a rational exponent and a scalar coeff."""
+        e = _as_fraction(exponent)
+        if not isinstance(coeff, CycNum):
+            coeff = CycNum.from_rational(coeff)
+        return cls._make({e.numerator: coeff} if coeff else {}, e.denominator)
 
     def _over(self, den: int) -> dict[int, CycNum]:
         """terms rekeyed over den, a multiple of self.den."""
@@ -209,9 +215,10 @@ def frobenius_action(x: TameElement, q: int) -> TameElement:
 
 
 class GroupAlgebraElement:
-    """A resolvend: TameElement coefficients on <s>, and `eigen` = (s, its
-    eigenfactors along s) for det_resolvend.  `_sigma_equivariant` checks
-    r^sigma = r s by rotating numerators, as `sigma_action` built r."""
+    """A resolvend: TameElement coefficients on <s>, and `eigen` = (s, D,
+    its eigenfactors along s as `_ladder_monomials` reads them over D) for
+    det_resolvend.  `_sigma_equivariant` checks r^sigma = r s by rotating
+    numerators, as `sigma_action` built r."""
 
     __slots__ = ("group", "terms", "eigen")
 
@@ -250,6 +257,19 @@ def _ladder_eigenfactors(m: int, start: int) -> tuple[TameElement, ...]:
     return _dft([orbit[-i % m] for i in range(m)])
 
 
+@lru_cache(maxsize=None)
+def _ladder_monomials(m: int, start: int) -> tuple[int, tuple]:
+    """(D, [(k_j, c_j) or None for each j]): F_j = c_j pi^(k_j/D) for the
+    ladder's eigenfactors F_j over the lcm D of their denominators, None
+    where F_j is not a single term."""
+    factors = _ladder_eigenfactors(m, start)
+    D = lcm(*(f.den for f in factors))
+    parts = map(TameElement.monomial_parts, factors)
+    return D, tuple(None if p is None else
+                    (p[0].numerator * (D // p[0].denominator), p[1])
+                    for p in parts)
+
+
 def _resolvend(G: FiniteGroup, s: int, start: int) -> GroupAlgebraElement:
     """sum_i sigma^i(ladder(|s|, start)) s^(-i), its eigenfactors taken
     along s."""
@@ -258,7 +278,7 @@ def _resolvend(G: FiniteGroup, s: int, start: int) -> GroupAlgebraElement:
     orbit = _ladder_orbit(m, start)
     return GroupAlgebraElement(
         G, {powers[-i % m]: orbit[i] for i in range(m)},
-        (s, _ladder_eigenfactors(m, start)))
+        (s, *_ladder_monomials(m, start)))
 
 
 def phi_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
@@ -306,16 +326,18 @@ def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
     xi_j(s) = zeta_m^j contributes the eigenfactor F_j = sum_h x[h] xi_j(h)
     with multiplicity (chi|_H, xi_j), and the determinant is
     prod_j F_j^mult_j.  The F_j depend on the order and the ladder alone
-    and are kept on x; the multiplicities are chi's own, so psi_2 chi
-    brings those `adams` found and the Adams identity stays a check
-    between two routes.
-    Negative multiplicities (virtual chi) need monomial eigenfactors.
+    and are kept on x as c_j pi^(k_j/D): the product is pi^(sum_j mult_j
+    k_j / D) times prod_j c_j^mult_j.  The multiplicities are chi's own,
+    so psi_2 chi brings those `adams` found and the Adams identity stays
+    a check between two routes.  ValueError, naming the row, for a
+    non-integral multiplicity or a non-monomial F_j of nonzero
+    multiplicity, which only a broken DFT gives.
     """
     if chi.table.group is not x.group:
         raise ValueError("character and element live over different groups")
-    s, factors = x.eigen
+    s, D, factors = x.eigen
     acc, den = chi.multiplicity_sums(s)
-    out = TameElement.one()
+    exponent, coeff = 0, _ONE
     for j, a in enumerate(acc):
         mult, rest = divmod(a, den)
         if rest:
@@ -323,10 +345,12 @@ def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
                              f"at row {j}")
         if mult == 0:
             continue
-        if mult < 0 and factors[j].monomial_parts() is None:
-            raise ValueError(f"eigenfactor for row {j} is not invertible")
-        out = out * factors[j] ** mult
-    return out
+        if factors[j] is None:
+            raise ValueError(f"eigenfactor for row {j} is not a monomial")
+        k, c = factors[j]
+        exponent += mult * k
+        coeff = coeff * c ** mult
+    return TameElement._make({exponent: coeff}, D)
 
 
 def _det_via_elimination(rows: list[list[CycNum]]) -> CycNum:

@@ -4,7 +4,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,6 +300,85 @@ def test_virtual_chars_reject_floats():
             VirtualChar(T, {0: bad})
     assert chi.scale(Fraction(1, 10)).coeffs == {0: Fraction(1, 10)}
     assert VirtualChar(T, {0: 2, 1: 0}).coeffs == {0: Fraction(2)}
+
+
+# -- integer VirtualChar arithmetic against a Fraction-dict reference -------
+
+def _ref(coeffs):
+    """{t: Fraction} with zero coefficients dropped."""
+    return {t: Fraction(c) for t, c in coeffs.items() if c}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for t, c in y.items():
+        out[t] = out.get(t, 0) + c
+    return _ref(out)
+
+
+def _ref_scale(x, r):
+    return _ref({t: c * r for t, c in x.items()})
+
+
+def _ref_multiplicities(T, x, g):
+    j = T.class_of[g]
+    return [sum((c * T.eigen[t][j][u] for t, c in x.items()), Fraction(0))
+            for u in range(len(T.eigen[0][j]))]
+
+
+RATIONALS = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)))
+
+
+@settings(max_examples=80, database=None, derandomize=True, deadline=None)
+@given(st.data())
+def test_integer_arithmetic_matches_a_fraction_dict_reference(data):
+    name = data.draw(st.sampled_from(["S3", "Q8", "F21"]))
+    T = CharTable.of(preset(name))
+    draw = st.dictionaries(st.integers(0, T.k - 1), RATIONALS, max_size=T.k)
+    a = data.draw(draw)
+    b = a if data.draw(st.booleans()) else data.draw(draw)
+    r = data.draw(RATIONALS)
+    g = data.draw(st.integers(0, T.group.n - 1))
+    x, y = VirtualChar(T, a), VirtualChar(T, b)
+    ra, rb = _ref(a), _ref(b)
+    results = [(x, ra), (x + y, _ref_add(ra, rb)),
+               (x - y, _ref_add(ra, _ref_scale(rb, -1))),
+               (-x, _ref_scale(ra, -1)), (x.scale(r), _ref_scale(ra, r))]
+    for vc, ref in results:
+        # CycNum's form: k numerators over one positive denominator, in
+        # lowest terms, so equal characters have identical fields
+        assert len(vc.num) == T.k and vc.den > 0
+        assert gcd(vc.den, *vc.num) == 1
+        assert vc.coeffs == ref
+        assert vc == VirtualChar(T, ref)
+        acc, den = vc.multiplicity_sums(g)
+        assert den == lcm(*(c.denominator for c in ref.values()))
+        assert [Fraction(u, den) for u in acc] == \
+            _ref_multiplicities(T, ref, g)
+    assert (x == y) is (ra == rb)
+    assert (x + y) - y == x and ((x + y) - y).num == x.num
+    assert x.inner(y) == sum((c * rb.get(t, 0) for t, c in ra.items()),
+                             Fraction(0))
+    assert type(x.inner(y)) is Fraction
+
+
+def test_irreducibles_are_shared_and_unchanged_by_arithmetic():
+    for name in ("S3", "Q8", "F21"):
+        T = CharTable.of(preset(name))
+        irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
+        assert all(VirtualChar.irreducible(T, t) is x
+                   for t, x in enumerate(irr))
+        before = [(x.num, x.den, x.values()) for x in irr]
+        a, b = irr[0], irr[-1]
+        for vc in (a + b, a - b, -b, b.scale(Fraction(-3, 2)), b - b,
+                   b.adams(2), (a + b).adams(3), a.scale(0)):
+            vc.values()
+            a.inner(vc)
+            vc.multiplicity_sums(1)
+        assert [(x.num, x.den, x.values()) for x in irr] == before
+        assert all(x._row() is T.values[t] for t, x in enumerate(irr))
 
 
 def test_restriction_values_match():

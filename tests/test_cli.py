@@ -206,6 +206,10 @@ def test_gauss_report_matches_its_pinned_digest(tmp_path, capsys):
     (["gauss", "--p", "61"],
      "gauss-p61-d60.json",
      "a1661cf13252ff8d27f7fd40b5ea79318b3b746f42d446a160f414b86721185b"),
+    # order 45 = 3^2 5, a conductor that is not a prime power
+    (["localmodel", "verify", "--group", "C45", "--s", "1"],
+     "localmodel-C45-1.json",
+     "4da21dbffc83f2673149e0f18d5962ba019b60b8fcb595d1d52b9f77d76999cd"),
 ])
 def test_report_matches_its_pinned_digest(argv, name, digest, tmp_path,
                                           capsys):

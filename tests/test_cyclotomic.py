@@ -13,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tamekit.arith import euler_phi, prime_factors
-from tamekit.cyclotomic import (CycNum, _PackedMatrix, _ZeroTest, _pack,
-                                _slot_bytes, _table, cyclotomic_poly, zeta)
+from tamekit.cyclotomic import (_ARRAY, CycNum, _PackedMatrix, _ZeroTest,
+                                _pack, _slot_bytes, _table, _unpack,
+                                cyclotomic_poly, zeta)
 
 
 def test_cyclotomic_poly_known_coefficients():
@@ -607,3 +608,24 @@ def test_zero_test_slots_hold_the_bound_and_the_operands():
     assert test.pack([127, -127]) == _pack([127, -127], 1)
     with pytest.raises(ValueError, match="does not fit 1-byte slots"):
         test.pack([128, 0])
+
+
+@pytest.mark.parametrize("kb", [1, 2, 3, 4, 8])
+def test_pack_round_trip_matches_the_per_coefficient_reference(kb):
+    # every width but 3 converts as a C array; the reference packs one
+    # little-endian coefficient at a time, with signed slots unbiased
+    assert (kb in _ARRAY) is (kb != 3)
+    top = 2 ** (8 * kb - 1) - 1
+    rng = random.Random(kb)
+    for count in (1, 2, 7, 64):
+        coeffs = [rng.randint(-top, top) for _ in range(count)]
+        coeffs[0], coeffs[-1] = top, -top
+        ref = sum(c << (8 * kb * i) for i, c in enumerate(coeffs))
+        assert _pack(coeffs, kb) == ref
+        assert _unpack(ref, count, kb) == coeffs
+
+
+def test_slot_widths_leave_one_byte_to_the_zero_test():
+    # products and reductions keep 2-byte slots at the smallest bounds
+    assert [_slot_bytes(b) for b in (0, 1, 127, 128, 32767, 32768)] == \
+        [2, 2, 2, 2, 2, 4]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tamekit import localmodel
 from tamekit.arith import smallest_prime_in_class
 from tamekit.characters import CharTable, VirtualChar
+from tamekit.cli import main
 from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
 from tamekit.localmodel import (GroupAlgebraElement, TameElement, _ladder,
@@ -297,6 +298,37 @@ def test_rotated_eigenfactors_break_only_the_det_route(cold_order_caches,
     assert _kummer_routes(n) == ({False}, {True})
 
 
+def _summed_eigenfactor(monkeypatch):
+    """F_1 becomes F_0 + F_1 on every ladder: only a broken DFT gives a
+    non-monomial eigenfactor."""
+    eigen = localmodel._ladder_eigenfactors
+
+    def summed(m, start):
+        f = eigen(m, start)
+        return f[:1] + (f[0] + f[1],) + f[2:] if m > 1 else f
+
+    monkeypatch.setattr(localmodel, "_ladder_eigenfactors", summed)
+
+
+def test_a_non_monomial_eigenfactor_raises_naming_its_row(cold_order_caches,
+                                                           monkeypatch):
+    _summed_eigenfactor(monkeypatch)
+    G = preset("C3")
+    with pytest.raises(ValueError,
+                       match=r"^eigenfactor for row 1 is not a monomial$"):
+        verify_factorization(G, 1)
+
+
+def test_a_non_monomial_eigenfactor_exits_three(cold_order_caches,
+                                                monkeypatch, capsys):
+    _summed_eigenfactor(monkeypatch)
+    assert main(["localmodel", "verify", "--group", "C3", "--s", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert err == ("error: ValueError: eigenfactor for row 1 is not a "
+                   "monomial\n"), err
+    assert not out
+
+
 @pytest.mark.parametrize("n", [1, -4])
 def test_shifted_rotation_breaks_only_the_twisted_route(cold_order_caches,
                                                         monkeypatch, n):
@@ -372,6 +404,30 @@ def test_stored_eigenfactors_match_the_per_character_loop():
             for x in (r, rs):
                 for vc in chars:
                     assert det_resolvend(x, vc) == _det_by_character(x, vc)
+
+
+def test_det_resolvend_takes_no_tame_product(monkeypatch):
+    # the references first, as `_det_by_character` multiplies TameElements
+    cases = []
+    for name in PRESET_NAMES:
+        G = preset(name)
+        T = CharTable.of(G)
+        for s in range(G.n):
+            if G.element_order(s) % 2 == 0:
+                continue
+            for x in (phi_resolvend(G, s), phi_star_resolvend(G, s)):
+                for t in range(T.k):
+                    chi = VirtualChar.irreducible(T, t)
+                    for vc in (chi, chi.adams(2) - chi - chi):
+                        cases.append((x, vc, _det_by_character(x, vc)))
+
+    def refused(*args):
+        raise AssertionError("det_resolvend took a TameElement product")
+
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(TameElement, name, refused)
+    for x, vc, ref in cases:
+        assert det_resolvend(x, vc) == ref
 
 
 def test_adams_check_fails_on_a_wrong_psi2(monkeypatch):
