@@ -482,6 +482,8 @@ class CycNum:
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_rational() and other.is_rational():  # at any conductors
+            return self.num[0] == other.num[0] and self.den == other.den
         a, b, _ = self._common(other)
         return a.num == b.num and a.den == b.den
 

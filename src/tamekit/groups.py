@@ -87,7 +87,6 @@ class FiniteGroup:
         self.names = list(names) if names else [f"g{i}" for i in range(n)]
         if not _trusted:
             self._check_laws()
-        self.identity = 0
         self.inv = [next(j for j in range(n) if self.table[i][j] == 0)
                     for i in range(n)]
 

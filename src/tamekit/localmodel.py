@@ -17,26 +17,26 @@ coefficients.  For s in G of order m the averaged ladder
     beta*  = (1/m) sum_{i=0}^{m-1} pi^((i + (1-m)/2)/m)     (odd m)
 
 gives resolvends r = sum_i sigma^i(beta) s^(-i).  On <s>, chi's
-determinant is prod_j F_j^mult_j: the eigenfactors F_j = sum_i r[s^i]
-zeta_m^(ij) are one length-m DFT (one `dot` per exponent against the
-packed rows of `cyclic_table(m)`, the coefficients as they are).  r[s^i] =
-sigma^(-i)(ladder) depends on the order m and the ladder alone, so each
-ladder's sigma-orbit and its DFT are computed once per ladder and shared
-by every element of order m, in any group; the resolvend keeps them.
-mult_j comes from chi (VirtualChar.multiplicity_sums at s): Dixon's
-eigenvalue data for an irreducible, and for psi_2 chi the decomposition
-`adams` computed, so the Adams identity stays a check between two routes.
-The eigenfactors are monomials F_j = c_j pi^(k_j/D), read off once per
-ladder (`_ladder_monomials`), so a determinant is one integer exponent sum
-sum_j mult_j k_j over D and one coefficient product, and no TameElement
-is multiplied or raised to a power.  The verifiers check that these
-determinants are exactly the monomials predicted by the Stickelberger
-pairings, that a Kummer generator's twisted orbit sums recover each basis
-monomial, and that the change-of-basis determinant is a unit above the
-chosen residue characteristic.  Twisted sums are exponent rotations of the
-orbit's numerators, apart from the DFT and the stored eigenfactors, so
-the two Kummer routes stay independent.  r^sigma = r s is checked by such
-a rotation too, not by `sigma_action`, which built the orbit under test.
+determinant is prod_j F_j^mult_j, with the eigenfactors F_j = sum_i
+r[s^i] zeta_m^(ij).  r[s^i] = sigma^(-i)(ladder) depends on the order m
+and the ladder alone, and sigma keeps the ladder's denominator D and
+exponents, so each ladder takes one length-m DFT (one `dot` per exponent
+against the packed rows of `cyclic_table(m)`), its rows read straight
+into monomials F_j = c_j pi^(k_j/D) (`_ladder_monomials`), shared by
+every element of order m in any group.  mult_j comes from chi
+(VirtualChar.multiplicity_sums at s): Dixon's eigenvalue data for an
+irreducible, and for psi_2 chi the decomposition `adams` computed, so the
+Adams identity stays a check between two routes.  A determinant is one
+integer exponent sum sum_j mult_j k_j over D and one coefficient product,
+and no TameElement is multiplied or raised to a power.  The verifiers
+check that these determinants are exactly the monomials predicted by the
+Stickelberger pairings, that a Kummer generator's twisted orbit sums
+recover each basis monomial, and that the change-of-basis determinant is
+a unit above the chosen residue characteristic.  Twisted sums are
+exponent rotations of the orbit's numerators, apart from the DFT and the
+stored eigenfactors, so the two Kummer routes stay independent.
+r^sigma = r s is checked by such a rotation too, not by `sigma_action`,
+which built the orbit under test.
 """
 
 from __future__ import annotations
@@ -216,14 +216,14 @@ def frobenius_action(x: TameElement, q: int) -> TameElement:
 
 class GroupAlgebraElement:
     """A resolvend: TameElement coefficients on <s>, and `eigen` = (s, D,
-    its eigenfactors along s as `_ladder_monomials` reads them over D) for
-    det_resolvend.  `_sigma_equivariant` checks r^sigma = r s by rotating
-    numerators, as `sigma_action` built r."""
+    (k_j, c_j) per eigenfactor along s, from the ladder's one DFT in
+    `_ladder_monomials`) for det_resolvend.  `_sigma_equivariant` checks
+    r^sigma = r s by rotating numerators, as `sigma_action` built r."""
 
     __slots__ = ("group", "terms", "eigen")
 
     def __init__(self, group: FiniteGroup, terms: dict[int, TameElement],
-                 eigen: tuple[int, tuple[TameElement, ...]]):
+                 eigen: tuple[int, int, tuple]):
         self.group = group
         self.terms = terms
         self.eigen = eigen
@@ -234,40 +234,32 @@ class GroupAlgebraElement:
         return "GroupAlgebraElement{" + ", ".join(bits) + "}"
 
 
-def _ladder(m: int, start: int) -> TameElement:
-    """(1/m) sum_{i<m} pi^((start + i)/m)."""
-    return TameElement(dict.fromkeys(range(start, start + m),
-                                     CycNum.from_rational(Fraction(1, m))), m)
-
-
 @lru_cache(maxsize=None)
 def _ladder_orbit(m: int, start: int) -> tuple[TameElement, ...]:
-    """[sigma^i(ladder(m, start))] for i < m, kept per ladder."""
-    orbit = [_ladder(m, start)]
+    """[sigma^i(ladder)] for i < m, the ladder (1/m) sum_{i<m}
+    pi^((start + i)/m), kept per ladder."""
+    orbit = [TameElement._make(dict.fromkeys(
+        range(start, start + m), CycNum.from_rational(Fraction(1, m))), m)]
     for _ in range(m - 1):
         orbit.append(sigma_action(orbit[-1]))
     return tuple(orbit)
 
 
 @lru_cache(maxsize=None)
-def _ladder_eigenfactors(m: int, start: int) -> tuple[TameElement, ...]:
-    """The eigenfactors of sum_i sigma^i(ladder) s^(-i) along s, for any s
-    of order m: its term at s^i is sigma^(-i)(ladder)."""
-    orbit = _ladder_orbit(m, start)
-    return _dft([orbit[-i % m] for i in range(m)])
-
-
-@lru_cache(maxsize=None)
 def _ladder_monomials(m: int, start: int) -> tuple[int, tuple]:
-    """(D, [(k_j, c_j) or None for each j]): F_j = c_j pi^(k_j/D) for the
-    ladder's eigenfactors F_j over the lcm D of their denominators, None
-    where F_j is not a single term."""
-    factors = _ladder_eigenfactors(m, start)
-    D = lcm(*(f.den for f in factors))
-    parts = map(TameElement.monomial_parts, factors)
-    return D, tuple(None if p is None else
-                    (p[0].numerator * (D // p[0].denominator), p[1])
-                    for p in parts)
+    """(D, [(k_j, c_j) or None for each j]): the eigenfactors F_j = sum_i
+    sigma^(-i)(ladder) zeta_m^(ij) along any s of order m, F_j = c_j
+    pi^(k_j/D) over the ladder's denominator D, None where F_j is not a
+    single term.  sigma keeps D and the exponents, so the DFT is one `dot`
+    per exponent a, of its coefficients against the packed rows
+    zeta_m^(ij) of `cyclic_table(m)`."""
+    orbit = _ladder_orbit(m, start)
+    table = cyclic_table(m)
+    sums = [(a, table.packed.dot([orbit[-i % m].terms[a] for i in range(m)],
+                                 table.sizes)) for a in orbit[0].terms]
+    rows = ([(a, f[j]) for a, f in sums if f[j]] for j in range(m))
+    return orbit[0].den, tuple(row[0] if len(row) == 1 else None
+                               for row in rows)
 
 
 def _resolvend(G: FiniteGroup, s: int, start: int) -> GroupAlgebraElement:
@@ -299,23 +291,6 @@ def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
     c = G.conjugate(t, s)
     return smallest_prime_in_class(
         next(k for k in range(m) if G.power(s, k) == c), m)
-
-
-def _dft(seq: list[TameElement]) -> tuple[TameElement, ...]:
-    """[F_0, ..., F_(h-1)], F_j = sum_i seq[i] zeta_h^(ij) for h = len(seq):
-    per exponent of pi, one `dot` of its coefficients against the rows
-    zeta_h^(ij) of `cyclic_table(h)`, packed once per order."""
-    h = len(seq)
-    den = lcm(*(x.den for x in seq))
-    zero = CycNum.from_rational(0)
-    rows: dict[int, list[CycNum]] = {}  # a -> coefficients of pi^(a/den)
-    for i, x in enumerate(seq):
-        for a, v in x._over(den).items():
-            rows.setdefault(a, [zero] * h)[i] = v
-    table = cyclic_table(h)
-    sums = {a: table.packed.dot(v, table.sizes) for a, v in rows.items()}
-    return tuple(TameElement({a: f[j] for a, f in sums.items()}, den)
-                 for j in range(h))
 
 
 def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
@@ -448,7 +423,7 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
     G = ctab.group
     s = 1 % e
     r = _resolvend(G, s, n)  # alpha's resolvend
-    orbit = [r.terms[G.power(s, -j)] for j in range(e)]  # sigma^j(alpha)
+    orbit = _ladder_orbit(e, n)  # sigma^j(alpha)
 
     checks = []
     for l in range(e):

@@ -6,8 +6,7 @@ from tamekit import characters, localmodel, stickelberger
 
 # The caches that hold work depending on an element's order alone.
 ORDER_CACHES = (characters.cyclic_table, stickelberger._order_chars,
-                localmodel._ladder_orbit, localmodel._ladder_eigenfactors,
-                localmodel._ladder_monomials)
+                localmodel._ladder_orbit, localmodel._ladder_monomials)
 
 
 @pytest.fixture

@@ -210,6 +210,14 @@ def test_gauss_report_matches_its_pinned_digest(tmp_path, capsys):
     (["localmodel", "verify", "--group", "C45", "--s", "1"],
      "localmodel-C45-1.json",
      "4da21dbffc83f2673149e0f18d5962ba019b60b8fcb595d1d52b9f77d76999cd"),
+    # the Kummer check at a composite order, off the default window
+    (["localmodel", "verify", "--group", "C45", "--s", "1", "--n", "-22"],
+     "localmodel-C45-1.json",
+     "a517f5f2484ee533eeffafd2f76ac99a080dee5d36fb25b346a41d883c9c3f04"),
+    # the largest prime ladder in the console-script checks
+    (["localmodel", "verify", "--group", "C43", "--s", "1"],
+     "localmodel-C43-1.json",
+     "79e92beb5c50f0150a42d12a11cd8731a7a0cdf2d9a5823acc5d15044d85fab8"),
 ])
 def test_report_matches_its_pinned_digest(argv, name, digest, tmp_path,
                                           capsys):

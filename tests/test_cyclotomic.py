@@ -81,6 +81,47 @@ def test_cross_conductor_equality():
     assert zeta(3) * zeta(5) == zeta(15, 8)
 
 
+def test_rationals_compare_without_embedding(monkeypatch):
+    # a determinant's rational 1 at conductor m meets conductor-1 ones
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4),
+              Fraction(-3, 4), Fraction(4, 3), Fraction(3, 2)]
+    nums = [(x, CycNum.from_rational(x, n))
+            for x in values for n in (1, 9, 45)]
+    nums.append((Fraction(-1), zeta(9, 3) + zeta(9, 6)))  # reduced at 9
+
+    def unused(self, m):
+        raise AssertionError("two rationals need no common conductor")
+
+    monkeypatch.setattr(CycNum, "embed", unused)
+    for x, a in nums:
+        for y, b in nums:
+            assert (a == b) is (x == y), (a, b)
+
+
+def test_equality_agrees_with_embedding_to_a_common_conductor():
+    # rational and irrational values, each stored at a random multiple of
+    # its own conductor, against the embed-then-compare reference
+    rng = random.Random(66)
+
+    def draw():
+        d = rng.choice([1, 3, 5])
+        x = CycNum.from_rational(Fraction(rng.randint(-1, 1),
+                                          rng.randint(1, 2)))
+        if rng.random() < 0.5:
+            x = x + zeta(d, rng.randrange(d))
+        return x.embed(d * rng.choice([1, 3, 9]))
+
+    seen = set()
+    for _ in range(400):
+        a, b = draw(), draw()
+        m = math.lcm(a.n, b.n)
+        ea, eb = a.embed(m), b.embed(m)
+        expected = ea.num == eb.num and ea.den == eb.den
+        assert (a == b) is expected, (a, b)
+        seen.add((expected, a.is_rational(), b.is_rational()))
+    assert len(seen) == 6  # all but equal pairs of mixed kinds
+
+
 def test_golden_section_minimal_polynomial():
     g = zeta(5) + zeta(5, 4)
     # 2cos(2pi/5) satisfies x^2 + x - 1 = 0

@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,9 @@ from tamekit.characters import CharTable, VirtualChar
 from tamekit.cli import main
 from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
-from tamekit.localmodel import (GroupAlgebraElement, TameElement, _ladder,
-                                _ladder_orbit, _sigma_equivariant,
-                                _twisted_sum, check_window,
+from tamekit.localmodel import (GroupAlgebraElement, TameElement,
+                                _ladder_monomials, _ladder_orbit,
+                                _sigma_equivariant, _twisted_sum, check_window,
                                 det_resolvend, frobenius_action, infer_q,
                                 phi_resolvend, phi_star_resolvend,
                                 sigma_action, verify_factorization,
@@ -105,11 +106,11 @@ def test_frobenius_sigma_commutation():
 
 def test_beta_elements():
     # beta and beta* of order 3: the ladders from 0 and from (1 - 3)/2
-    b = _ladder(3, 0)
+    b = _ladder_orbit(3, 0)[0]
     third = Fraction(1, 3)
     assert b == (TameElement.monomial(0) + TameElement.monomial(third)
                  + TameElement.monomial(2 * third)) * third
-    bs = _ladder(3, -1)
+    bs = _ladder_orbit(3, -1)[0]
     assert bs == (TameElement.monomial(-third) + TameElement.monomial(0)
                   + TameElement.monomial(third)) * third
     with pytest.raises(ValueError):
@@ -243,27 +244,18 @@ def test_kummer_unit_check_at_a_large_q_within_budget():
     assert rep["pass"] and rep["unit_determinant"]["lambda_valuation"] == 0
 
 
-@pytest.mark.parametrize("h", range(1, 20))
-def test_dft_matches_the_plain_sums(h):
-    # Random sequences over mixed pi-denominators, with coefficients over
-    # denominators 1 to 6 at conductors that divide h and at 2h, against
-    # sum_i seq[i] zeta_h^(ij) term by term.
-    rng = random.Random(h)
-    conductors = [m for m in range(1, h + 1) if h % m == 0] + [2 * h]
-
-    def coefficient():
-        m = rng.choice(conductors)
-        return CycNum(m, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                          for e in rng.sample(range(m), min(m, 3))})
-
-    seq = [TameElement({a: coefficient() for a in rng.sample(range(-4, 5), 3)},
-                       rng.choice([1, 2, h])) for _ in range(h)]
-    got = localmodel._dft(seq)
-    assert len(got) == h
-    for j in range(h):
-        plain = sum((x * zeta(h, i * j % h) for i, x in enumerate(seq)),
-                    TameElement())
-        assert got[j] == plain, j
+@pytest.mark.parametrize("m", range(1, 20))
+def test_dft_matches_the_plain_sums(m):
+    # each ladder's (k_j, c_j) against F_j = sum_i sigma^(-i)(ladder)
+    # zeta_m^(ij), summed term by term
+    for start in {0, (1 - m) // 2, 1, m - 1}:
+        orbit = _ladder_orbit(m, start)
+        D, factors = _ladder_monomials(m, start)
+        assert len(factors) == m
+        for j, (k, c) in enumerate(factors):
+            plain = sum((orbit[-i % m] * zeta(m, i * j % m)
+                         for i in range(m)), TameElement())
+            assert TameElement.monomial(Fraction(k, D), c) == plain, (start, j)
 
 
 @pytest.mark.parametrize("e", [1, 3, 4, 9, 15])
@@ -273,7 +265,7 @@ def test_twisted_sums_match_the_product_loop(e, monkeypatch):
         raise AssertionError("the twisted route reads no DFT")
 
     monkeypatch.setattr(_PackedMatrix, "dot", unused)
-    monkeypatch.setattr(localmodel, "_dft", unused)
+    monkeypatch.setattr(localmodel, "_ladder_monomials", unused)
     for start in {0, (1 - e) // 2}:
         orbit = _ladder_orbit(e, start)
         for t in range(-e, e):
@@ -291,23 +283,32 @@ def _kummer_routes(n):
 @pytest.mark.parametrize("n", [1, -4])
 def test_rotated_eigenfactors_break_only_the_det_route(cold_order_caches,
                                                        monkeypatch, n):
-    eigen = localmodel._ladder_eigenfactors
-    monkeypatch.setattr(localmodel, "_ladder_eigenfactors",
-                        lambda m, start: eigen(m, start)[1:]
-                        + eigen(m, start)[:1])
+    monomials = localmodel._ladder_monomials
+
+    def rotated(m, start):
+        D, factors = monomials(m, start)
+        return D, factors[1:] + factors[:1]
+
+    monkeypatch.setattr(localmodel, "_ladder_monomials", rotated)
     assert _kummer_routes(n) == ({False}, {True})
 
 
 def _summed_eigenfactor(monkeypatch):
-    """F_1 becomes F_0 + F_1 on every ladder: only a broken DFT gives a
-    non-monomial eigenfactor."""
-    eigen = localmodel._ladder_eigenfactors
+    """Row 1 of every ladder DFT's `dot` becomes row 0 plus row 1: only a
+    broken DFT gives a non-monomial eigenfactor."""
+    table_of = localmodel.cyclic_table
 
-    def summed(m, start):
-        f = eigen(m, start)
-        return f[:1] + (f[0] + f[1],) + f[2:] if m > 1 else f
+    def broken(m):
+        table = table_of(m)
 
-    monkeypatch.setattr(localmodel, "_ladder_eigenfactors", summed)
+        def dot(values, weights):
+            f = table.packed.dot(values, weights)
+            return f[:1] + [f[0] + f[1]] + f[2:] if m > 1 else f
+
+        return SimpleNamespace(packed=SimpleNamespace(dot=dot),
+                               sizes=table.sizes)
+
+    monkeypatch.setattr(localmodel, "cyclic_table", broken)
 
 
 def test_a_non_monomial_eigenfactor_raises_naming_its_row(cold_order_caches,

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import tamekit
-from tamekit import localmodel
+from conftest import ORDER_CACHES
+from tamekit import characters, localmodel, stickelberger
 from tamekit.characters import CharTable, VirtualChar, cyclic_table
 from tamekit.cli import SuiteConfig, _dump, _suite_reports
 from tamekit.cyclotomic import zeta
@@ -39,14 +40,15 @@ def _ladders(orders):
 
 
 def test_one_dft_per_ladder(cold_order_caches, monkeypatch):
-    dft = localmodel._dft
+    # each ladder DFT reads the packed rows of cyclic_table(m) once
+    table_of = localmodel.cyclic_table
     runs = []
 
-    def counted(seq):
-        runs.append(len(seq))
-        return dft(seq)
+    def counted(m):
+        runs.append(m)
+        return table_of(m)
 
-    monkeypatch.setattr(localmodel, "_dft", counted)
+    monkeypatch.setattr(localmodel, "cyclic_table", counted)
     orders = set()
     for name in ("C9", "F21"):
         G = preset(name)
@@ -56,6 +58,19 @@ def test_one_dft_per_ladder(cold_order_caches, monkeypatch):
     assert orders == {1, 3, 7, 9}
     assert len(runs) == len(_ladders(orders)) == 7
     assert sorted(runs) == sorted(m for m, _ in _ladders(orders))
+    assert localmodel._ladder_monomials.cache_info().misses == 7
+
+
+def test_every_order_cache_is_cleared_by_the_fixture():
+    # an lru_cache of these modules left out of ORDER_CACHES would stay
+    # warm across cold_order_caches tests; imported caches such as
+    # cyclotomic.zeta are not order caches
+    for module in (characters, stickelberger, localmodel):
+        caches = [f for f in vars(module).values()
+                  if hasattr(f, "cache_clear")
+                  and f.__module__ == module.__name__]
+        assert caches, module
+        assert [f for f in caches if f not in ORDER_CACHES] == []
 
 
 def test_psi2_of_each_xi_power_is_decomposed_once(cold_order_caches,
@@ -185,23 +200,20 @@ def test_default_suite_counts_in_a_fresh_process():
 import json
 from tamekit import cyclotomic, localmodel
 from tamekit.cli import SuiteConfig, _suite_reports
-counts = {"sums": 0, "dft": 0, "sigma": 0}
-packed, dft = cyclotomic._PackedMatrix, localmodel._dft
-sigma = localmodel.sigma_action
+counts = {"sums": 0, "sigma": 0}
+packed, sigma = cyclotomic._PackedMatrix, localmodel.sigma_action
 def counting(fn):
     def wrapper(*args):
         counts["sums"] += 1
         return fn(*args)
     return wrapper
-def counted_dft(seq):
-    counts["dft"] += 1
-    return dft(seq)
 packed.dot, packed.combine = counting(packed.dot), counting(packed.combine)
 def counted_sigma(x):
     counts["sigma"] += 1
     return sigma(x)
-localmodel._dft, localmodel.sigma_action = counted_dft, counted_sigma
+localmodel.sigma_action = counted_sigma
 assert all(report["pass"] for _, report in _suite_reports(SuiteConfig({})))
+counts["dft"] = localmodel._ladder_monomials.cache_info().misses
 print(json.dumps(counts))
 """
     src = str(Path(tamekit.__file__).resolve().parents[1])
