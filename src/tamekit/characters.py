@@ -39,13 +39,13 @@ so the lifted m_u are exact once the table certifies.
 
 A VirtualChar sum_t num[t] chi_t / den has CycNum's form: k int
 numerators indexed like the table's rows over one den > 0 with gcd(den,
-*num) = 1, so equal characters have identical fields; `+`, `-`, `scale`
-and `==` act on the ints, and `coeffs` is a {t: Fraction} view.  It stores
-its values on the classes once, so `value` is a lookup: an irreducible,
-one shared instance per table and row, has its table row, `from_values`
-keeps the input it has decomposed and checked, and any other sums them
-from its numerators once, on first use.  Every character sum runs on the
-table's packed form (`cyclotomic._PackedMatrix`, built on first use):
+*num) = 1, so equal characters have identical fields, and `+`, `-` and
+`==` act on the ints.  It stores its values on the classes once, so
+`value` is a lookup: an irreducible, one shared instance per table and
+row, has its table row, `from_values` keeps the input it has decomposed
+and checked, and any other sums them from its numerators once, on first
+use.  Every character sum runs on the table's packed form
+(`cyclotomic._PackedMatrix`, built on first use):
 `from_values` projects with one `dot`, one product per class, and
 reproduces its input, as sums from numerators are, by one `combine` of the
 rows, with no product; `inner` is one integer dot product of the
@@ -73,7 +73,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from types import MappingProxyType
 
 from .arith import primitive_root, smallest_prime_in_class
 from .cyclotomic import (CycNum, _PackedMatrix, _ZeroTest, _as_fraction,
@@ -474,13 +473,6 @@ class VirtualChar:
         vc._values = values
         return vc
 
-    @property
-    def coeffs(self) -> MappingProxyType:
-        """Read-only {t: Fraction} view of the nonzero coefficients."""
-        den = self.den
-        return MappingProxyType(
-            {t: Fraction(c, den) for t, c in enumerate(self.num) if c})
-
     def _row(self) -> list[CycNum]:
         """The stored values, summed from the numerators if there are none
         yet."""
@@ -504,9 +496,6 @@ class VirtualChar:
                 acc = [a + c * mu for a, mu in zip(acc, eigen[t][j])]
         return acc, self.den
 
-    def values(self) -> list[CycNum]:
-        return list(self._row())
-
     def _same_table(self, other: "VirtualChar"):
         if self.table is not other.table:
             raise ValueError("characters live on different tables")
@@ -523,12 +512,6 @@ class VirtualChar:
 
     def __neg__(self):
         return VirtualChar._make(self.table, [-c for c in self.num], self.den)
-
-    def scale(self, r) -> "VirtualChar":
-        r = _as_fraction(r)
-        return VirtualChar._make(
-            self.table, [c * r.numerator for c in self.num],
-            self.den * r.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, VirtualChar):
@@ -555,12 +538,6 @@ class VirtualChar:
             vals = [self.value(tb.power_class(j, k)) for j in range(tb.k)]
             psi = tb.adams_cache[key] = VirtualChar.from_values(tb, vals)
         return psi
-
-    def __repr__(self):
-        if not any(self.num):
-            return "VirtualChar(0)"
-        bits = [f"{c}*chi{t}" for t, c in self.coeffs.items()]
-        return "VirtualChar(" + " + ".join(bits) + ")"
 
 
 def induce(vc: VirtualChar, sub: Subgroup, parent_table: CharTable) -> VirtualChar:

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -81,13 +82,14 @@ class SuiteConfig:
 
     @staticmethod
     def _as_int(field: str, value) -> int:
-        """An int (not a bool) or a decimal string, as an int."""
+        """An int (not a bool), or a string of an optional - and ASCII
+        digits, as an int."""
         if isinstance(value, int) and not isinstance(value, bool):
             return value
-        if isinstance(value, str):
+        if isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
             try:
                 return int(value)
-            except ValueError:
+            except ValueError:  # past int()'s limit on digits
                 pass
         raise UsageError(f"{field} must hold integers, got {value!r}")
 
@@ -155,6 +157,11 @@ def _resolve_group(name: str) -> FiniteGroup:
         return preset(name)
     except ValueError as ex:
         raise UsageError(str(ex)) from None
+
+
+# the order in which _resolve_element reads --s and --t
+_ELEMENT_HELP = ("element name, else index, else cycle notation; a name "
+                 "wins, so Q8's '1' is its identity, index 0")
 
 
 def _resolve_element(G: FiniteGroup, text: str) -> int:
@@ -482,8 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairing", help="pairing values for one element")
     p.add_argument("--group", required=True)
-    p.add_argument("--s", required=True,
-                   help="element index, name, or cycle notation")
+    p.add_argument("--s", required=True, help=_ELEMENT_HELP)
     p.add_argument("--star", action="store_true",
                    help="use the symmetric-window pairing")
     add_common(p, fmt=True)
@@ -493,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = p.add_subparsers(dest="subcommand", required=True)
     pv = lsub.add_parser("verify", help="factorization and generator checks")
     pv.add_argument("--group", required=True)
-    pv.add_argument("--s", required=True)
-    pv.add_argument("--t", help="Frobenius image (default: identity)")
+    pv.add_argument("--s", required=True, help=_ELEMENT_HELP)
+    pv.add_argument("--t", help="Frobenius image, read as --s is "
+                    "(default: identity)")
     pv.add_argument("--q", type=int, help="residue size (default: inferred)")
     pv.add_argument("--n", type=int,
                     help="also run the generator check at this window offset")

@@ -403,15 +403,6 @@ class CycNum:
     def __neg__(self):
         return CycNum._make(self.n, [-c for c in self.num], self.den)
 
-    def __sub__(self, other):
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def _scaled(self, p: int, q: int) -> "CycNum":
         """self p / q for q > 0: no product, no reduction."""
         return CycNum._make(self.n, [c * p for c in self.num], self.den * q)
@@ -454,12 +445,6 @@ class CycNum:
                                         self.n)
         rest = self._other_conjugates()
         return rest * (self * rest).inverse()  # the norm is rational
-
-    def __truediv__(self, other):
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -563,22 +548,6 @@ class CycNum:
             "n": self.n,
             "coeffs": [[e, str(c)] for e, c in sorted(self.coeffs.items())],
         }
-
-    def __repr__(self):
-        if not self:
-            return f"CycNum({self.n}; 0)"
-        parts = []
-        for e, c in sorted(self.coeffs.items()):
-            term = "1" if e == 0 else ("z" if e == 1 else f"z^{e}")
-            if e == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(term)
-            elif c == -1:
-                parts.append(f"-{term}")
-            else:
-                parts.append(f"{c}*{term}")
-        return f"CycNum({self.n}; " + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
 class _PackedMatrix:

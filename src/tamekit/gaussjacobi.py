@@ -111,9 +111,6 @@ class MultChar:
     def __hash__(self):
         return hash((self.p, self.reduced()))
 
-    def __repr__(self) -> str:
-        return f"MultChar(p={self.p}, d={self.d}, a={self.a})"
-
 
 def _gauss_terms(chi: MultChar, sign: int) -> CycNum:
     """sum_{x in F_p^*} chi(x)^-sign zeta_p^(sign x), chi nontrivial: tau

@@ -14,6 +14,7 @@ order 360.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
 
 MAX_ORDER = 360
@@ -264,8 +265,10 @@ _PRESET_GENS = {
 
 @lru_cache(maxsize=None)
 def preset(name: str) -> FiniteGroup:
-    """Named small groups: C<n>, S3, D5, A4, Q8, F21 (= C7 : C3)."""
-    if name.startswith("C") and name[1:].isdigit():
+    """Named small groups: C<n>, S3, D5, A4, Q8, F21 (= C7 : C3); n is
+    written in ASCII digits with no leading zero, so each group has one
+    name."""
+    if re.fullmatch("C(0|[1-9][0-9]*)", name):
         n = int(name[1:])
         if not 1 <= n <= MAX_ORDER:
             raise ValueError(f"bad cyclic order {n}")

@@ -52,7 +52,6 @@ from .groups import MAX_ORDER, FiniteGroup
 from .padic import lambda_valuation
 from .stickelberger import check_tame, pairing, star_pairing
 
-Scalar = (int, Fraction, CycNum)
 _ONE = CycNum.from_rational(1)
 
 
@@ -62,9 +61,10 @@ class TameElement:
     Exponents are int numerators over one denominator per element, as in
     CycNum: `terms` maps a to the coefficient of pi^(a/den), with den > 0
     and gcd(den, *terms) = 1, so each exponent has exactly one key, and
-    elements over different denominators meet at their lcm.  Multiplication
-    adds exponents; nothing collapses pi^k to a scalar, so equality of
-    TameElements is equality of every coefficient.
+    elements over different denominators meet at their lcm.  The verifiers
+    multiply elements, which adds exponents, invert monomials and compare;
+    there is no sum or scalar product.  Nothing collapses pi^k to a scalar,
+    so equality of TameElements is equality of every coefficient.
     """
 
     __slots__ = ("terms", "den")
@@ -105,48 +105,18 @@ class TameElement:
             return self.terms
         return {a * k: c for a, c in self.terms.items()}
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TameElement):
-            if not isinstance(other, Scalar):
-                return NotImplemented
-            other = TameElement({0: other})
+            return NotImplemented
         if self.den != other.den or self.terms.keys() != other.terms.keys():
             return False
         return all(c == other.terms[a] for a, c in self.terms.items())
 
     __hash__ = None
 
-    def __add__(self, other) -> "TameElement":
-        if not isinstance(other, TameElement):
-            if not isinstance(other, Scalar):
-                return NotImplemented
-            other = TameElement({0: other})
-        den = lcm(self.den, other.den)
-        out = dict(self._over(den))
-        for a, c in other._over(den).items():
-            out[a] = out[a] + c if a in out else c
-        return TameElement._make({a: c for a, c in out.items() if c}, den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TameElement":
-        return self._make({a: -c for a, c in self.terms.items()}, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other) -> "TameElement":
         if not isinstance(other, TameElement):
-            if not isinstance(other, Scalar):
-                return NotImplemented
-            return self._make({a: c * other for a, c in self.terms.items()}
-                              if other else {}, self.den)
+            return NotImplemented
         den = lcm(self.den, other.den)
         right = other._over(den).items()
         out: dict[int, CycNum] = {}
@@ -156,8 +126,6 @@ class TameElement:
                 c = c1 * c2
                 out[a] = out[a] + c if a in out else c
         return TameElement._make({a: c for a, c in out.items() if c}, den)
-
-    __rmul__ = __mul__
 
     def monomial_parts(self) -> tuple[Fraction, CycNum] | None:
         """(exponent, coefficient) when this is a single term, else None."""
@@ -174,29 +142,9 @@ class TameElement:
         [(a, c)] = self.terms.items()
         return TameElement._make({-a: c.inverse()}, self.den)
 
-    def __pow__(self, k: int) -> "TameElement":
-        if not isinstance(k, int):
-            return NotImplemented
-        if len(self.terms) == 1 and k:  # (c pi^e)^k = c^k pi^(ke)
-            [(a, c)] = self.terms.items()
-            return self._make({a * k: c ** k}, self.den)
-        if k < 0:
-            return self.inverse() ** -k  # raises: only monomials invert
-        out = TameElement.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def to_dict(self) -> dict:
         return {"terms": [[str(Fraction(a, self.den)), c.to_dict()]
                           for a, c in sorted(self.terms.items())]}
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "TameElement(0)"
-        bits = [f"({c!r})*pi^({Fraction(a, self.den)})"
-                for a, c in sorted(self.terms.items())]
-        return "TameElement(" + " + ".join(bits) + ")"
 
 
 def sigma_action(x: TameElement) -> TameElement:
@@ -227,11 +175,6 @@ class GroupAlgebraElement:
         self.group = group
         self.terms = terms
         self.eigen = eigen
-
-    def __repr__(self) -> str:
-        names = self.group.names
-        bits = [f"[{names[g]}]: {x!r}" for g, x in sorted(self.terms.items())]
-        return "GroupAlgebraElement{" + ", ".join(bits) + "}"
 
 
 @lru_cache(maxsize=None)

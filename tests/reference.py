@@ -1,0 +1,71 @@
+"""Reference arithmetic for the tests, built on the library's kept API:
+CycNum differences and quotients through `+`, negation and `inverse`,
+virtual-character coefficients and values through `num`, `den` and
+`value`, and TameElement sums, negatives, scalar multiples and powers
+through the constructor and `*`."""
+
+from fractions import Fraction
+from math import lcm
+
+from tamekit.characters import VirtualChar
+from tamekit.cyclotomic import CycNum
+from tamekit.localmodel import TameElement
+
+
+def minus(a, b):
+    """a - b for CycNums, ints and Fractions, at least one a CycNum."""
+    return a + (-b)
+
+
+def div(a, b):
+    """a / b for a CycNum a and a nonzero CycNum, int or Fraction b."""
+    return a * (b.inverse() if isinstance(b, CycNum) else 1 / Fraction(b))
+
+
+def coeffs(vc: VirtualChar) -> dict[int, Fraction]:
+    """{t: coefficient of chi_t} over the nonzero coefficients."""
+    return {t: Fraction(c, vc.den) for t, c in enumerate(vc.num) if c}
+
+
+def values(vc: VirtualChar) -> list[CycNum]:
+    """The values on the table's classes, in class order."""
+    return [vc.value(j) for j in range(vc.table.k)]
+
+
+def scaled(vc: VirtualChar, r) -> VirtualChar:
+    """r vc for an int or Fraction r."""
+    return VirtualChar(vc.table, {t: c * r for t, c in coeffs(vc).items()})
+
+
+def tame(x) -> TameElement:
+    """x as a TameElement: a scalar x is x pi^0."""
+    return x if isinstance(x, TameElement) else TameElement({0: x})
+
+
+def tame_sum(*xs: TameElement) -> TameElement:
+    """The sum, over the lcm of the denominators."""
+    den = lcm(*(x.den for x in xs))
+    out: dict[int, CycNum] = {}
+    for x in xs:
+        for a, c in x.terms.items():
+            a *= den // x.den
+            out[a] = out[a] + c if a in out else c
+    return TameElement(out, den)
+
+
+def tame_neg(x: TameElement) -> TameElement:
+    return TameElement({a: -c for a, c in x.terms.items()}, x.den)
+
+
+def tame_sub(x: TameElement, y: TameElement) -> TameElement:
+    return tame_sum(x, tame_neg(y))
+
+
+def tame_pow(x: TameElement, k: int) -> TameElement:
+    """x^k by repeated products; k < 0 inverts x, a monomial, first."""
+    if k < 0:
+        x, k = x.inverse(), -k
+    out = TameElement.one()
+    for _ in range(k):
+        out = out * x
+    return out

@@ -18,6 +18,7 @@ from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
 from tamekit.stickelberger import _order_chars
 
+from reference import coeffs, div, minus, scaled, values
 from restriction import restrict
 
 
@@ -134,19 +135,19 @@ def test_adams_composition_sampled():
     for name in ("S3", "Q8", "F21"):
         T = CharTable.of(preset(name))
         for _ in range(8):
-            coeffs = {rng.randrange(T.k): Fraction(rng.randrange(-2, 3))
-                      for _ in range(2)}
-            vc = sum((VirtualChar.irreducible(T, t).scale(c)
-                      for t, c in coeffs.items()),
-                     VirtualChar.irreducible(T, 0).scale(0))
+            given = {rng.randrange(T.k): Fraction(rng.randrange(-2, 3))
+                     for _ in range(2)}
+            vc = sum((scaled(VirtualChar.irreducible(T, t), c)
+                      for t, c in given.items()),
+                     scaled(VirtualChar.irreducible(T, 0), 0))
             a, b = rng.choice([1, 2, 3]), rng.choice([1, 2, 5])
-            assert vc.adams(a).adams(b).values() == vc.adams(a * b).values()
+            assert values(vc.adams(a).adams(b)) == values(vc.adams(a * b))
 
 
 def test_adams_fixes_trivial():
     T = CharTable.of(preset("A4"))
     tr = VirtualChar.irreducible(T, _trivial_index(T))
-    assert tr.adams(3).values() == tr.values()
+    assert values(tr.adams(3)) == values(tr)
 
 
 def test_virtual_arithmetic():
@@ -156,9 +157,9 @@ def test_virtual_arithmetic():
     s = a + b
     one = T.class_of[0]
     assert s.value(one) == a.value(one) + b.value(one)
-    assert (s - b).values() == a.values()
+    assert values(s - b) == values(a)
     assert (a - a).value(one) == 0
-    assert a.scale(3).value(one) == a.value(one) * 3
+    assert scaled(a, 3).value(one) == a.value(one) * 3
 
 
 def test_induction_of_trivial_is_permutation_character():
@@ -183,7 +184,7 @@ def test_induction_of_nontrivial_linear_gives_degree_two():
     xi = next(t for t in range(subT.k) if t != _trivial_index(subT))
     ind = induce(VirtualChar.irreducible(subT, xi), sub, T)
     two = next(t for t in range(T.k) if T.degrees[t] == 2)
-    assert ind.values() == VirtualChar.irreducible(T, two).values()
+    assert values(ind) == values(VirtualChar.irreducible(T, two))
 
 
 def test_frobenius_reciprocity_all_cyclic_subgroups():
@@ -210,7 +211,7 @@ def _induce_by_conjugation(vc, sub, T):
     """Reference induction, one conjugation per x in G:
     Ind f(g) = (1/|H|) sum over x with x g x^-1 in H of f(x g x^-1)."""
     G = sub.parent
-    hvals = vc.values()
+    hvals = values(vc)
     vals = []
     for g in T.reps:
         acc = CycNum.from_rational(0)
@@ -218,7 +219,7 @@ def _induce_by_conjugation(vc, sub, T):
             hi = sub.from_parent.get(G.conjugate(x, g))
             if hi is not None:
                 acc = acc + hvals[vc.table.class_of[hi]]
-        vals.append(acc / sub.group.n)
+        vals.append(div(acc, sub.group.n))
     return VirtualChar.from_values(T, vals)
 
 
@@ -261,17 +262,17 @@ def test_induce_matches_the_conjugation_loop():
         irr = [VirtualChar.irreducible(subT, i) for i in range(subT.k)]
         mixed = VirtualChar(subT, {i: Fraction(i + 1, subT.k)
                                    for i in range(subT.k)})
-        for psi in irr + [mixed, irr[-1].scale(-2) - irr[0]]:
+        for psi in irr + [mixed, scaled(irr[-1], -2) - irr[0]]:
             ind, ref = induce(psi, sub, T), _induce_by_conjugation(psi, sub, T)
-            assert ind.coeffs == ref.coeffs, (sub.elements, psi)
-            assert ind.values() == ref.values(), (sub.elements, psi)
+            assert coeffs(ind) == coeffs(ref), (sub.elements, psi)
+            assert values(ind) == values(ref), (sub.elements, psi)
 
 
 def test_adams_matches_a_direct_decomposition():
     for name in PRESET_NAMES:
         T = CharTable.of(preset(name))
         irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
-        chars = irr + [irr[-1].scale(Fraction(-3, 2)) + irr[0],
+        chars = irr + [scaled(irr[-1], Fraction(-3, 2)) + irr[0],
                        VirtualChar(T, {t: Fraction(t + 1, 3)
                                        for t in range(T.k)})]
         for chi in chars:
@@ -281,8 +282,8 @@ def test_adams_matches_a_direct_decomposition():
                 direct = VirtualChar.from_values(
                     T, [chi.value(T.power_class(j, k)) for j in range(T.k)])
                 for psi in (chi.adams(k), chi.adams(k)):
-                    assert psi.coeffs == direct.coeffs, (name, chi, k)
-                    assert psi.values() == direct.values(), (name, chi, k)
+                    assert coeffs(psi) == coeffs(direct), (name, chi, k)
+                    assert values(psi) == values(direct), (name, chi, k)
     # psi_2 and psi_3 differ on F21's degree-3 characters, so a
     # decomposition served for the wrong k shows
     T = CharTable.of(preset("F21"))
@@ -295,11 +296,11 @@ def test_virtual_chars_reject_floats():
     chi = VirtualChar.irreducible(T, 0)
     for bad in (0.1, 0.0):
         with pytest.raises(TypeError):
-            chi.scale(bad)
+            scaled(chi, bad)
         with pytest.raises(TypeError):
             VirtualChar(T, {0: bad})
-    assert chi.scale(Fraction(1, 10)).coeffs == {0: Fraction(1, 10)}
-    assert VirtualChar(T, {0: 2, 1: 0}).coeffs == {0: Fraction(2)}
+    assert coeffs(scaled(chi, Fraction(1, 10))) == {0: Fraction(1, 10)}
+    assert coeffs(VirtualChar(T, {0: 2, 1: 0})) == {0: Fraction(2)}
 
 
 # -- integer VirtualChar arithmetic against a Fraction-dict reference -------
@@ -345,13 +346,13 @@ def test_integer_arithmetic_matches_a_fraction_dict_reference(data):
     ra, rb = _ref(a), _ref(b)
     results = [(x, ra), (x + y, _ref_add(ra, rb)),
                (x - y, _ref_add(ra, _ref_scale(rb, -1))),
-               (-x, _ref_scale(ra, -1)), (x.scale(r), _ref_scale(ra, r))]
+               (-x, _ref_scale(ra, -1)), (scaled(x, r), _ref_scale(ra, r))]
     for vc, ref in results:
         # CycNum's form: k numerators over one positive denominator, in
         # lowest terms, so equal characters have identical fields
         assert len(vc.num) == T.k and vc.den > 0
         assert gcd(vc.den, *vc.num) == 1
-        assert vc.coeffs == ref
+        assert coeffs(vc) == ref
         assert vc == VirtualChar(T, ref)
         acc, den = vc.multiplicity_sums(g)
         assert den == lcm(*(c.denominator for c in ref.values()))
@@ -370,14 +371,14 @@ def test_irreducibles_are_shared_and_unchanged_by_arithmetic():
         irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
         assert all(VirtualChar.irreducible(T, t) is x
                    for t, x in enumerate(irr))
-        before = [(x.num, x.den, x.values()) for x in irr]
+        before = [(x.num, x.den, values(x)) for x in irr]
         a, b = irr[0], irr[-1]
-        for vc in (a + b, a - b, -b, b.scale(Fraction(-3, 2)), b - b,
-                   b.adams(2), (a + b).adams(3), a.scale(0)):
-            vc.values()
+        for vc in (a + b, a - b, -b, scaled(b, Fraction(-3, 2)), b - b,
+                   b.adams(2), (a + b).adams(3), scaled(a, 0)):
+            values(vc)
             a.inner(vc)
             vc.multiplicity_sums(1)
-        assert [(x.num, x.den, x.values()) for x in irr] == before
+        assert [(x.num, x.den, values(x)) for x in irr] == before
         assert all(x._row() is T.values[t] for t, x in enumerate(irr))
 
 
@@ -456,14 +457,14 @@ def test_from_values_recovers_rational_combinations(name):
     rng = random.Random(name)
     zero = CycNum.from_rational(0)
     for r in (1, 2, 3, 5, 7):
-        coeffs = {t: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                  for t in rng.sample(range(T.k), rng.randint(1, T.k))}
-        values = [sum((c * T.values[t][j] for t, c in coeffs.items()),
-                      zero).embed(r * T.exponent) for j in range(T.k)]
-        vc = VirtualChar.from_values(T, values)
-        assert vc.coeffs == {t: c for t, c in coeffs.items() if c}, r
-        assert vc.values() == values
-        nudged = list(values)
+        given = {t: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for t in rng.sample(range(T.k), rng.randint(1, T.k))}
+        class_values = [sum((c * T.values[t][j] for t, c in given.items()),
+                            zero).embed(r * T.exponent) for j in range(T.k)]
+        vc = VirtualChar.from_values(T, class_values)
+        assert coeffs(vc) == {t: c for t, c in given.items() if c}, r
+        assert values(vc) == class_values
+        nudged = list(class_values)
         nudged[rng.randrange(T.k)] += zeta(r * T.exponent * 4)
         with pytest.raises(ValueError, match="not rational"):
             VirtualChar.from_values(T, nudged)
@@ -479,7 +480,7 @@ def test_from_values_rejects_an_irrational_projection():
 def _resummed(vc):
     """sum_t c_t chi_t(j) for every class, with plain CycNum arithmetic."""
     T = vc.table
-    return [sum((c * T.values[t][j] for t, c in vc.coeffs.items()),
+    return [sum((c * T.values[t][j] for t, c in coeffs(vc).items()),
                 CycNum.from_rational(0)) for j in range(T.k)]
 
 
@@ -488,11 +489,11 @@ def test_stored_values_match_resummed_values():
         T = CharTable.of(preset(name))
         irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
         a, b = irr[-1], irr[len(irr) // 2]
-        made = irr + [a + b, a - b, -a, a.scale(Fraction(-3, 2)),
+        made = irr + [a + b, a - b, -a, scaled(a, Fraction(-3, 2)),
                       VirtualChar(T, {0: 2, T.k - 1: Fraction(1, 3)}),
-                      (a + b).adams(2), VirtualChar.from_values(T, a.values())]
+                      (a + b).adams(2), VirtualChar.from_values(T, values(a))]
         for vc in made:
-            assert vc.values() == _resummed(vc), (name, vc)
+            assert values(vc) == _resummed(vc), (name, vc)
 
 
 def _loop_inner(x, y):
@@ -501,7 +502,7 @@ def _loop_inner(x, y):
     acc = CycNum.from_rational(0)
     for j in range(T.k):
         acc = acc + T.sizes[j] * x.value(j) * y.value(j).galois_apply(-1)
-    return (acc / T.group.n).as_rational()
+    return div(acc, T.group.n).as_rational()
 
 
 def _inner_cases():
@@ -527,7 +528,8 @@ def _inner_cases():
         irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
         chars = irr + [xi, xis, d, xi.adams(2), xis.adams(2), irr[4].adams(2),
                        (irr[2] - irr[7]).adams(2), xis - xi - d,
-                       xi.scale(Fraction(-3, 2)) + d, irr[1] + irr[5].scale(7)]
+                       scaled(xi, Fraction(-3, 2)) + d,
+                       irr[1] + scaled(irr[5], 7)]
         yield f"C9 at {s}", chars
 
 
@@ -1050,7 +1052,8 @@ def test_certify_clears_denominators_like_the_reference():
     T = CharTable.of(preset("S3"))
     a, b = T.values[0], T.values[1]
     rotated = [[x * Fraction(3, 5) + y * Fraction(4, 5) for x, y in zip(a, b)],
-               [x * Fraction(4, 5) - y * Fraction(3, 5) for x, y in zip(a, b)],
+               [minus(x * Fraction(4, 5), y * Fraction(3, 5))
+                for x, y in zip(a, b)],
                T.values[2]]
     assert any(x.den == 5 for x in rotated[0])
     nudged = [row[:] for row in rotated]

@@ -84,6 +84,43 @@ def test_pairing_element_forms(capsys):
         json.loads(capsys.readouterr().out)
 
 
+def test_a_name_wins_over_an_index(capsys):
+    # Q8's element 0 is named 1, so --s 1 is index 0, not index 1 (-1),
+    # and the help gives that order
+    assert main(["pairing", "--group", "Q8", "--s", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["element"] == "1"
+    assert main(["pairing", "--group", "Q8", "--s", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["element"] == "-1"
+    for argv in (["pairing"], ["localmodel", "verify"]):
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "element name, else index, else cycle notation; a name " \
+            "wins, so Q8's '1' is its identity, index 0" in help_text, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartab", "--group", "C\u00b3"],
+    ["chartab", "--group", "C05"],
+    ["pairing", "--group", "C\u0663", "--s", "1"],
+])
+def test_cyclic_names_outside_ascii_canonical_digits_exit_two(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: unknown group preset {argv[2]!r}"), err
+    assert not out
+
+
+def test_suite_rejects_a_cyclic_name_with_a_leading_zero(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"groups": ["C05"]}))
+    assert main(["suite", "--config", str(config),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unknown group preset 'C05'")
+    assert not (tmp_path / "r").exists()
+
+
 def test_pairing_csv(capsys):
     assert main(["pairing", "--group", "C3", "--s", "1", "--format",
                  "csv"]) == 0
@@ -281,6 +318,8 @@ def test_suite_config_validation():
     with pytest.raises(UsageError, match="precision"):
         SuiteConfig({"precision": 8})  # an unknown key
     assert SuiteConfig({"primes": ["5"], "crux": [["7", 3]]}).crux == [(7, 3)]
+    assert SuiteConfig._as_int("q", "-13") == -13
+    assert SuiteConfig._as_int("q", "0013") == 13
     assert SuiteConfig({}).groups == DEFAULT_CONFIG["groups"]
 
 
@@ -349,6 +388,7 @@ MALFORMED_CONFIGS = [
     {"crux": [[7, "x"]]},
     {"precision": 2.5},
     {"e_values": [361]},
+    {"primes": ["\u0661\u0663"]},  # 13 in Arabic-Indic digits
 ]
 
 
@@ -362,6 +402,31 @@ def test_suite_malformed_config_exits_two(data, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     [field] = data
     assert field in err, err
+    assert not (tmp_path / "r").exists()
+
+
+# strings that int() reads but that are not an optional - and ASCII
+# digits, and ASCII digits past int()'s limit on their number
+@pytest.mark.parametrize("text", [
+    "1_000", "\u0661\u0663", "\uff11\uff13", " 13", "13\n", "+13",
+    pytest.param("1" * 5000, id="5000-digits", marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="int() has no limit on digits"))])
+def test_integer_strings_must_be_ascii_decimals(text, tmp_path, capsys):
+    # every field _as_int reads, named in the error with the input
+    for field, data in (("primes", {"primes": [text]}),
+                        ("e_values", {"e_values": [text]}),
+                        ("crux", {"crux": [[text, 3]]})):
+        with pytest.raises(UsageError) as info:
+            SuiteConfig(data)
+        assert str(info.value) == f"{field} must hold integers, got {text!r}"
+    places = tmp_path / "places.json"
+    places.write_text(json.dumps(
+        {"group": "S3", "places": [{**_PLACE, "q": text}]}))
+    assert main(["ledger", "demo", "--places", str(places),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: q must hold integers, got {text!r}\n"
     assert not (tmp_path / "r").exists()
 
 

@@ -41,12 +41,25 @@ def test_preset_orders_and_labels():
         G = preset(name)
         assert G.n == order
         assert G.label == name
-    assert preset("C12").n == 12
+    assert preset("C12").n == 12 and preset("C12").label == "C12"
 
 
 def test_preset_unknown_name():
     with pytest.raises(ValueError, match="A4"):
         preset("SL2")
+    for name in ("C0", "C361"):
+        with pytest.raises(ValueError, match="^bad cyclic order"):
+            preset(name)
+
+
+# a leading zero, an Arabic-Indic 3, a superscript 3, a fullwidth 3, a
+# sign, spaces, an underscore, a lower-case c and no digits at all
+@pytest.mark.parametrize("name", ["C05", "C00", "C\u0663", "C\u00b3",
+                                  "C\uff13", "C+3", "C 3", "C3 ", "C1_0",
+                                  "c3", "C"])
+def test_cyclic_names_are_ascii_digits_without_a_leading_zero(name):
+    with pytest.raises(ValueError, match="^unknown group preset"):
+        preset(name)
 
 
 def test_identity_and_inverses():

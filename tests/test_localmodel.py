@@ -27,31 +27,34 @@ from tamekit.stickelberger import (pairing, star_pairing,
                                    verify_adams_identities,
                                    verify_induction_identities)
 
+from reference import tame, tame_pow, tame_sub, tame_sum
+
 
 def test_monomial_algebra():
     a = TameElement.monomial(Fraction(1, 3))
     b = TameElement.monomial(Fraction(1, 2), zeta(4))
     ab = a * b
     assert ab.monomial_parts() == (Fraction(5, 6), zeta(4))
-    assert (a ** 3).monomial_parts() == (Fraction(1), CycNum.from_rational(1))
-    assert a ** -2 == a.inverse() * a.inverse()
-    assert (a + b).to_dict()["terms"][0][0] == "1/3"  # lowest first
-    assert (a + b).monomial_parts() is None
+    assert tame_pow(a, 3).monomial_parts() == (Fraction(1),
+                                               CycNum.from_rational(1))
+    assert tame_pow(a, -2) == a.inverse() * a.inverse()
+    assert tame_sum(a, b).to_dict()["terms"][0][0] == "1/3"  # lowest first
+    assert tame_sum(a, b).monomial_parts() is None
 
 
 def test_zero_one_and_scalars():
     one = TameElement.one()
     zero = TameElement()
     a = TameElement.monomial(Fraction(2, 5))
-    assert a * one == a and a + zero == a
-    assert not zero and bool(a)
-    assert one == 1 and zero == 0
-    assert a * 2 - a == a
-    assert TameElement.monomial(0, Fraction(3, 4)) == Fraction(3, 4)
+    assert a * one == a and tame_sum(a, zero) == a
+    assert not zero.terms and a.terms
+    assert one == tame(1) and zero == tame(0)
+    assert tame_sub(a * tame(2), a) == a
+    assert TameElement.monomial(0, Fraction(3, 4)) == tame(Fraction(3, 4))
 
 
 def test_inverse_requires_monomial():
-    a = TameElement.one() + TameElement.monomial(Fraction(1, 3))
+    a = tame_sum(TameElement.one(), TameElement.monomial(Fraction(1, 3)))
     with pytest.raises(ValueError):
         a.inverse()
     with pytest.raises(ZeroDivisionError):
@@ -70,8 +73,8 @@ def test_sigma_twists_by_root_of_unity():
 
 
 def test_sigma_has_finite_order():
-    x = TameElement.monomial(Fraction(3, 7), zeta(5)) + \
-        TameElement.monomial(Fraction(-1, 7))
+    x = tame_sum(TameElement.monomial(Fraction(3, 7), zeta(5)),
+                 TameElement.monomial(Fraction(-1, 7)))
     y = x
     for _ in range(7):
         y = sigma_action(y)
@@ -94,9 +97,9 @@ def test_frobenius_sigma_commutation():
             continue
         x = TameElement()
         for _ in range(rng.randrange(1, 4)):
-            x = x + TameElement.monomial(
+            x = tame_sum(x, TameElement.monomial(
                 Fraction(rng.randrange(-6, 7), m),
-                zeta(m, rng.randrange(m)) * rng.randrange(1, 3))
+                zeta(m, rng.randrange(m)) * rng.randrange(1, 3)))
         lhs = frobenius_action(sigma_action(x), q)
         rhs = frobenius_action(x, q)
         for _ in range(q):
@@ -108,11 +111,12 @@ def test_beta_elements():
     # beta and beta* of order 3: the ladders from 0 and from (1 - 3)/2
     b = _ladder_orbit(3, 0)[0]
     third = Fraction(1, 3)
-    assert b == (TameElement.monomial(0) + TameElement.monomial(third)
-                 + TameElement.monomial(2 * third)) * third
+    assert b == tame_sum(TameElement.monomial(0), TameElement.monomial(third),
+                         TameElement.monomial(2 * third)) * tame(third)
     bs = _ladder_orbit(3, -1)[0]
-    assert bs == (TameElement.monomial(-third) + TameElement.monomial(0)
-                  + TameElement.monomial(third)) * third
+    assert bs == tame_sum(TameElement.monomial(-third),
+                          TameElement.monomial(0),
+                          TameElement.monomial(third)) * tame(third)
     with pytest.raises(ValueError):
         phi_star_resolvend(preset("C4"), 1)
 
@@ -253,8 +257,8 @@ def test_dft_matches_the_plain_sums(m):
         D, factors = _ladder_monomials(m, start)
         assert len(factors) == m
         for j, (k, c) in enumerate(factors):
-            plain = sum((orbit[-i % m] * zeta(m, i * j % m)
-                         for i in range(m)), TameElement())
+            plain = tame_sum(*(orbit[-i % m] * tame(zeta(m, i * j % m))
+                               for i in range(m)))
             assert TameElement.monomial(Fraction(k, D), c) == plain, (start, j)
 
 
@@ -269,8 +273,8 @@ def test_twisted_sums_match_the_product_loop(e, monkeypatch):
     for start in {0, (1 - e) // 2}:
         orbit = _ladder_orbit(e, start)
         for t in range(-e, e):
-            loop = sum((x * zeta(e, t * j % e) for j, x in enumerate(orbit)),
-                       TameElement())
+            loop = tame_sum(*(x * tame(zeta(e, t * j % e))
+                              for j, x in enumerate(orbit)))
             assert _twisted_sum(orbit, t) == loop, (start, t)
 
 
@@ -383,8 +387,9 @@ def _det_by_character(x, chi):
         factor = TameElement()
         for i, g in enumerate(G.cyclic_subgroup(g0)):
             if g in x.terms:
-                factor = factor + x.terms[g] * zeta(h, i * j % h)
-        out = out * factor ** mult
+                factor = tame_sum(factor,
+                                  x.terms[g] * tame(zeta(h, i * j % h)))
+        out = out * tame_pow(factor, mult)
     return out
 
 
@@ -425,8 +430,7 @@ def test_det_resolvend_takes_no_tame_product(monkeypatch):
     def refused(*args):
         raise AssertionError("det_resolvend took a TameElement product")
 
-    for name in ("__mul__", "__rmul__", "__pow__"):
-        monkeypatch.setattr(TameElement, name, refused)
+    monkeypatch.setattr(TameElement, "__mul__", refused)
     for x, vc, ref in cases:
         assert det_resolvend(x, vc) == ref
 
@@ -510,13 +514,13 @@ def _same(x, ref):
 def test_integer_keys_match_fraction_keys(xr, yr, k, q):
     (x, xf), (y, yf) = xr, yr
     _same(x, xf)
-    _same(x + y, _ref_add(xf, yf))
-    _same(x - y, _ref_add(xf, {e: -c for e, c in yf.items()}))
+    _same(tame_sum(x, y), _ref_add(xf, yf))
+    _same(tame_sub(x, y), _ref_add(xf, {e: -c for e, c in yf.items()}))
     _same(x * y, _ref_mul(xf, yf))
     power = {Fraction(0): CycNum.from_rational(1)}
     for _ in range(k):
         power = _ref_mul(power, xf)
-    _same(x ** k, power)
+    _same(tame_pow(x, k), power)
     _same(frobenius_action(x, q),
           _ref({e: c.galois_apply(q) for e, c in xf.items()}))
     # equal values; the twist's conductor is x's denominator, not the
@@ -541,7 +545,7 @@ def test_monomial_inverse_and_powers_match_fraction_keys(xr, yr, k):
     base = xf if k >= 0 else {-e: c.inverse()}
     for _ in range(abs(k)):
         expected = _ref_mul(expected, base)
-    _same(x ** k, expected)
+    _same(tame_pow(x, k), expected)
     _same(x * y, _ref_mul(xf, yf))
     assert x.monomial_parts() == (e, c)
 
