@@ -59,11 +59,10 @@ the elements of H by their class in G and in H, so each value is at most
 element of G.
 
 Table values are stored as CycNum at conductor exp(G).  Irreducibles are sorted by
-(degree, lexicographic serialized values), except that tables built for a
-cyclic group with a designated generator s keep the power order
-xi^0, xi^1, ..., xi^{m-1} with xi(s^i) = zeta_m^i; `cyclic_table` keeps one
-such table per order m, on the preset C_m, for every cyclic subgroup of
-that order.
+(degree, lexicographic serialized values), except in `cyclic_table(m)`,
+the table of the preset C_m (element i is g^i) in the power order xi^0,
+..., xi^{m-1}, xi(g^i) = zeta_m^i: one table per order m for every cyclic
+subgroup of that order, presented on C_m by its list of powers.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ from operator import mul
 from .arith import primitive_root, smallest_prime_in_class
 from .cyclotomic import (CycNum, _PackedMatrix, _ZeroTest, _as_fraction,
                          _normal, zeta)
-from .groups import FiniteGroup, Subgroup, preset
+from .groups import FiniteGroup, preset
 
 
 # -- linear algebra over F_ell ----------------------------------------------
@@ -166,29 +165,6 @@ class CharTable:
             cached = cls._dixon(group)
             group._char_table = cached
         return cached
-
-    @classmethod
-    def cyclic(cls, group: FiniteGroup, gen: int) -> "CharTable":
-        """Table of a cyclic group with designated generator, rows in power
-        order: row j is xi^j with xi(gen^i) = zeta_m^i."""
-        m = group.element_order(gen)
-        if m != group.n:
-            raise ValueError("designated element does not generate the group")
-        classes = [[i] for i in range(group.n)]
-        class_of_power = [0] * m
-        x = 0
-        for i in range(m):
-            class_of_power[i] = x
-            x = group.table[x][gen]
-        values = [[None] * m for _ in range(m)]
-        eigen = [[None] * m for _ in range(m)]
-        for j in range(m):
-            for i in range(m):
-                g = math.gcd(i, m)  # xi^j(gen^i) = zeta_(m/g)^((i/g) j)
-                values[j][class_of_power[i]] = zeta(m, i * j % m)
-                eigen[j][class_of_power[i]] = tuple(
-                    int(u == (i // g) * j % (m // g)) for u in range(m // g))
-        return cls(group, classes, values, [1] * m, eigen)
 
     @classmethod
     def _dixon(cls, group: FiniteGroup) -> "CharTable":
@@ -401,10 +377,18 @@ class CharTable:
 
 @lru_cache(maxsize=None)
 def cyclic_table(m: int) -> CharTable:
-    """`CharTable.cyclic` of the preset C_m on its generator, built once per
-    order: the table of every cyclic subgroup of order m that
-    `Subgroup.cyclic` presents, and of every verifier on C_m."""
-    return CharTable.cyclic(preset(f"C{m}"), 1 % m)
+    """Table of the preset C_m (element i is g^i) in power order, row j
+    xi^j(g^i) = zeta_m^(ij) = zeta_(m/c)^u, c = gcd(i, m), u = (ij mod m)/c:
+    one per order, for each cyclic subgroup <s> (element i is s^i) and each
+    verifier on C_m.  Each one-hot eigen row, one per (u, m/c), is shared."""
+    gcds = [math.gcd(i, m) for i in range(m)]
+    onehot = {c: [tuple(int(u == v) for v in range(m // c))
+                  for u in range(m // c)] for c in set(gcds)}
+    values = [[zeta(m, i * j % m) for i in range(m)] for j in range(m)]
+    eigen = [[onehot[c][i * j % m // c] for i, c in enumerate(gcds)]
+             for j in range(m)]
+    return CharTable(preset(f"C{m}"), [[i] for i in range(m)], values,
+                     [1] * m, eigen)
 
 
 def _layout(group: FiniteGroup, classes: list[list[int]]) -> tuple:
@@ -522,7 +506,7 @@ class VirtualChar:
     def inner(self, other: "VirtualChar") -> Fraction:
         """(1/|G|) sum_g self(g) conj(other(g)) = sum_t a_t b_t, as the
         irreducibles are orthonormal: `CharTable.of` certifies it or raises,
-        and `CharTable.cyclic`'s rows zeta_m^(ij) are so by construction."""
+        and `cyclic_table`'s rows zeta_m^(ij) are so by construction."""
         self._same_table(other)
         return Fraction(sum(map(mul, self.num, other.num)),
                         self.den * other.den)
@@ -540,18 +524,20 @@ class VirtualChar:
         return psi
 
 
-def induce(vc: VirtualChar, sub: Subgroup, parent_table: CharTable) -> VirtualChar:
-    """Induction of a class function from H to G: for g in the class C_j,
+def induce(vc: VirtualChar, to_parent: list[int],
+           parent_table: CharTable) -> VirtualChar:
+    """Induction of a class function from H to G, element h of H sitting
+    at to_parent[h] in G: for g in the class C_j,
     Ind(f)(g) = (1/|H|) sum over x in G with x g x^-1 in H of f(x g x^-1)
               = |G| / (|H| |C_j|) sum over h in H and C_j of f(h),
     since each h in C_j is x g x^-1 for |G| / |C_j| elements x.  The
     elements of H are counted by G-class and H-class, so each value is one
     weighted sum of f's values on the classes of H."""
-    if vc.table.group is not sub.group:
-        raise ValueError("character does not live on the subgroup")
     T, S = parent_table, vc.table
+    if len(to_parent) != S.group.n:
+        raise ValueError("inclusion list and character's group differ")
     counts = [Counter() for _ in range(T.k)]  # [G-class][H-class]: elements
-    for h, g in enumerate(sub.to_parent):
+    for h, g in enumerate(to_parent):
         counts[T.class_of[g]][S.class_of[h]] += 1
     hvals, zero = vc._row(), CycNum.from_rational(0)
     vals = [sum((hvals[i] * Fraction(T.group.n * x, S.group.n * T.sizes[j])

@@ -15,15 +15,14 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum
-from .groups import (MAX_ORDER, PRESET_NAMES, FiniteGroup, cycle_string,
-                     parse_cycles, preset)
+from .groups import (MAX_ORDER, PRESET_NAMES, FiniteGroup, ascii_int,
+                     cycle_string, parse_cycles, preset)
 
 
 class UsageError(Exception):
@@ -82,14 +81,13 @@ class SuiteConfig:
 
     @staticmethod
     def _as_int(field: str, value) -> int:
-        """An int (not a bool), or a string of an optional - and ASCII
-        digits, as an int."""
+        """An int (not a bool), or a string that `ascii_int` reads."""
         if isinstance(value, int) and not isinstance(value, bool):
             return value
-        if isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
+        if isinstance(value, str):
             try:
-                return int(value)
-            except ValueError:  # past int()'s limit on digits
+                return ascii_int(value)
+            except ValueError:  # also past int()'s limit on digits
                 pass
         raise UsageError(f"{field} must hold integers, got {value!r}")
 
@@ -164,24 +162,26 @@ _ELEMENT_HELP = ("element name, else index, else cycle notation; a name "
                  "wins, so Q8's '1' is its identity, index 0")
 
 
-def _resolve_element(G: FiniteGroup, text: str) -> int:
+def _resolve_element(G: FiniteGroup, text: str, flag: str) -> int:
+    """The element of G that text, given for flag, names."""
     if text in G.names:
         return G.names.index(text)
+    where = f"{flag}: element {text!r}"
     try:
-        i = int(text)
+        i = ascii_int(text)
     except ValueError:
         pass
     else:
         if not 0 <= i < G.n:
-            raise UsageError(f"element index {i} out of range 0..{G.n - 1}")
+            raise UsageError(f"{where}: index out of range 0..{G.n - 1}")
         return i
     try:
         name = cycle_string(parse_cycles(text, MAX_ORDER))
     except ValueError as ex:
-        raise UsageError(f"cannot parse element {text!r}: {ex}") from None
+        raise UsageError(f"{where}: cannot parse it: {ex}") from None
     if name in G.names:
         return G.names.index(name)
-    raise UsageError(f"element {text!r} not in group; names: {G.names}")
+    raise UsageError(f"{where} not in group; names: {G.names}")
 
 
 def _checked(where: str, check, *args):
@@ -232,7 +232,7 @@ def cmd_chartab(args) -> int:
 def cmd_pairing(args) -> int:
     from .stickelberger import check_tame, pairing_table
     G = _resolve_group(args.group)
-    s = _resolve_element(G, args.s)
+    s = _resolve_element(G, args.s, "--s")
     if args.star:
         _checked("pairing", check_tame, G, s, None)
     report = pairing_table(G, s, star=args.star)
@@ -251,8 +251,8 @@ def cmd_localmodel_verify(args) -> int:
                              verify_kummer_generator)
     from .stickelberger import check_tame
     G = _resolve_group(args.group)
-    s = _resolve_element(G, args.s)
-    t = _resolve_element(G, args.t) if args.t is not None else 0
+    s = _resolve_element(G, args.s, "--s")
+    t = _resolve_element(G, args.t, "--t") if args.t is not None else 0
     where = "localmodel verify"
     m = _checked(where, check_tame, G, s, args.q, t)
     # one residue size for both checks: --q, else the least prime q with
@@ -332,7 +332,7 @@ def _ledger_demo_report(data) -> dict:
         if not isinstance(label, str):
             raise UsageError(f"label must be a string, got {label!r}")
         places.append((label, SuiteConfig._as_int("q", pl["q"]),
-                       _resolve_element(G, str(pl["s"]))))
+                       _resolve_element(G, str(pl["s"]), "s")))
     _checked("ledger demo", check_places, G, places)
     table = CharTable.of(G)
     f = build_f(G, places)
@@ -502,21 +502,23 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--s", required=True, help=_ELEMENT_HELP)
     pv.add_argument("--t", help="Frobenius image, read as --s is "
                     "(default: identity)")
-    pv.add_argument("--q", type=int, help="residue size (default: inferred)")
-    pv.add_argument("--n", type=int,
+    pv.add_argument("--q", type=ascii_int,
+                    help="residue size (default: inferred)")
+    pv.add_argument("--n", type=ascii_int,
                     help="also run the generator check at this window offset")
     add_common(pv)
     pv.set_defaults(func=cmd_localmodel_verify)
 
     p = sub.add_parser("gauss", help="Gauss/Jacobi sums and identity sweep")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--order", type=int, help="character order (default p-1)")
+    p.add_argument("--p", type=ascii_int, required=True)
+    p.add_argument("--order", type=ascii_int,
+                   help="character order (default p-1)")
     add_common(p)
     p.set_defaults(func=cmd_gauss)
 
     p = sub.add_parser("crux", help="p-adic valuation crux check")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--p", type=ascii_int, required=True)
+    p.add_argument("--e", type=ascii_int, required=True)
     add_common(p)
     p.set_defaults(func=cmd_crux)
 

@@ -362,9 +362,6 @@ class CycNum:
         return MappingProxyType(
             {e: Fraction(c, den) for e, c in enumerate(self.num) if c})
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def __bool__(self) -> bool:
         return any(self.num)
 

@@ -20,6 +20,14 @@ from functools import lru_cache
 MAX_ORDER = 360
 
 
+def ascii_int(text: str) -> int:
+    """The int that text spells as an optional - and ASCII digits, else
+    ValueError; int() also takes _, spaces and other scripts' digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     """Parse 1-based cycle notation like "(1 2 3)(4 5)" into a 0-based
     permutation tuple.  Commas and spaces both separate points, and no
@@ -34,7 +42,7 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     cycles = []
     seen = set()
     for chunk in text[1:-1].split(")("):
-        pts = [int(t) for t in chunk.replace(",", " ").split()]
+        pts = [ascii_int(t) for t in chunk.replace(",", " ").split()]
         if len(pts) != len(set(pts)) or any(x < 1 for x in pts):
             raise ValueError(f"bad cycle: ({chunk})")
         if degree is not None and max(pts, default=0) > degree:
@@ -194,42 +202,6 @@ class FiniteGroup:
         return out
 
 
-class Subgroup:
-    """A subgroup presented as its own FiniteGroup plus the inclusion map."""
-
-    def __init__(self, parent: FiniteGroup, elements: list[int]):
-        elems = sorted(set(elements))
-        eset = set(elems)
-        for a in elems:
-            for b in elems:
-                if parent.table[a][b] not in eset:
-                    raise ValueError(
-                        f"not closed: {a} * {b} = {parent.table[a][b]} escapes")
-        if 0 not in eset:
-            raise ValueError("subgroup must contain the identity")
-        pos = {g: i for i, g in enumerate(elems)}
-        table = [[pos[parent.table[a][b]] for b in elems] for a in elems]
-        names = [parent.names[g] for g in elems]
-        self._embed(parent, FiniteGroup(table, names, _trusted=True), elems)
-
-    def _embed(self, parent: FiniteGroup, group: FiniteGroup,
-               to_parent: list[int]):
-        self.parent = parent
-        self.group = group
-        self.elements = self.to_parent = to_parent  # identity first
-        self.from_parent = {g: i for i, g in enumerate(to_parent)}
-
-    @classmethod
-    def cyclic(cls, parent: FiniteGroup, s: int) -> "Subgroup":
-        """<s> presented on the preset C_m, m = |s|, whose element i is
-        g^i: it maps to s^i, so every cyclic subgroup of order m, in any
-        group, shares one group object."""
-        powers = parent.cyclic_subgroup(s)
-        sub = cls.__new__(cls)
-        sub._embed(parent, preset(f"C{len(powers)}"), powers)
-        return sub
-
-
 def _quaternion_table():
     # elements 1, -1, i, -i, j, -j, k, -k as (axis, sign), axis 0 = scalar
     units = [(0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1)]
@@ -269,9 +241,11 @@ def preset(name: str) -> FiniteGroup:
     written in ASCII digits with no leading zero, so each group has one
     name."""
     if re.fullmatch("C(0|[1-9][0-9]*)", name):
-        n = int(name[1:])
+        # a name longer than C<MAX_ORDER> is past it: int() never reads it
+        n = int(name[1:]) if len(name) <= len(f"C{MAX_ORDER}") else 0
         if not 1 <= n <= MAX_ORDER:
-            raise ValueError(f"bad cyclic order {n}")
+            raise ValueError(f"bad cyclic order {name[1:9]}"
+                             + ("..." if len(name) > 9 else ""))
         grp = FiniteGroup.from_generators([tuple(range(1, n)) + (0,)])
     elif name == "Q8":
         table, names = _quaternion_table()

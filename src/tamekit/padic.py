@@ -62,7 +62,7 @@ def lambda_valuation(a: CycNum, p: int) -> int:
     The loop ends: the embedding is injective, so a nonzero a has a finite
     valuation v, and v is visible once (p-1) K exceeds it.
     """
-    if a.is_zero():
+    if not a:
         raise ValueError("zero has no valuation")
     K = 4
     while True:

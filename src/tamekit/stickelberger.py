@@ -23,12 +23,12 @@ followed by inner products on G, the projections `VirtualChar.from_values`
 takes when it decomposes each induced character, and through the second
 Adams operation.  Agreement of the routes is the content being certified.
 
-All of this data on <s> depends on the order m alone: every element of
-order m, in any group, is presented on the one preset C_m (its element i
-is s^i, `Subgroup.cyclic`), and one context per order holds that group's
-table with Xi, Xi* and d(s), so each of them sums its values once and each
-psi_2 xi^j is decomposed once.  What depends on s and G, the induction to
-G and the multiplicities of G's characters at s, is computed per element.
+All of this data on <s> depends on the order m alone: in any group, <s>
+is its powers on the one preset C_m (`FiniteGroup.cyclic_subgroup`:
+element i is s^i), and one context per order holds that group's table
+with Xi, Xi* and d(s), so each of them sums its values once and each
+psi_2 xi^j is decomposed once.  What depends on s and G, the induction
+to G and the multiplicities of G's characters at s, is per element.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import lru_cache
 
 from .arith import check_residue_size
 from .characters import CharTable, VirtualChar, cyclic_table, induce
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup
 
 
 def check_tame(G: FiniteGroup, s: int, q: int | None,
@@ -100,13 +100,13 @@ def verify_induction_identities(G: FiniteGroup, s: int) -> dict:
     """Both pairings against their induced-character inner-product
     descriptions, plus the difference identity through d(s)."""
     T = CharTable.of(G)
-    sub = Subgroup.cyclic(G, s)  # <s> on the shared C_m, element i is s^i
-    m = sub.group.n
+    powers = G.cyclic_subgroup(s)  # <s> on the shared C_m: i is s^i
+    m = len(powers)
     odd = m % 2 == 1
     _, xi, xi_star, d = _order_chars(m)
-    ind_xi = induce(xi, sub, T)
-    ind_xi_star = induce(xi_star, sub, T) if odd else None
-    ind_d = induce(d, sub, T) if odd else None
+    ind_xi = induce(xi, powers, T)
+    ind_xi_star = induce(xi_star, powers, T) if odd else None
+    ind_d = induce(d, powers, T) if odd else None
 
     rows = []
     for t in range(T.k):

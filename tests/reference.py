@@ -1,14 +1,16 @@
 """Reference arithmetic for the tests, built on the library's kept API:
 CycNum differences and quotients through `+`, negation and `inverse`,
 virtual-character coefficients and values through `num`, `den` and
-`value`, and TameElement sums, negatives, scalar multiples and powers
-through the constructor and `*`."""
+`value`, restriction of class functions to a subgroup given by its
+inclusion list, and TameElement sums, negatives, scalar multiples and
+powers through the constructor and `*`."""
 
 from fractions import Fraction
 from math import lcm
 
-from tamekit.characters import VirtualChar
+from tamekit.characters import CharTable, VirtualChar
 from tamekit.cyclotomic import CycNum
+from tamekit.groups import FiniteGroup
 from tamekit.localmodel import TameElement
 
 
@@ -35,6 +37,32 @@ def values(vc: VirtualChar) -> list[CycNum]:
 def scaled(vc: VirtualChar, r) -> VirtualChar:
     """r vc for an int or Fraction r."""
     return VirtualChar(vc.table, {t: c * r for t, c in coeffs(vc).items()})
+
+
+def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, list[int]]:
+    """(H, to_parent) for the subgroup of G on the given elements: H is a
+    law-checked FiniteGroup whose element h is to_parent[h] in G, in the
+    order of G's indices, so the identity comes first."""
+    to_parent = sorted(set(elements))
+    pos = {g: h for h, g in enumerate(to_parent)}
+    # -1 marks a product that leaves the elements, which H's check rejects
+    table = [[pos.get(G.table[a][b], -1) for b in to_parent]
+             for a in to_parent]
+    return FiniteGroup(table, [G.names[g] for g in to_parent]), to_parent
+
+
+def restrict(vc: VirtualChar, to_parent: list[int],
+             subtable: CharTable) -> VirtualChar:
+    """Restriction of a class function on G to a subgroup H, element h of
+    H sitting at to_parent[h] in G, decomposed on the given table of H:
+    the reference route that the Frobenius-reciprocity and multiplicity
+    tests check the library against."""
+    if len(to_parent) != subtable.group.n:
+        raise ValueError("inclusion list does not match the subtable")
+    gvals = values(vc)
+    return VirtualChar.from_values(
+        subtable, [gvals[vc.table.class_of[to_parent[h]]]
+                   for h in subtable.reps])
 
 
 def tame(x) -> TameElement:

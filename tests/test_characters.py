@@ -15,11 +15,10 @@ from tamekit.arith import smallest_prime_in_class
 from tamekit.characters import (CharTable, VirtualChar, _class_products,
                                  _krylov_poly, _layout, cyclic_table, induce)
 from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
-from tamekit.groups import PRESET_NAMES, FiniteGroup, Subgroup, preset
+from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
 from tamekit.stickelberger import _order_chars
 
-from reference import coeffs, div, minus, scaled, values
-from restriction import restrict
+from reference import coeffs, div, minus, restrict, scaled, subgroup, values
 
 
 def _trivial_index(T):
@@ -35,11 +34,7 @@ def test_all_presets_certify():
         assert table.certification == cert, name
     # `inner` reads coefficients, so it relies on cyclic tables too
     for n in range(3, 16):
-        G = preset(f"C{n}")
-        gens = [g for g in range(G.n) if G.element_order(g) == n]
-        assert gens, n
-        for g in gens:
-            assert CharTable.cyclic(G, g).certify()["pass"], (n, g)
+        assert cyclic_table(n).certify()["pass"], n
 
 
 def test_degree_multisets():
@@ -94,10 +89,22 @@ def test_d5_rotation_values():
 
 def test_cyclic_table_power_ordering():
     G = preset("C5")
-    T = CharTable.cyclic(G, 1)
+    T = cyclic_table(5)
+    assert T.group is G
     for j in range(5):
         for t in range(5):
             assert T.value(j, T.class_of[G.power(1, t)]) == zeta(5, (j * t) % 5)
+
+
+@pytest.mark.parametrize("m", [1, 9, 15, 109])
+def test_cyclic_table_shares_its_eigen_rows_and_certifies(m):
+    # one one-hot row per (u, d), d | m and u < d: sigma(m) rows in all,
+    # 13 at m = 9 against the m^2 = 81 entries that read them
+    T = cyclic_table(m)
+    rows = {id(mu) for row in T.eigen for mu in row}
+    assert len(rows) == sum(d for d in range(1, m + 1) if m % d == 0)
+    assert T.group is preset(f"C{m}") and T.degrees == [1] * m
+    assert T.certify()["pass"]
 
 
 def test_orthonormality_of_irreducibles():
@@ -165,10 +172,12 @@ def test_virtual_arithmetic():
 def test_induction_of_trivial_is_permutation_character():
     G = preset("S3")
     T = CharTable.of(G)
-    s = G.names.index("(1 2 3)")
-    sub = Subgroup.cyclic(G, s)
-    subT = CharTable.of(sub.group)
-    ind = induce(VirtualChar.irreducible(subT, _trivial_index(subT)), sub, T)
+    powers = G.cyclic_subgroup(G.names.index("(1 2 3)"))
+    subT = CharTable.of(preset("C3"))
+    ind = induce(VirtualChar.irreducible(subT, _trivial_index(subT)), powers,
+                 T)
+    with pytest.raises(ValueError, match="inclusion list"):
+        induce(VirtualChar.irreducible(subT, 0), powers[:2], T)
     # permutation character on two points: trivial + sign
     assert ind.value(T.class_of[0]).as_rational() == 2
     assert ind.inner(VirtualChar.irreducible(T, _trivial_index(T))) == 1
@@ -179,10 +188,10 @@ def test_induction_of_trivial_is_permutation_character():
 def test_induction_of_nontrivial_linear_gives_degree_two():
     G = preset("S3")
     T = CharTable.of(G)
-    sub = Subgroup.cyclic(G, G.names.index("(1 2 3)"))
-    subT = CharTable.of(sub.group)
+    powers = G.cyclic_subgroup(G.names.index("(1 2 3)"))
+    subT = CharTable.of(preset("C3"))
     xi = next(t for t in range(subT.k) if t != _trivial_index(subT))
-    ind = induce(VirtualChar.irreducible(subT, xi), sub, T)
+    ind = induce(VirtualChar.irreducible(subT, xi), powers, T)
     two = next(t for t in range(T.k) if T.degrees[t] == 2)
     assert values(ind) == values(VirtualChar.irreducible(T, two))
 
@@ -197,29 +206,32 @@ def test_frobenius_reciprocity_all_cyclic_subgroups():
             if key in seen:
                 continue
             seen.add(key)
-            sub = Subgroup.cyclic(G, s)
-            subT = CharTable.of(sub.group)
+            powers = G.cyclic_subgroup(s)
+            subT = CharTable.of(preset(f"C{len(powers)}"))
             for i in range(subT.k):
                 psi = VirtualChar.irreducible(subT, i)
-                ind = induce(psi, sub, T)
+                ind = induce(psi, powers, T)
                 for t in range(T.k):
                     chi = VirtualChar.irreducible(T, t)
-                    assert ind.inner(chi) == psi.inner(restrict(chi, sub, subT))
+                    assert ind.inner(chi) == \
+                        psi.inner(restrict(chi, powers, subT))
 
 
-def _induce_by_conjugation(vc, sub, T):
-    """Reference induction, one conjugation per x in G:
+def _induce_by_conjugation(vc, to_parent, T):
+    """Reference induction to T's group G, element h of H at to_parent[h]
+    in G, one conjugation per x in G:
     Ind f(g) = (1/|H|) sum over x with x g x^-1 in H of f(x g x^-1)."""
-    G = sub.parent
+    G = T.group
+    from_parent = {g: h for h, g in enumerate(to_parent)}
     hvals = values(vc)
     vals = []
     for g in T.reps:
         acc = CycNum.from_rational(0)
         for x in range(G.n):
-            hi = sub.from_parent.get(G.conjugate(x, g))
+            hi = from_parent.get(G.conjugate(x, g))
             if hi is not None:
                 acc = acc + hvals[vc.table.class_of[hi]]
-        vals.append(div(acc, sub.group.n))
+        vals.append(div(acc, len(to_parent)))
     return VirtualChar.from_values(T, vals)
 
 
@@ -231,41 +243,42 @@ def _f57():
 
 
 def _induction_cases():
-    """(subgroup, its table): every cyclic subgroup of every preset (among
-    them the C2 <(1 2)> of S3, which is not normal), on the power-ordered
-    table the pairings use; the Klein four-group in A4, which is not
-    cyclic; the C19 and C3 of F57."""
+    """(G, inclusion list, the subgroup's table): every cyclic subgroup of
+    every preset (among them the C2 <(1 2)> of S3, which is not normal),
+    as its powers on the power-ordered table the pairings use; the Klein
+    four-group in A4, which is not cyclic; the C19 and C3 of F57."""
     for name in PRESET_NAMES:
         G = preset(name)
         seen = set()
         for s in range(G.n):
-            key = frozenset(G.cyclic_subgroup(s))
-            if key not in seen:
-                seen.add(key)
-                sub = Subgroup.cyclic(G, s)
-                yield sub, CharTable.cyclic(sub.group, sub.from_parent[s])
+            powers = G.cyclic_subgroup(s)
+            if frozenset(powers) not in seen:
+                seen.add(frozenset(powers))
+                yield G, powers, cyclic_table(len(powers))
     A4 = preset("A4")
-    klein = Subgroup(A4, [g for g in range(A4.n) if A4.element_order(g) <= 2])
-    assert klein.group.n == 4
-    yield klein, CharTable.of(klein.group)
+    klein, to_parent = subgroup(
+        A4, [g for g in range(A4.n) if A4.element_order(g) <= 2])
+    assert klein.n == 4
+    yield A4, to_parent, CharTable.of(klein)
     F57 = _f57()
     # the generators are the first elements after the identity
     assert (F57.element_order(1), F57.element_order(2)) == (19, 3)
     for s in (1, 2):
-        sub = Subgroup.cyclic(F57, s)
-        yield sub, CharTable.cyclic(sub.group, sub.from_parent[s])
+        powers = F57.cyclic_subgroup(s)
+        yield F57, powers, cyclic_table(len(powers))
 
 
 def test_induce_matches_the_conjugation_loop():
-    for sub, subT in _induction_cases():
-        T = CharTable.of(sub.parent)
+    for G, to_parent, subT in _induction_cases():
+        T = CharTable.of(G)
         irr = [VirtualChar.irreducible(subT, i) for i in range(subT.k)]
         mixed = VirtualChar(subT, {i: Fraction(i + 1, subT.k)
                                    for i in range(subT.k)})
         for psi in irr + [mixed, scaled(irr[-1], -2) - irr[0]]:
-            ind, ref = induce(psi, sub, T), _induce_by_conjugation(psi, sub, T)
-            assert coeffs(ind) == coeffs(ref), (sub.elements, psi)
-            assert values(ind) == values(ref), (sub.elements, psi)
+            ind = induce(psi, to_parent, T)
+            ref = _induce_by_conjugation(psi, to_parent, T)
+            assert coeffs(ind) == coeffs(ref), (to_parent, psi)
+            assert values(ind) == values(ref), (to_parent, psi)
 
 
 def test_adams_matches_a_direct_decomposition():
@@ -385,23 +398,19 @@ def test_irreducibles_are_shared_and_unchanged_by_arithmetic():
 def test_restriction_values_match():
     G = preset("A4")
     T = CharTable.of(G)
-    s = G.names.index("(1 2 3)")
-    sub = Subgroup.cyclic(G, s)
-    subT = CharTable.of(sub.group)
+    powers = G.cyclic_subgroup(G.names.index("(1 2 3)"))
+    subT = CharTable.of(preset("C3"))
     three = next(t for t in range(T.k) if T.degrees[t] == 3)
-    res = restrict(VirtualChar.irreducible(T, three), sub, subT)
-    for i in range(sub.group.n):
+    res = restrict(VirtualChar.irreducible(T, three), powers, subT)
+    for i in range(subT.group.n):
         assert res.value(subT.class_of[i]) == \
-            T.value(three, T.class_of[sub.to_parent[i]])
+            T.value(three, T.class_of[powers[i]])
 
 
 def test_eigen_multiplicities_reproduce_values():
     # sum_u eigen[t][j][u] zeta_m^(ui) == chi_t(g^i) for g = reps[j], m = |g|
     tables = [CharTable.of(preset(name)) for name in PRESET_NAMES]
-    C9 = preset("C9")
-    tables += [CharTable.cyclic(C9, g) for g in range(C9.n)
-               if C9.element_order(g) == C9.n]
-    assert len(tables) == len(PRESET_NAMES) + 6
+    tables.append(cyclic_table(9))
     for T in tables:
         G = T.group
         for t in range(T.k):
@@ -507,30 +516,24 @@ def _loop_inner(x, y):
 
 def _inner_cases():
     """(label, characters on one table): irreducibles and induced
-    characters of F21 and A4; on the power-ordered tables of C9 at
-    generators 1 and 2, the irreducibles, Xi, Xi*, d, Adams squares and
-    rational combinations."""
+    characters of F21 and A4; on the power-ordered table of C9, the
+    irreducibles, Xi, Xi*, d, Adams squares and rational combinations."""
     for name in ("F21", "A4"):
         G = preset(name)
         T = CharTable.of(G)
         chars = [VirtualChar.irreducible(T, t) for t in range(T.k)]
         for s in (1, G.n - 1):
-            sub = Subgroup.cyclic(G, s)
-            subT = CharTable.of(sub.group)
-            chars += [induce(VirtualChar.irreducible(subT, i), sub, T)
+            powers = G.cyclic_subgroup(s)
+            subT = CharTable.of(preset(f"C{len(powers)}"))
+            chars += [induce(VirtualChar.irreducible(subT, i), powers, T)
                       for i in range(subT.k)]
         yield name, chars
-    G = preset("C9")
-    for s in (1, 2):
-        assert G.element_order(s) == 9
-        assert Subgroup.cyclic(G, s).group is G
-        T, xi, xis, d = _order_chars(9)
-        irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
-        chars = irr + [xi, xis, d, xi.adams(2), xis.adams(2), irr[4].adams(2),
+    T, xi, xis, d = _order_chars(9)
+    irr = [VirtualChar.irreducible(T, t) for t in range(T.k)]
+    yield "C9", irr + [xi, xis, d, xi.adams(2), xis.adams(2), irr[4].adams(2),
                        (irr[2] - irr[7]).adams(2), xis - xi - d,
                        scaled(xi, Fraction(-3, 2)) + d,
                        irr[1] + scaled(irr[5], 7)]
-        yield f"C9 at {s}", chars
 
 
 def test_inner_matches_the_cycnum_loop():
@@ -921,7 +924,7 @@ def test_dixon_matches_the_cyclic_tables():
     for name in ("C27", "C32", "C45"):
         G = preset(name)
         dixon = CharTable._dixon(G)
-        known = CharTable.cyclic(G, 1)
+        known = cyclic_table(G.n)
         assert dixon.classes == known.classes, name
         where = {key(row): t for t, row in enumerate(known.values)}
         assert sorted(map(key, dixon.values)) == sorted(where), name

@@ -166,7 +166,28 @@ USAGE_ERRORS = [
     # element text that is not a permutation, or too large to be one
     ["pairing", "--group", "S3", "--s", "(1 2)(1 3)"],
     ["pairing", "--group", "S3", "--s", "(1 1000000000)"],
+    # index and points that int() reads but that are not ASCII decimals
+    ["pairing", "--group", "S3", "--s", " 1"],
+    ["pairing", "--group", "S3", "--s", "\u0661"],
+    ["pairing", "--group", "S3", "--s", "(\u0661 \u0662 \u0663)"],
+    ["localmodel", "verify", "--group", "F21", "--s", "1", "--t", "1_0"],
+    # a cyclic name past int()'s limit on digits
+    ["chartab", "--group", "C" + "1" * 5000],
 ]
+
+
+def test_cyclic_name_past_the_digit_limit_exits_two(tmp_path, capsys):
+    name = "C" + "1" * 5000
+    assert main(["chartab", "--group", name]) == 2
+    assert capsys.readouterr().err == \
+        "error: bad cyclic order 11111111...\n"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"groups": [name]}))
+    assert main(["suite", "--config", str(config),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == \
+        "error: bad cyclic order 11111111...\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_usage_errors_exit_two(capsys):
@@ -408,7 +429,8 @@ def test_suite_malformed_config_exits_two(data, tmp_path, capsys):
 # strings that int() reads but that are not an optional - and ASCII
 # digits, and ASCII digits past int()'s limit on their number
 @pytest.mark.parametrize("text", [
-    "1_000", "\u0661\u0663", "\uff11\uff13", " 13", "13\n", "+13",
+    "1_000", "\u0661\u0663", "\uff11\uff13", " 13", "13\n", "+13", " 1",
+    "\u0661",
     pytest.param("1" * 5000, id="5000-digits", marks=pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"),
         reason="int() has no limit on digits"))])
@@ -427,6 +449,26 @@ def test_integer_strings_must_be_ascii_decimals(text, tmp_path, capsys):
                  "--out", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err == \
         f"error: q must hold integers, got {text!r}\n"
+    # every integer option, named by argparse
+    out = ["--out", str(tmp_path / "r")]
+    local = ["localmodel", "verify", "--group", "C9", "--s", "1"]
+    for argv, flag in ((["gauss", "--p", text], "--p"),
+                       (["gauss", "--p", "13", "--order", text], "--order"),
+                       (["crux", "--p", text, "--e", "3"], "--p"),
+                       (["crux", "--p", "7", "--e", text], "--e"),
+                       ([*local, "--q", text], "--q"),
+                       ([*local, "--n", text], "--n")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *out])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid ascii_int value" in \
+            capsys.readouterr().err
+    # an element index, where int() alone would pick an element
+    for argv, flag in ((["pairing", "--group", "S3", "--s", text], "--s"),
+                       (["localmodel", "verify", "--group", "F21", "--s",
+                         "1", "--t", text], "--t")):
+        assert main([*argv, *out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: element ")
     assert not (tmp_path / "r").exists()
 
 

@@ -6,8 +6,8 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tamekit.groups import (FiniteGroup, PRESET_NAMES, Subgroup, cycle_string,
-                            parse_cycles, preset)
+from tamekit.groups import (FiniteGroup, PRESET_NAMES, ascii_int,
+                            cycle_string, parse_cycles, preset)
 
 
 def test_parse_cycles():
@@ -26,6 +26,10 @@ def test_parse_cycles():
     assert parse_cycles("()", 3) == (0, 1, 2)
     with pytest.raises(ValueError, match="point 5 exceeds degree 4"):
         parse_cycles("(1 2)(3 5)", 4)
+    # points are ASCII decimals, though int() reads these as 1 2 3 or 20
+    for text in ("(\u0661 \u0662 \u0663)", "(1 2_0)", "(1 \uff12)"):
+        with pytest.raises(ValueError, match="^not an integer"):
+            parse_cycles(text)
 
 
 def test_cycle_string_round_trip():
@@ -47,9 +51,24 @@ def test_preset_orders_and_labels():
 def test_preset_unknown_name():
     with pytest.raises(ValueError, match="A4"):
         preset("SL2")
-    for name in ("C0", "C361"):
-        with pytest.raises(ValueError, match="^bad cyclic order"):
+    # a name longer than C360 is past the cap, and 5,000 digits are past
+    # int()'s limit on digits, whose message must not come first
+    for name, shown in (("C0", "0"), ("C361", "361"), ("C1000", "1000"),
+                        ("C" + "1" * 5000, "11111111...")):
+        with pytest.raises(ValueError) as info:
             preset(name)
+        assert str(info.value) == f"bad cyclic order {shown}"
+
+
+def test_ascii_int_reads_a_sign_and_ascii_digits_only():
+    assert [ascii_int(t) for t in ("0", "13", "-13", "0013")] == \
+        [0, 13, -13, 13]
+    for text in ("1_3", " 1", "1 ", "13\n", "+13", "\u0663", "\uff11",
+                 "", "-", "1.0"):
+        with pytest.raises(ValueError, match="^not an integer"):
+            ascii_int(text)
+
+
 
 
 # a leading zero, an Arabic-Indic 3, a superscript 3, a fullwidth 3, a
@@ -168,17 +187,17 @@ def test_subgroup_closure_and_transversal():
 
 
 def test_cyclic_subgroup_object():
+    # <s> is presented on the preset C_m by its powers: element i of C_m
+    # is s^i, and the inclusion respects multiplication
     G = preset("S3")
     s = G.names.index("(1 2 3)")
-    sub = Subgroup.cyclic(G, s)
-    assert sub.group.n == 3
-    for i in range(sub.group.n):
-        assert sub.from_parent[sub.to_parent[i]] == i
-    # embedding respects multiplication
-    for i in range(sub.group.n):
-        for j in range(sub.group.n):
-            assert sub.to_parent[sub.group.mul(i, j)] == \
-                G.mul(sub.to_parent[i], sub.to_parent[j])
+    powers = G.cyclic_subgroup(s)
+    C3 = preset(f"C{len(powers)}")
+    assert C3.n == 3 and len(set(powers)) == 3
+    for i in range(C3.n):
+        assert powers[i] == G.power(s, i)
+        for j in range(C3.n):
+            assert powers[C3.mul(i, j)] == G.mul(powers[i], powers[j])
 
 
 def test_from_generators():

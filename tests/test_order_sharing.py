@@ -18,7 +18,7 @@ from tamekit import characters, localmodel, stickelberger
 from tamekit.characters import CharTable, VirtualChar, cyclic_table
 from tamekit.cli import SuiteConfig, _dump, _suite_reports
 from tamekit.cyclotomic import zeta
-from tamekit.groups import FiniteGroup, Subgroup, preset
+from tamekit.groups import FiniteGroup, preset
 from tamekit.localmodel import (TameElement, det_resolvend, phi_resolvend,
                                 phi_star_resolvend, verify_factorization)
 from tamekit.stickelberger import _order_chars, verify_adams_identities
@@ -109,19 +109,20 @@ def _of_order(G, m):
 def test_elements_of_one_order_share_table_and_xi():
     C7, F21, F57 = preset("C7"), preset("F21"), _f57()
     s = _of_order(F21, 7)
-    sub1, sub2 = Subgroup.cyclic(C7, 1), Subgroup.cyclic(F21, s)
-    assert sub1.group is sub2.group is C7
-    assert sub2.parent is F21 and sub2.to_parent == F21.cyclic_subgroup(s)
+    # <s> is its list of powers, presented on the one preset C7
+    assert F21.cyclic_subgroup(s) == [F21.power(s, i) for i in range(7)]
+    assert C7.cyclic_subgroup(1) == list(range(7))
     # Xi, Xi* and d(s) live on that one table, once per order
-    t = _order_chars(sub2.group.n)[0]
-    assert t is _order_chars(sub1.group.n)[0] is cyclic_table(7)
+    t = _order_chars(7)[0]
+    assert t is cyclic_table(7) and t.group is C7
     assert all(vc.table is t for vc in _order_chars(7)[1:])
     # order 19 in F57 and in C19, order 3 in F57 and in F21
-    assert Subgroup.cyclic(F57, _of_order(F57, 19)).group is \
-        Subgroup.cyclic(preset("C19"), 1).group is preset("C19")
+    assert len(F57.cyclic_subgroup(_of_order(F57, 19))) == 19
     assert _order_chars(19)[0] is cyclic_table(19)
-    assert Subgroup.cyclic(F57, _of_order(F57, 3)).group is \
-        Subgroup.cyclic(F21, _of_order(F21, 3)).group
+    assert cyclic_table(19).group is preset("C19")
+    assert len(F57.cyclic_subgroup(_of_order(F57, 3))) == \
+        len(F21.cyclic_subgroup(_of_order(F21, 3))) == 3
+    assert _order_chars(3)[0].group is preset("C3")
 
 
 def _direct_dft(G, x, s, done):

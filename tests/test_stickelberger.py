@@ -1,12 +1,13 @@
 """Fractional-part pairings and their induction/Adams identities."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamekit.characters import CharTable, VirtualChar
-from tamekit.groups import PRESET_NAMES, Subgroup, preset
+from tamekit.characters import CharTable, VirtualChar, cyclic_table
+from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
 from tamekit.ledger import build_f
 from tamekit.localmodel import phi_star_resolvend, verify_factorization
 from tamekit.stickelberger import (_order_chars, check_tame, pairing,
@@ -14,18 +15,16 @@ from tamekit.stickelberger import (_order_chars, check_tame, pairing,
                                    verify_adams_identities,
                                    verify_induction_identities)
 
-from reference import coeffs, scaled
-from restriction import restrict
+from reference import coeffs, restrict, scaled
 
 
-def _cyclic_rows(G, gen):
-    T = CharTable.cyclic(G, gen)
+def _cyclic_rows(m):
+    T = cyclic_table(m)
     return T, [VirtualChar.irreducible(T, j) for j in range(T.k)]
 
 
 def test_pairing_values_on_c3():
-    G = preset("C3")
-    T, rows = _cyclic_rows(G, 1)
+    T, rows = _cyclic_rows(3)
     # row j sends the generator to zeta_3^j
     assert [pairing(rows[j], 1) for j in range(3)] == \
         [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
@@ -87,8 +86,7 @@ def test_odd_order_rule_has_one_message():
 
 def test_star_window_is_symmetric():
     # pairing* of a character and of its conjugate are negatives
-    G = preset("C7")
-    T, rows = _cyclic_rows(G, 1)
+    T, rows = _cyclic_rows(7)
     for j in range(1, 7):
         assert star_pairing(rows[j], 1) == -star_pairing(rows[7 - j], 1)
     assert star_pairing(rows[0], 1) == 0
@@ -99,11 +97,10 @@ def test_xi_and_d_character_pairings():
     G = preset("F21")
     T = CharTable.of(G)
     s = next(g for g in range(G.n) if G.element_order(g) == 7)
-    sub = Subgroup.cyclic(G, s)
     ctab, xi, xis, d = _order_chars(7)
     for t in range(T.k):
         chi = VirtualChar.irreducible(T, t)
-        res = restrict(chi, sub, ctab)
+        res = restrict(chi, G.cyclic_subgroup(s), ctab)
         assert res.inner(xi) == pairing(chi, s)
         assert res.inner(xis) == star_pairing(chi, s)
         assert res.inner(d) == star_pairing(chi, s) - pairing(chi, s)
@@ -115,6 +112,23 @@ def test_induction_identities_all_presets():
         for s in range(G.n):
             rep = verify_induction_identities(G, s)
             assert rep["pass"], (name, s)
+
+
+@pytest.mark.parametrize("name, order, failing", [
+    ("F21", 7, {"chi3": 2, "chi4": 2}),
+    ("C9", 9, {f"chi{t}": 3 for t in (0, 2, 3, 4, 5, 6, 7, 8)})])
+def test_induction_identities_need_the_power_order(name, order, failing,
+                                                   monkeypatch):
+    # element i of C_m is s^i; presented by the powers of s^-1 instead,
+    # <s> induces the conjugate characters and the identities fail
+    G = preset(name)
+    assert G.element_order(1) == order
+    assert verify_induction_identities(G, 1)["pass"]
+    powers = FiniteGroup.cyclic_subgroup
+    monkeypatch.setattr(FiniteGroup, "cyclic_subgroup",
+                        lambda self, s: powers(self, self.inv[s]))
+    rows = verify_induction_identities(G, 1)["identities"]
+    assert Counter(r["chi"] for r in rows if not r["pass"]) == failing
 
 
 def test_adams_identities_odd_order_elements():
@@ -158,9 +172,9 @@ def test_multiplicities_match_restriction(data):
     combo = st.lists(coeff, min_size=T.k, max_size=T.k)
     a = VirtualChar(T, dict(enumerate(data.draw(combo))))
     b = VirtualChar(T, dict(enumerate(data.draw(combo))))
-    sub = Subgroup.cyclic(G, s)
-    ctab = _order_chars(sub.group.n)[0]
-    res = restrict(a, sub, ctab)
+    powers = G.cyclic_subgroup(s)
+    ctab = _order_chars(len(powers))[0]
+    res = restrict(a, powers, ctab)
     acc, den = a.multiplicity_sums(s)
     assert [Fraction(x, den) for x in acc] == \
         [coeffs(res).get(u, Fraction(0)) for u in range(ctab.k)]
