@@ -442,7 +442,8 @@ class VirtualChar:
 
     @classmethod
     def from_values(cls, table: CharTable, values: list[CycNum]) -> "VirtualChar":
-        """Decompose a class function exactly in the irreducible basis."""
+        """Decompose a class function exactly in the irreducible basis;
+        ValueError for a value at a conductor the table's does not contain."""
         values = list(values)
         projections = table.packed.dot([values[i] for i in table.inverse],
                                        table.weights)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .characters import CharTable, VirtualChar
 from .cyclotomic import CycNum
-from .groups import (MAX_ORDER, PRESET_NAMES, FiniteGroup, ascii_int,
+from .groups import (MAX_ORDER, PRESET_NAMES, FiniteGroup, ascii_int, clip,
                      cycle_string, parse_cycles, preset)
 
 
@@ -166,7 +166,7 @@ def _resolve_element(G: FiniteGroup, text: str, flag: str) -> int:
     """The element of G that text, given for flag, names."""
     if text in G.names:
         return G.names.index(text)
-    where = f"{flag}: element {text!r}"
+    where = f"{flag}: element {clip(text)!r}"
     try:
         i = ascii_int(text)
     except ValueError:

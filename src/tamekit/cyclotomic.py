@@ -549,18 +549,18 @@ class CycNum:
 
 class _PackedMatrix:
     """The k x c matrix rows[t][j] of CycNums: each distinct entry embedded
-    at a conductor n (their lcm by default) over one denominator L and
-    normed, once; packed on first use at a slot width, by row (c blocks of
-    phi(n) slots) and by column (k blocks of 2 phi(n) - 1, for products)."""
+    at their lcm conductor n over one denominator L and normed, once;
+    packed on first use at a slot width, by row (c blocks of phi(n) slots)
+    and by column (k blocks of 2 phi(n) - 1, for products)."""
 
-    def __init__(self, rows: list, n: int | None = None):
+    def __init__(self, rows: list):
         distinct = {id(x): x for row in rows for x in row}
-        n = n or math.lcm(*(x.n for x in distinct.values()))
+        n = math.lcm(*(x.n for x in distinct.values()))
         den = math.lcm(*map(_den, distinct.values()))
         ints = {i: [c * (den // x.den) for c in x.embed(n).num]
                 for i, x in distinct.items()}
         self.rows, self.n, self.den = rows, n, den
-        self._at, self._packs = {}, {}  # conductor -> matrix, width -> ints
+        self._packs = {}  # width -> ints
         self.nums = [[ints[id(x)] for x in row] for row in rows]
         l1 = {i: sum(map(abs, v)) for i, v in ints.items()}
         inf = {i: max(map(abs, v)) for i, v in ints.items()}
@@ -578,14 +578,11 @@ class _PackedMatrix:
 
     def dot(self, values: list, weights: list) -> list[CycNum]:
         """[sum_j weights[j] values[j] rows[t][j] for each row t] at the
-        lcm conductor, for int or Fraction weights and values of any
-        denominator.  No slot of a row's block or its reduction exceeds
-        sum_j |W_j| |A_j|_1 max_t |B_tj|_1 (1 + spread), by `_table`."""
-        n = math.lcm(self.n, *(x.n for x in values))
-        if n != self.n:
-            if n not in self._at:
-                self._at[n] = _PackedMatrix(self.rows, n)
-            return self._at[n].dot(values, weights)
+        matrix's conductor, which must contain each value's, for int or
+        Fraction weights and values of any denominator.  No slot of a row's
+        block or its reduction exceeds sum_j |W_j| |A_j|_1 max_t |B_tj|_1
+        (1 + spread), by `_table`."""
+        n = self.n
         phi, spread = _table(n)[:2]
         wd = math.lcm(*map(_denominator, weights))
         vd = math.lcm(*map(_den, values))

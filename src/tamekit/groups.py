@@ -20,33 +20,37 @@ from functools import lru_cache
 MAX_ORDER = 360
 
 
+def clip(text: str) -> str:
+    """text for a message: its first 8 characters, and "..." if longer."""
+    return text[:8] + ("..." if len(text) > 8 else "")
+
+
 def ascii_int(text: str) -> int:
     """The int that text spells as an optional - and ASCII digits, else
     ValueError; int() also takes _, spaces and other scripts' digits."""
     if not re.fullmatch("-?[0-9]+", text):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {clip(text)!r}")
     return int(text)
 
 
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
-    """Parse 1-based cycle notation like "(1 2 3)(4 5)" into a 0-based
-    permutation tuple.  Commas and spaces both separate points, and no
-    point may appear twice.  With a degree the result has exactly that
-    many points, and a larger point is an error."""
-    text = text.strip()
-    if not text or text == "()":
-        d = degree or 1
-        return tuple(range(d))
+    """Parse 1-based cycle notation like "(1 2 3)(4 5)", "()" the identity
+    and "" none, into a 0-based permutation tuple.  Commas and spaces both
+    separate points, and no point may appear twice.  With a degree the
+    result has exactly that many points, and a larger point is an error."""
+    if text == "()":
+        return tuple(range(degree or 1))
     if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"bad cycle notation: {text!r}")
+        raise ValueError("bad cycle notation")
     cycles = []
     seen = set()
     for chunk in text[1:-1].split(")("):
         pts = [ascii_int(t) for t in chunk.replace(",", " ").split()]
         if len(pts) != len(set(pts)) or any(x < 1 for x in pts):
-            raise ValueError(f"bad cycle: ({chunk})")
+            raise ValueError(f"bad cycle: ({clip(chunk)})")
         if degree is not None and max(pts, default=0) > degree:
-            raise ValueError(f"point {max(pts)} exceeds degree {degree}")
+            raise ValueError(f"point {clip(str(max(pts)))} exceeds degree "
+                             f"{degree}")
         again = seen.intersection(pts)
         if again:
             raise ValueError(f"point {min(again)} appears in two cycles")
@@ -244,8 +248,7 @@ def preset(name: str) -> FiniteGroup:
         # a name longer than C<MAX_ORDER> is past it: int() never reads it
         n = int(name[1:]) if len(name) <= len(f"C{MAX_ORDER}") else 0
         if not 1 <= n <= MAX_ORDER:
-            raise ValueError(f"bad cyclic order {name[1:9]}"
-                             + ("..." if len(name) > 9 else ""))
+            raise ValueError(f"bad cyclic order {clip(name[1:])}")
         grp = FiniteGroup.from_generators([tuple(range(1, n)) + (0,)])
     elif name == "Q8":
         table, names = _quaternion_table()

@@ -10,33 +10,33 @@ exact.  Two commuting-up-to-twist operators act:
 
 so that phi_q . sigma = sigma^q . phi_q, the tame relation.
 
-On top of the monomial layer sit group-algebra elements with TameElement
-coefficients.  For s in G of order m the averaged ladder
+For s in G of order m the averaged ladders
 
     beta   = (1/m) sum_{i=0}^{m-1} pi^(i/m)
     beta*  = (1/m) sum_{i=0}^{m-1} pi^((i + (1-m)/2)/m)     (odd m)
 
-gives resolvends r = sum_i sigma^i(beta) s^(-i).  On <s>, chi's
-determinant is prod_j F_j^mult_j, with the eigenfactors F_j = sum_i
-r[s^i] zeta_m^(ij).  r[s^i] = sigma^(-i)(ladder) depends on the order m
-and the ladder alone, and sigma keeps the ladder's denominator D and
-exponents, so each ladder takes one length-m DFT (one `dot` per exponent
-against the packed rows of `cyclic_table(m)`), its rows read straight
-into monomials F_j = c_j pi^(k_j/D) (`_ladder_monomials`), shared by
-every element of order m in any group.  mult_j comes from chi
-(VirtualChar.multiplicity_sums at s): Dixon's eigenvalue data for an
-irreducible, and for psi_2 chi the decomposition `adams` computed, so the
-Adams identity stays a check between two routes.  A determinant is one
-integer exponent sum sum_j mult_j k_j over D and one coefficient product,
-and no TameElement is multiplied or raised to a power.  The verifiers
-check that these determinants are exactly the monomials predicted by the
-Stickelberger pairings, that a Kummer generator's twisted orbit sums
-recover each basis monomial, and that the change-of-basis determinant is
-a unit above the chosen residue characteristic.  Twisted sums are
-exponent rotations of the orbit's numerators, apart from the DFT and the
-stored eigenfactors, so the two Kummer routes stay independent.
-r^sigma = r s is checked by such a rotation too, not by `sigma_action`,
-which built the orbit under test.
+give resolvends r = sum_i sigma^i(beta) s^(-i) on <s>, never stored: a
+reader takes s and the ladder's start.  On <s>, chi's determinant is
+prod_j F_j^mult_j, with the eigenfactors F_j = sum_i r[s^i] zeta_m^(ij);
+r[s^i] = sigma^(-i)(ladder) depends on m and the ladder alone, and sigma
+keeps the ladder's denominator D and exponents, so each ladder takes one
+length-m DFT (one `dot` per exponent against the packed rows of
+`cyclic_table(m)`), its rows read straight into monomials F_j = c_j
+pi^(k_j/D) (`_ladder_monomials`), shared by every element of order m in
+any group.  mult_j comes from chi (VirtualChar.multiplicity_sums at s):
+Dixon's eigenvalue data for an irreducible, and for psi_2 chi the
+decomposition `adams` computed, so the Adams identity stays a check
+between two routes.  A determinant is one integer exponent sum sum_j
+mult_j k_j over D and one coefficient product, and no TameElement is
+multiplied or raised to a power.  The verifiers check that these
+determinants are exactly the monomials predicted by the Stickelberger
+pairings, that a Kummer generator's twisted orbit sums recover each basis
+monomial, and that the change-of-basis determinant is a unit above the
+chosen residue characteristic.  Twisted sums are exponent rotations of
+the orbit's numerators, apart from the DFT and the stored eigenfactors,
+so the two Kummer routes stay independent.  r^sigma = r s is checked by
+such a rotation too, the orbit laid on G's powers of s and translated by
+G's product, not by `sigma_action`, which built the orbit.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ class TameElement:
 
     __slots__ = ("terms", "den")
 
-    def __new__(cls, terms: dict | None = None, den: int = 1):
-        """sum of c * pi^(a/den) over the items a: c of terms."""
-        clean = {a: CycNum.from_rational(c) if isinstance(c, (int, Fraction))
-                 else c for a, c in (terms or {}).items()}
-        return cls._make({a: c for a, c in clean.items() if c}, den)
-
     @classmethod
     def _make(cls, terms: dict[int, CycNum], den: int) -> "TameElement":
         """sum of c * pi^(a/den) for nonzero CycNums c, with no coercion."""
@@ -91,12 +85,10 @@ class TameElement:
         return cls._make({0: _ONE}, 1)
 
     @classmethod
-    def monomial(cls, exponent, coeff=_ONE) -> "TameElement":
-        """coeff * pi^exponent, for a rational exponent and a scalar coeff."""
+    def monomial(cls, exponent) -> "TameElement":
+        """pi^exponent, for a rational exponent."""
         e = _as_fraction(exponent)
-        if not isinstance(coeff, CycNum):
-            coeff = CycNum.from_rational(coeff)
-        return cls._make({e.numerator: coeff} if coeff else {}, e.denominator)
+        return cls._make({e.numerator: _ONE}, e.denominator)
 
     def _over(self, den: int) -> dict[int, CycNum]:
         """terms rekeyed over den, a multiple of self.den."""
@@ -162,21 +154,6 @@ def frobenius_action(x: TameElement, q: int) -> TameElement:
     return x._make({a: c.galois_apply(q) for a, c in x.terms.items()}, x.den)
 
 
-class GroupAlgebraElement:
-    """A resolvend: TameElement coefficients on <s>, and `eigen` = (s, D,
-    (k_j, c_j) per eigenfactor along s, from the ladder's one DFT in
-    `_ladder_monomials`) for det_resolvend.  `_sigma_equivariant` checks
-    r^sigma = r s by rotating numerators, as `sigma_action` built r."""
-
-    __slots__ = ("group", "terms", "eigen")
-
-    def __init__(self, group: FiniteGroup, terms: dict[int, TameElement],
-                 eigen: tuple[int, int, tuple]):
-        self.group = group
-        self.terms = terms
-        self.eigen = eigen
-
-
 @lru_cache(maxsize=None)
 def _ladder_orbit(m: int, start: int) -> tuple[TameElement, ...]:
     """[sigma^i(ladder)] for i < m, the ladder (1/m) sum_{i<m}
@@ -205,28 +182,6 @@ def _ladder_monomials(m: int, start: int) -> tuple[int, tuple]:
                                for row in rows)
 
 
-def _resolvend(G: FiniteGroup, s: int, start: int) -> GroupAlgebraElement:
-    """sum_i sigma^i(ladder(|s|, start)) s^(-i), its eigenfactors taken
-    along s."""
-    powers = G.cyclic_subgroup(s)
-    m = len(powers)
-    orbit = _ladder_orbit(m, start)
-    return GroupAlgebraElement(
-        G, {powers[-i % m]: orbit[i] for i in range(m)},
-        (s, *_ladder_monomials(m, start)))
-
-
-def phi_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
-    """sum_i sigma^i(beta) s^(-i), supported on <s>."""
-    return _resolvend(G, s, 0)
-
-
-def phi_star_resolvend(G: FiniteGroup, s: int) -> GroupAlgebraElement:
-    """Centered resolvend; ValueError unless `check_tame` accepts s."""
-    m = check_tame(G, s, None)
-    return _resolvend(G, s, (1 - m) // 2)
-
-
 def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
     """Smallest prime q compatible with t s t^-1 = s^q; ValueError unless
     `check_tame(G, s, None, t)` passes."""
@@ -236,25 +191,23 @@ def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
         next(k for k in range(m) if G.power(s, k) == c), m)
 
 
-def det_resolvend(x: GroupAlgebraElement, chi: VirtualChar) -> TameElement:
-    """Determinant of chi's representation evaluated on a resolvend x.
+def det_resolvend(chi: VirtualChar, s: int, start: int) -> TameElement:
+    """Determinant of chi's representation on the resolvend r of the
+    ladder (1/m) sum_{i<m} pi^((start + i)/m) along s, m = |s|.
 
-    x is built on s (`_resolvend`) and supported on H = <s>, where the
-    representation diagonalizes: the linear character xi_j of H with
-    xi_j(s) = zeta_m^j contributes the eigenfactor F_j = sum_h x[h] xi_j(h)
-    with multiplicity (chi|_H, xi_j), and the determinant is
-    prod_j F_j^mult_j.  The F_j depend on the order and the ladder alone
-    and are kept on x as c_j pi^(k_j/D): the product is pi^(sum_j mult_j
-    k_j / D) times prod_j c_j^mult_j.  The multiplicities are chi's own,
-    so psi_2 chi brings those `adams` found and the Adams identity stays
-    a check between two routes.  ValueError, naming the row, for a
-    non-integral multiplicity or a non-monomial F_j of nonzero
+    r is supported on H = <s>, where the representation diagonalizes: the
+    linear character xi_j of H with xi_j(s) = zeta_m^j contributes the
+    eigenfactor F_j = sum_h r[h] xi_j(h) with multiplicity (chi|_H, xi_j),
+    and the determinant is prod_j F_j^mult_j.  The F_j depend on m and the
+    ladder alone, c_j pi^(k_j/D) in `_ladder_monomials`: the product is
+    pi^(sum_j mult_j k_j / D) times prod_j c_j^mult_j.  The multiplicities
+    are chi's own, so psi_2 chi brings those `adams` found and the Adams
+    identity stays a check between two routes.  ValueError, naming the
+    row, for a non-integral multiplicity or a non-monomial F_j of nonzero
     multiplicity, which only a broken DFT gives.
     """
-    if chi.table.group is not x.group:
-        raise ValueError("character and element live over different groups")
-    s, D, factors = x.eigen
     acc, den = chi.multiplicity_sums(s)
+    D, factors = _ladder_monomials(len(acc), start)
     exponent, coeff = 0, _ONE
     for j, a in enumerate(acc):
         mult, rest = divmod(a, den)
@@ -310,14 +263,17 @@ def _twisted_sum(orbit: list[TameElement], t: int) -> TameElement:
     return TameElement._make({a: c for a, c in terms.items() if c}, den)
 
 
-def _sigma_equivariant(r: GroupAlgebraElement, s: int) -> bool:
-    """Whether sigma(r[g]) = r[g s^-1] for each g in r's support, each term
-    c pi^(a/D) of r[g] twisted to c zeta_D^a by rotating c's numerators a
-    slots at conductor lcm(D, c.n): no product and no `sigma_action`."""
-    G = r.group
+def _sigma_equivariant(G: FiniteGroup, s: int, start: int) -> bool:
+    """Whether sigma(r[g]) = r[g s^-1] in G for each g in <s>, r[s^-i] =
+    sigma^i(ladder) for the ladder from start: each term c pi^(a/D) of r[g]
+    twisted to c zeta_D^a by rotating c's numerators a slots at conductor
+    lcm(D, c.n), with no product and no `sigma_action`."""
+    powers = G.cyclic_subgroup(s)
+    orbit = _ladder_orbit(len(powers), start)
+    r = {g: orbit[-i] for i, g in enumerate(powers)}
     s_inv = G.power(s, -1)
-    for g, x in r.terms.items():
-        y = r.terms.get(G.mul(g, s_inv))
+    for g, x in r.items():
+        y = r.get(G.mul(g, s_inv))
         if y is None or y.den != x.den or y.terms.keys() != x.terms.keys():
             return False
         for a, c in x.terms.items():
@@ -363,9 +319,6 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
         q = smallest_prime_in_class(1, e)
 
     ctab = cyclic_table(e)
-    G = ctab.group
-    s = 1 % e
-    r = _resolvend(G, s, n)  # alpha's resolvend
     orbit = _ladder_orbit(e, n)  # sigma^j(alpha)
 
     checks = []
@@ -373,7 +326,7 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
         target = TameElement.monomial(Fraction(n + l, e))
         twisted = _twisted_sum(orbit, -(n + l))
         chi = VirtualChar.irreducible(ctab, (n + l) % e)
-        det_route = det_resolvend(r, chi)
+        det_route = det_resolvend(chi, 1 % e, n)  # alpha's resolvend
         ok = twisted == target and det_route == target
         checks.append({
             "offset": l,
@@ -428,19 +381,18 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
     m = check_tame(G, s, q, t)
     table = CharTable.of(G)
 
-    r = phi_resolvend(G, s)
-    r_star = phi_star_resolvend(G, s)
+    star = (1 - m) // 2
     equivariance = {
-        "plain": _sigma_equivariant(r, s),
-        "star": _sigma_equivariant(r_star, s),
+        "plain": _sigma_equivariant(G, s, 0),
+        "star": _sigma_equivariant(G, s, star),
     }
 
     checks = []
     for i in range(table.k):
         chi = VirtualChar.irreducible(table, i)
         psi2 = chi.adams(2)
-        d = det_resolvend(r, chi)
-        d_star = det_resolvend(r_star, chi)
+        d = det_resolvend(chi, s, 0)
+        d_star = det_resolvend(chi, s, star)
         p_plain = pairing(chi, s)
         p_star = star_pairing(chi, s)
         f_exp = pairing(psi2 - chi - chi, s)
@@ -448,7 +400,7 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
         ratio = d_star * d_inv
         ok_a = d == TameElement.monomial(p_plain)
         ok_b = d_star == TameElement.monomial(p_star)
-        ok_c = ratio == det_resolvend(r, psi2) * d_inv * d_inv
+        ok_c = ratio == det_resolvend(psi2, s, 0) * d_inv * d_inv
         ok_f = ratio == TameElement.monomial(f_exp) and f_exp == p_star - p_plain
         checks.append({
             "chi": i,

@@ -2,8 +2,9 @@
 CycNum differences and quotients through `+`, negation and `inverse`,
 virtual-character coefficients and values through `num`, `den` and
 `value`, restriction of class functions to a subgroup given by its
-inclusion list, and TameElement sums, negatives, scalar multiples and
-powers through the constructor and `*`."""
+inclusion list, TameElements with any coefficients and their sums,
+negatives, scalar multiples and powers through `_make` and `*`, and a
+resolvend as its coefficients on the group, built by `sigma_action`."""
 
 from fractions import Fraction
 from math import lcm
@@ -11,7 +12,7 @@ from math import lcm
 from tamekit.characters import CharTable, VirtualChar
 from tamekit.cyclotomic import CycNum
 from tamekit.groups import FiniteGroup
-from tamekit.localmodel import TameElement
+from tamekit.localmodel import TameElement, sigma_action
 
 
 def minus(a, b):
@@ -54,20 +55,44 @@ def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, list[int]]:
 def restrict(vc: VirtualChar, to_parent: list[int],
              subtable: CharTable) -> VirtualChar:
     """Restriction of a class function on G to a subgroup H, element h of
-    H sitting at to_parent[h] in G, decomposed on the given table of H:
-    the reference route that the Frobenius-reciprocity and multiplicity
-    tests check the library against."""
+    H sitting at to_parent[h] in G, decomposed on the given table of H by
+    CycNum inner products, which meet G's values and H's at the lcm of
+    their conductors: the reference route that the Frobenius-reciprocity
+    and multiplicity tests check the library against.  ValueError unless
+    the decomposition is rational and reproduces the restricted values."""
     if len(to_parent) != subtable.group.n:
         raise ValueError("inclusion list does not match the subtable")
     gvals = values(vc)
-    return VirtualChar.from_values(
-        subtable, [gvals[vc.table.class_of[to_parent[h]]]
-                   for h in subtable.reps])
+    res = [gvals[vc.table.class_of[to_parent[h]]] for h in subtable.reps]
+    zero = CycNum.from_rational(0)
+    # (res, chi_t)_H = sum_j |C_j|/|H| res(C_j^-1) chi_t(C_j)
+    inner = [sum((w * res[i] * x for w, i, x in
+                  zip(subtable.weights, subtable.inverse, row)), zero)
+             for row in subtable.values]
+    out = VirtualChar(subtable, {t: p.as_rational()
+                                 for t, p in enumerate(inner) if p})
+    if values(out) != res:
+        raise ValueError("class function is not in the character span")
+    return out
+
+
+def tame_terms(terms: dict | None = None, den: int = 1) -> TameElement:
+    """sum of c pi^(a/den) over the items a: c of terms, int and Fraction
+    coefficients coerced and zeros dropped."""
+    clean = {a: c if isinstance(c, CycNum) else CycNum.from_rational(c)
+             for a, c in (terms or {}).items()}
+    return TameElement._make({a: c for a, c in clean.items() if c}, den)
+
+
+def tame_monomial(exponent, coeff) -> TameElement:
+    """coeff pi^exponent for a rational exponent and a scalar coeff."""
+    e = Fraction(exponent)
+    return tame_terms({e.numerator: coeff}, e.denominator)
 
 
 def tame(x) -> TameElement:
     """x as a TameElement: a scalar x is x pi^0."""
-    return x if isinstance(x, TameElement) else TameElement({0: x})
+    return x if isinstance(x, TameElement) else tame_terms({0: x})
 
 
 def tame_sum(*xs: TameElement) -> TameElement:
@@ -78,11 +103,11 @@ def tame_sum(*xs: TameElement) -> TameElement:
         for a, c in x.terms.items():
             a *= den // x.den
             out[a] = out[a] + c if a in out else c
-    return TameElement(out, den)
+    return tame_terms(out, den)
 
 
 def tame_neg(x: TameElement) -> TameElement:
-    return TameElement({a: -c for a, c in x.terms.items()}, x.den)
+    return tame_terms({a: -c for a, c in x.terms.items()}, x.den)
 
 
 def tame_sub(x: TameElement, y: TameElement) -> TameElement:
@@ -96,4 +121,17 @@ def tame_pow(x: TameElement, k: int) -> TameElement:
     out = TameElement.one()
     for _ in range(k):
         out = out * x
+    return out
+
+
+def resolvend(G: FiniteGroup, s: int, start: int) -> dict[int, TameElement]:
+    """{g: r[g]} for r = sum_i sigma^i(ladder) s^(-i), the ladder (1/m)
+    sum_{i<m} pi^((start + i)/m) with m = |s|: each sigma^i applied by
+    `sigma_action`, each s^(-i) taken by G's power map."""
+    m = G.element_order(s)
+    x = tame_terms(dict.fromkeys(range(start, start + m), Fraction(1, m)), m)
+    out = {}
+    for i in range(m):
+        out[G.power(s, -i)] = x
+        x = sigma_action(x)
     return out

@@ -448,20 +448,18 @@ def test_from_values_rejects_the_altered_table():
     values = [row[:] for row in T.values]
     values[2][1] = values[2][1] + 1
     bad = CharTable(T.group, T.classes, values, T.degrees, T.eigen)
-    for r in (1, 5):  # at exp(G) and packed again at 5 exp(G)
-        with pytest.raises(ValueError, match="not in the character span"):
-            VirtualChar.from_values(
-                bad, [x.embed(r * T.exponent) for x in T.values[2]])
+    with pytest.raises(ValueError, match="not in the character span"):
+        VirtualChar.from_values(bad, T.values[2])
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_from_values_recovers_rational_combinations(name):
     # Class functions summed with CycNum arithmetic from random rational
-    # coefficients, given at exp(G) and embedded at conductors that exp(G)
-    # does not divide, where the table is packed again: the decomposition
+    # coefficients at exp(G), the table's conductor: the decomposition
     # returns the coefficients and keeps the values.  A value moved off
-    # the character span by zeta at such a conductor has an irrational
-    # projection.
+    # the character span by zeta_exp(G) has an irrational projection.
+    # Embedded at r exp(G) for r > 1 those values are refused: the table
+    # is not packed again at a conductor that its own does not contain.
     T = CharTable.of(preset(name))
     rng = random.Random(name)
     zero = CycNum.from_rational(0)
@@ -469,14 +467,20 @@ def test_from_values_recovers_rational_combinations(name):
         given = {t: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                  for t in rng.sample(range(T.k), rng.randint(1, T.k))}
         class_values = [sum((c * T.values[t][j] for t, c in given.items()),
-                            zero).embed(r * T.exponent) for j in range(T.k)]
+                            zero) for j in range(T.k)]
         vc = VirtualChar.from_values(T, class_values)
         assert coeffs(vc) == {t: c for t, c in given.items() if c}, r
         assert values(vc) == class_values
         nudged = list(class_values)
-        nudged[rng.randrange(T.k)] += zeta(r * T.exponent * 4)
+        nudged[rng.randrange(T.k)] += zeta(T.exponent)
         with pytest.raises(ValueError, match="not rational"):
             VirtualChar.from_values(T, nudged)
+        if r > 1:
+            with pytest.raises(ValueError, match=(
+                    f"^cannot embed conductor {r * T.exponent} into "
+                    f"{T.exponent}$")):
+                VirtualChar.from_values(
+                    T, [x.embed(r * T.exponent) for x in nudged])
 
 
 def test_from_values_rejects_an_irrational_projection():

@@ -173,7 +173,29 @@ USAGE_ERRORS = [
     ["localmodel", "verify", "--group", "F21", "--s", "1", "--t", "1_0"],
     # a cyclic name past int()'s limit on digits
     ["chartab", "--group", "C" + "1" * 5000],
+    # element text is read as given: empty text is no element, and no
+    # space is stripped from around a cycle
+    ["pairing", "--group", "S3", "--s", ""],
+    ["pairing", "--group", "S3", "--s", " "],
+    ["pairing", "--group", "S3", "--s", " (1 2 3) "],
 ]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", "error: --s: element '': cannot parse it: bad cycle notation\n"),
+    ("1" * 5000, "error: --s: element '11111111...': cannot parse it: bad "
+                 "cycle notation\n"),
+    ("(" + " ".join(["1"] * 5000) + ")",
+     "error: --s: element '(1 1 1 1...': cannot parse it: bad cycle: "
+     "(1 1 1 1 ...)\n"),
+], ids=["empty", "5000-ones", "5000-point-cycle"])
+def test_element_errors_name_the_text_once_and_short(text, line, tmp_path,
+                                                     capsys):
+    assert main(["pairing", "--group", "S3", "--s", text,
+                 "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == line and len(err.encode()) <= 200, err[:300]
+    assert not out and not list(tmp_path.iterdir())
 
 
 def test_cyclic_name_past_the_digit_limit_exits_two(tmp_path, capsys):

@@ -411,8 +411,8 @@ def test_cheap_inverse_matches_evaluation_mod_ell(x, c):
 # 2^40 on small operands make the weights, not the operands, set the slot
 # width, so a bound that left them out would overflow its slots.
 
-DOT_PAIRS = [(1, 1), (9, 9), (27, 27), (63, 63), (930, 930), (9, 27),
-             (1, 63), (27, 63)]
+DOT_PAIRS = [(1, 1), (9, 9), (27, 27), (63, 63), (930, 930), (27, 9),
+             (63, 1), (63, 21)]
 WEIGHTS = st.one_of(
     st.integers(-2 ** 40, 2 ** 40),
     st.builds(Fraction, st.integers(-2 ** 20, 2 ** 20), st.integers(1, 12)))
@@ -432,7 +432,7 @@ def _plain_combine(rows, coeffs):
 @st.composite
 def dot_cases(draw):
     """A matrix whose rows share entry objects, as a table's do, operands
-    at its conductor or another, weights, and row coefficients."""
+    at its conductor or a divisor of it, weights, and row coefficients."""
     n1, n2 = draw(st.sampled_from(DOT_PAIRS))
     entries = draw(st.lists(elements(n1), min_size=1, max_size=3))
     width = draw(st.integers(1, 4))
@@ -458,6 +458,15 @@ def test_dot_matches_plain_sums(case):
     got = packed.combine(coeffs)
     assert all(g.n == packed.n and _canonical(g) for g in got)
     assert got == _plain_combine(rows, coeffs)
+
+
+def test_dot_rejects_an_operand_past_the_matrix_conductor():
+    # the matrix is not re-embedded: zeta_27 has no image in Q(zeta_9)
+    packed = _PackedMatrix([[zeta(9), zeta(9, 2)]])
+    with pytest.raises(ValueError, match="cannot embed conductor 27 into 9"):
+        packed.dot([zeta(27), zeta(9)], [1, 1])
+    assert packed.dot([zeta(3), zeta(9)], [1, 1]) == \
+        [zeta(3) * zeta(9) + zeta(9) * zeta(9, 2)]
 
 
 @pytest.mark.parametrize("n", [1, 9, 63])

@@ -30,6 +30,21 @@ def test_parse_cycles():
     for text in ("(\u0661 \u0662 \u0663)", "(1 2_0)", "(1 \uff12)"):
         with pytest.raises(ValueError, match="^not an integer"):
             parse_cycles(text)
+    # the text is read as given: only "()" is the identity, and nothing
+    # is stripped from around the cycles
+    for text in ("", " ", " ()", " (1 2 3) ", "(1 2 3) ", "1 2 3"):
+        with pytest.raises(ValueError, match="^bad cycle notation$"):
+            parse_cycles(text)
+    # a message quotes at most 8 characters of a cycle or a point
+    with pytest.raises(ValueError) as info:
+        parse_cycles("(" + " ".join(["1"] * 5000) + ")")
+    assert str(info.value) == "bad cycle: (1 1 1 1 ...)"
+    with pytest.raises(ValueError) as info:
+        parse_cycles("(1 2 " + "9" * 4000 + ")", 360)
+    assert str(info.value) == "point 99999999... exceeds degree 360"
+    with pytest.raises(ValueError) as info:
+        parse_cycles("(1 2 " + "x" * 5000 + ")")
+    assert str(info.value) == "not an integer: 'xxxxxxxx...'"
 
 
 def test_cycle_string_round_trip():

@@ -17,8 +17,8 @@ from tamekit.stickelberger import pairing, star_pairing
 from reference import coeffs, scaled, tame_pow
 
 
-def _monomial(num, den=1, coeff=1):
-    return TameElement.monomial(Fraction(num, den), coeff)
+def _monomial(num, den=1):
+    return TameElement.monomial(Fraction(num, den))
 
 
 def test_on_virtual_is_multiplicative():

@@ -16,23 +16,22 @@ from tamekit.characters import CharTable, VirtualChar
 from tamekit.cli import main
 from tamekit.cyclotomic import CycNum, _PackedMatrix, zeta
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
-from tamekit.localmodel import (GroupAlgebraElement, TameElement,
-                                _ladder_monomials, _ladder_orbit,
-                                _sigma_equivariant, _twisted_sum, check_window,
-                                det_resolvend, frobenius_action, infer_q,
-                                phi_resolvend, phi_star_resolvend,
-                                sigma_action, verify_factorization,
-                                verify_kummer_generator)
+from tamekit.localmodel import (TameElement, _ladder_monomials,
+                                _ladder_orbit, _sigma_equivariant,
+                                _twisted_sum, check_window, det_resolvend,
+                                frobenius_action, infer_q, sigma_action,
+                                verify_factorization, verify_kummer_generator)
 from tamekit.stickelberger import (pairing, star_pairing,
                                    verify_adams_identities,
                                    verify_induction_identities)
 
-from reference import tame, tame_pow, tame_sub, tame_sum
+from reference import (resolvend, tame, tame_monomial, tame_pow, tame_sub,
+                       tame_sum, tame_terms)
 
 
 def test_monomial_algebra():
     a = TameElement.monomial(Fraction(1, 3))
-    b = TameElement.monomial(Fraction(1, 2), zeta(4))
+    b = tame_monomial(Fraction(1, 2), zeta(4))
     ab = a * b
     assert ab.monomial_parts() == (Fraction(5, 6), zeta(4))
     assert tame_pow(a, 3).monomial_parts() == (Fraction(1),
@@ -44,13 +43,15 @@ def test_monomial_algebra():
 
 def test_zero_one_and_scalars():
     one = TameElement.one()
-    zero = TameElement()
+    zero = tame_terms()
     a = TameElement.monomial(Fraction(2, 5))
     assert a * one == a and tame_sum(a, zero) == a
     assert not zero.terms and a.terms
     assert one == tame(1) and zero == tame(0)
     assert tame_sub(a * tame(2), a) == a
-    assert TameElement.monomial(0, Fraction(3, 4)) == tame(Fraction(3, 4))
+    assert tame_monomial(0, Fraction(3, 4)) == tame(Fraction(3, 4))
+    assert TameElement.monomial(Fraction(1, 2)) == tame_monomial(
+        Fraction(1, 2), 1)
 
 
 def test_inverse_requires_monomial():
@@ -58,22 +59,22 @@ def test_inverse_requires_monomial():
     with pytest.raises(ValueError):
         a.inverse()
     with pytest.raises(ZeroDivisionError):
-        TameElement().inverse()
+        tame_terms().inverse()
 
 
 def test_sigma_twists_by_root_of_unity():
     x = TameElement.monomial(Fraction(1, 3))
-    assert sigma_action(x) == TameElement.monomial(Fraction(1, 3), zeta(3))
+    assert sigma_action(x) == tame_monomial(Fraction(1, 3), zeta(3))
     # integer powers are fixed
     y = TameElement.monomial(Fraction(2))
     assert sigma_action(y) == y
     # the twist depends only on the reduced fraction
     z = TameElement.monomial(Fraction(2, 6))
-    assert sigma_action(z) == TameElement.monomial(Fraction(1, 3), zeta(3))
+    assert sigma_action(z) == tame_monomial(Fraction(1, 3), zeta(3))
 
 
 def test_sigma_has_finite_order():
-    x = tame_sum(TameElement.monomial(Fraction(3, 7), zeta(5)),
+    x = tame_sum(tame_monomial(Fraction(3, 7), zeta(5)),
                  TameElement.monomial(Fraction(-1, 7)))
     y = x
     for _ in range(7):
@@ -82,9 +83,8 @@ def test_sigma_has_finite_order():
 
 
 def test_frobenius_acts_on_coefficients():
-    x = TameElement.monomial(Fraction(1, 3), zeta(5))
-    assert frobenius_action(x, 7) == TameElement.monomial(Fraction(1, 3),
-                                                          zeta(5, 2))
+    x = tame_monomial(Fraction(1, 3), zeta(5))
+    assert frobenius_action(x, 7) == tame_monomial(Fraction(1, 3), zeta(5, 2))
 
 
 def test_frobenius_sigma_commutation():
@@ -95,9 +95,9 @@ def test_frobenius_sigma_commutation():
         q = rng.choice([2, 11, 13])
         if q % m == 0:
             continue
-        x = TameElement()
+        x = tame_terms()
         for _ in range(rng.randrange(1, 4)):
-            x = tame_sum(x, TameElement.monomial(
+            x = tame_sum(x, tame_monomial(
                 Fraction(rng.randrange(-6, 7), m),
                 zeta(m, rng.randrange(m)) * rng.randrange(1, 3)))
         lhs = frobenius_action(sigma_action(x), q)
@@ -117,44 +117,84 @@ def test_beta_elements():
     assert bs == tame_sum(TameElement.monomial(-third),
                           TameElement.monomial(0),
                           TameElement.monomial(third)) * tame(third)
-    with pytest.raises(ValueError):
-        phi_star_resolvend(preset("C4"), 1)
+    with pytest.raises(ValueError, match="must be odd"):
+        verify_factorization(preset("C4"), 1)
+
+
+def _ladders(G):
+    """(s, start) for each odd-order s of G and both of its ladders."""
+    return [(s, start) for s in range(G.n) if G.element_order(s) % 2
+            for start in {0, (1 - G.element_order(s)) // 2}]
 
 
 def test_resolvend_equivariance(monkeypatch):
-    resolvends = []
+    cases = []
     for name in ("C3", "C5", "S3", "F21"):
         G = preset(name)
-        for s in range(G.n):
-            if G.element_order(s) % 2 == 0:
-                continue
-            for r in (phi_resolvend(G, s), phi_star_resolvend(G, s)):
-                # the definition, sigma(r[g]) = r[g s^-1], as a reference
-                s_inv = G.power(s, -1)
-                assert all(sigma_action(x) == r.terms[G.mul(g, s_inv)]
-                           for g, x in r.terms.items())
-                resolvends.append((r, s))
+        for s, start in _ladders(G):
+            # the definition, sigma(r[g]) = r[g s^-1], on the reference
+            r = resolvend(G, s, start)
+            s_inv = G.power(s, -1)
+            assert all(sigma_action(x) == r[G.mul(g, s_inv)]
+                       for g, x in r.items())
+            # the orbit the check lays on <s> is that resolvend
+            m = len(r)
+            assert list(_ladder_orbit(m, start)) == \
+                [r[G.power(s, -i)] for i in range(m)]
+            cases.append((G, s, start))
 
     def unused(x):
         raise AssertionError("the rotation route reads no sigma_action")
 
     monkeypatch.setattr(localmodel, "sigma_action", unused)
-    for r, s in resolvends:
-        G, m = r.group, r.group.element_order(s)
-        assert _sigma_equivariant(r, s)
-        if m == 1:
-            continue
-        # the wrong translate, a missing term, a shifted exponent
-        assert not _sigma_equivariant(r, G.power(s, 2))
-        g = next(iter(r.terms))
-        partial = dict(r.terms)
-        del partial[g]
-        assert not _sigma_equivariant(
-            GroupAlgebraElement(G, partial, r.eigen), s)
-        shifted = dict(r.terms)
-        shifted[g] = shifted[g] * TameElement.monomial(Fraction(1, m))
-        assert not _sigma_equivariant(
-            GroupAlgebraElement(G, shifted, r.eigen), s)
+    for G, s, start in cases:
+        assert _sigma_equivariant(G, s, start)
+
+
+def _altered_orbits(monkeypatch, alter):
+    """`_ladder_orbit` with alter(orbit, m) in place of each orbit."""
+    orbit_of = localmodel._ladder_orbit
+    monkeypatch.setattr(localmodel, "_ladder_orbit", lambda m, start: alter(
+        list(orbit_of(m, start)), m))
+
+
+@pytest.mark.parametrize("name", ["C7", "C9", "F21"])
+def test_a_swapped_or_shifted_orbit_breaks_equivariance(monkeypatch, name):
+    G = preset(name)
+    moved = [(s, start) for s, start in _ladders(G)
+             if G.element_order(s) > 1]
+
+    def swapped(orbit, m):
+        orbit[0], orbit[1] = orbit[1], orbit[0]
+        return orbit
+
+    def shifted(orbit, m):
+        orbit[1] = orbit[1] * TameElement.monomial(Fraction(1, m))
+        return orbit
+
+    for alter in (swapped, shifted):
+        with monkeypatch.context() as patch:
+            _altered_orbits(patch, alter)
+            for s, start in moved:
+                assert not _sigma_equivariant(G, s, start), (alter, s, start)
+
+
+@pytest.mark.parametrize("name", ["C7", "C9", "F21"])
+def test_the_powers_of_s_inverse_break_only_equivariance(monkeypatch, name):
+    # the orbit laid on s^-i in place of s^i: r[g s^-1] is then the
+    # wrong translate, while each determinant reads only chi at s
+    G = preset(name)
+    CharTable.of(G)
+    powers = FiniteGroup.cyclic_subgroup
+    monkeypatch.setattr(FiniteGroup, "cyclic_subgroup",
+                        lambda self, s: powers(self, self.inv[s]))
+    for s in range(G.n):
+        rep = verify_factorization(G, s)
+        moved = G.element_order(s) > 1
+        assert rep["equivariance"] == {"plain": not moved, "star": not moved}
+        for c in rep["checks"]:
+            assert c["plain_matches_pairing"] and c["star_matches_pairing"]
+            assert c["adams_ratio"] and c["f_matches"]
 
 
 def test_cocycle_validation():
@@ -198,17 +238,12 @@ def test_det_resolvend_is_pairing_monomial():
     for name in ("C5", "S3", "F21"):
         G = preset(name)
         T = CharTable.of(G)
-        for s in range(G.n):
-            if G.element_order(s) % 2 == 0:
-                continue
-            r = phi_resolvend(G, s)
-            rs = phi_star_resolvend(G, s)
+        for s, start in _ladders(G):
             for t in range(T.k):
                 chi = VirtualChar.irreducible(T, t)
-                assert det_resolvend(r, chi) == \
-                    TameElement.monomial(pairing(chi, s))
-                assert det_resolvend(rs, chi) == \
-                    TameElement.monomial(star_pairing(chi, s))
+                want = star_pairing(chi, s) if start else pairing(chi, s)
+                assert det_resolvend(chi, s, start) == \
+                    TameElement.monomial(want)
 
 
 def test_kummer_generator_reports():
@@ -259,7 +294,7 @@ def test_dft_matches_the_plain_sums(m):
         for j, (k, c) in enumerate(factors):
             plain = tame_sum(*(orbit[-i % m] * tame(zeta(m, i * j % m))
                                for i in range(m)))
-            assert TameElement.monomial(Fraction(k, D), c) == plain, (start, j)
+            assert tame_monomial(Fraction(k, D), c) == plain, (start, j)
 
 
 @pytest.mark.parametrize("e", [1, 3, 4, 9, 15])
@@ -371,45 +406,43 @@ def test_factorization_reports():
         verify_factorization(preset("S3"), preset("S3").names.index("(1 2)"))
 
 
-def _det_by_character(x, chi):
+def _det_by_character(G, x, chi):
     """Reference: every eigenfactor recomputed for each character, along
     the least generator g0 of the cyclic group that x's support fills."""
-    G = x.group
-    h = len(x.terms)
-    g0 = min(g for g in x.terms if G.element_order(g) == h)
-    assert sorted(G.cyclic_subgroup(g0)) == sorted(x.terms)
+    h = len(x)
+    g0 = min(g for g in x if G.element_order(g) == h)
+    assert sorted(G.cyclic_subgroup(g0)) == sorted(x)
     acc, den = chi.multiplicity_sums(g0)
     assert all(a % den == 0 for a in acc)
     out = TameElement.one()
     for j, mult in enumerate(a // den for a in acc):
         if mult == 0:
             continue
-        factor = TameElement()
+        factor = tame_terms()
         for i, g in enumerate(G.cyclic_subgroup(g0)):
-            if g in x.terms:
-                factor = tame_sum(factor,
-                                  x.terms[g] * tame(zeta(h, i * j % h)))
+            factor = tame_sum(factor, x[g] * tame(zeta(h, i * j % h)))
         out = out * tame_pow(factor, mult)
     return out
+
+
+def _det_cases(G, s, start, chars):
+    """(chi, s, start, reference determinant) for each chi in chars."""
+    x = resolvend(G, s, start)
+    return [(vc, s, start, _det_by_character(G, x, vc)) for vc in chars]
 
 
 def test_stored_eigenfactors_match_the_per_character_loop():
     for name in PRESET_NAMES:
         G = preset(name)
         T = CharTable.of(G)
-        for s in range(G.n):
-            if G.element_order(s) % 2 == 0:
-                continue
-            r = phi_resolvend(G, s)
-            rs = phi_star_resolvend(G, s)
-            chars = []
-            for t in range(T.k):
-                chi = VirtualChar.irreducible(T, t)
-                psi2 = chi.adams(2)
-                chars += [chi, psi2, psi2 - chi - chi]
-            for x in (r, rs):
-                for vc in chars:
-                    assert det_resolvend(x, vc) == _det_by_character(x, vc)
+        chars = []
+        for t in range(T.k):
+            chi = VirtualChar.irreducible(T, t)
+            psi2 = chi.adams(2)
+            chars += [chi, psi2, psi2 - chi - chi]
+        for s, start in _ladders(G):
+            for vc, _, _, ref in _det_cases(G, s, start, chars):
+                assert det_resolvend(vc, s, start) == ref
 
 
 def test_det_resolvend_takes_no_tame_product(monkeypatch):
@@ -418,21 +451,18 @@ def test_det_resolvend_takes_no_tame_product(monkeypatch):
     for name in PRESET_NAMES:
         G = preset(name)
         T = CharTable.of(G)
-        for s in range(G.n):
-            if G.element_order(s) % 2 == 0:
-                continue
-            for x in (phi_resolvend(G, s), phi_star_resolvend(G, s)):
-                for t in range(T.k):
-                    chi = VirtualChar.irreducible(T, t)
-                    for vc in (chi, chi.adams(2) - chi - chi):
-                        cases.append((x, vc, _det_by_character(x, vc)))
+        chars = [vc for t in range(T.k)
+                 for chi in [VirtualChar.irreducible(T, t)]
+                 for vc in (chi, chi.adams(2) - chi - chi)]
+        for s, start in _ladders(G):
+            cases += _det_cases(G, s, start, chars)
 
     def refused(*args):
         raise AssertionError("det_resolvend took a TameElement product")
 
     monkeypatch.setattr(TameElement, "__mul__", refused)
-    for x, vc, ref in cases:
-        assert det_resolvend(x, vc) == ref
+    for vc, s, start, ref in cases:
+        assert det_resolvend(vc, s, start) == ref
 
 
 def test_adams_check_fails_on_a_wrong_psi2(monkeypatch):
@@ -499,7 +529,7 @@ def _elements(draw, max_terms=4):
     nums = draw(st.lists(st.integers(-12, 12), max_size=max_terms,
                          unique=True))
     cs = [draw(_coeffs) for _ in nums]
-    x = TameElement({a * k: c for a, c in zip(nums, cs)}, den * k)
+    x = tame_terms({a * k: c for a, c in zip(nums, cs)}, den * k)
     return x, _ref({Fraction(a, den): c for a, c in zip(nums, cs)})
 
 

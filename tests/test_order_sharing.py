@@ -19,11 +19,11 @@ from tamekit.characters import CharTable, VirtualChar, cyclic_table
 from tamekit.cli import SuiteConfig, _dump, _suite_reports
 from tamekit.cyclotomic import zeta
 from tamekit.groups import FiniteGroup, preset
-from tamekit.localmodel import (TameElement, det_resolvend, phi_resolvend,
-                                phi_star_resolvend, verify_factorization)
+from tamekit.localmodel import (TameElement, _ladder_monomials,
+                                det_resolvend, verify_factorization)
 from tamekit.stickelberger import _order_chars, verify_adams_identities
 
-from reference import tame, tame_pow, tame_sum
+from reference import resolvend, tame, tame_monomial, tame_pow, tame_sum
 
 
 def _f57():
@@ -127,15 +127,15 @@ def test_elements_of_one_order_share_table_and_xi():
 
 def _direct_dft(G, x, s, done):
     """F_j = sum_i x[s^i] zeta_m^(ij), term by term.  A pure function of
-    the sequence x[s^i], so `done` keeps it by the ids of its terms."""
-    seq = [x.terms[g] for g in G.cyclic_subgroup(s)]
-    key = tuple(map(id, seq))
+    the sequence x[s^i], so `done` keeps it by its terms' values."""
+    seq = [x[g] for g in G.cyclic_subgroup(s)]
+    key = repr([y.to_dict() for y in seq])
     if key not in done:
         m = len(seq)
-        done[key] = seq, [tame_sum(*(y * tame(zeta(m, i * j % m))
-                                     for i, y in enumerate(seq)))
-                          for j in range(m)]
-    return done[key][1]
+        done[key] = [tame_sum(*(y * tame(zeta(m, i * j % m))
+                                for i, y in enumerate(seq)))
+                     for j in range(m)]
+    return done[key]
 
 
 @pytest.mark.parametrize("group", ["F21", "F57"])
@@ -144,8 +144,9 @@ def test_eigenfactors_are_the_dft_along_s(group):
     T = CharTable.of(G)
     done = {}
     for s in _odd(G):
-        for r in (phi_resolvend(G, s), phi_star_resolvend(G, s)):
-            direct = _direct_dft(G, r, s, done)
+        m = G.element_order(s)
+        for start in {0, (1 - m) // 2}:
+            direct = _direct_dft(G, resolvend(G, s, start), s, done)
             for t in range(T.k):
                 chi = VirtualChar.irreducible(T, t)
                 acc, den = chi.multiplicity_sums(s)
@@ -153,10 +154,9 @@ def test_eigenfactors_are_the_dft_along_s(group):
                 det = TameElement.one()
                 for f, mult in zip(direct, acc):
                     det = det * tame_pow(f, mult)
-                assert det_resolvend(r, chi) == det, (s, t)
-            g0, D, factors = r.eigen
-            assert g0 == s
-            assert [TameElement.monomial(Fraction(k, D), c)
+                assert det_resolvend(chi, s, start) == det, (s, t)
+            D, factors = _ladder_monomials(m, start)
+            assert [tame_monomial(Fraction(k, D), c)
                     for k, c in factors] == direct, s
 
 

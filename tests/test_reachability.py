@@ -20,11 +20,7 @@ import tamekit
 
 PACKAGE = Path(tamekit.__file__).resolve().parent
 
-ALLOWED = {
-    "localmodel.py:TameElement.__new__":
-        "the public constructor, which coerces int and Fraction "
-        "coefficients; commands build through _make, one and monomial",
-}
+ALLOWED = {}
 
 F21_S = "(1 2 3 4 5 6 7)"
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tamekit.characters import CharTable, VirtualChar, cyclic_table
 from tamekit.groups import PRESET_NAMES, FiniteGroup, preset
 from tamekit.ledger import build_f
-from tamekit.localmodel import phi_star_resolvend, verify_factorization
+from tamekit.localmodel import verify_factorization
 from tamekit.stickelberger import (_order_chars, check_tame, pairing,
                                    pairing_table, star_pairing,
                                    verify_adams_identities,
@@ -69,7 +69,6 @@ def test_odd_order_rule_has_one_message():
         lambda: check_tame(G, t, None),
         lambda: star_pairing(VirtualChar.irreducible(T, 0), t),
         lambda: verify_adams_identities(G, t),
-        lambda: phi_star_resolvend(G, t),
         lambda: pairing_table(G, t, star=True),
         lambda: verify_factorization(G, t),
     ]
