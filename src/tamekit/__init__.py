@@ -12,8 +12,8 @@ Layers, bottom up:
   virtual characters.
 - stickelberger: the pairing <chi, s> and its symmetrized variant, plus the
   classical identities relating them to induced cyclic characters.
-- localmodel: formal uniformizer-power arithmetic for tame local extensions,
-  resolvends and their equivariant determinants.
+- localmodel: tame monomials c pi^e, each ladder's sigma-orbit as a table
+  of coefficient rows, and the resolvends' equivariant determinants.
 - gaussjacobi: Gauss and Jacobi sums over prime fields and the unit-index
   quotient J*.
 - ledger: representing homomorphisms place by place, as plain data (a

@@ -26,11 +26,15 @@ def clip(text: str) -> str:
 
 
 def ascii_int(text: str) -> int:
-    """The int that text spells as an optional - and ASCII digits, else
-    ValueError; int() also takes _, spaces and other scripts' digits."""
-    if not re.fullmatch("-?[0-9]+", text):
-        raise ValueError(f"not an integer: {clip(text)!r}")
-    return int(text)
+    """The int that text spells as an optional - and ASCII digits, else a
+    ValueError quoting text cut by `clip`, also past int()'s limit on
+    digits; int() alone takes _, spaces and other scripts' digits."""
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ValueError(f"not an integer: {clip(text)!r}")
 
 
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
@@ -257,7 +261,7 @@ def preset(name: str) -> FiniteGroup:
         grp = FiniteGroup.from_generators(
             [parse_cycles(c) for c in _PRESET_GENS[name]])
     else:
-        raise ValueError(f"unknown group preset {name!r}; "
+        raise ValueError(f"unknown group preset {clip(name)!r}; "
                          f"known: C<n>, {', '.join(sorted(_PRESET_GENS) + ['Q8'])}")
     grp.label = name
     return grp

@@ -28,7 +28,7 @@ only integral Gauss sums ever meet the p-adic embedding.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .characters import CharTable, VirtualChar, cyclic_table
 from .gaussjacobi import MultChar, check_modulus, gauss_sum
@@ -59,7 +59,7 @@ def build_f(G: FiniteGroup, places: list[tuple[str, int, int]]) -> dict:
     table = CharTable.of(G)
     chars = [VirtualChar.irreducible(table, i) for i in range(table.k)]
     return {label: (q, s, tuple(
-                TameElement.monomial(pairing(chi.adams(2) - chi - chi, s))
+                TameElement(pairing(chi.adams(2) - chi - chi, s))
                 for chi in chars))
             for label, q, s in places}
 
@@ -112,13 +112,9 @@ def norm_restrict(table: CharTable, hom: tuple, twists: list[int]) -> tuple:
     """
     if not twists:
         raise ValueError("empty transversal")
-    values = []
-    for i in range(table.k):
-        acc = TameElement.one()
-        for k in twists:
-            acc = acc * frobenius_action(hom[_twist_index(table, i, k)], k)
-        values.append(acc)
-    return tuple(values)
+    return tuple(prod((frobenius_action(hom[_twist_index(table, i, k)], k)
+                       for k in twists), start=TameElement())
+                 for i in range(table.k))
 
 
 def check_crux(p: int, e: int) -> None:

@@ -10,40 +10,43 @@ exact.  Two commuting-up-to-twist operators act:
 
 so that phi_q . sigma = sigma^q . phi_q, the tame relation.
 
-For s in G of order m the averaged ladders
+A value the verifiers compare is a monomial c pi^e (`TameElement`).  For
+s in G of order m the averaged ladders
 
     beta   = (1/m) sum_{i=0}^{m-1} pi^(i/m)
     beta*  = (1/m) sum_{i=0}^{m-1} pi^((i + (1-m)/2)/m)     (odd m)
 
 give resolvends r = sum_i sigma^i(beta) s^(-i) on <s>, never stored: a
-reader takes s and the ladder's start.  On <s>, chi's determinant is
-prod_j F_j^mult_j, with the eigenfactors F_j = sum_i r[s^i] zeta_m^(ij);
-r[s^i] = sigma^(-i)(ladder) depends on m and the ladder alone, and sigma
-keeps the ladder's denominator D and exponents, so each ladder takes one
-length-m DFT (one `dot` per exponent against the packed rows of
-`cyclic_table(m)`), its rows read straight into monomials F_j = c_j
-pi^(k_j/D) (`_ladder_monomials`), shared by every element of order m in
-any group.  mult_j comes from chi (VirtualChar.multiplicity_sums at s):
-Dixon's eigenvalue data for an irreducible, and for psi_2 chi the
-decomposition `adams` computed, so the Adams identity stays a check
-between two routes.  A determinant is one integer exponent sum sum_j
-mult_j k_j over D and one coefficient product, and no TameElement is
-multiplied or raised to a power.  The verifiers check that these
-determinants are exactly the monomials predicted by the Stickelberger
-pairings, that a Kummer generator's twisted orbit sums recover each basis
-monomial, and that the change-of-basis determinant is a unit above the
-chosen residue characteristic.  Twisted sums are exponent rotations of
-the orbit's numerators, apart from the DFT and the stored eigenfactors,
-so the two Kummer routes stay independent.  r^sigma = r s is checked by
-such a rotation too, the orbit laid on G's powers of s and translated by
-G's product, not by `sigma_action`, which built the orbit.
+reader takes s and the ladder's start.  sigma keeps the ladder's m
+consecutive numerators, one of them prime to m, so its sigma-orbit is a
+table: m rows {a: coefficient of pi^(a/m)} (`_ladder_orbit`).  On <s>,
+chi's determinant is prod_j F_j^mult_j, with the eigenfactors F_j = sum_i
+r[s^i] zeta_m^(ij); r[s^i] = sigma^(-i)(ladder) depends on m and the
+ladder alone, so each ladder takes one length-m DFT (one `dot` per
+numerator against the packed rows of `cyclic_table(m)`), its rows read
+straight into monomials F_j = c_j pi^(k_j/m) (`_ladder_monomials`),
+shared by every element of order m in any group.  mult_j comes from chi
+(VirtualChar.multiplicity_sums at s): Dixon's eigenvalue data for an
+irreducible, and for psi_2 chi the decomposition `adams` computed, so the
+Adams identity stays a check between two routes.  A determinant is one
+integer exponent sum sum_j mult_j k_j over m and one coefficient product,
+and no TameElement is multiplied or raised to a power.  The verifiers
+check that these determinants are exactly the monomials predicted by the
+Stickelberger pairings, that a Kummer generator's twisted orbit sums
+recover each basis monomial, and that the change-of-basis determinant is
+a unit above the chosen residue characteristic.  Twisted sums are
+exponent rotations of the orbit's numerators, apart from the DFT and the
+stored eigenfactors, so the two Kummer routes stay independent.  r^sigma
+= r s is checked by such a rotation too, the orbit laid on G's powers of
+s and translated by G's product, not by `sigma_action`, which built the
+orbit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .arith import check_residue_size, is_prime, smallest_prime_in_class
 from .characters import CharTable, VirtualChar, cyclic_table
@@ -56,130 +59,74 @@ _ONE = CycNum.from_rational(1)
 
 
 class TameElement:
-    """Finite sum of c * pi^e with e rational and c cyclotomic.
+    """The monomial c * pi^e, e rational and c a nonzero cyclotomic number.
 
-    Exponents are int numerators over one denominator per element, as in
-    CycNum: `terms` maps a to the coefficient of pi^(a/den), with den > 0
-    and gcd(den, *terms) = 1, so each exponent has exactly one key, and
-    elements over different denominators meet at their lcm.  The verifiers
-    multiply elements, which adds exponents, invert monomials and compare;
-    there is no sum or scalar product.  Nothing collapses pi^k to a scalar,
-    so equality of TameElements is equality of every coefficient.
+    The verifiers multiply monomials, which adds exponents, invert them
+    and compare; nothing collapses pi^k to a scalar, so two monomials are
+    equal when their exponents and their coefficients are.
     """
 
-    __slots__ = ("terms", "den")
+    __slots__ = ("exponent", "coeff")
 
-    @classmethod
-    def _make(cls, terms: dict[int, CycNum], den: int) -> "TameElement":
-        """sum of c * pi^(a/den) for nonzero CycNums c, with no coercion."""
-        g = gcd(den, *terms)
-        if g != 1:
-            terms = {a // g: c for a, c in terms.items()}
-            den //= g
-        obj = object.__new__(cls)
-        obj.terms, obj.den = terms, den
-        return obj
-
-    @classmethod
-    def one(cls) -> "TameElement":
-        return cls._make({0: _ONE}, 1)
-
-    @classmethod
-    def monomial(cls, exponent) -> "TameElement":
-        """pi^exponent, for a rational exponent."""
-        e = _as_fraction(exponent)
-        return cls._make({e.numerator: _ONE}, e.denominator)
-
-    def _over(self, den: int) -> dict[int, CycNum]:
-        """terms rekeyed over den, a multiple of self.den."""
-        k = den // self.den
-        if k == 1:
-            return self.terms
-        return {a * k: c for a, c in self.terms.items()}
+    def __init__(self, exponent=0, coeff: CycNum = _ONE):
+        self.exponent, self.coeff = _as_fraction(exponent), coeff
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TameElement):
             return NotImplemented
-        if self.den != other.den or self.terms.keys() != other.terms.keys():
-            return False
-        return all(c == other.terms[a] for a, c in self.terms.items())
+        return self.exponent == other.exponent and self.coeff == other.coeff
 
     __hash__ = None
 
     def __mul__(self, other) -> "TameElement":
         if not isinstance(other, TameElement):
             return NotImplemented
-        den = lcm(self.den, other.den)
-        right = other._over(den).items()
-        out: dict[int, CycNum] = {}
-        for a1, c1 in self._over(den).items():
-            for a2, c2 in right:
-                a = a1 + a2
-                c = c1 * c2
-                out[a] = out[a] + c if a in out else c
-        return TameElement._make({a: c for a, c in out.items() if c}, den)
-
-    def monomial_parts(self) -> tuple[Fraction, CycNum] | None:
-        """(exponent, coefficient) when this is a single term, else None."""
-        if len(self.terms) != 1:
-            return None
-        [(a, c)] = self.terms.items()
-        return Fraction(a, self.den), c
+        return TameElement(self.exponent + other.exponent,
+                           self.coeff * other.coeff)
 
     def inverse(self) -> "TameElement":
-        if not self.terms:
-            raise ZeroDivisionError("zero is not invertible")
-        if len(self.terms) != 1:
-            raise ValueError("only monomials are invertible in the model")
-        [(a, c)] = self.terms.items()
-        return TameElement._make({-a: c.inverse()}, self.den)
+        return TameElement(-self.exponent, self.coeff.inverse())
 
     def to_dict(self) -> dict:
-        return {"terms": [[str(Fraction(a, self.den)), c.to_dict()]
-                          for a, c in sorted(self.terms.items())]}
+        return {"terms": [[str(self.exponent), self.coeff.to_dict()]]}
 
 
-def sigma_action(x: TameElement) -> TameElement:
-    """pi^(a/D) -> zeta_D^a * pi^(a/D), D the element's denominator.
-
-    Well defined on exponents: zeta_D^a depends only on the value a/D
-    mod 1, not on the denominator it is written over.
-    """
-    D = x.den
-    return x._make({a: c * zeta(D, a % D) for a, c in x.terms.items()}, D)
+def sigma_action(row: dict[int, CycNum], m: int) -> dict[int, CycNum]:
+    """sum_a c_a pi^(a/m) -> sum_a c_a zeta_m^a pi^(a/m), on the row
+    {a: c_a} of coefficients of pi^(a/m)."""
+    return {a: c * zeta(m, a % m) for a, c in row.items()}
 
 
 def frobenius_action(x: TameElement, q: int) -> TameElement:
-    """Raise every coefficient root of unity to the q-th power."""
-    return x._make({a: c.galois_apply(q) for a, c in x.terms.items()}, x.den)
+    """Raise the coefficient's roots of unity to the q-th power."""
+    return TameElement(x.exponent, x.coeff.galois_apply(q))
 
 
 @lru_cache(maxsize=None)
-def _ladder_orbit(m: int, start: int) -> tuple[TameElement, ...]:
+def _ladder_orbit(m: int, start: int) -> tuple[dict[int, CycNum], ...]:
     """[sigma^i(ladder)] for i < m, the ladder (1/m) sum_{i<m}
-    pi^((start + i)/m), kept per ladder."""
-    orbit = [TameElement._make(dict.fromkeys(
-        range(start, start + m), CycNum.from_rational(Fraction(1, m))), m)]
+    pi^((start + i)/m), each as its row {a: coefficient of pi^(a/m)} on
+    the ladder's numerators a, kept per ladder."""
+    orbit = [dict.fromkeys(range(start, start + m),
+                           CycNum.from_rational(Fraction(1, m)))]
     for _ in range(m - 1):
-        orbit.append(sigma_action(orbit[-1]))
+        orbit.append(sigma_action(orbit[-1], m))
     return tuple(orbit)
 
 
 @lru_cache(maxsize=None)
-def _ladder_monomials(m: int, start: int) -> tuple[int, tuple]:
-    """(D, [(k_j, c_j) or None for each j]): the eigenfactors F_j = sum_i
+def _ladder_monomials(m: int, start: int) -> tuple:
+    """[(k_j, c_j) or None for each j]: the eigenfactors F_j = sum_i
     sigma^(-i)(ladder) zeta_m^(ij) along any s of order m, F_j = c_j
-    pi^(k_j/D) over the ladder's denominator D, None where F_j is not a
-    single term.  sigma keeps D and the exponents, so the DFT is one `dot`
-    per exponent a, of its coefficients against the packed rows
-    zeta_m^(ij) of `cyclic_table(m)`."""
+    pi^(k_j/m), None where F_j is not a single term.  sigma keeps the
+    ladder's numerators, so the DFT is one `dot` per numerator a, of its
+    coefficients against the packed rows zeta_m^(ij) of `cyclic_table(m)`."""
     orbit = _ladder_orbit(m, start)
     table = cyclic_table(m)
-    sums = [(a, table.packed.dot([orbit[-i % m].terms[a] for i in range(m)],
-                                 table.sizes)) for a in orbit[0].terms]
+    sums = [(a, table.packed.dot([orbit[-i % m][a] for i in range(m)],
+                                 table.sizes)) for a in orbit[0]]
     rows = ([(a, f[j]) for a, f in sums if f[j]] for j in range(m))
-    return orbit[0].den, tuple(row[0] if len(row) == 1 else None
-                               for row in rows)
+    return tuple(row[0] if len(row) == 1 else None for row in rows)
 
 
 def infer_q(G: FiniteGroup, s: int, t: int = 0) -> int:
@@ -199,15 +146,15 @@ def det_resolvend(chi: VirtualChar, s: int, start: int) -> TameElement:
     linear character xi_j of H with xi_j(s) = zeta_m^j contributes the
     eigenfactor F_j = sum_h r[h] xi_j(h) with multiplicity (chi|_H, xi_j),
     and the determinant is prod_j F_j^mult_j.  The F_j depend on m and the
-    ladder alone, c_j pi^(k_j/D) in `_ladder_monomials`: the product is
-    pi^(sum_j mult_j k_j / D) times prod_j c_j^mult_j.  The multiplicities
+    ladder alone, c_j pi^(k_j/m) in `_ladder_monomials`: the product is
+    pi^(sum_j mult_j k_j / m) times prod_j c_j^mult_j.  The multiplicities
     are chi's own, so psi_2 chi brings those `adams` found and the Adams
     identity stays a check between two routes.  ValueError, naming the
     row, for a non-integral multiplicity or a non-monomial F_j of nonzero
     multiplicity, which only a broken DFT gives.
     """
     acc, den = chi.multiplicity_sums(s)
-    D, factors = _ladder_monomials(len(acc), start)
+    factors = _ladder_monomials(len(acc), start)
     exponent, coeff = 0, _ONE
     for j, a in enumerate(acc):
         mult, rest = divmod(a, den)
@@ -221,7 +168,7 @@ def det_resolvend(chi: VirtualChar, s: int, start: int) -> TameElement:
         k, c = factors[j]
         exponent += mult * k
         coeff = coeff * c ** mult
-    return TameElement._make({exponent: coeff}, D)
+    return TameElement(Fraction(exponent, len(acc)), coeff)
 
 
 def _det_via_elimination(rows: list[list[CycNum]]) -> CycNum:
@@ -245,43 +192,44 @@ def _det_via_elimination(rows: list[list[CycNum]]) -> CycNum:
     return det
 
 
-def _twisted_sum(orbit: list[TameElement], t: int) -> TameElement:
-    """sum_j orbit[j] zeta_e^(t j), e = len(orbit), coefficients at
-    conductors dividing e: each coefficient rotates the orbit's integer
-    numerators by t j slots at conductor e, adds them over one common
-    denominator and is reduced once, with no CycNum product."""
-    e, den = len(orbit), lcm(*(x.den for x in orbit))
-    lcd = lcm(*(c.den for x in orbit for c in x.terms.values()))
+def _twisted_sum(orbit: tuple[dict, ...], t: int) -> dict[int, CycNum]:
+    """The row of sum_j orbit[j] zeta_e^(t j), e = len(orbit), zeros
+    dropped; coefficients at conductors dividing e: each rotates the rows'
+    integer numerators by t j slots at conductor e, adds them over one
+    common denominator and is reduced once, with no CycNum product."""
+    e = len(orbit)
+    lcd = lcm(*(c.den for row in orbit for c in row.values()))
     pairs: dict[int, list[tuple[int, int]]] = {}
-    for j, x in enumerate(orbit):
-        for a, c in x._over(den).items():
+    for j, row in enumerate(orbit):
+        for a, c in row.items():
             k, scale = e // c.n, lcd // c.den
             pairs.setdefault(a, []).extend(
                 (i * k + t * j, v * scale) for i, v in enumerate(c.num))
     terms = {a: CycNum._make(e, _reduce(e, _folded(e, p)), lcd)
              for a, p in pairs.items()}
-    return TameElement._make({a: c for a, c in terms.items() if c}, den)
+    return {a: c for a, c in terms.items() if c}
 
 
 def _sigma_equivariant(G: FiniteGroup, s: int, start: int) -> bool:
     """Whether sigma(r[g]) = r[g s^-1] in G for each g in <s>, r[s^-i] =
-    sigma^i(ladder) for the ladder from start: each term c pi^(a/D) of r[g]
-    twisted to c zeta_D^a by rotating c's numerators a slots at conductor
-    lcm(D, c.n), with no product and no `sigma_action`."""
+    sigma^i(ladder) for the ladder from start, m = |s|: each term c
+    pi^(a/m) of r[g] twisted to c zeta_m^a by rotating c's numerators a
+    slots at conductor lcm(m, c.n), with no product and no `sigma_action`."""
     powers = G.cyclic_subgroup(s)
-    orbit = _ladder_orbit(len(powers), start)
+    m = len(powers)
+    orbit = _ladder_orbit(m, start)
     r = {g: orbit[-i] for i, g in enumerate(powers)}
     s_inv = G.power(s, -1)
     for g, x in r.items():
         y = r.get(G.mul(g, s_inv))
-        if y is None or y.den != x.den or y.terms.keys() != x.terms.keys():
+        if y is None or y.keys() != x.keys():
             return False
-        for a, c in x.terms.items():
-            n = lcm(x.den, c.n)
-            k, t = n // c.n, a * (n // x.den)
+        for a, c in x.items():
+            n = lcm(m, c.n)
+            k, t = n // c.n, a * (n // m)
             raw = _folded(n, ((i * k + t, v) for i, v in enumerate(c.num)
                               if v))
-            if CycNum._make(n, _reduce(n, raw), c.den) != y.terms[a]:
+            if CycNum._make(n, _reduce(n, raw), c.den) != y[a]:
                 return False
     return True
 
@@ -305,9 +253,9 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
 
     Two independent routes per linear character: the twisted orbit sum
     sum_j sigma^j(alpha) zeta_e^(-(n+l)j), an exponent rotation of the
-    orbit's numerators (`_twisted_sum`), must equal the single monomial
+    orbit's rows (`_twisted_sum`), must be the row of the single monomial
     pi^((n+l)/e), and the determinant route through det_resolvend must
-    land on the same monomial.  The e x e matrix taking the sigma-orbit
+    land on that monomial.  The e x e matrix taking the sigma-orbit
     of alpha to the monomial basis must in addition have determinant a
     unit above q, checked by exact lambda-adic valuation; q must be a
     prime = 1 mod e, so that Q(zeta_e) embeds in Z_q[lambda].  Raises
@@ -323,22 +271,20 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
 
     checks = []
     for l in range(e):
-        target = TameElement.monomial(Fraction(n + l, e))
-        twisted = _twisted_sum(orbit, -(n + l))
+        target = Fraction(n + l, e)
+        twisted = _twisted_sum(orbit, -(n + l)) == {n + l: _ONE}
         chi = VirtualChar.irreducible(ctab, (n + l) % e)
-        det_route = det_resolvend(chi, 1 % e, n)  # alpha's resolvend
-        ok = twisted == target and det_route == target
+        det_route = det_resolvend(chi, 1 % e, n) == TameElement(target)
         checks.append({
             "offset": l,
-            "target_exponent": str(Fraction(n + l, e)),
-            "twisted_sum": twisted == target,
-            "det_route": det_route == target,
-            "pass": ok,
+            "target_exponent": str(target),
+            "twisted_sum": twisted,
+            "det_route": det_route,
+            "pass": twisted and det_route,
         })
 
-    # coefficient of pi^((n+i)/e) inside sigma^j(alpha): sigma keeps alpha's
-    # denominator e and its e nonzero terms, so that is the key n + i
-    mat = [[orbit[j].terms[n + i] for i in range(e)] for j in range(e)]
+    # coefficient of pi^((n+i)/e) inside sigma^j(alpha)
+    mat = [[orbit[j][n + i] for i in range(e)] for j in range(e)]
     det = _det_via_elimination(mat)
     val = lambda_valuation(det, q) if det else None
     unit = {
@@ -358,7 +304,7 @@ def verify_kummer_generator(e: int, n: int, q: int | None = None) -> dict:
     }
 
 
-def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
+def verify_factorization(G: FiniteGroup, s: int, t: int = 0,
                          q: int | None = None) -> dict:
     """Check the determinant factorization package for one odd-order s.
 
@@ -374,8 +320,6 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
     ValueError unless `check_tame(G, s, q, t)` passes, before anything
     is computed.
     """
-    if t is None:
-        t = 0
     if q is None:
         q = infer_q(G, s, t)
     m = check_tame(G, s, q, t)
@@ -398,10 +342,10 @@ def verify_factorization(G: FiniteGroup, s: int, t: int | None = None,
         f_exp = pairing(psi2 - chi - chi, s)
         d_inv = d.inverse()
         ratio = d_star * d_inv
-        ok_a = d == TameElement.monomial(p_plain)
-        ok_b = d_star == TameElement.monomial(p_star)
+        ok_a = d == TameElement(p_plain)
+        ok_b = d_star == TameElement(p_star)
         ok_c = ratio == det_resolvend(psi2, s, 0) * d_inv * d_inv
-        ok_f = ratio == TameElement.monomial(f_exp) and f_exp == p_star - p_plain
+        ok_f = ratio == TameElement(f_exp) and f_exp == p_star - p_plain
         checks.append({
             "chi": i,
             "degree": int(table.degrees[i]),

@@ -2,12 +2,11 @@
 CycNum differences and quotients through `+`, negation and `inverse`,
 virtual-character coefficients and values through `num`, `den` and
 `value`, restriction of class functions to a subgroup given by its
-inclusion list, TameElements with any coefficients and their sums,
-negatives, scalar multiples and powers through `_make` and `*`, and a
-resolvend as its coefficients on the group, built by `sigma_action`."""
+inclusion list, rows {a: c} of the coefficients c of pi^(a/m) summed and
+scaled term by term, TameElement powers through `*` and `inverse`, and a
+resolvend as its rows on the group, built by `sigma_action`."""
 
 from fractions import Fraction
-from math import lcm
 
 from tamekit.characters import CharTable, VirtualChar
 from tamekit.cyclotomic import CycNum
@@ -76,62 +75,48 @@ def restrict(vc: VirtualChar, to_parent: list[int],
     return out
 
 
-def tame_terms(terms: dict | None = None, den: int = 1) -> TameElement:
-    """sum of c pi^(a/den) over the items a: c of terms, int and Fraction
-    coefficients coerced and zeros dropped."""
-    clean = {a: c if isinstance(c, CycNum) else CycNum.from_rational(c)
-             for a, c in (terms or {}).items()}
-    return TameElement._make({a: c for a, c in clean.items() if c}, den)
-
-
-def tame_monomial(exponent, coeff) -> TameElement:
-    """coeff pi^exponent for a rational exponent and a scalar coeff."""
-    e = Fraction(exponent)
-    return tame_terms({e.numerator: coeff}, e.denominator)
-
-
-def tame(x) -> TameElement:
-    """x as a TameElement: a scalar x is x pi^0."""
-    return x if isinstance(x, TameElement) else tame_terms({0: x})
-
-
-def tame_sum(*xs: TameElement) -> TameElement:
-    """The sum, over the lcm of the denominators."""
-    den = lcm(*(x.den for x in xs))
+def row_sum(*rows: dict) -> dict:
+    """The sum of rows {a: c}, key by key, zeros dropped."""
     out: dict[int, CycNum] = {}
-    for x in xs:
-        for a, c in x.terms.items():
-            a *= den // x.den
+    for row in rows:
+        for a, c in row.items():
             out[a] = out[a] + c if a in out else c
-    return tame_terms(out, den)
+    return {a: c for a, c in out.items() if c}
 
 
-def tame_neg(x: TameElement) -> TameElement:
-    return tame_terms({a: -c for a, c in x.terms.items()}, x.den)
+def row_scaled(row: dict, c) -> dict:
+    """Each coefficient of row times the scalar c, zeros dropped."""
+    return row_sum({a: x * c for a, x in row.items()})
 
 
-def tame_sub(x: TameElement, y: TameElement) -> TameElement:
-    return tame_sum(x, tame_neg(y))
+def monomial(row: dict, m: int) -> TameElement:
+    """The single term c pi^(a/m) of row; ValueError for any other row."""
+    if len(row) != 1:
+        raise ValueError(f"{len(row)} terms, not one")
+    [(a, c)] = row.items()
+    return TameElement(Fraction(a, m), c)
 
 
 def tame_pow(x: TameElement, k: int) -> TameElement:
-    """x^k by repeated products; k < 0 inverts x, a monomial, first."""
+    """x^k by repeated products; k < 0 inverts x first."""
     if k < 0:
         x, k = x.inverse(), -k
-    out = TameElement.one()
+    out = TameElement()
     for _ in range(k):
         out = out * x
     return out
 
 
-def resolvend(G: FiniteGroup, s: int, start: int) -> dict[int, TameElement]:
+def resolvend(G: FiniteGroup, s: int, start: int) -> dict[int, dict]:
     """{g: r[g]} for r = sum_i sigma^i(ladder) s^(-i), the ladder (1/m)
-    sum_{i<m} pi^((start + i)/m) with m = |s|: each sigma^i applied by
-    `sigma_action`, each s^(-i) taken by G's power map."""
+    sum_{i<m} pi^((start + i)/m) with m = |s|, each r[g] its row {a:
+    coefficient of pi^(a/m)}: each sigma^i applied by `sigma_action`, each
+    s^(-i) taken by G's power map."""
     m = G.element_order(s)
-    x = tame_terms(dict.fromkeys(range(start, start + m), Fraction(1, m)), m)
+    x = dict.fromkeys(range(start, start + m),
+                      CycNum.from_rational(Fraction(1, m)))
     out = {}
     for i in range(m):
         out[G.power(s, -i)] = x
-        x = sigma_action(x)
+        x = sigma_action(x, m)
     return out

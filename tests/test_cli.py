@@ -18,7 +18,7 @@ import tamekit.cli as cli
 import tamekit.gaussjacobi as gaussjacobi
 from tamekit.cli import DEFAULT_CONFIG, SuiteConfig, UsageError, main
 from tamekit.gaussjacobi import MultChar, verify_gauss_identities
-from tamekit.groups import preset
+from tamekit.groups import clip, preset
 from tamekit.ledger import build_f, crux_check
 from tamekit.localmodel import verify_factorization, verify_kummer_generator
 from tamekit.stickelberger import pairing_table
@@ -181,17 +181,20 @@ USAGE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text, line", [
-    ("", "error: --s: element '': cannot parse it: bad cycle notation\n"),
-    ("1" * 5000, "error: --s: element '11111111...': cannot parse it: bad "
-                 "cycle notation\n"),
-    ("(" + " ".join(["1"] * 5000) + ")",
+@pytest.mark.parametrize("group, text, line", [
+    ("S3", "", "error: --s: element '': cannot parse it: bad cycle "
+               "notation\n"),
+    ("S3", "1" * 5000, "error: --s: element '11111111...': cannot parse "
+                       "it: bad cycle notation\n"),
+    ("S3", "(" + " ".join(["1"] * 5000) + ")",
      "error: --s: element '(1 1 1 1...': cannot parse it: bad cycle: "
      "(1 1 1 1 ...)\n"),
-], ids=["empty", "5000-ones", "5000-point-cycle"])
-def test_element_errors_name_the_text_once_and_short(text, line, tmp_path,
-                                                     capsys):
-    assert main(["pairing", "--group", "S3", "--s", text,
+    # a permutation outside the group: its 360 names are not listed
+    ("C360", "(1 2)", "error: --s: element '(1 2)': not in the group\n"),
+], ids=["empty", "5000-ones", "5000-point-cycle", "not-in-C360"])
+def test_element_errors_name_the_text_once_and_short(group, text, line,
+                                                     tmp_path, capsys):
+    assert main(["pairing", "--group", group, "--s", text,
                  "--out", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert err == line and len(err.encode()) <= 200, err[:300]
@@ -358,8 +361,10 @@ def test_suite_config_validation():
         SuiteConfig({"crux": [[11, 3]]})  # 3 does not divide 10
     with pytest.raises(UsageError):
         SuiteConfig({"format": "yaml"})
-    with pytest.raises(UsageError, match="precision"):
-        SuiteConfig({"precision": 8})  # an unknown key
+    # an unknown key, cut to 8 characters as every quoted input is
+    with pytest.raises(UsageError,
+                       match=r"^unknown config key 'precisio\.\.\.'$"):
+        SuiteConfig({"precision": 8})
     assert SuiteConfig({"primes": ["5"], "crux": [["7", 3]]}).crux == [(7, 3)]
     assert SuiteConfig._as_int("q", "-13") == -13
     assert SuiteConfig._as_int("q", "0013") == 13
@@ -444,7 +449,7 @@ def test_suite_malformed_config_exits_two(data, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     [field] = data
-    assert field in err, err
+    assert clip(field) in err, err
     assert not (tmp_path / "r").exists()
 
 
@@ -463,15 +468,16 @@ def test_integer_strings_must_be_ascii_decimals(text, tmp_path, capsys):
                         ("crux", {"crux": [[text, 3]]})):
         with pytest.raises(UsageError) as info:
             SuiteConfig(data)
-        assert str(info.value) == f"{field} must hold integers, got {text!r}"
+        assert str(info.value) == \
+            f"{field} must hold integers, got {clip(text)!r}"
     places = tmp_path / "places.json"
     places.write_text(json.dumps(
         {"group": "S3", "places": [{**_PLACE, "q": text}]}))
     assert main(["ledger", "demo", "--places", str(places),
                  "--out", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err == \
-        f"error: q must hold integers, got {text!r}\n"
-    # every integer option, named by argparse
+        f"error: q must hold integers, got {clip(text)!r}\n"
+    # every integer option, named by argparse with `ascii_int`'s message
     out = ["--out", str(tmp_path / "r")]
     local = ["localmodel", "verify", "--group", "C9", "--s", "1"]
     for argv, flag in ((["gauss", "--p", text], "--p"),
@@ -483,8 +489,12 @@ def test_integer_strings_must_be_ascii_decimals(text, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, *out])
         assert exc.value.code == 2
-        assert f"argument {flag}: invalid ascii_int value" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        # after argparse's usage lines, which depend on the command alone
+        line = err.splitlines()[-1]
+        assert line.endswith(f"error: argument {flag}: not an integer: "
+                             f"{clip(text)!r}"), err
+        assert len(line.encode()) <= 200, err[:300]
     # an element index, where int() alone would pick an element
     for argv, flag in ((["pairing", "--group", "S3", "--s", text], "--s"),
                        (["localmodel", "verify", "--group", "F21", "--s",
@@ -509,6 +519,48 @@ def test_suite_config_that_is_not_an_object_exits_two(data, fmt, tmp_path,
 
 
 _PLACE = {"label": "v7", "q": 7, "s": "(1 2 3)"}
+
+_LONG = "x" * 5000
+
+# (command, file contents): each quotes a value of 5,000 characters or
+# more, or 2,000 unknown keys
+LONG_VALUES = {
+    "int": ("suite", {"primes": [_LONG]}),
+    "list": ("suite", {"primes": _LONG}),
+    "group-name": ("suite", {"groups": [_LONG]}),
+    "group-entry": ("suite", {"groups": [[_LONG]]}),
+    "crux-entry": ("suite", {"crux": [[_LONG]]}),
+    "format": ("suite", {"format": _LONG}),
+    "config-key": ("suite", {_LONG: 1}),
+    "config-keys": ("suite", {f"key{i}": 1 for i in range(2000)}),
+    "not-an-object": ("suite", [_LONG]),
+    "places-group": ("places", {"group": _LONG, "places": [_PLACE]}),
+    "places": ("places", {"group": "S3", "places": _LONG}),
+    "places-entry": ("places", {"group": "S3", "places": [_LONG]}),
+    "no-field": ("places", {"group": "S3", "places": [{"label": _LONG}]}),
+    "label": ("places", {"group": "S3",
+                         "places": [{**_PLACE, "label": [_LONG]}]}),
+    "q": ("places", {"group": "S3", "places": [{**_PLACE, "q": _LONG}]}),
+    "s": ("places", {"group": "S3", "places": [{**_PLACE, "s": _LONG}]}),
+    "places-keys": ("places", {"group": "S3", "places": [_PLACE],
+                               **{f"key{i}": 1 for i in range(2000)}}),
+}
+
+
+@pytest.mark.parametrize("command, data", LONG_VALUES.values(),
+                         ids=LONG_VALUES)
+def test_long_config_and_places_values_are_cut(command, data, tmp_path,
+                                               capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = (["suite", "--config", str(path)] if command == "suite"
+            else ["ledger", "demo", "--places", str(path)])
+    assert main([*argv, "--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    assert len(err.encode()) <= 200, err[:300]
+    assert "..." in err or "1999 more" in err, err
+    assert not out and not (tmp_path / "r").exists()
 
 
 MALFORMED_PLACES = [

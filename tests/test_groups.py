@@ -66,6 +66,9 @@ def test_preset_orders_and_labels():
 def test_preset_unknown_name():
     with pytest.raises(ValueError, match="A4"):
         preset("SL2")
+    with pytest.raises(ValueError, match="^unknown group preset 'xxxxxxxx"
+                                         r"\.\.\.'; known: C<n>, A4"):
+        preset("x" * 5000)
     # a name longer than C360 is past the cap, and 5,000 digits are past
     # int()'s limit on digits, whose message must not come first
     for name, shown in (("C0", "0"), ("C361", "361"), ("C1000", "1000"),
@@ -82,6 +85,10 @@ def test_ascii_int_reads_a_sign_and_ascii_digits_only():
                  "", "-", "1.0"):
         with pytest.raises(ValueError, match="^not an integer"):
             ascii_int(text)
+    # past int()'s limit on digits, whose own message would come first
+    with pytest.raises(ValueError) as info:
+        ascii_int("1" * 5000)
+    assert str(info.value) == "not an integer: '11111111...'"
 
 
 
