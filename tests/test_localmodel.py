@@ -474,7 +474,7 @@ def test_adams_check_fails_on_a_wrong_psi2(monkeypatch):
     assert bad and not any(c["pass"] for c in bad)
 
 
-# -- monomials against Fraction exponents and CycNum arithmetic ------------
+# -- integer-keyed rows and monomials against Fraction exponents ---------
 
 _coeffs = st.builds(lambda n, k, c: zeta(n, k) * c,
                     st.sampled_from([1, 3, 4, 5]), st.integers(0, 4),
@@ -483,11 +483,73 @@ _coeffs = st.builds(lambda n, k, c: zeta(n, k) * c,
 _exponents = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
+@st.composite
+def _rows(draw, max_terms=4):
+    """(row, m, reference): a row {a: c} of coefficients of pi^(a/m) and
+    its terms as {Fraction(a, m): c}, exponents drawn over den and then
+    written over m = den * k, so equal exponents arrive in different forms;
+    two rows from one draw of den and k share their m."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    k = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(2):
+        nums = draw(st.lists(st.integers(-12, 12), max_size=max_terms,
+                             unique=True))
+        cs = [draw(_coeffs) for _ in nums]
+        rows.append(({a * k: c for a, c in zip(nums, cs)},
+                     {Fraction(a, den): c for a, c in zip(nums, cs)}))
+    return den * k, rows
+
+
+def _fraction_keys(row, m):
+    return {Fraction(a, m): c for a, c in row.items()}
+
+
+def _twisted(ref):
+    # sigma twists pi^e by zeta_d^n for e = n/d in lowest terms
+    return {e: c * zeta(e.denominator, e.numerator % e.denominator)
+            for e, c in ref.items()}
+
+
+@settings(max_examples=80, database=None, derandomize=True, deadline=None)
+@given(_rows(), st.integers(1, 3), st.sampled_from([1, 7, 11, 13]))
+def test_integer_keys_match_fraction_keys(drawn, j, q):
+    m, [(x, xf), (y, yf)] = drawn
+    assert _fraction_keys(x, m) == xf
+    # sigma depends only on the exponent a/m, not on how it is written;
+    # the twist's conductor is m, so coefficients are compared as numbers
+    assert _fraction_keys(sigma_action(x, m), m) == _twisted(xf)
+    xj, ref = x, xf
+    for _ in range(j):
+        xj, ref = sigma_action(xj, m), _twisted(ref)
+    assert _fraction_keys(xj, m) == ref
+    for _ in range(-j % m):
+        xj = sigma_action(xj, m)
+    assert xj == x
+    # sigma is linear on rows over one m
+    both = row_sum(x, row_scaled(y, zeta(3)))
+    both_f = row_sum(xf, {e: c * zeta(3) for e, c in yf.items()})
+    assert _fraction_keys(both, m) == both_f
+    assert _fraction_keys(sigma_action(both, m), m) == _twisted(both_f)
+    # each term read as a monomial, and its product and Frobenius image
+    for (a, c), (b, d) in zip(x.items(), y.items()):
+        u, v = monomial({a: c}, m), monomial({b: d}, m)
+        assert (u.exponent, u.coeff) == (Fraction(a, m), c)
+        uv = u * v
+        assert (uv.exponent, uv.coeff) == (Fraction(a, m) + Fraction(b, m),
+                                           c * d)
+        frob = frobenius_action(u, q)
+        assert (frob.exponent, frob.coeff) == (Fraction(a, m),
+                                               c.galois_apply(q))
+    if len(x) != 1:
+        with pytest.raises(ValueError):
+            monomial(x, m)
+
+
 @settings(max_examples=100, database=None, derandomize=True, deadline=None)
 @given(_exponents, _coeffs, _exponents, _coeffs, st.integers(-3, 3),
        st.sampled_from([1, 7, 11, 13]))
-def test_monomials_match_fraction_exponents_and_cycnum_products(e, c, f, d,
-                                                                k, q):
+def test_monomial_inverse_and_powers_match_fraction_keys(e, c, f, d, k, q):
     x, y = TameElement(e, c), TameElement(f, d)
     assert (x.exponent, x.coeff) == (e, c)
     xy = x * y
